@@ -3,7 +3,8 @@
 The numba path is used when numba imports cleanly and the environment
 variable ``SLOSHSPEC_PURE_NUMPY`` is unset (or "0").  Both paths implement
 identical signatures and are exercised against each other in the test
-suite; ``benchmarks/bench_kernels.py`` compares their throughput.
+suite.  Their cost inside whole solves is the ``backend.kernel.s`` metric
+of a traced benchmark run; see ``perfbench/README.md``.
 
 Only element-local work lives here (P1 element matrices, edge mass,
 triangle quality metrics, point-in-polygon tests).  Sparse factorisation

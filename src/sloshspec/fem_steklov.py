@@ -2,20 +2,21 @@
 
 Pipeline: assemble the P1 stiffness matrix of the Laplacian on the
 triangulation, eliminate Dirichlet-tagged boundary nodes symmetrically,
-reduce to the sloshing surface by a sparse Schur complement (the discrete
-Dirichlet-to-Neumann matrix), and solve the dense generalized symmetric
-eigenproblem against the 1D P1 mass matrix of the surface.
+place the 1D P1 mass matrix of the surface in the free-node space, and
+solve the sparse pencil K u = lambda B u for its lowest pairs by
+shift-invert Lanczos with one sparse factorization.  The surface traces
+of the eigenvectors are the eigenvectors of the discrete
+Dirichlet-to-Neumann (DtN) map, which is never formed on this path.
 
-Reducing to the surface keeps the dense eigensolve at O(1/h) unknowns
-while the sparse factorization carries the O(1/h**2) interior, and it
-materializes the operator whose spectrum is being studied.  All steps are
+The DtN map is still available as a dense Schur complement
+(`dtn_matrix`, for dumps and property checks) and as a matrix-free
+action (`dtn_action`, for residuals on fine meshes).  All steps are
 deterministic for a fixed mesh.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -26,7 +27,7 @@ _SCHUR_BLOCK_BYTES = 2 * 10**8
 
 
 class SteklovSolveError(RuntimeError):
-    """Raised for assembly, factorization, or resolution failures."""
+    """Raised for assembly, factorization, eigensolve or resolution failures."""
 
 
 @dataclass
@@ -268,39 +269,77 @@ def apply_dtn(dtn, trace):
     return dtn.matrix @ trace
 
 
+def _sloshing_pairs(system, n_eigs):
+    """Lowest n_eigs eigenpairs of the sparse pencil K u = lambda B u.
+
+    K is the free-node stiffness and B the surface mass placed in the
+    free-node space, so B is only semidefinite.  Shift-invert Lanczos
+    with a shift sigma = -1/l below the spectrum (l the surface length)
+    factors K - sigma B once; that matrix is SPD for every wall
+    condition, and the infinite eigenvalues of the pencil map to zero
+    under the transformation, so only finite ones are returned.  The
+    start vector is fixed, so reruns are byte-identical.
+
+    Returns the ascending eigenvalues and the surface traces u[s_pos],
+    orthonormal in the surface mass inner product because ARPACK returns
+    B-orthonormal vectors.
+    """
+    _, s_pos, _ = _split_blocks(system)
+    ns = len(s_pos)
+    if ns < 4 * n_eigs:
+        raise SteklovSolveError(
+            f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
+            "resolution guard; decrease h"
+        )
+    K = system.stiffness
+    n = K.shape[0]
+    m = system.steklov_mass_free().tocoo()
+    B = sp.csr_matrix((m.data, (s_pos[m.row], s_pos[m.col])), shape=(n, n))
+    sigma = -1.0 / float(system.s_arclength.max())
+    try:
+        lu = spla.splu((K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SteklovSolveError(f"pencil factorization failed: {exc}") from exc
+    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    try:
+        w, u = spla.eigsh(
+            K, k=n_eigs, M=B, sigma=sigma, OPinv=op_inv, v0=np.ones(n)
+        )
+    except spla.ArpackError as exc:  # ArpackNoConvergence included
+        raise SteklovSolveError(f"sparse eigensolve failed: {exc}") from exc
+    order = np.argsort(w, kind="stable")
+    w = w[order]
+    u = u[:, order]
+    scale = max(1.0, abs(w[-1]))
+    residual = np.linalg.norm(K @ u - (B @ u) * w, axis=0).max()
+    if not residual <= 1e-8 * scale:
+        raise SteklovSolveError(
+            f"eigenpair residual {residual:.3e} exceeds {1e-8 * scale:.3e}"
+        )
+    if w[0] < -1e-8 * scale:
+        raise SteklovSolveError(f"spurious negative eigenvalue {w[0]!r}")
+    return np.clip(w, 0.0, None), u[s_pos]
+
+
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
 
-    The generalized problem D x = lambda M x (M the surface mass matrix,
-    positive definite on the free surface nodes) is solved densely after
-    a Cholesky transform of M.  Requires the surface to carry at least
-    4 * n_eigs nodes so the top requested mode stays resolved.
+    The pencil K u = lambda B u of the stiffness and the embedded surface
+    mass is solved by sparse shift-invert Lanczos (see _sloshing_pairs),
+    without forming the dense DtN matrix.  Requires the surface to carry
+    at least 4 * n_eigs nodes so the top requested mode stays resolved;
+    every returned pair passes an a posteriori residual check.
     """
     if n_eigs < 1:
         raise SteklovSolveError("n_eigs must be at least 1")
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
     system = assemble(mesh)
-    dtn = dtn_matrix(system)
-    ns = len(dtn.s_coords)
-    if ns < 4 * n_eigs:
-        raise SteklovSolveError(
-            f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
-            "resolution guard; decrease h"
-        )
-    mass = system.steklov_mass_free().toarray()
-    try:
-        w, v = scipy.linalg.eigh(dtn.matrix, mass)
-    except scipy.linalg.LinAlgError as exc:
-        raise SteklovSolveError(f"dense eigensolve failed: {exc}") from exc
-    scale = max(1.0, abs(w[-1]))
-    if w[0] < -1e-8 * scale:
-        raise SteklovSolveError(f"spurious negative eigenvalue {w[0]!r}")
-    w = np.clip(w, 0.0, None)
+    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
     return SteklovSpectrum(
-        eigenvalues=w[:n_eigs].copy(),
-        traces=v[:, :n_eigs].copy(),
-        s_coords=dtn.s_coords,
+        eigenvalues=eigenvalues,
+        traces=traces,
+        s_coords=system.s_arclength[system.s_free_mask],
         mesh_size=float(h),
         grading_factor=float(grading_factor),
         num_nodes=mesh.num_nodes,

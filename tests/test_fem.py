@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 
 from sloshspec.fem_steklov import (
     SteklovSolveError,
@@ -149,6 +151,60 @@ def test_resolution_guard_rejects_underresolved_requests():
         solve_steklov(domain, 0.5, 10)
     with pytest.raises(SteklovSolveError, match="at least 1"):
         solve_steklov(domain, 0.1, 0)
+
+
+EX1_ANGLES = (2 * math.pi / 5, math.pi / 6, 2.0)
+
+
+@pytest.mark.parametrize(
+    "walls, h",
+    [
+        (("neumann", "neumann"), 0.02),
+        (("neumann", "neumann"), 0.01),
+        (("neumann", "neumann"), 0.005),
+        (("dirichlet", "dirichlet"), 0.02),
+        (("neumann", "dirichlet"), 0.02),
+    ],
+)
+def test_sparse_eigensolve_matches_dense_dtn_oracle(walls, h):
+    # the sparse pencil and the dense Schur-complement DtN are the same
+    # discrete problem, so eigenvalues agree to rounding and each trace
+    # is the dense eigenvector up to sign
+    domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
+    mesh = generate_mesh(domain, h)
+    system = assemble(mesh)
+    spec = solve_steklov(domain, h, 10, mesh=mesh)
+    mass = system.steklov_mass_free().toarray()
+    w, v = scipy.linalg.eigh(dtn_matrix(system).matrix, mass)
+    w = w[:10]
+    rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
+    assert rel.max() <= 1e-10
+    overlap = np.abs(np.sum(spec.traces * (mass @ v[:, :10]), axis=0))
+    np.testing.assert_allclose(overlap, 1.0, atol=1e-8)
+
+
+def test_failed_factorization_raises_steklov_solve_error(monkeypatch):
+    domain = build_rectangle_domain(math.pi, 1.0)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(SteklovSolveError, match="pencil factorization failed"):
+        solve_steklov(domain, 0.1, 3)
+
+
+def test_eigenpair_residual_check_rejects_inaccurate_pairs(monkeypatch):
+    domain = build_rectangle_domain(math.pi, 1.0)
+    eigsh = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        w, u = eigsh(*args, **kwargs)
+        return w * (1.0 + 1e-6), u
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    with pytest.raises(SteklovSolveError, match="eigenpair residual"):
+        solve_steklov(domain, 0.1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,23 @@ def test_cli_mesh_failure_exits_one_with_error_json(tmp_path):
     assert "not recovered" in doc["error"]["message"]
 
 
+def test_cli_eigensolve_failure_exits_one_with_error_json(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    from sloshspec import cli
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK did not converge", None, None)
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    domain_file = write_rectangle_json(tmp_path / "rect.json")
+    code = cli.main(["fem", "--domain", domain_file, "--h", "0.1", "--neigs", "3"])
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "numerical"
+    assert "ARPACK did not converge" in doc["error"]["message"]
+
+
 def test_cli_config_errors_exit_two_with_field(tmp_path):
     domain_file = write_rectangle_json(tmp_path / "rect.json")
     out = run_cli("fem", "--domain", domain_file, "--h", "0.1", "--grading", "2")
