@@ -12,9 +12,12 @@ Subcommands map one-to-one onto the computational modules:
     run           execute an experiment config file
 
 Results go to stdout, or to files under --out DIR.  Everything is
-deterministic; --seed is accepted for interface stability but unused.
-The heavy numerical imports happen after argument parsing so that
---threads can pin the BLAS pool size before numpy loads.
+deterministic.  fem, peters, reproduce, residual and convergence build
+the ExperimentConfig that `run` would read and serialize what
+harness.compute_experiment returns, so they and `run` share one
+computation and one validation.  The heavy numerical imports happen
+after argument parsing so that --threads can pin the BLAS pool size
+before numpy loads.
 """
 
 import argparse
@@ -26,7 +29,6 @@ import sys
 def _common_flags(parser):
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", metavar="DIR", default=None, help="write artifacts into DIR instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="reserved; all algorithms are deterministic")
     parser.add_argument("--threads", type=int, default=None, help="cap the BLAS thread pool")
 
 
@@ -104,53 +106,44 @@ def _apply_threads(n):
         os.environ[var] = str(n)
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, number):
     from .harness import ConfigError
 
     try:
-        values = tuple(int(part) for part in str(text).split(",") if part.strip())
+        values = tuple(number(part) for part in str(text).split(",") if part.strip())
     except ValueError:
-        raise ConfigError(flag, f"expected comma-separated integers, got {text!r}") from None
+        raise ConfigError(flag, f"expected comma-separated {number.__name__} values, got {text!r}") from None
     if not values:
         raise ConfigError(flag, "empty list")
     return values
 
 
-def _parse_float_list(text, flag):
-    from .harness import ConfigError
+def _table_text(fmt, header, rows):
+    from .harness import _csv_text
 
-    try:
-        values = tuple(float(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(flag, f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError(flag, "empty list")
-    return values
+    if fmt == "csv":
+        return _csv_text(header, rows)
+
+    def cell(value):
+        if value is None or isinstance(value, (str, int)):
+            return value
+        return float(value)
+
+    doc = [{name: cell(value) for name, value in zip(header, row)} for row in rows]
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, header, rows, stem):
-    """Print a table to stdout or write it under --out."""
-    from .harness import _csv_text, write_atomic
+def _emit(args, stem, text):
+    """Print text to stdout or write it as <stem>.<format> under --out."""
+    from .harness import write_atomic
 
-    if args.format == "csv":
-        text = _csv_text(header, rows)
-        suffix = "csv"
-    else:
-        def cell(value):
-            if value is None or isinstance(value, (str, int)):
-                return value
-            return float(value)
-
-        doc = [{name: cell(value) for name, value in zip(header, row)} for row in rows]
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        suffix = "json"
     if args.out is None:
         sys.stdout.write(text)
-        return []
-    path = os.path.join(args.out, f"{stem}.{suffix}")
+        return 0
+    path = os.path.join(args.out, f"{stem}.{args.format}")
     write_atomic(path, text)
     print(path)
-    return [path]
+    return 0
 
 
 def _positive(value, flag):
@@ -175,8 +168,7 @@ def _cmd_asymptotics(args):
     except ValueError as exc:
         raise ConfigError("alpha", str(exc)) from None
     rows = [(k, quasi_frequency(model, k)) for k in range(1, args.kmax + 1)]
-    _emit(args, ["k", "sigma"], rows, "asymptotics")
-    return 0
+    return _emit(args, "asymptotics", _table_text(args.format, ["k", "sigma"], rows))
 
 
 def _cmd_sl(args):
@@ -198,70 +190,56 @@ def _cmd_sl(args):
             rows.append((i, float(lam), pred, abs(float(lam) - pred)))
         else:
             rows.append((i, float(lam), None, None))
-    _emit(args, ["k", "lambda", "prediction", "residual"], rows, "sl")
-    return 0
+    return _emit(args, "sl", _table_text(args.format, ["k", "lambda", "prediction", "residual"], rows))
+
+
+def _experiment(flags, **fields):
+    """Compute the experiment that `fields` configure.
+
+    `flags` maps config field names to the subcommand's flag names, so
+    that a ConfigError names the flag the user typed.
+    """
+    from .harness import ConfigError, ExperimentConfig, compute_experiment
+
+    try:
+        return compute_experiment(ExperimentConfig(**fields))
+    except ConfigError as exc:
+        if exc.field not in flags:
+            raise
+        raise ConfigError(flags[exc.field], exc.reason) from None
+
+
+def _emit_experiment(args, stem, result):
+    from .harness import ComparisonReport, report_csv, report_json
+
+    if isinstance(result, ComparisonReport):
+        text = report_csv(result) if args.format == "csv" else report_json(result)
+    else:
+        text = _table_text(args.format, result.header, result.rows)
+    return _emit(args, stem, text)
 
 
 def _cmd_peters(args):
-    import numpy as np
-
-    from .harness import ConfigError
-    from .model_solutions.peters import SectorParams, eval_peters, far_field_fit
-
-    if args.samples < 16:
-        raise ConfigError("samples", "need at least 16 samples")
-    _positive(args.xmax, "xmax")
-    try:
-        params = SectorParams(args.alpha, args.bc)
-    except ValueError as exc:
-        raise ConfigError("alpha", str(exc)) from None
-    x = np.linspace(args.xmax / args.samples, args.xmax, args.samples)
-    values = eval_peters(params, x)
-    fit = far_field_fit(params, x, values)
-    wave = fit.wave_coefficient * np.exp(-1j * x) + fit.offset
-    rows = list(zip(x, values.real, values.imag, wave.real, np.abs(values - wave)))
-    _emit(args, ["x", "re_f", "im_f", "planewave_re", "residual"], rows, "peters")
-    return 0
-
-
-def _load_domain_file(path):
-    from .geometry import domain_from_json
-    from .harness import ConfigError
-
-    if not os.path.exists(path):
-        raise ConfigError("domain", f"referenced file does not exist: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("domain", f"not valid JSON: {exc}") from None
-    try:
-        return domain_from_json(obj)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("domain", str(exc)) from None
+    result = _experiment(
+        {}, kind="peters_phase", alpha=args.alpha, condition=args.bc, samples=args.samples, xmax=args.xmax
+    )
+    return _emit_experiment(args, "peters", result)
 
 
 def _cmd_fem(args):
     import numpy as np
 
-    from .fem_steklov import assemble, dtn_matrix, solve_steklov
-    from .geometry import generate_mesh, write_mesh_text
-    from .harness import ConfigError
+    from .fem_steklov import dtn_matrix
+    from .geometry import write_mesh_text
 
-    _positive(args.h, "h")
-    if args.neigs < 1:
-        raise ConfigError("neigs", f"neigs must be at least 1, got {args.neigs}")
-    if not 0 < args.grading <= 1:
-        raise ConfigError("grading", "grading factor must lie in (0, 1]")
-    domain = _load_domain_file(args.domain)
-    mesh = generate_mesh(domain, args.h, args.grading)
-    fine = solve_steklov(domain, args.h, args.neigs, grading_factor=args.grading, mesh=mesh)
-    coarse = solve_steklov(domain, 2.0 * args.h, args.neigs, grading_factor=args.grading)
-    errbar = 2.0 * np.abs(fine.eigenvalues - coarse.eigenvalues)
+    result = _experiment(
+        {"kmax": "neigs", "grading_factor": "grading"},
+        kind="custom", domain=args.domain, h=args.h, kmax=args.neigs, grading_factor=args.grading,
+    )
     if args.dump_mesh:
-        write_mesh_text(mesh, args.dump_mesh)
+        write_mesh_text(result.mesh, args.dump_mesh)
     if args.dump_dtn:
-        dtn = dtn_matrix(assemble(mesh))
+        dtn = dtn_matrix(result.system)
         n = dtn.matrix.shape[0]
         payload = np.asarray([n], dtype="<u8").tobytes() + np.ascontiguousarray(
             dtn.matrix, dtype="<f8"
@@ -270,62 +248,33 @@ def _cmd_fem(args):
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, args.dump_dtn)
-    rows = list(zip(range(1, args.neigs + 1), fine.eigenvalues, errbar))
-    _emit(args, ["k", "lambda", "errbar"], rows, "fem")
-    return 0
+    return _emit_experiment(args, "fem", result)
 
 
 def _cmd_reproduce(args):
-    from .harness import ConfigError, report_csv, report_json, reproduce_table
-
-    _positive(args.h, "h")
-    if not 0 < args.grading <= 1:
-        raise ConfigError("grading", "grading factor must lie in (0, 1]")
-    report = reproduce_table(args.example, args.h, args.grading)
-    text = report_csv(report) if args.format == "csv" else report_json(report)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        from .harness import write_atomic
-
-        path = os.path.join(args.out, f"example_{args.example}.{args.format}")
-        write_atomic(path, text)
-        print(path)
-    return 0
+    result = _experiment(
+        {"grading_factor": "grading"},
+        kind=f"reproduce_example_{args.example}", h=args.h, grading_factor=args.grading,
+    )
+    return _emit_experiment(args, f"example_{args.example}", result)
 
 
 def _cmd_residual(args):
-    from .harness import quasimode_residual_study
-
-    _positive(args.h, "h")
-    _positive(args.length, "length")
-    k_list = _parse_int_list(args.k, "k")
-    study = quasimode_residual_study(args.q, args.length, args.h, k_list, args.grading)
-    _emit(args, ["k", "sigma", "residual", "nearest_gap"], list(study.rows), "residual")
-    return 0
+    result = _experiment(
+        {"surface_length": "length", "grading_factor": "grading"},
+        kind="quasimode_residual", q=args.q, surface_length=args.length, h=args.h,
+        k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
+    )
+    return _emit_experiment(args, "residual", result)
 
 
 def _cmd_convergence(args):
-    from .fem_steklov import convergence_study
-    from .harness import ConfigError
-
-    h_list = _parse_float_list(args.h, "h")
-    k_list = _parse_int_list(args.k, "k")
-    if not 0 < args.grading <= 1:
-        raise ConfigError("grading", "grading factor must lie in (0, 1]")
-    domain = _load_domain_file(args.domain)
-    try:
-        study = convergence_study(domain, h_list, k_list, grading_factor=args.grading)
-    except ValueError as exc:
-        raise ConfigError("h", str(exc)) from None
-    rows = []
-    for j, k in enumerate(study.k_values):
-        for i, h in enumerate(study.h_values):
-            rows.append(
-                (k, h, study.values[i][j], study.observed_order[j], study.richardson[j], study.errbar[j])
-            )
-    _emit(args, ["k", "h", "lambda", "observed_order", "richardson", "errbar"], rows, "convergence")
-    return 0
+    result = _experiment(
+        {"h_list": "h", "k_list": "k", "grading_factor": "grading"},
+        kind="convergence", domain=args.domain, h_list=_parse_list(args.h, "h", float),
+        k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
+    )
+    return _emit_experiment(args, "convergence", result)
 
 
 def _cmd_run(args):

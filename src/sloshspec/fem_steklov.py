@@ -321,6 +321,20 @@ def _sloshing_pairs(system, n_eigs):
     return np.clip(w, 0.0, None), u[s_pos]
 
 
+def _assembled_pairs(mesh, n_eigs):
+    """Assemble a mesh and solve it: (system, eigenvalues, traces).
+
+    Callers that need the assembled system after the eigensolve (for a
+    DtN dump or residuals) take it from here instead of assembling the
+    mesh again.
+    """
+    if n_eigs < 1:
+        raise SteklovSolveError("n_eigs must be at least 1")
+    system = assemble(mesh)
+    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
+    return system, eigenvalues, traces
+
+
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
 
@@ -330,12 +344,9 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     at least 4 * n_eigs nodes so the top requested mode stays resolved;
     every returned pair passes an a posteriori residual check.
     """
-    if n_eigs < 1:
-        raise SteklovSolveError("n_eigs must be at least 1")
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
-    system = assemble(mesh)
-    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
+    system, eigenvalues, traces = _assembled_pairs(mesh, n_eigs)
     return SteklovSpectrum(
         eigenvalues=eigenvalues,
         traces=traces,

@@ -3,10 +3,14 @@
 Bundles the cross-module computations that make up the reproduction
 studies: eigenvalue tables for the two worked examples, the comparison
 of the triangle sloshing spectrum with the higher-order ODE spectrum,
-quasimode residual measurements, and mesh-refinement studies.  Each
-experiment is described by an ExperimentConfig (a flat JSON document on
-disk) and produces deterministic CSV/JSON artifacts plus two-column
-plot-ready series.
+the Peters far-field phase, quasimode residual measurements,
+mesh-refinement studies and custom domains.  Each experiment is
+described by an ExperimentConfig (a flat JSON document on disk), which
+checks every field, and computed by `compute_experiment`, the one place
+its table is built.  `run_experiment` writes the result as
+deterministic CSV/JSON artifacts plus two-column plot-ready series; the
+CLI subcommands fem, peters, residual, convergence and reproduce build
+the same config from their flags and print or write the same tables.
 
 Runtime is recorded in the in-memory report metadata but never written
 to disk, so repeated runs of the same config produce byte-identical
@@ -23,13 +27,7 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-from .fem_steklov import (
-    _sloshing_pairs,
-    assemble,
-    convergence_study,
-    dtn_action,
-    solve_steklov,
-)
+from .fem_steklov import _assembled_pairs, convergence_study, dtn_action, solve_steklov
 from .geometry import (
     build_curvilinear_example,
     build_triangle_domain,
@@ -56,6 +54,7 @@ class ConfigError(ValueError):
     def __init__(self, field_name, message):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+        self.reason = message
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,20 @@ class ExperimentConfig:
             raise ConfigError("condition", f"expected 'neumann' or 'dirichlet', got {self.condition!r}")
         if self.kind in ("convergence", "custom") and self.domain is None:
             raise ConfigError("domain", f"kind {self.kind!r} requires a domain")
+        if self.kind == "peters_phase":
+            if self.samples < 16:
+                raise ConfigError("samples", "need at least 16 samples for a far-field fit")
+            if not self.xmax > 0:
+                raise ConfigError("xmax", f"must be positive, got {self.xmax}")
         if self.kind == "convergence":
             if len(self.h_list) < 2:
                 raise ConfigError("h_list", "need at least two mesh sizes")
             if not self.k_list:
                 raise ConfigError("k_list", "need at least one eigenvalue index")
+            if not all(a > b > 0 for a, b in zip(self.h_list, self.h_list[1:])):
+                raise ConfigError("h_list", "mesh sizes must be positive and strictly decreasing")
+            if min(self.k_list) < 1:
+                raise ConfigError("k_list", "eigenvalue indices are 1-based")
         if self.kind == "quasimode_residual" and not self.k_list:
             raise ConfigError("k_list", "need at least one lattice index")
         if isinstance(self.domain, str) and not os.path.exists(self.domain):
@@ -129,12 +137,12 @@ def config_from_json(obj):
     if "kind" not in obj:
         raise ConfigError("kind", "missing required field")
     kwargs = dict(obj)
-    for name in ("k_list", "h_list"):
+    for name, number in (("k_list", int), ("h_list", float)):
         if name in kwargs:
             try:
-                kwargs[name] = tuple(kwargs[name])
-            except TypeError:
-                raise ConfigError(name, "must be a list") from None
+                kwargs[name] = tuple(number(v) for v in kwargs[name])
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"must be a list of numbers, got {kwargs[name]!r}") from None
     for name in ("h", "surface_length", "alpha", "xmax", "grading_factor"):
         if name in kwargs:
             try:
@@ -212,15 +220,66 @@ def _domain_description(domain):
 
 
 def _spectrum_with_errbar(domain, h, n_eigs, grading_factor):
-    """Eigenvalues at mesh size h plus a two-mesh error bar.
+    """Fine-level mesh, assembled system and eigenvalues at mesh size h,
+    plus a two-mesh error bar.
 
     The error bar is 2 |lambda(h) - lambda(2h)| per index, the same
     convention convergence_study uses for its finest level.
     """
-    fine = solve_steklov(domain, h, n_eigs, grading_factor=grading_factor)
+    mesh = generate_mesh(domain, h, grading_factor)
+    system, eigenvalues, _ = _assembled_pairs(mesh, n_eigs)
     coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor=grading_factor)
-    errbar = 2.0 * np.abs(fine.eigenvalues - coarse.eigenvalues)
-    return fine, errbar
+    return mesh, system, eigenvalues, 2.0 * np.abs(eigenvalues - coarse.eigenvalues)
+
+
+def _comparison_report(cases, h, kmax, grading_factor):
+    """FEM spectra against predictions, one report block per case.
+
+    `cases` yields (label, domain, predict), where predict(ks) gives the
+    predicted values at the indices ks.
+    """
+    started = time.perf_counter()
+    ks = tuple(range(1, kmax + 1))
+    blocks = []
+    meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
+    for label, domain, predict in cases:
+        mesh, _, eigenvalues, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
+        blocks.append(
+            ReportBlock(
+                label=label,
+                k=ks,
+                computed=tuple(float(v) for v in eigenvalues),
+                predicted=tuple(float(v) for v in predict(ks)),
+            )
+        )
+        meta["num_nodes"][label] = mesh.num_nodes
+        meta["errbar"][label] = [float(e) for e in errbar]
+        meta["domain"][label] = _domain_description(domain)
+    meta["runtime_seconds"] = time.perf_counter() - started
+    return ComparisonReport(blocks=tuple(blocks), metadata=meta)
+
+
+def _lattice(model):
+    return lambda ks: [quasi_frequency(model, k) for k in ks]
+
+
+def _example_cases(example):
+    if example == 1:
+        angles = (2 * math.pi / 5, math.pi / 6, 2.0)
+        for label, regime in (("neumann", Regime.NEUMANN_NEUMANN), ("dirichlet", Regime.DIRICHLET_DIRICHLET)):
+            domain = build_triangle_domain(*angles, wall_conditions=(label, label))
+            yield label, domain, _lattice(QuasiFrequencyModel(regime, *angles))
+    else:
+        for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
+            domain = build_curvilinear_example(sign)
+            # the Dirichlet wall meets the surface at corner B
+            model = QuasiFrequencyModel(
+                Regime.MIXED_DIRICHLET_A_NEUMANN_B,
+                domain.corner_B.angle,
+                domain.corner_A.angle,
+                domain.surface_length,
+            )
+            yield label, domain, _lattice(model)
 
 
 def reproduce_table(example, h, grading_factor=0.25):
@@ -235,56 +294,7 @@ def reproduce_table(example, h, grading_factor=0.25):
     """
     if example not in (1, 2):
         raise ConfigError("example", f"expected 1 or 2, got {example!r}")
-    started = time.perf_counter()
-    kmax = 10
-    ks = tuple(range(1, kmax + 1))
-    blocks = []
-    meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
-    if example == 1:
-        cases = [
-            ("neumann", ("neumann", "neumann"), Regime.NEUMANN_NEUMANN),
-            ("dirichlet", ("dirichlet", "dirichlet"), Regime.DIRICHLET_DIRICHLET),
-        ]
-        for label, walls, regime in cases:
-            domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=walls)
-            model = QuasiFrequencyModel(regime, 2 * math.pi / 5, math.pi / 6, 2.0)
-            spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
-            blocks.append(
-                ReportBlock(
-                    label=label,
-                    k=ks,
-                    computed=tuple(float(v) for v in spec.eigenvalues),
-                    predicted=tuple(quasi_frequency(model, k) for k in ks),
-                )
-            )
-            meta["num_nodes"][label] = spec.num_nodes
-            meta["errbar"][label] = [float(e) for e in errbar]
-            meta["domain"][label] = _domain_description(domain)
-    else:
-        for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
-            domain = build_curvilinear_example(sign)
-            dirichlet_angle = domain.corner_B.angle
-            neumann_angle = domain.corner_A.angle
-            model = QuasiFrequencyModel(
-                Regime.MIXED_DIRICHLET_A_NEUMANN_B,
-                dirichlet_angle,
-                neumann_angle,
-                domain.surface_length,
-            )
-            spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
-            blocks.append(
-                ReportBlock(
-                    label=label,
-                    k=ks,
-                    computed=tuple(float(v) for v in spec.eigenvalues),
-                    predicted=tuple(quasi_frequency(model, k) for k in ks),
-                )
-            )
-            meta["num_nodes"][label] = spec.num_nodes
-            meta["errbar"][label] = [float(e) for e in errbar]
-            meta["domain"][label] = _domain_description(domain)
-    meta["runtime_seconds"] = time.perf_counter() - started
-    return ComparisonReport(blocks=tuple(blocks), metadata=meta)
+    return _comparison_report(_example_cases(example), h, 10, grading_factor)
 
 
 def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
@@ -303,27 +313,13 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
         )
     if q < 1:
         raise ConfigError("q", f"q must be a positive integer, got {q}")
-    started = time.perf_counter()
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
-    spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
-    ode = solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), kmax)
-    ks = tuple(range(1, kmax + 1))
-    block = ReportBlock(
-        label="fem_vs_ode",
-        k=ks,
-        computed=tuple(float(v) for v in spec.eigenvalues),
-        predicted=tuple(float(v) for v in ode.eigenvalues),
-    )
-    meta = {
-        "h": h,
-        "grading_factor": grading_factor,
-        "num_nodes": {"fem_vs_ode": spec.num_nodes},
-        "errbar": {"fem_vs_ode": [float(e) for e in errbar]},
-        "domain": {"fem_vs_ode": _domain_description(domain)},
-        "runtime_seconds": time.perf_counter() - started,
-    }
-    return ComparisonReport(blocks=(block,), metadata=meta)
+
+    def ode(ks):
+        return solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), len(ks)).eigenvalues
+
+    return _comparison_report([("fem_vs_ode", domain, ode)], h, kmax, grading_factor)
 
 
 @dataclass(frozen=True)
@@ -361,12 +357,11 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
     mesh = generate_mesh(domain, h, grading_factor)
-    system = assemble(mesh)
+    system, eigenvalues, _ = _assembled_pairs(mesh, max(k_list) + 2)
     apply_action = dtn_action(system)
     mass = system.steklov_mass_free().tocsc()
     mass_lu = scipy.sparse.linalg.splu(mass)
     x = system.s_arclength[system.s_free_mask]
-    eigenvalues, _ = _sloshing_pairs(system, max(k_list) + 2)
     rows = []
     for k in sorted(k_list):
         sigma = (math.pi * (k - 0.5) - math.pi * q / 2.0) / surface_length
@@ -469,45 +464,47 @@ def write_atomic(path, text):
     os.replace(tmp, path)
 
 
-def _series_csv(xs, ys):
-    return _csv_text(["x", "y"], list(zip(xs, ys)))
+@dataclass(frozen=True)
+class ExperimentTable:
+    """Main table of an experiment plus what run_experiment writes beside it.
+
+    `meta`, when set, becomes `<stem>_meta.json`; each series entry
+    (name, xs, ys) becomes the two-column `<stem>_<name>.csv`.  A custom
+    run also keeps its fine-level `mesh` and assembled `system`, which
+    the CLI dumps on request; neither is part of an artifact.
+    """
+
+    header: tuple
+    rows: list
+    meta: dict = None
+    series: tuple = ()
+    mesh: object = None
+    system: object = None
 
 
-def _write_report_artifacts(report, config, out_dir):
-    stem = config.stem
-    paths = []
-    body = report_csv(report) if config.out_format == "csv" else report_json(report)
-    main = os.path.join(out_dir, f"{stem}.{config.out_format}")
-    write_atomic(main, body)
-    paths.append(main)
-    meta = os.path.join(out_dir, f"{stem}_meta.json")
-    write_atomic(meta, json.dumps(_clean_metadata(report.metadata), indent=2, sort_keys=True) + "\n")
-    paths.append(meta)
-    for b in report.blocks:
-        for column, values in (("lambda", b.computed), ("sigma", b.predicted)):
-            path = os.path.join(out_dir, f"{stem}_{b.label}_{column}.csv")
-            write_atomic(path, _series_csv(b.k, values))
-            paths.append(path)
-    return paths
+def _resolve_domain(domain):
+    """Domain of a config: an inline document or a path to a JSON file holding one."""
+    try:
+        if isinstance(domain, str):
+            with open(domain, encoding="utf-8") as fh:
+                domain = json.load(fh)
+        return domain_from_json(domain)
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError("domain", f"not a valid domain document: {exc!r}") from None
 
 
-def _run_peters_phase(config, out_dir):
+def _peters_phase(config):
     from .model_solutions.peters import SectorParams, eval_peters, far_field_fit
 
-    params = SectorParams(config.alpha, config.condition)
-    if config.samples < 16:
-        raise ConfigError("samples", "need at least 16 samples for a far-field fit")
+    try:
+        params = SectorParams(config.alpha, config.condition)
+    except ValueError as exc:
+        raise ConfigError("alpha", str(exc)) from None
     x = np.linspace(config.xmax / config.samples, config.xmax, config.samples)
     values = eval_peters(params, x)
     fit = far_field_fit(params, x, values)
     wave = fit.wave_coefficient * np.exp(-1j * x) + fit.offset
-    rows = list(zip(x, values.real, values.imag, wave.real, np.abs(values - wave)))
-    stem = config.stem
-    paths = []
-    table = _csv_text(["x", "re_f", "im_f", "planewave_re", "residual"], rows)
-    main = os.path.join(out_dir, f"{stem}.csv")
-    write_atomic(main, table)
-    paths.append(main)
+    remainder = np.abs(values - wave)
     summary = {
         "alpha": config.alpha,
         "condition": config.condition,
@@ -516,90 +513,98 @@ def _run_peters_phase(config, out_dir):
         "decay_exponent": fit.decay_exponent,
         "amplitude": fit.amplitude,
     }
-    meta = os.path.join(out_dir, f"{stem}_meta.json")
-    write_atomic(meta, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    paths.append(meta)
-    series = os.path.join(out_dir, f"{stem}_remainder.csv")
-    write_atomic(series, _series_csv(x, np.abs(values - wave)))
-    paths.append(series)
-    return paths
+    return ExperimentTable(
+        header=("x", "re_f", "im_f", "planewave_re", "residual"),
+        rows=list(zip(x, values.real, values.imag, wave.real, remainder)),
+        meta=summary,
+        series=(("remainder", x, remainder),),
+    )
 
 
-def _run_quasimode_residual(config, out_dir):
+def _quasimode_residual(config):
     study = quasimode_residual_study(
         config.q, config.surface_length, config.h, config.k_list, config.grading_factor
     )
+    return ExperimentTable(
+        header=("k", "sigma", "residual", "nearest_gap"),
+        rows=list(study.rows),
+        meta=study.metadata,
+        series=(("residual", [r[1] for r in study.rows], [r[2] for r in study.rows]),),
+    )
+
+
+def _convergence(config):
+    domain = _resolve_domain(config.domain)
+    study = convergence_study(domain, config.h_list, config.k_list, grading_factor=config.grading_factor)
+    levels = range(len(study.h_values))
+    rows = [
+        (k, study.h_values[i], study.values[i][j], study.observed_order[j], study.richardson[j], study.errbar[j])
+        for j, k in enumerate(study.k_values)
+        for i in levels
+    ]
+    series = tuple(
+        (f"k{k}_error", study.h_values, [abs(study.values[i][j] - study.richardson[j]) for i in levels])
+        for j, k in enumerate(study.k_values)
+    )
+    return ExperimentTable(
+        header=("k", "h", "lambda", "observed_order", "richardson", "errbar"), rows=rows, series=series
+    )
+
+
+def _custom(config):
+    domain = _resolve_domain(config.domain)
+    mesh, system, eigenvalues, errbar = _spectrum_with_errbar(
+        domain, config.h, config.kmax, config.grading_factor
+    )
+    ks = list(range(1, config.kmax + 1))
+    return ExperimentTable(
+        header=("k", "lambda", "errbar"),
+        rows=list(zip(ks, eigenvalues, errbar)),
+        series=(("lambda", ks, eigenvalues),),
+        mesh=mesh,
+        system=system,
+    )
+
+
+_EXPERIMENTS = {
+    "reproduce_example_1": lambda c: reproduce_table(1, c.h, c.grading_factor),
+    "reproduce_example_2": lambda c: reproduce_table(2, c.h, c.grading_factor),
+    "sl_vs_sloshing": lambda c: sl_vs_sloshing(c.q, c.surface_length, c.h, c.kmax, c.grading_factor),
+    "peters_phase": _peters_phase,
+    "quasimode_residual": _quasimode_residual,
+    "convergence": _convergence,
+    "custom": _custom,
+}
+
+
+def compute_experiment(config):
+    """Compute one configured experiment without writing anything.
+
+    Returns a ComparisonReport for the reproduce and sl_vs_sloshing
+    kinds and an ExperimentTable for the others.
+    """
+    return _EXPERIMENTS[config.kind](config)
+
+
+def _artifacts(config, result):
+    """(file name, text) of every artifact of a result, main table first."""
     stem = config.stem
-    paths = []
-    table = _csv_text(["k", "sigma", "residual", "nearest_gap"], study.rows)
-    main = os.path.join(out_dir, f"{stem}.csv")
-    write_atomic(main, table)
-    paths.append(main)
-    meta = os.path.join(out_dir, f"{stem}_meta.json")
-    write_atomic(meta, json.dumps(_clean_metadata(study.metadata), indent=2, sort_keys=True) + "\n")
-    paths.append(meta)
-    series = os.path.join(out_dir, f"{stem}_residual.csv")
-    write_atomic(series, _series_csv([r[1] for r in study.rows], [r[2] for r in study.rows]))
-    paths.append(series)
-    return paths
-
-
-def _resolve_domain(config):
-    if isinstance(config.domain, str):
-        with open(config.domain, encoding="utf-8") as fh:
-            return domain_from_json(json.load(fh))
-    if isinstance(config.domain, dict):
-        return domain_from_json(config.domain)
-    raise ConfigError("domain", "expected an inline domain object or a file path")
-
-
-def _run_convergence(config, out_dir):
-    domain = _resolve_domain(config)
-    h_list = tuple(float(h) for h in config.h_list)
-    k_list = tuple(int(k) for k in config.k_list)
-    study = convergence_study(domain, h_list, k_list, grading_factor=config.grading_factor)
-    rows = []
-    for j, k in enumerate(study.k_values):
-        for i, h in enumerate(study.h_values):
-            rows.append(
-                (
-                    k,
-                    h,
-                    study.values[i][j],
-                    study.observed_order[j],
-                    study.richardson[j],
-                    study.errbar[j],
-                )
-            )
-    stem = config.stem
-    paths = []
-    table = _csv_text(["k", "h", "lambda", "observed_order", "richardson", "errbar"], rows)
-    main = os.path.join(out_dir, f"{stem}.csv")
-    write_atomic(main, table)
-    paths.append(main)
-    for j, k in enumerate(study.k_values):
-        gaps = [abs(study.values[i][j] - study.richardson[j]) for i in range(len(study.h_values))]
-        series = os.path.join(out_dir, f"{stem}_k{k}_error.csv")
-        write_atomic(series, _series_csv(study.h_values, gaps))
-        paths.append(series)
-    return paths
-
-
-def _run_custom(config, out_dir):
-    domain = _resolve_domain(config)
-    spec, errbar = _spectrum_with_errbar(domain, config.h, config.kmax, config.grading_factor)
-    ks = range(1, config.kmax + 1)
-    rows = list(zip(ks, spec.eigenvalues, errbar))
-    stem = config.stem
-    paths = []
-    table = _csv_text(["k", "lambda", "errbar"], rows)
-    main = os.path.join(out_dir, f"{stem}.csv")
-    write_atomic(main, table)
-    paths.append(main)
-    series = os.path.join(out_dir, f"{stem}_lambda.csv")
-    write_atomic(series, _series_csv(list(ks), spec.eigenvalues))
-    paths.append(series)
-    return paths
+    if isinstance(result, ComparisonReport):
+        main = report_csv(result) if config.out_format == "csv" else report_json(result)
+        files = [(f"{stem}.{config.out_format}", main)]
+        meta = result.metadata
+        series = [
+            (f"{b.label}_{column}", b.k, values)
+            for b in result.blocks
+            for column, values in (("lambda", b.computed), ("sigma", b.predicted))
+        ]
+    else:
+        files = [(f"{stem}.csv", _csv_text(result.header, result.rows))]
+        meta, series = result.meta, result.series
+    if meta is not None:
+        files.append((f"{stem}_meta.json", json.dumps(_clean_metadata(meta), indent=2, sort_keys=True) + "\n"))
+    files += [(f"{stem}_{name}.csv", _csv_text(["x", "y"], list(zip(xs, ys)))) for name, xs, ys in series]
+    return files
 
 
 def run_experiment(config, out_dir="."):
@@ -609,23 +614,9 @@ def run_experiment(config, out_dir="."):
     the bytes depend only on the config and package version.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if config.kind == "reproduce_example_1":
-        report = reproduce_table(1, config.h, config.grading_factor)
-        return _write_report_artifacts(report, config, out_dir)
-    if config.kind == "reproduce_example_2":
-        report = reproduce_table(2, config.h, config.grading_factor)
-        return _write_report_artifacts(report, config, out_dir)
-    if config.kind == "sl_vs_sloshing":
-        report = sl_vs_sloshing(
-            config.q, config.surface_length, config.h, config.kmax, config.grading_factor
-        )
-        return _write_report_artifacts(report, config, out_dir)
-    if config.kind == "peters_phase":
-        return _run_peters_phase(config, out_dir)
-    if config.kind == "quasimode_residual":
-        return _run_quasimode_residual(config, out_dir)
-    if config.kind == "convergence":
-        return _run_convergence(config, out_dir)
-    if config.kind == "custom":
-        return _run_custom(config, out_dir)
-    raise ConfigError("kind", f"unhandled kind {config.kind!r}")
+    paths = []
+    for name, text in _artifacts(config, compute_experiment(config)):
+        path = os.path.join(out_dir, name)
+        write_atomic(path, text)
+        paths.append(path)
+    return paths

@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -521,56 +518,3 @@ def test_points_in_polygon_matches_winding_oracle():
     want = _winding_oracle(pts, poly)
     np.testing.assert_array_equal(got, want)
     assert 0 < got.sum() < len(pts)
-
-
-def test_numpy_kernels_agree_with_dispatched_kernels():
-    if not _backend.USING_NUMBA:
-        pytest.skip("dispatch already points at the numpy kernels")
-    dom = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
-    mesh = generate_mesh(dom, 0.05)
-    xy, tris = mesh.nodes, mesh.triangles
-    edges = mesh.edges_with_tag("steklov")
-
-    def dense(n, triplets):
-        rows, cols, vals = triplets
-        out = np.zeros((n, n))
-        np.add.at(out, (np.asarray(rows), np.asarray(cols)), np.asarray(vals))
-        return out
-
-    n = mesh.num_nodes
-    a_fast = dense(n, _backend.stiffness_triplets(xy, tris))
-    a_ref = dense(n, _backend._stiffness_triplets_numpy(xy, tris))
-    np.testing.assert_allclose(a_fast, a_ref, atol=1e-12)
-
-    m_fast = dense(n, _backend.edge_mass_triplets(xy, edges))
-    m_ref = dense(n, _backend._edge_mass_triplets_numpy(xy, edges))
-    np.testing.assert_allclose(m_fast, m_ref, atol=1e-15)
-
-    area_fast, ang_fast = _backend.triangle_quality(xy, tris)
-    area_ref, ang_ref = _backend._triangle_quality_numpy(xy, tris)
-    np.testing.assert_allclose(area_fast, area_ref, atol=1e-15)
-    np.testing.assert_allclose(ang_fast, ang_ref, atol=1e-12)
-
-    poly = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
-    pts = np.random.default_rng(1).uniform([-0.2, -0.8], [1.2, 0.2], size=(200, 2))
-    np.testing.assert_array_equal(
-        _backend.points_in_polygon(pts, poly),
-        _backend._points_in_polygon_numpy(pts, poly),
-    )
-
-
-def test_pure_numpy_env_flag_disables_numba():
-    env = dict(os.environ, SLOSHSPEC_PURE_NUMPY="1")
-    code = (
-        "import sloshspec._backend as b;"
-        "print(b.USING_NUMBA);"
-        "print(b.stiffness_triplets is b._stiffness_triplets_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.split() == ["False", "True"]

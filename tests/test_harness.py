@@ -460,3 +460,100 @@ def test_cli_config_errors_exit_two_with_field(tmp_path):
     out = run_cli("run", "--config", str(config_file))
     assert out.returncode == 2
     assert json.loads(out.stdout)["error"]["field"] == "turbo"
+
+
+def run_main(capsys, *argv):
+    """cli.main in process: (exit code, parsed last stdout line or None)."""
+    from sloshspec import cli
+
+    code = cli.main(list(argv))
+    lines = capsys.readouterr().out.strip().splitlines()
+    try:
+        return code, json.loads(lines[-1])
+    except (IndexError, ValueError):
+        return code, None
+
+
+@pytest.mark.parametrize(
+    "config, field_name",
+    [
+        ({"kind": "peters_phase", "alpha": 2.0}, "alpha"),
+        ({"kind": "peters_phase", "xmax": -1.0}, "xmax"),
+        ({"kind": "custom", "domain": "not_json.txt"}, "domain"),
+        ({"kind": "convergence", "domain": "not_json.txt", "h_list": [0.1, 0.05], "k_list": [1]}, "domain"),
+        ({"kind": "custom", "domain": {"x": 1}}, "domain"),
+        ({"kind": "custom", "domain": {"surface": 1, "walls": 2, "corner_A": 3, "corner_B": 4,
+                                       "surface_length": 1}}, "domain"),
+        ({"kind": "convergence", "domain": "rect.json", "h_list": [0.05, 0.1], "k_list": [1]}, "h_list"),
+        ({"kind": "convergence", "domain": "rect.json", "h_list": [0.1, -0.05], "k_list": [1]}, "h_list"),
+        ({"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.05], "k_list": [0, 1]}, "k_list"),
+        ({"kind": "convergence", "domain": "rect.json", "h_list": ["a", 0.05], "k_list": [1]}, "h_list"),
+    ],
+)
+def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys, config, field_name):
+    monkeypatch.chdir(tmp_path)
+    write_rectangle_json(tmp_path / "rect.json")
+    (tmp_path / "not_json.txt").write_text("not json")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, doc = run_main(capsys, "run", "--config", "cfg.json", "--out", "out")
+    assert code == 2
+    assert doc["error"]["type"] == "config"
+    assert doc["error"]["field"] == field_name
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+
+@pytest.mark.parametrize(
+    "argv, field_name",
+    [
+        (["convergence", "--domain", "rect.json", "--h", "0.05,0.1"], "h"),
+        (["convergence", "--domain", "rect.json", "--h", "0.1,0.1"], "h"),
+        (["convergence", "--domain", "rect.json", "--h", "0.1"], "h"),
+        (["convergence", "--domain", "rect.json", "--h", "0.1,0.05", "--k", "0"], "k"),
+        (["residual", "--h", "0.01", "--k", "4", "--grading", "2"], "grading"),
+    ],
+)
+def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
+    monkeypatch.chdir(tmp_path)
+    write_rectangle_json(tmp_path / "rect.json")
+    code, doc = run_main(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["type"] == "config"
+    assert doc["error"]["field"] == field_name
+
+
+@pytest.mark.parametrize(
+    "argv, config, table",
+    [
+        (
+            ["fem", "--domain", "rect.json", "--h", "0.1", "--neigs", "3", "--grading", "0.5"],
+            {"kind": "custom", "domain": "rect.json", "h": 0.1, "kmax": 3, "grading_factor": 0.5},
+            "fem.csv",
+        ),
+        (
+            ["peters", "--alpha", repr(math.pi / 3), "--bc", "dirichlet", "--samples", "48", "--xmax", "24"],
+            {"kind": "peters_phase", "alpha": math.pi / 3, "condition": "dirichlet", "samples": 48,
+             "xmax": 24.0},
+            "peters.csv",
+        ),
+        (
+            ["residual", "--q", "2", "--h", "0.01", "--k", "6,4", "--grading", "1.0"],
+            {"kind": "quasimode_residual", "q": 2, "h": 0.01, "k_list": [6, 4], "grading_factor": 1.0},
+            "residual.csv",
+        ),
+        (
+            ["convergence", "--domain", "rect.json", "--h", "0.1,0.07,0.05", "--k", "2,1"],
+            {"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.07, 0.05], "k_list": [2, 1]},
+            "convergence.csv",
+        ),
+    ],
+    ids=["fem-custom", "peters-peters_phase", "residual-quasimode_residual", "convergence"],
+)
+def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, capsys, argv, config, table):
+    monkeypatch.chdir(tmp_path)
+    write_rectangle_json(tmp_path / "rect.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(config, label="from_run")))
+    assert run_main(capsys, *argv, "--out", "cli")[0] == 0
+    assert run_main(capsys, "run", "--config", "cfg.json", "--out", "run")[0] == 0
+    cli_bytes = (tmp_path / "cli" / table).read_bytes()
+    assert cli_bytes.count(b"\n") > 2
+    assert cli_bytes == (tmp_path / "run" / "from_run.csv").read_bytes()
