@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
+from .model_solutions.contour import _panel_nodes
+
 SINGULAR_THRESHOLD = 1e-9
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -179,21 +181,11 @@ def eigenfunction_derivative(entry: SLEigenfunction, x, order: int):
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
-def _gauss_panels(a, b, panels, nodes=12):
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    return x, w
-
-
 def _finalize_eigenfunction(problem, lam, scaled_vec, roots):
     entry = SLEigenfunction(problem, lam, None, scaled_vec.copy(), roots)
     L = problem.interval_length
     panels = max(8, int(math.ceil(lam * L)) + 4)
-    xq, wq = _gauss_panels(0.0, L, panels)
+    xq, wq = _panel_nodes(np.linspace(0.0, L, panels + 1), 12)
     u = _eval_complex(entry, xq)
     # rotate the arbitrary SVD phase so the real part carries maximal norm
     g2 = np.sum(wq * u * u)

@@ -1,4 +1,4 @@
-from .contour import ContourQuadrature, eval_I_alpha, eval_g_alpha, eval_J, eval_ReJ
+from .contour import eval_I_alpha, eval_g_alpha, eval_J, eval_ReJ
 from .hanson_lewy import (
     HansonLewySolution,
     HLTerm,
@@ -15,7 +15,6 @@ from .hanson_lewy import (
 from .peters import SectorParams, PetersEvaluator, eval_peters, far_field_fit
 
 __all__ = [
-    "ContourQuadrature",
     "eval_I_alpha",
     "eval_g_alpha",
     "eval_J",

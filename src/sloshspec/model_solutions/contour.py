@@ -18,13 +18,18 @@ for |arg zeta| < alpha.  Everything else derives from it:
 
 Quadrature is tanh-sinh on (0, 1) after splitting each half-line at 1 and
 inverting the tail, refined by halving the step until the result is stable
-to the requested absolute tolerance.  The double-exponential nodes absorb
-the logarithmic endpoint singularities without special casing.
+to the requested absolute tolerance.  The levels are nested: each one adds
+only the new nodes halfway between the previous ones and reuses the
+previous sum, so no node is evaluated twice.  The double-exponential nodes
+absorb the logarithmic endpoint singularities without special casing.
+
+Composite Gauss-Legendre panels (`_panel_nodes`) discretize the smooth
+contours built on these functions.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,14 +44,57 @@ class QuadratureError(RuntimeError):
 
 
 def _tanh_sinh_nodes(level):
-    """Nodes and weights for int_0^1 f(t) dt at the given refinement level."""
+    """Nodes and weights for int_0^1 f(t) dt that first appear at `level`.
+
+    Level 0 holds every node of step _BASE_STEP; each later level halves
+    the step and holds only its odd multiples, the nodes new to it.
+    """
     h = _BASE_STEP / 2**level
-    k = np.arange(-int(_KH_MAX / h), int(_KH_MAX / h) + 1)
+    n = int(_KH_MAX / h)
+    k = np.arange(-n, n + 1) if level == 0 else np.arange(1 - n, n, 2)
     u = (math.pi / 2) * np.sinh(k * h)
     t = 0.5 * (1.0 + np.tanh(u))
     w = h * (math.pi / 4) * np.cosh(k * h) / np.cosh(u) ** 2
     keep = (t > 0.0) & (t < 1.0) & (w > 1e-280)
     return t[keep], w[keep]
+
+
+def _tanh_sinh(integrand, tol, what, finish=lambda total: total):
+    """finish(int_0^1 integrand(t) dt) by nested tanh-sinh levels.
+
+    `integrand` maps a 1d array of abscissae to values whose leading axis
+    runs over them.  Halving the step halves the weights of the nodes
+    already summed, so each level is half the previous sum plus the new
+    nodes.  Refinement stops once `finish` of two consecutive levels
+    agrees to `tol` everywhere.
+    """
+    acc = prev = None
+    for level in range(_MAX_LEVEL + 1):
+        t, w = _tanh_sinh_nodes(level)
+        part = np.tensordot(w, integrand(t), axes=1)
+        acc = part if acc is None else 0.5 * acc + part
+        total = finish(acc)
+        if prev is not None and np.max(np.abs(total - prev)) < tol:
+            return total
+        prev = total
+    raise QuadratureError(f"{what} did not stabilize to {tol:g}")
+
+
+@lru_cache(maxsize=8)
+def _gauss(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panel_nodes(breaks, n):
+    """Gauss-Legendre nodes/weights on consecutive intervals of `breaks`."""
+    x, w = _gauss(n)
+    a = breaks[:-1]
+    b = breaks[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    return nodes, weights
 
 
 def _log1p_large(log_mod, phase):
@@ -96,25 +144,19 @@ def _i_ray(alpha, zeta, ray, tol=1e-12):
     ray = np.broadcast_to(np.asarray(ray, dtype=float), zeta.shape)
     e = np.exp(1j * ray)
     z2 = zeta**2
-    prev = None
-    for level in range(_MAX_LEVEL + 1):
-        t, w = _tanh_sinh_nodes(level)
+
+    def integrand(t):
         tc = t[:, None]
-        logt = np.log(t)[:, None]
+        logt = np.log(tc)
         # leg along (0, 1]: log(1 + (t e^{i ray})^{-2 mu})
         lead = _log1p_large(-2 * mu * logt, -2 * mu * ray)
-        kern = zeta * e / (tc**2 * e**2 + z2)
-        part1 = (w[:, None] * lead * kern).sum(axis=0)
         # leg along [1, inf), inverted with s = 1/t
-        small = np.exp(2 * mu * logt) * np.exp(-2j * mu * ray)
-        lead2 = np.log(1.0 + small)
-        kern2 = zeta * e / (e**2 + z2 * tc**2)
-        part2 = (w[:, None] * lead2 * kern2).sum(axis=0)
-        total = (part1 + part2) / math.pi
-        if prev is not None and np.max(np.abs(total - prev)) < tol:
-            return total
-        prev = total
-    raise QuadratureError(f"ray integral did not stabilize to {tol:g}")
+        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * np.exp(-2j * mu * ray))
+        return lead * (zeta * e / (tc**2 * e**2 + z2)) + lead2 * (
+            zeta * e / (e**2 + z2 * tc**2)
+        )
+
+    return _tanh_sinh(integrand, tol, "ray integral", lambda total: total / math.pi)
 
 
 def eval_I_alpha(alpha, zeta, tol=1e-12):
@@ -217,27 +259,22 @@ def eval_g_alpha(alpha, zeta, tol=1e-10):
     if np.any(arr.real <= 0):
         raise ValueError("eval_g_alpha requires Re(zeta) > 0")
     z2 = arr**2
-    prev = None
-    for level in range(_MAX_LEVEL + 1):
-        t, w = _tanh_sinh_nodes(level)
-        acc = np.zeros(arr.shape, dtype=complex)
-        for invert in (False, True):
-            # u = log of the physical abscissa; the tail leg substitutes
-            # t -> 1/t so its u is positive, the head leg's is negative.
-            u = -np.log(t) if invert else np.log(t)
-            lead = _log_mu_ratio(mu, u)
-            if invert:
-                kern = arr / (1.0 + z2 * t[:, None] ** 2)
-            else:
-                kern = arr / (t[:, None] ** 2 + z2)
-            acc = acc + ((w * lead)[:, None] * kern).sum(axis=0)
-        total = np.exp(-acc / math.pi)
-        if prev is not None and np.max(np.abs(total - prev)) < tol:
-            if np.asarray(zeta).ndim == 0:
-                return complex(total[0])
-            return total
-        prev = total
-    raise QuadratureError(f"g integral did not stabilize to {tol:g}")
+
+    def integrand(t):
+        # u = log of the physical abscissa; the tail leg substitutes
+        # t -> 1/t so its u is positive, the head leg's is negative.
+        u = np.log(t)
+        tc = t[:, None]
+        head = _log_mu_ratio(mu, u)[:, None] * (arr / (tc**2 + z2))
+        tail = _log_mu_ratio(mu, -u)[:, None] * (arr / (1.0 + z2 * tc**2))
+        return head + tail
+
+    total = _tanh_sinh(
+        integrand, tol, "g integral", lambda acc: np.exp(-acc / math.pi)
+    )
+    if np.asarray(zeta).ndim == 0:
+        return complex(total[0])
+    return total
 
 
 def eval_J(mu, tol=1e-12):
@@ -251,23 +288,14 @@ def eval_J(mu, tol=1e-12):
         raise ValueError("mu must exceed 1/2")
     a = math.pi / (2 * mu)
     ea = cmath.exp(1j * a)
-    prev = None
-    for level in range(_MAX_LEVEL + 1):
-        t, w = _tanh_sinh_nodes(level)
+
+    def integrand(t):
         logt = np.log(t)
-        lead = np.where(
-            -2 * mu * logt > 300.0,
-            -2 * mu * logt + np.exp(2 * mu * logt),
-            np.log1p(np.exp(np.minimum(-2 * mu * logt, 300.0))),
-        )
-        part1 = (w * lead * (ea / (t**2 - ea**2))).sum()
+        lead = _log1p_large(-2 * mu * logt, 0.0)
         lead2 = np.log1p(np.exp(2 * mu * logt))
-        part2 = (w * lead2 * (ea / (1.0 - t**2 * ea**2))).sum()
-        total = part1 + part2
-        if prev is not None and abs(total - prev) < tol:
-            return complex(total)
-        prev = total
-    raise QuadratureError(f"J integral did not stabilize to {tol:g}")
+        return lead * (ea / (t**2 - ea**2)) + lead2 * (ea / (1.0 - t**2 * ea**2))
+
+    return complex(_tanh_sinh(integrand, tol, "J integral"))
 
 
 def eval_ReJ(mu, verify=False):
@@ -280,38 +308,9 @@ def eval_ReJ(mu, verify=False):
         raise ValueError("mu must exceed 1/2")
     closed = math.pi**2 * (1.0 - mu) / 4.0
     if verify:
-        quad = eval_J(mu).real
-        if abs(quad - closed) > 1e-8:
+        value = eval_J(mu).real
+        if abs(value - closed) > 1e-8:
             raise QuadratureError(
-                f"quadrature {quad!r} disagrees with closed form {closed!r}"
+                f"quadrature {value!r} disagrees with closed form {closed!r}"
             )
     return closed
-
-
-@dataclass(frozen=True)
-class ContourQuadrature:
-    """Discretization knobs for the keyhole contour.
-
-    The contour is a circle of radius `circle_radius` traversed
-    counterclockwise plus two rays, one on each side of `ray_angle`.  Rays
-    extend adaptively with geometrically growing panels until a panel pair
-    contributes less than 1e-16 of the accumulated scale, capped at
-    `truncation_radius`.  `nodes_per_unit` scales the angular and chord
-    node density and should grow with the largest |z| to be evaluated.
-    """
-
-    ray_angle: float
-    circle_radius: float = 2.0
-    truncation_radius: float = 1e12
-    nodes_per_unit: float = 48.0
-
-    def __post_init__(self):
-        if self.circle_radius <= 0 or self.truncation_radius <= self.circle_radius:
-            raise ValueError("need 0 < circle_radius < truncation_radius")
-        if self.nodes_per_unit < 4:
-            raise ValueError("nodes_per_unit too small to resolve the contour")
-
-
-def default_quadrature(alpha):
-    """Keyhole discretization with the cut between the rays at pi + alpha/2."""
-    return ContourQuadrature(ray_angle=math.pi + alpha / 2)

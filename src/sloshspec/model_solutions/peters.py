@@ -21,21 +21,28 @@ fitted.
 The straight segment of the circle crossing the right half-plane replaces
 the arc there: on the arc, |e^(z zeta)| reaches e^(2|z|), and the resulting
 cancellation at |z| = 40 would cost half the double-precision mantissa.
-The chord is placed at Re(zeta e^(i arg z)) = 0.2, capping amplification at
-e^(0.2 |z|) while keeping the pole at -i and the branch arc of g_alpha on
-its far side.
+The chord is placed at Re(zeta e^(i arg z)) = _CHORD_ABSCISSA, capping
+amplification at e^(_CHORD_ABSCISSA |z|) while keeping the pole at -i and
+the branch arc of g_alpha on its far side.
+
+The discretization is fixed: the circle has radius _CIRCLE_RADIUS, the rays
+extend with geometrically growing panels up to _TRUNCATION_RADIUS, and the
+arc and chord node density is _NODES_PER_UNIT, scaled with the largest |z|
+to be evaluated.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .contour import ContourQuadrature, default_quadrature, exp_neg_I_continued
+from .contour import _panel_nodes, exp_neg_I_continued
 
 _CHORD_ABSCISSA = 0.15
+_CIRCLE_RADIUS = 2.0
+_TRUNCATION_RADIUS = 1e12
+_NODES_PER_UNIT = 48.0
 
 
 @dataclass(frozen=True)
@@ -63,24 +70,6 @@ class SectorParams:
         return (math.pi / 4) * (1 + self.mu)
 
 
-@lru_cache(maxsize=8)
-def _gauss(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
-def _panel_nodes(breaks, n):
-    """Gauss-Legendre nodes/weights on consecutive intervals of `breaks`."""
-    x, w = _gauss(n)
-    a = breaks[:-1]
-    b = breaks[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
-    return nodes, weights
-
-
 class PetersEvaluator:
     """Evaluates one sector solution at points of the closed sector.
 
@@ -92,18 +81,14 @@ class PetersEvaluator:
     under-resolved.
     """
 
-    def __init__(self, params, quad=None, xmax=40.0):
+    def __init__(self, params, xmax=40.0):
         self.params = params
         self.xmax = float(xmax)
         self.closed_form = abs(params.alpha - math.pi / 2) < 1e-12
         if self.closed_form:
-            self.quad = None
             return
-        self.quad = quad if quad is not None else default_quadrature(params.alpha)
-        alpha = params.alpha
-        self._theta_cut = self.quad.ray_angle
-        if abs(self._theta_cut - (math.pi + alpha / 2)) > 1e-9:
-            raise ValueError("ray_angle must bisect the sector between the walls")
+        # the cut between the two rays bisects the sector between the walls
+        self._theta_cut = math.pi + params.alpha / 2
         self._gtol = 1e-12
         self._chord_cache = {}
         self._build_rays()
@@ -118,12 +103,11 @@ class PetersEvaluator:
         return k * (zeta + 1j) / zeta
 
     def _build_rays(self):
-        q = self.quad
         first = min(0.5, 10.0 / self.xmax)
-        breaks = [q.circle_radius]
-        while breaks[-1] < q.truncation_radius:
-            step = max(first, 0.7 * (breaks[-1] - q.circle_radius))
-            breaks.append(min(breaks[-1] + step, q.truncation_radius))
+        breaks = [_CIRCLE_RADIUS]
+        while breaks[-1] < _TRUNCATION_RADIUS:
+            step = max(first, 0.7 * (breaks[-1] - _CIRCLE_RADIUS))
+            breaks.append(min(breaks[-1] + step, _TRUNCATION_RADIUS))
         breaks = np.asarray(breaks)
         r, w = _panel_nodes(breaks, 12)
         theta_in = self._theta_cut - 2 * math.pi
@@ -145,12 +129,11 @@ class PetersEvaluator:
         piece = self._chord_cache.get(key)
         if piece is not None:
             return piece
-        q = self.quad
-        R = q.circle_radius
+        R = _CIRCLE_RADIUS
         theta_c = math.acos(_CHORD_ABSCISSA / R)
         lo = -phi - theta_c
         hi = -phi + theta_c
-        density = q.nodes_per_unit * max(self.xmax, 1.0) / 40.0 / 16.0
+        density = _NODES_PER_UNIT * max(self.xmax, 1.0) / 40.0 / 16.0
         zetas, weights, thetas = [], [], []
         for a, b in ((self._theta_cut - 2 * math.pi, lo), (hi, self._theta_cut)):
             panels = max(6, math.ceil(R * (b - a) * density))
@@ -237,21 +220,21 @@ class PetersEvaluator:
 _EVALUATOR_CACHE = {}
 
 
-def _cached_evaluator(params, quad, xmax):
-    key = (round(params.alpha, 14), params.condition, quad, round(xmax, 6))
+def _cached_evaluator(params, xmax):
+    key = (round(params.alpha, 14), params.condition, round(xmax, 6))
     ev = _EVALUATOR_CACHE.get(key)
     if ev is None:
-        ev = PetersEvaluator(params, quad, xmax)
+        ev = PetersEvaluator(params, xmax)
         if len(_EVALUATOR_CACHE) > 8:
             _EVALUATOR_CACHE.pop(next(iter(_EVALUATOR_CACHE)))
         _EVALUATOR_CACHE[key] = ev
     return ev
 
 
-def eval_peters(params, z, quad=None):
+def eval_peters(params, z):
     """Sector solution f at z (scalar or array) in the closed sector.
 
-    A discretized evaluator is built and cached per (params, quad, size
+    A discretized evaluator is built and cached per (params, size
     bucket); the bucket doubles until it covers max |z|, so repeated calls
     at comparable scales reuse the same contour.
     """
@@ -260,7 +243,7 @@ def eval_peters(params, z, quad=None):
     xmax = 40.0
     while xmax < need:
         xmax *= 2.0
-    ev = _cached_evaluator(params, quad, xmax)
+    ev = _cached_evaluator(params, xmax)
     return ev.evaluate(z)
 
 

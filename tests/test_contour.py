@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from sloshspec.model_solutions.contour import (
-    ContourQuadrature,
+    _BASE_STEP,
+    _KH_MAX,
+    _MAX_LEVEL,
     QuadratureError,
+    _tanh_sinh,
     continuation_factor,
-    default_quadrature,
     eval_I_alpha,
     eval_J,
     eval_ReJ,
@@ -161,12 +163,63 @@ def test_quadrature_error_on_impossible_tolerance():
         eval_I_alpha(math.pi / 4, 0.7 + 0.1j, tol=0.0)
 
 
-def test_quadrature_configuration_validation():
-    quad = default_quadrature(math.pi / 3)
-    assert quad.ray_angle == pytest.approx(math.pi + math.pi / 6)
-    with pytest.raises(ValueError):
-        ContourQuadrature(ray_angle=0.0, circle_radius=-1.0)
-    with pytest.raises(ValueError):
-        ContourQuadrature(ray_angle=0.0, circle_radius=2.0, truncation_radius=1.0)
-    with pytest.raises(ValueError):
-        ContourQuadrature(ray_angle=0.0, nodes_per_unit=1.0)
+# Values frozen from the level-by-level tanh-sinh sums that preceded the
+# nested driver; the two agree to rounding.
+FROZEN_I = {
+    (math.pi / 3, 0.6 + 0.2j): 1.3207552990984714 - 0.3022040652399071j,
+    (math.pi / 3, 1.4 - 0.5j): 0.6657866173716842 + 0.20067446596037944j,
+    (math.pi / 3, 3.0 + 1.0j): 0.3352095565789233 - 0.10449242617258413j,
+    (math.pi / 4, 0.7 + 0.1j): 1.603794057324353 - 0.17034524652986174j,
+    (math.pi / 4, 2.0 - 0.3j): 0.6592101838112243 + 0.0908874132623928j,
+}
+FROZEN_G = {
+    (math.pi / 4, 0.5 + 0.2j): 0.3449781659388662 + 0.0873362445414846j,
+    (math.pi / 4, 1.0 - 0.8j): 0.5689655172413802 - 0.172413793103448j,
+    (math.pi / 4, 2.0 + 1.2j): 0.7126436781609202 + 0.11494252873563195j,
+    (math.pi / 3, 0.3 + 0.0j): 0.4746413960121585 + 0j,
+    (math.pi / 3, 4.0 - 1.0j): 0.8893117524667475 - 0.022473533900484524j,
+}
+FROZEN_J = {
+    0.75: 0.6168502750680823 + 1.7256961476115973j,
+    1.0: -9.61835346860891e-17 + 2.1775860903035955j,
+    1.5: -1.2337005501361653 + 2.8144891927633937j,
+    2.0: -2.4674011002723315 + 3.266379135455394j,
+    3.0: -4.934802200544668 + 3.903282237915197j,
+}
+
+
+@pytest.mark.parametrize("alpha,zeta", list(FROZEN_I))
+def test_sector_integral_matches_frozen_values(alpha, zeta):
+    assert abs(eval_I_alpha(alpha, zeta) - FROZEN_I[(alpha, zeta)]) < 1e-12
+
+
+@pytest.mark.parametrize("alpha,zeta", list(FROZEN_G))
+def test_g_matches_frozen_values(alpha, zeta):
+    assert abs(eval_g_alpha(alpha, zeta) - FROZEN_G[(alpha, zeta)]) < 1e-12
+
+
+@pytest.mark.parametrize("mu", list(FROZEN_J))
+def test_j_matches_frozen_values(mu):
+    assert abs(eval_J(mu) - FROZEN_J[mu]) < 1e-12
+
+
+def test_nested_levels_evaluate_each_abscissa_once():
+    seen = []
+
+    def integrand(t):
+        seen.append(t)
+        return np.log(t)
+
+    with pytest.raises(QuadratureError, match="test integral did not stabilize"):
+        _tanh_sinh(integrand, 0.0, "test integral")
+    # Together the levels hand over the finest grid, each node once (near
+    # t = 1 distinct nodes round to the same abscissa, so compare sorted).
+    h = _BASE_STEP / 2**_MAX_LEVEL
+    n = int(_KH_MAX / h)
+    t = 0.5 * (1.0 + np.tanh((math.pi / 2) * np.sinh(np.arange(-n, n + 1) * h)))
+    finest = np.sort(t[(t > 0.0) & (t < 1.0)])
+    assert len(seen) == _MAX_LEVEL + 1
+    assert np.array_equal(np.sort(np.concatenate(seen)), finest)
+    seen.clear()
+    # int_0^1 log t dt = -1, endpoint singularity included
+    assert _tanh_sinh(integrand, 1e-13, "test integral") == pytest.approx(-1.0, abs=1e-13)

@@ -557,3 +557,19 @@ def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, caps
     cli_bytes = (tmp_path / "cli" / table).read_bytes()
     assert cli_bytes.count(b"\n") > 2
     assert cli_bytes == (tmp_path / "run" / "from_run.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("reproduce", "--example", "1", "--h", "0.02"), ("residual", "--q", "2", "--h", "0.01")],
+)
+def test_stdout_is_byte_identical_across_thread_counts(args):
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sloshspec", *args, "--threads", threads], capture_output=True
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+

@@ -160,3 +160,21 @@ def test_evaluation_is_deterministic():
     params = SectorParams(math.pi / 5, "neumann")
     x = np.linspace(0.5, 30.0, 64)
     assert np.array_equal(eval_peters(params, x), eval_peters(params, x))
+
+
+# Values frozen from the level-by-level tanh-sinh sums that preceded the
+# nested driver; the two agree to a few units in 1e-13.
+FROZEN_PETERS = {
+    (3, "neumann", 1.0): 0.5909213171088443 - 1.5866961909846737j,
+    (3, "neumann", 5.0 - 2.0j): 0.14760204957716525 + 0.276464604656791j,
+    (3, "neumann", 20.0): 0.05591743608267912 - 1.9911935317336689j,
+    (5, "dirichlet", 0.5): 0.13636825785686363 - 0.020466469664660952j,
+    (5, "dirichlet", 3.0 - 1.0j): 0.6650394369999096 - 3.178591627357377j,
+    (5, "dirichlet", 35.0): 1.3420885545037724 - 4.645112694078461j,
+}
+
+
+@pytest.mark.parametrize("denominator,condition,z", list(FROZEN_PETERS))
+def test_evaluation_matches_frozen_values(denominator, condition, z):
+    value = complex(eval_peters(SectorParams(math.pi / denominator, condition), z))
+    assert abs(value - FROZEN_PETERS[(denominator, condition, z)]) < 1e-12
