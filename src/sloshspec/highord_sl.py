@@ -2,10 +2,13 @@
 
 On an interval [0, L] with either the Neumann conditions
 U^(m)(0) = U^(m)(L) = 0 for m = q..2q-1 or the Dirichlet conditions with
-m = 0..q-1, the positive spectrum is located by scanning the smallest
-singular value of a scaled 2q x 2q boundary matrix built from the
+m = 0..q-1, the positive spectrum is located by root finding on the
+determinant of a scaled 2q x 2q boundary matrix built from the
 exponential ansatz U = sum_k c_k exp(w_k S x), where w_k runs over the
-2q-th roots of -1.
+2q-th roots of -1.  Conjugation permutes the columns by an odd number of
+swaps and leaves the positive scalings alone, so that determinant is
+purely imaginary: Im det is a real, signed characteristic function and
+the computed Re det measures its rounding.
 
 Scaling keeps every matrix entry bounded: column k is divided by
 exp(max(0, Re w_k) S L) and the row for a derivative of order m by S^m.
@@ -21,7 +24,7 @@ import numpy as np
 from .model_solutions.contour import _panel_nodes
 
 SINGULAR_THRESHOLD = 1e-9
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TRUST = 16.0  # a scanned sign counts only where |Im det| > _TRUST |Re det|
 
 
 class SLSolveError(RuntimeError):
@@ -78,6 +81,22 @@ def ansatz_exponents(q: int) -> np.ndarray:
     return np.exp(1j * args)
 
 
+def _boundary_matrices(problem: HighOrderSLProblem, lams, w) -> np.ndarray:
+    """boundary_matrix at each of lams > 0, stacked to shape (n, 2q, 2q).
+
+    w is ansatz_exponents(q), passed in so that a solve computes it once.
+    """
+    lams = np.asarray(lams, dtype=float)[:, None]
+    if not np.all(lams > 0):
+        raise ValueError("lam must be positive")
+    L = problem.interval_length
+    shift = np.maximum(w.real, 0.0) * lams * L
+    ends = np.stack([np.exp(-shift), np.exp(w * lams * L - shift)], axis=1)
+    powers = np.array([w**m for m in problem.derivative_orders])
+    n, q2 = len(lams), 2 * problem.q
+    return (powers[None, :, None, :] * ends[:, None, :, :]).reshape(n, q2, q2)
+
+
 def boundary_matrix(problem: HighOrderSLProblem, lam: float) -> np.ndarray:
     """Scaled boundary matrix whose kernel gives the ansatz coefficients.
 
@@ -87,17 +106,12 @@ def boundary_matrix(problem: HighOrderSLProblem, lam: float) -> np.ndarray:
     vector v of the scaled matrix maps to coefficients c_k = v_k / s_k
     with s_k = exp(max(0, Re w_k) lam L).
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    q = problem.q
-    L = problem.interval_length
-    w = ansatz_exponents(q)
-    shift = np.maximum(w.real, 0.0) * lam * L
-    rows = []
-    for m in problem.derivative_orders:
-        rows.append(w**m * np.exp(-shift))
-        rows.append(w**m * np.exp(w * lam * L - shift))
-    return np.array(rows)
+    return _boundary_matrices(problem, [lam], ansatz_exponents(problem.q))[0]
+
+
+def _det_imag(problem, lam, w):
+    """Im det of the scaled boundary matrix: real, and zero at eigenvalues."""
+    return float(np.linalg.det(_boundary_matrices(problem, [lam], w)[0]).imag)
 
 
 def characteristic_smallest_singular_value(problem: HighOrderSLProblem, lam: float) -> float:
@@ -117,22 +131,25 @@ def ode_asymptotic_prediction(q: int, interval_length: float, k: int) -> float:
     return (math.pi * (k - 0.5) - math.pi * q / 2.0) / interval_length
 
 
-def _golden_minimize(f, a, b, reltol=1e-13):
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > reltol * max(1.0, abs(b)):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+def _illinois(f, a, b, fa, fb):
+    """Root of f in a sign-change bracket [a, b] by Illinois regula falsi."""
+    side = 0
+    while b - a > 4.0 * np.finfo(float).eps * b:
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = f(c) if a < c < b else 0.0  # c on an end: the root is within rounding of it
+        if fc == 0.0:
+            return c
+        if (fc > 0) == (fb > 0):
+            b, fb = c, fc
+            if side == -1:  # b moved twice running: halve fa (the Illinois step)
+                fa *= 0.5
+            side = -1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return 0.5 * (a + b)
 
 
 @dataclass
@@ -224,11 +241,15 @@ class SLSpectrum:
 
 
 def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
-    """First kmax eigenvalues (with multiplicity) by scan plus golden refine.
+    """First kmax eigenvalues (with multiplicity) by scan plus root finding.
 
-    The scan step is pi / (4 L); bracketed local minima of the normalized
-    smallest singular value are refined by golden section to relative
-    tolerance 1e-13 and accepted below 1e-9.  A density check against the
+    Im det of the scaled boundary matrix is evaluated on a grid of step
+    pi / (4 L), in chunks reaching past the lattice prediction of the
+    last eigenvalue wanted; grid points where it does not exceed
+    16 |Re det| (rounding) are skipped.  Each sign change between consecutive trusted points is
+    refined by Illinois regula falsi to 4 eps lam and accepted where the
+    normalized smallest singular value is below 1e-9, which also gives
+    the multiplicity and kernel vectors.  A density check against the
     one-per-pi/L eigenvalue spacing guards against missed or spurious
     roots.
     """
@@ -244,30 +265,28 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     if needed <= 0:
         return SLSpectrum(problem, eigenvalues[:kmax], coefficient_sets[:kmax])
 
-    ratio = lambda lam: characteristic_smallest_singular_value(problem, lam)
+    w = ansatz_exponents(q)
+    signed = lambda lam: _det_imag(problem, lam, w)
     step = math.pi / (4.0 * L)
     lam_lo = 0.25 * math.pi / L
     ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
-
-    grid = [lam_lo]
-    vals = [ratio(lam_lo)]
-    found = []  # (lam, multiplicity, scaled kernel vectors)
-    i = 1
-    while len(grid) < 4 * int(math.ceil((ceiling - lam_lo) / step)) + 8:
-        lam = lam_lo + i * step
-        grid.append(lam)
-        vals.append(ratio(lam))
-        if len(grid) >= 3 and vals[-2] < vals[-3] and vals[-2] < vals[-1]:
-            lam_min, fmin = _golden_minimize(ratio, grid[-3], grid[-1])
-            if fmin < SINGULAR_THRESHOLD:
-                mat = boundary_matrix(problem, lam_min)
-                s, vh = np.linalg.svd(mat)[1:]
+    chunk = int(math.ceil((ceiling - lam_lo) / step))
+    limit = 4 * chunk + 8
+    found = []  # (lam, scaled kernel vector), one entry per multiplicity
+    prev = None  # last trusted (lam, Im det)
+    start = 0
+    while len(found) < needed and start < limit:
+        grid = lam_lo + step * np.arange(start, min(start + chunk + 1, limit))
+        det = np.linalg.det(_boundary_matrices(problem, grid, w))
+        trusted = np.abs(det.imag) > _TRUST * np.abs(det.real)
+        for lam, f in zip(grid[trusted], det.imag[trusted]):
+            if prev is not None and (f > 0) != (prev[1] > 0) and len(found) < needed:
+                root = _illinois(signed, prev[0], lam, prev[1], f)
+                s, vh = np.linalg.svd(_boundary_matrices(problem, [root], w)[0])[1:]
                 mult = int(np.sum(s / s[0] < SINGULAR_THRESHOLD))
-                for j in range(mult):
-                    found.append((lam_min, vh[-1 - j].conj()))
-        if len(found) >= needed and grid[-1] > ode_asymptotic_prediction(q, L, q + needed) + 0.25 * math.pi / L:
-            break
-        i += 1
+                found.extend((root, vh[-1 - j].conj()) for j in range(mult))
+            prev = (lam, f)
+        start += len(grid)
     if len(found) < needed:
         raise SLSolveError(
             f"located only {len(found)} of {needed} positive eigenvalues below lam = {grid[-1]:.6g}"

@@ -101,13 +101,15 @@ def _log1p_large(log_mod, phase):
     """log(1 + X) for X = exp(log_mod + i*phase), stable for huge |X|.
 
     Here |X| >= 1 throughout (X = t^{-2 mu} on t <= 1), so the plain
-    logarithm is accurate whenever exp does not overflow.
+    logarithm is accurate whenever exp does not overflow.  log_mod varies
+    along the leading (t) axis only, so each branch is evaluated on just
+    the rows that take it.
     """
-    big = log_mod > 300.0
-    safe = np.where(big, 0.0, log_mod)
-    direct = np.log(1.0 + np.exp(safe) * np.exp(1j * phase))
-    tail = (log_mod + 1j * phase) + np.exp(-log_mod - 1j * phase)
-    return np.where(big, tail, direct)
+    big = np.ravel(log_mod > 300.0)
+    out = np.empty(np.broadcast_shapes(np.shape(log_mod), np.shape(phase)), dtype=complex)
+    out[~big] = np.log(1.0 + np.exp(log_mod[~big]) * np.exp(1j * phase))
+    out[big] = (log_mod[big] + 1j * phase) + np.exp(-log_mod[big] - 1j * phase)
+    return out
 
 
 def _log_mu_ratio(mu, u):

@@ -357,6 +357,20 @@ def test_cli_sl_emits_beam_spectrum_with_predictions():
     assert rows[4]["residual"] < 1e-3
 
 
+def test_cli_sl_leaves_scipy_optimize_unimported():
+    # Importing scipy.optimize adds about 8 MiB RSS to a process; the
+    # order-2q solver finds its roots without it.
+    code = (
+        "import sys\n"
+        "from sloshspec.cli import main\n"
+        "status = main(['sl', '--q', '3', '--kmax', '20'])\n"
+        "print(status, 'scipy.optimize' in sys.modules, file=sys.stderr)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.split()[-2:] == ["0", "False"]
+
+
 def test_cli_peters_reports_wave_residual():
     out = run_cli("peters", "--alpha", repr(math.pi / 3), "--bc", "neumann",
                   "--samples", "48", "--xmax", "24")

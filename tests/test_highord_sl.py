@@ -1,10 +1,13 @@
 """Higher-order Sturm-Liouville solver: spectra, duality, lattice approach."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sloshspec import highord_sl
 from sloshspec.highord_sl import (
     HighOrderSLProblem,
     SLSolveError,
@@ -170,6 +173,64 @@ def test_boundary_matrix_is_overflow_free():
     assert np.max(np.abs(matrix)) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         boundary_matrix(problem, 0.0)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_boundary_determinant_is_purely_imaginary(q):
+    # Conjugation permutes the ansatz columns by an odd number of swaps,
+    # so det is imaginary and its computed real part is rounding.
+    for condition in ("neumann", "dirichlet"):
+        problem = HighOrderSLProblem(q, 1.0, condition)
+        positives = [lam for lam in solve_spectrum(problem, 20).eigenvalues if lam > 0]
+        lams = np.linspace(positives[0], positives[-1], 97)
+        det = np.array([np.linalg.det(boundary_matrix(problem, lam)) for lam in lams])
+        assert np.max(np.abs(det.real)) <= 1e-10 * np.max(np.abs(det.imag))
+
+
+def test_rounding_level_determinant_does_not_seed_a_root():
+    # At the first scan point pi/4 the q = 8 Dirichlet determinant is
+    # ~1e-54, pure rounding; its sign must not open a bracket.
+    spectrum = solve_spectrum(HighOrderSLProblem(8, 1.0, "dirichlet"), 20)
+    assert min(spectrum.eigenvalues) == pytest.approx(13.87891982435006, rel=1e-10)
+
+
+def test_root_on_a_scan_grid_point_is_found():
+    # q = 1, L = 1: every root k pi lies on the scan grid j pi / 4.
+    spectrum = solve_spectrum(HighOrderSLProblem(1, 1.0, "neumann"), 41)
+    assert spectrum.eigenvalues[0] == 0.0
+    expected = [k * math.pi for k in range(1, 41)]
+    assert spectrum.eigenvalues[1:] == pytest.approx(expected, rel=1e-13)
+
+
+FROZEN_SPECTRA = json.loads((Path(__file__).parent / "sl_spectra_kmax20.json").read_text())
+LENGTHS = {"1": 1.0, "0.37": 0.37, "pi": math.pi}
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN_SPECTRA))
+def test_spectra_match_frozen_golden_section_values(key):
+    # Frozen from the golden-section minimization of sigma_min/sigma_max
+    # that the bracketed root finder replaced.
+    q, condition, length = key.split()
+    spectrum = solve_spectrum(HighOrderSLProblem(int(q), LENGTHS[length], condition), 20)
+    assert spectrum.eigenvalues == pytest.approx(FROZEN_SPECTRA[key], rel=1e-10, abs=0.0)
+
+
+def test_refinement_evaluation_budget(monkeypatch):
+    calls = []
+    original = highord_sl._det_imag
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(highord_sl, "_det_imag", counted)
+    positives = 0
+    for q in range(2, 9):
+        for condition in ("neumann", "dirichlet"):
+            spectrum = solve_spectrum(HighOrderSLProblem(q, 1.0, condition), 20)
+            positives += sum(lam > 0 for lam in spectrum.eigenvalues)
+    assert calls
+    assert len(calls) <= 12 * positives
 
 
 def test_characteristic_ratio_dips_at_eigenvalues():
