@@ -8,11 +8,17 @@ the domain, and insert circumcenters of poor triangles until every
 interior angle reaches 20 degrees.  Refinement never moves or adds
 boundary nodes, so the sampled boundary stays authoritative.
 
+The Delaunay step knows the lattice: a unit lattice triangle whose
+circumdisk holds no boundary or refinement node is Delaunay as it
+stands, so qhull triangulates only the band of nodes next to the
+boundary and the refinement points, once per triangulation.
+
 Everything is deterministic: identical inputs give identical meshes.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
@@ -158,20 +164,119 @@ def _sample_boundary(domain, h, g):
     return np.asarray(nodes), np.asarray(edges, dtype=np.int64), tags
 
 
-def _hex_lattice(bbox, a):
-    """Hexagonal point lattice covering bbox with spacing a, centered."""
-    (xmin, ymin), (xmax, ymax) = bbox
-    cx, cy = 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
+def _hex_lattice(center, extent, a):
+    """Hexagonal point lattice covering a box of `extent` around `center`.
+
+    Returns (points, ij): point (i, j) sits at
+    center + (a (i + (j mod 2) / 2), j a sqrt(3) / 2).
+    """
     dy = a * math.sqrt(3.0) / 2.0
-    nx = int(math.ceil((xmax - xmin) / (2 * a))) + 1
-    ny = int(math.ceil((ymax - ymin) / (2 * dy))) + 1
-    rows = []
-    for j in range(-ny, ny + 1):
-        y = cy + j * dy
-        off = 0.5 * a if j % 2 else 0.0
-        x = cx + off + a * np.arange(-nx, nx + 1)
-        rows.append(np.stack([x, np.full_like(x, y)], axis=1))
-    return np.concatenate(rows, axis=0)
+    nx = int(math.ceil(extent[0] / (2 * a))) + 1
+    ny = int(math.ceil(extent[1] / (2 * dy))) + 1
+    i, j = np.meshgrid(np.arange(-nx, nx + 1), np.arange(-ny, ny + 1))
+    x = center[0] + np.where(j % 2, 0.5 * a, 0.0) + a * i
+    y = center[1] + j * dy
+    return np.stack([x.ravel(), y.ravel()], axis=1), np.stack([i.ravel(), j.ravel()], axis=1)
+
+
+class _Lattice(NamedTuple):
+    """Unit triangles of the hex-lattice points kept as mesh nodes.
+
+    Lattice point (i, j) has row j and doubled column c = 2 i + (j mod 2).
+    Between rows j and j + 1 every doubled column k starts one unit
+    triangle: 'up', with vertices (k, j), (k + 2, j), (k + 1, j + 1), when
+    k and j have equal parity, else 'down', with vertices (k, j + 1),
+    (k + 1, j), (k + 2, j + 1).  `cell[j, k]` (offset by `origin`) is the
+    row of `tris` for that triangle, or -1 when a vertex is missing.
+    """
+
+    center: np.ndarray
+    pitch: float
+    origin: np.ndarray
+    cell: np.ndarray
+    tris: np.ndarray
+    nodes: slice
+
+
+def _lattice(center, pitch, ij, first):
+    """Unit triangles of lattice points `ij`, which are nodes first, first + 1, ..."""
+    row = ij[:, 1]
+    col = 2 * ij[:, 0] + row % 2
+    # initial=0 keeps an empty lattice valid: a 1 x 1 grid with no triangles
+    origin = np.array([row.min(initial=0), col.min(initial=0)])
+    shape = (row.max(initial=0) - origin[0] + 1, col.max(initial=0) - origin[1] + 1)
+    grid = np.full(shape, -1, dtype=np.int64)
+    grid[row - origin[0], col - origin[1]] = first + np.arange(len(ij))
+    below, above = grid[:-1], grid[1:]
+    up = (below[:, :-2], below[:, 2:], above[:, 1:-1])
+    down = (above[:, :-2], below[:, 1:-1], above[:, 2:])
+    cell = np.full(up[0].shape, -1, dtype=np.int64)
+    tris = []
+    start = 0
+    for verts in (up, down):
+        present = (verts[0] >= 0) & (verts[1] >= 0) & (verts[2] >= 0)
+        count = int(np.count_nonzero(present))
+        cell[present] = start + np.arange(count)
+        tris.append(np.stack([v[present] for v in verts], axis=1))
+        start += count
+    return _Lattice(
+        center=center,
+        pitch=pitch,
+        origin=origin,
+        cell=cell,
+        tris=np.concatenate(tris),
+        nodes=slice(first, first + len(ij)),
+    )
+
+
+def _lattice_coords(lat, pts):
+    """Fractional (row, doubled column) lattice coordinates of points."""
+    rows = (pts[:, 1] - lat.center[1]) / (lat.pitch * math.sqrt(3.0) / 2.0)
+    cols = (pts[:, 0] - lat.center[0]) / (0.5 * lat.pitch)
+    return rows, cols
+
+
+def _lattice_cells(lat, row, col):
+    """Rows of `lat.tris` at cells (row j, doubled column k), or -1."""
+    row = row - lat.origin[0]
+    col = col - lat.origin[1]
+    ok = (row >= 0) & (row < lat.cell.shape[0]) & (col >= 0) & (col < lat.cell.shape[1])
+    found = np.full(row.shape, -1, dtype=np.int64)
+    found[ok] = lat.cell[row[ok], col[ok]]
+    return found
+
+
+def _empty_lattice_triangles(lat, nodes, others):
+    """Mask of lattice triangles whose circumdisk holds none of `others`.
+
+    A unit triangle's circumdisk (centroid, radius pitch / sqrt(3)) reaches
+    only the triangle and its three edge neighbours, so each point needs
+    testing against the 3 x 4 window of cells around it.  No other lattice
+    point lies in the disk: the nearest one is 2 pitch / sqrt(3) from the
+    centroid.
+    """
+    rows, cols = _lattice_coords(lat, others)
+    row = np.floor(rows).astype(np.int64)[:, None] + np.repeat([-1, 0, 1], 4)
+    col = np.floor(cols).astype(np.int64)[:, None] + np.tile([-2, -1, 0, 1], 3)
+    tri = _lattice_cells(lat, row, col)
+    pt, slot = np.nonzero(tri >= 0)
+    tri = tri[pt, slot]
+    d = others[pt] - nodes[lat.tris[tri]].mean(axis=1)
+    radius = lat.pitch / math.sqrt(3.0)
+    keep = np.ones(len(lat.tris), dtype=bool)
+    keep[tri[np.hypot(d[:, 0], d[:, 1]) <= radius * (1.0 + 1e-9)]] = False
+    return keep
+
+
+def _lattice_triangle_at(lat, pts):
+    """Row of `lat.tris` containing each point, or -1.
+
+    The lattice lines are row = const and doubled column -/+ row = even, so
+    the cell is (floor(row), floor((col - row) / 2) + floor((col + row) / 2)).
+    """
+    rows, cols = _lattice_coords(lat, pts)
+    col = np.floor((cols - rows) / 2.0) + np.floor((cols + rows) / 2.0)
+    return _lattice_cells(lat, np.floor(rows).astype(np.int64), col.astype(np.int64))
 
 
 def _filter_polygon(poly):
@@ -191,33 +296,59 @@ def _filter_polygon(poly):
     return poly[keep] if keep.sum() >= 3 else poly
 
 
-def _triangulate(nodes, poly):
-    tris = Delaunay(nodes).simplices.astype(np.int64)
+def _triangulate(nodes, poly, bedges, lat):
+    """Delaunay triangles of `nodes` inside `poly`, counterclockwise.
+
+    A unit lattice triangle whose circumdisk holds no other node is
+    Delaunay as it stands.  A lattice node all six of whose triangles are
+    such is interior; qhull sees only the other nodes, the band.  Every
+    edge between the kept lattice triangles and the rest has an empty
+    circle through band nodes alone, so it is an edge of the band
+    triangulation too: each band triangle lies either in the kept lattice
+    triangles, and is dropped, or outside them, where it is Delaunay for
+    all nodes.  Together the two sets are the Delaunay triangulation of
+    all nodes, up to qhull's tie-breaking on cocircular points.
+
+    Lattice triangles lie inside `poly` and need no centroid filter: their
+    vertices are inside, and a boundary edge (at most one pitch long)
+    crossing a unit triangle would cut off a vertex and bring its nearer
+    end within pitch / sqrt(3) of that vertex, while boundary nodes keep
+    _LATTICE_CLEARANCE = 0.6 pitch from every lattice node.
+    """
+    n = len(nodes)
+    others = np.ones(n, dtype=bool)
+    others[lat.nodes] = False
+    kept = _empty_lattice_triangles(lat, nodes, nodes[others])
+    lattice = lat.tris[kept]
+    band = np.flatnonzero(np.bincount(lattice.ravel(), minlength=n) < 6)
+    tris = band[Delaunay(nodes[band]).simplices]
     cent = nodes[tris].mean(axis=1)
-    keep = _backend.points_in_polygon(np.ascontiguousarray(cent), poly)
+    # -1, no lattice triangle underneath, reads the appended False
+    keep = ~np.append(kept, False)[_lattice_triangle_at(lat, cent)]
+    keep &= _backend.points_in_polygon(np.ascontiguousarray(cent), poly)
     tris = tris[keep]
+    _check_recovery(tris, bedges, n)
     p0, p1, p2 = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
     area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
         p1[:, 1] - p0[:, 1]
     )
     flip = area2 < 0
     tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
-    return tris
+    return np.concatenate([lattice, tris])
 
 
-def _edge_key_set(tris, n):
-    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    lo = e.min(axis=1).astype(np.int64)
-    hi = e.max(axis=1).astype(np.int64)
-    return set((lo * n + hi).tolist())
+def _edge_keys(edges, n):
+    return edges.min(axis=1) * n + edges.max(axis=1)
 
 
 def _check_recovery(tris, bedges, n):
-    keys = _edge_key_set(tris, n)
-    lo = bedges.min(axis=1).astype(np.int64)
-    hi = bedges.max(axis=1).astype(np.int64)
-    missing = [k for k in (lo * n + hi).tolist() if k not in keys]
-    if missing:
+    """Raise unless every boundary edge is an edge of `tris`.
+
+    Lattice triangles carry no boundary node, so `_triangulate` passes
+    only the band triangles.
+    """
+    e = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    if not np.isin(_edge_keys(bedges, n), _edge_keys(e, n)).all():
         raise MeshError(
             "boundary edge not recovered by the triangulation; "
             "decrease mesh_size relative to the geometry features"
@@ -261,28 +392,22 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     poly, bedges, tags = _sample_boundary(domain, h, g)
     fpoly = _filter_polygon(poly)
     nb = len(poly)
-    deg = np.zeros(nb)
-    cnt = np.zeros(nb)
+    # every boundary node closes exactly two edges
     lens = np.linalg.norm(poly[bedges[:, 1]] - poly[bedges[:, 0]], axis=1)
-    for (i, j), ell in zip(bedges, lens):
-        deg[i] += ell
-        deg[j] += ell
-        cnt[i] += 1
-        cnt[j] += 1
-    bspacing = deg / cnt
+    bspacing = 0.5 * np.bincount(bedges.ravel(), weights=np.repeat(lens, 2), minlength=nb)
     btree = cKDTree(poly)
 
-    bbox = (poly.min(axis=0), poly.max(axis=0))
-    cand = _hex_lattice(bbox, h)
-    inside = _backend.points_in_polygon(np.ascontiguousarray(cand), fpoly)
-    cand = cand[inside]
-    if len(cand):
-        d, _ = btree.query(cand)
-        cand = cand[d >= _LATTICE_CLEARANCE * h]
-    nodes = np.concatenate([poly, cand], axis=0) if len(cand) else poly.copy()
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    center = 0.5 * (lo + hi)
+    cand, ij = _hex_lattice(center, hi - lo, h)
+    keep = _backend.points_in_polygon(np.ascontiguousarray(cand), fpoly)
+    d, _ = btree.query(cand[keep])
+    keep[keep] = d >= _LATTICE_CLEARANCE * h
+    cand, ij = cand[keep], ij[keep]
+    lat = _lattice(center, h, ij, nb)
+    nodes = np.concatenate([poly, cand], axis=0)
 
-    tris = _triangulate(nodes, fpoly)
-    _check_recovery(tris, bedges, len(nodes))
+    tris = _triangulate(nodes, fpoly, bedges, lat)
 
     for _ in range(_MAX_REFINE_ROUNDS):
         _, minang = _backend.triangle_quality(nodes, tris)
@@ -313,8 +438,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
                 "were all rejected (corner angle below 20 degrees?)"
             )
         nodes = np.concatenate([nodes, np.asarray(accepted)], axis=0)
-        tris = _triangulate(nodes, fpoly)
-        _check_recovery(tris, bedges, len(nodes))
+        tris = _triangulate(nodes, fpoly, bedges, lat)
 
     area, minang = _backend.triangle_quality(nodes, tris)
     if minang.min() < _MIN_ANGLE - 1e-12:

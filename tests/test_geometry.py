@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import Delaunay
 
 from sloshspec import _backend
+from sloshspec.fem_steklov import _stiffness_csr
+from sloshspec.geometry import mesh as mesh_module
 from sloshspec.geometry.domain import (
     BoundaryPiece,
     CircularArc,
@@ -385,6 +388,136 @@ def test_needle_spike_defeats_coarse_meshing():
     assert (area > 0).all()
     assert angles.min() >= math.radians(20.0) - 1e-12
     assert mesh.num_triangles > 150
+
+
+def _full_qhull_triangulate(nodes, poly, bedges, lat):
+    """Reference triangulation: qhull on every node, then the centroid filter."""
+    tris = Delaunay(nodes).simplices.astype(np.int64)
+    tris = tris[_backend.points_in_polygon(nodes[tris].mean(axis=1), poly)]
+    area, _ = _backend.triangle_quality(nodes, tris)
+    flip = area < 0
+    tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
+    return tris
+
+
+def _assert_same_delaunay(ref, got):
+    """Same nodes and triangles, except where qhull breaks a cocircular tie.
+
+    Returns the number of triangles that differ.
+    """
+    assert got.nodes.shape == ref.nodes.shape
+    assert np.abs(got.nodes - ref.nodes).max() <= 1e-12
+    a = set(map(tuple, np.sort(ref.triangles, axis=1).tolist()))
+    b = set(map(tuple, np.sort(got.triangles, axis=1).tolist()))
+    differ = sorted(a ^ b)
+    if not differ:
+        return 0
+    verts = np.unique(differ)
+    cc, radius = mesh_module._circumcenters(got.nodes, np.array(differ))
+    for t, c, r in zip(differ, cc, radius):
+        fourth = verts[~np.isin(verts, t)]
+        d = np.hypot(*(got.nodes[fourth] - c).T)
+        assert np.any(np.abs(d - r) <= 1e-9 * r), f"triangle {t} differs without a tie"
+    k_ref = _stiffness_csr(ref.nodes, ref.triangles)
+    k_got = _stiffness_csr(got.nodes, got.triangles)
+    assert abs(k_got - k_ref).max() <= 1e-12 * abs(k_ref).max()
+    return len(differ)
+
+
+def _equivalence_domains():
+    alpha, beta = 2 * math.pi / 5, math.pi / 6
+    for wall in ("neumann", "dirichlet"):
+        yield f"ex1-{wall}", build_triangle_domain(alpha, beta, 2.0, (wall, wall))
+    for sign in "+-":
+        yield f"ex2{sign}", build_curvilinear_example(sign)
+    for q in (2, 3, 4):
+        yield f"q{q}", build_triangle_domain(math.pi / (2 * q), math.pi / (2 * q), 1.0)
+
+
+@pytest.mark.parametrize(
+    "domain", [d for _, d in _equivalence_domains()], ids=[n for n, _ in _equivalence_domains()]
+)
+def test_mesh_matches_delaunay_of_all_nodes(domain, monkeypatch):
+    got = {}
+    for h in (0.04, 0.02, 0.01):
+        for g in (0.25, 1.0):
+            got[h, g] = generate_mesh(domain, h, g)
+    monkeypatch.setattr(mesh_module, "_triangulate", _full_qhull_triangulate)
+    for (h, g), mesh in got.items():
+        _assert_same_delaunay(generate_mesh(domain, h, g), mesh)
+
+
+def test_kept_lattice_triangles_have_empty_circumdisks(monkeypatch):
+    seen = []
+    tested = mesh_module._empty_lattice_triangles
+
+    def record(lat, nodes, others):
+        seen.append((lat, nodes, others))
+        return tested(lat, nodes, others)
+
+    monkeypatch.setattr(mesh_module, "_empty_lattice_triangles", record)
+    generate_mesh(build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0), 0.1)
+    assert len(seen) == 2  # the initial triangulation and one refinement round
+    lat, nodes, others = seen[-1]
+    # extra points: scattered, and just inside or outside chosen circumcircles
+    rng = np.random.default_rng(0)
+    radius = lat.pitch / math.sqrt(3.0)
+    chosen = nodes[lat.tris[rng.choice(len(lat.tris), 40)]].mean(axis=1)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 40)
+    scale = radius * np.repeat([1.0 - 1e-6, 1.0 + 1e-6], 20)[:, None]
+    extra = np.vstack([
+        rng.uniform(nodes.min(axis=0), nodes.max(axis=0), (60, 2)),
+        chosen + scale * np.stack([np.cos(angle), np.sin(angle)], axis=1),
+    ])
+    kept = []
+    for pts, outside in ((nodes, others), (np.vstack([nodes, extra]), np.vstack([others, extra]))):
+        keep = tested(lat, pts, outside)
+        centroid = pts[lat.tris].mean(axis=1)
+        d = np.hypot(*(pts[None, :, :] - centroid[:, None, :]).transpose(2, 0, 1))
+        d[np.arange(len(d))[:, None], lat.tris] = np.inf
+        np.testing.assert_array_equal(keep, d.min(axis=1) > radius * (1.0 + 1e-9))
+        kept.append(int(keep.sum()))
+    assert 0 < kept[1] < kept[0] - 20
+
+
+def test_mesh_without_lattice_points(monkeypatch):
+    sizes = []
+    build = mesh_module._lattice
+
+    def record(center, pitch, ij, first):
+        sizes.append(len(ij))
+        return build(center, pitch, ij, first)
+
+    monkeypatch.setattr(mesh_module, "_lattice", record)
+    dom = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
+    got = generate_mesh(dom, 0.5)
+    assert sizes == [0]
+    _, angles = got.quality()
+    assert angles.min() >= math.radians(20.0) - 1e-12
+    monkeypatch.setattr(mesh_module, "_triangulate", _full_qhull_triangulate)
+    assert _assert_same_delaunay(generate_mesh(dom, 0.5), got) == 0
+
+
+def test_qhull_sees_only_the_boundary_band(monkeypatch):
+    rounds = []
+    qhull = mesh_module.Delaunay
+    triangulate = mesh_module._triangulate
+
+    def count_triangulations(nodes, *args):
+        rounds.append((len(nodes), []))
+        return triangulate(nodes, *args)
+
+    def record_qhull(points):
+        rounds[-1][1].append(len(points))
+        return qhull(points)
+
+    monkeypatch.setattr(mesh_module, "_triangulate", count_triangulations)
+    monkeypatch.setattr(mesh_module, "Delaunay", record_qhull)
+    generate_mesh(build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0), 0.005)
+    assert len(rounds) >= 2  # the initial triangulation and a refinement round
+    for num_nodes, qhull_sizes in rounds:
+        assert len(qhull_sizes) == 1
+        assert qhull_sizes[0] <= 0.1 * num_nodes
 
 
 def test_triangle_mesh_validation():
