@@ -8,10 +8,12 @@ shift-invert Lanczos with one sparse factorization.  The surface traces
 of the eigenvectors are the eigenvectors of the discrete
 Dirichlet-to-Neumann (DtN) map, which is never formed on this path.
 
-The DtN map is still available as a dense Schur complement
-(`dtn_matrix`, for dumps and property checks) and as a matrix-free
-action (`dtn_action`, for residuals on fine meshes).  All steps are
-deterministic for a fixed mesh.
+The DtN map is still available as the Schur complement
+D = K_SS - K_SI K_II^{-1} K_IS of the surface block.  One path slices
+the blocks and factors K_II once: `dtn_action` returns its matrix-free
+action (for residuals on fine meshes), and `dtn_matrix` applies that
+action to identity column blocks (for dumps and property checks).  All
+steps are deterministic for a fixed mesh.
 """
 
 from dataclasses import dataclass
@@ -92,27 +94,25 @@ class SteklovSpectrum:
 def _chain_surface_path(s_edges):
     """Order the Steklov edges into one open path of node ids.
 
-    Mesh generation stores them consecutively from corner B to corner A,
-    but re-chain defensively so externally read meshes work too.
+    The path starts at the end node that begins an edge: corner B for the
+    loop order that mesh generation stores.  Externally read meshes may
+    list the edges in any order.
     """
-    s_edges = [(int(i), int(j)) for i, j in s_edges]
-    consecutive = all(a[1] == b[0] for a, b in zip(s_edges[:-1], s_edges[1:]))
-    if consecutive:
-        return np.array([s_edges[0][0]] + [j for _, j in s_edges], dtype=np.int64)
     nbrs = {}
-    for i, j in s_edges:
+    for i, j in s_edges.tolist():
         nbrs.setdefault(i, []).append(j)
         nbrs.setdefault(j, []).append(i)
     ends = [n for n, v in nbrs.items() if len(v) == 1]
     if len(ends) != 2 or any(len(v) > 2 for v in nbrs.values()):
         raise SteklovSolveError("steklov edges do not form a single open path")
-    start = ends[0] if ends[0] in dict(s_edges) else ends[1]
-    path = [start]
+    path = [ends[0] if (s_edges[:, 0] == ends[0]).any() else ends[1]]
     prev = None
-    while len(path) < len(s_edges) + 1:
-        cands = [n for n in nbrs[path[-1]] if n != prev]
+    while len(path) <= len(s_edges):
+        step = [n for n in nbrs[path[-1]] if n != prev]
+        if not step:  # the far end came early: other edges lie off the path
+            raise SteklovSolveError("steklov edges do not form a single open path")
         prev = path[-1]
-        path.append(cands[0])
+        path.append(step[0])
     return np.array(path, dtype=np.int64)
 
 
@@ -148,10 +148,9 @@ def assemble(mesh):
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     s_arclength = cum[-1] - cum  # loop order runs B -> A, so measure from A
 
-    local = {int(g): i for i, g in enumerate(path)}
-    edges_local = np.array(
-        [(local[int(i)], local[int(j)]) for i, j in s_edges], dtype=np.int64
-    )
+    local = np.empty(n, dtype=np.int64)
+    local[path] = np.arange(len(path))
+    edges_local = local[s_edges]
     mr, mc, mv = _backend.edge_mass_triplets(np.ascontiguousarray(nodes[path]), edges_local)
     mass = sp.coo_matrix((mv, (mr, mc)), shape=(len(path), len(path))).tocsr()
 
@@ -169,84 +168,63 @@ def assemble(mesh):
 def _split_blocks(system):
     """Index split of the free nodes into surface and interior blocks."""
     free = system.free_nodes
-    s_glob = system.s_path_nodes[system.s_free_mask]
-    s_pos = np.searchsorted(free, s_glob)
+    s_pos = np.searchsorted(free, system.s_path_nodes[system.s_free_mask])
     s_mask = np.zeros(len(free), dtype=bool)
     s_mask[s_pos] = True
     i_pos = np.where(~s_mask)[0]
-    return s_glob, s_pos, i_pos
+    return s_pos, i_pos
 
 
-def _interior_factor(system, k_ii):
+def _schur(system):
+    """Callable X -> D X for the Schur complement D = K_SS - K_SI K_II^{-1} K_IS.
+
+    Slices the blocks and factors the interior block once; X is one
+    surface trace or a block of trace columns, and each call costs one
+    pair of sparse products and one interior solve.
+    """
+    s_pos, i_pos = _split_blocks(system)
+    K = system.stiffness
+    k_ss = K[s_pos][:, s_pos].tocsr()
+    if len(i_pos) == 0:
+        return lambda X: k_ss @ np.asarray(X, dtype=float)
+    k_is = K[i_pos][:, s_pos].tocsr()
+    k_si = K[s_pos][:, i_pos].tocsr()
     try:
-        return spla.splu(k_ii, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(K[i_pos][:, i_pos].tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise SteklovSolveError(f"interior factorization failed: {exc}") from exc
 
+    def apply(X):
+        X = np.asarray(X, dtype=float)
+        return k_ss @ X - k_si @ lu.solve(k_is @ X)
 
-def _matvec_extended(csr, x):
-    """CSR matrix-vector product accumulated in extended precision."""
-    prod = csr.data.astype(np.longdouble) * x[csr.indices]
-    out = np.zeros(csr.shape[0], dtype=np.longdouble)
-    counts = np.diff(csr.indptr)
-    nonempty = counts > 0
-    out[nonempty] = np.add.reduceat(prod, csr.indptr[:-1][nonempty])
-    return out
+    return apply
 
 
 def dtn_action(system):
     """Callable applying the Schur-complement DtN without forming it.
 
-    Factors the interior block once; each call then costs two sparse
-    solves.  Use this instead of dtn_matrix when only a few applications
+    Factors the interior block once; each call then costs one interior
+    solve.  Use this instead of dtn_matrix when only a few applications
     are needed on a fine mesh, where materializing all columns of the
     dense matrix would dominate memory and time.
-
-    The direct solve's forward error is amplified by the interior
-    condition number (which grows like 1/h**2) and would otherwise floor
-    the achievable residual, so one iterative-refinement step with the
-    solve residual accumulated in extended precision is applied.
     """
-    _, s_pos, i_pos = _split_blocks(system)
-    K = system.stiffness
-    k_ss = K[s_pos][:, s_pos].tocsr()
-    if len(i_pos) == 0:
-        return lambda trace: k_ss @ np.asarray(trace, dtype=float)
-    k_ii = K[i_pos][:, i_pos].tocsr()
-    k_is = K[i_pos][:, s_pos].tocsr()
-    k_si = K[s_pos][:, i_pos].tocsr()
-    lu = _interior_factor(system, k_ii.tocsc())
-
-    def apply(trace):
-        trace = np.asarray(trace, dtype=float)
-        rhs = k_is @ trace
-        x = lu.solve(rhs)
-        resid = rhs.astype(np.longdouble) - _matvec_extended(k_ii, x.astype(np.longdouble))
-        x = x + lu.solve(resid.astype(np.float64))
-        return k_ss @ trace - k_si @ x
-
-    return apply
+    return _schur(system)
 
 
 def dtn_matrix(system):
-    """Schur-complement DtN matrix D = K_SS - K_SI K_II^{-1} K_IS."""
-    s_glob, s_pos, i_pos = _split_blocks(system)
-    K = system.stiffness
-    k_ss = K[s_pos][:, s_pos].toarray()
-    if len(i_pos) == 0:
-        D = k_ss
-    else:
-        k_ii = K[i_pos][:, i_pos].tocsc()
-        k_is = K[i_pos][:, s_pos].tocsc()
-        k_si = K[s_pos][:, i_pos].tocsr()
-        lu = _interior_factor(system, k_ii)
-        D = k_ss
-        ns = len(s_pos)
-        step = max(8, min(128, _SCHUR_BLOCK_BYTES // (8 * max(1, len(i_pos)))))
-        for lo in range(0, ns, step):
-            hi = min(lo + step, ns)
-            block = lu.solve(k_is[:, lo:hi].toarray())
-            D[:, lo:hi] -= k_si @ block
+    """Schur-complement DtN matrix D = K_SS - K_SI K_II^{-1} K_IS.
+
+    The columns are the Schur action on identity column blocks, sized so
+    one block of interior solutions stays within _SCHUR_BLOCK_BYTES.
+    """
+    apply = _schur(system)
+    ns = int(system.s_free_mask.sum())
+    step = max(8, min(128, _SCHUR_BLOCK_BYTES // (8 * max(1, system.interior_count))))
+    D = np.empty((ns, ns))
+    for lo in range(0, ns, step):
+        hi = min(lo + step, ns)
+        D[:, lo:hi] = apply(np.eye(ns, hi - lo, -lo))
     sym_defect = np.linalg.norm(D - D.T)
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(D)):
         raise SteklovSolveError("DtN symmetry defect exceeds tolerance")
@@ -254,7 +232,7 @@ def dtn_matrix(system):
     return DtNOperatorMatrix(
         matrix=D,
         s_coords=system.s_arclength[system.s_free_mask],
-        s_nodes=s_glob,
+        s_nodes=system.s_path_nodes[system.s_free_mask],
     )
 
 
@@ -284,7 +262,7 @@ def _sloshing_pairs(system, n_eigs):
     orthonormal in the surface mass inner product because ARPACK returns
     B-orthonormal vectors.
     """
-    _, s_pos, _ = _split_blocks(system)
+    s_pos, _ = _split_blocks(system)
     ns = len(s_pos)
     if ns < 4 * n_eigs:
         raise SteklovSolveError(

@@ -408,9 +408,9 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     nodes = np.concatenate([poly, cand], axis=0)
 
     tris = _triangulate(nodes, fpoly, bedges, lat)
+    area, minang = _backend.triangle_quality(nodes, tris)
 
     for _ in range(_MAX_REFINE_ROUNDS):
-        _, minang = _backend.triangle_quality(nodes, tris)
         bad = minang < _MIN_ANGLE - 1e-12
         if not bad.any():
             break
@@ -439,8 +439,8 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
             )
         nodes = np.concatenate([nodes, np.asarray(accepted)], axis=0)
         tris = _triangulate(nodes, fpoly, bedges, lat)
+        area, minang = _backend.triangle_quality(nodes, tris)
 
-    area, minang = _backend.triangle_quality(nodes, tris)
     if minang.min() < _MIN_ANGLE - 1e-12:
         raise MeshError("minimum interior angle below 20 degrees after refinement")
     x, y = poly[:, 0], poly[:, 1]

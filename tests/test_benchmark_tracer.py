@@ -6,9 +6,14 @@ benchmark run.  The tracer is installed and restored in process here.
 """
 
 import importlib.util
+import json
+import math
 import os
 
+import numpy as np
+
 import sloshspec.cli  # noqa: F401  (loads every module the tracer patches)
+from sloshspec.geometry import build_rectangle_domain, domain_to_json
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -31,3 +36,27 @@ def test_tracer_wraps_every_expected_entry_point_and_restores_them():
         tracer.restore()
     assert [name for name in expected if name not in installed] == []
     assert tracing.wrapped_attributes() == []
+
+
+def test_traced_cli_records_surface_size_and_residual_applications(tmp_path, capsys):
+    # the traced benchmark reads the dense DtN size from dtn_matrix and
+    # counts each application of the callable that dtn_action returns;
+    # dtn_matrix must not go through dtn_action, or its column blocks
+    # would be counted as residual applications
+    domain_path = tmp_path / "rectangle.json"
+    domain_path.write_text(json.dumps(domain_to_json(build_rectangle_domain(math.pi, 1.0))))
+    dump = tmp_path / "dtn.bin"
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        fem = ["fem", "--domain", str(domain_path), "--h", "0.1", "--neigs", "3", "--dump-dtn", str(dump)]
+        assert sloshspec.cli.main(fem) == 0
+        assert sloshspec.cli.main(["residual", "--q", "2", "--h", "0.02", "--k", "4,6"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    n = int(np.frombuffer(dump.read_bytes()[:8], dtype="<u8")[0])
+    sizes = [value for _, name, value in tracer.samples if name == "fem_steklov.surface_nodes"]
+    assert sizes == [n]
+    applications = [span for span in tracer.spans if span[3] == "fem_steklov.dtn_apply"]
+    assert len(applications) == 2

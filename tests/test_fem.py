@@ -21,6 +21,7 @@ from sloshspec.geometry.domain import (
     build_triangle_domain,
 )
 from sloshspec.geometry.mesh import TriangleMesh, generate_mesh
+from sloshspec.harness import quasimode_residual_study
 from sloshspec.model_solutions.hanson_lewy import quasimode_trace
 
 from _tables import EX1_TABLE
@@ -37,18 +38,48 @@ def iso_system():
 # assembly
 # ---------------------------------------------------------------------------
 
+def _retagged(mesh, boundary_edges):
+    return TriangleMesh(
+        mesh.nodes, mesh.triangles, boundary_edges, mesh.mesh_size, mesh.grading_factor
+    )
+
+
 def test_assemble_requires_steklov_edges():
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     mesh = generate_mesh(domain, 0.2)
-    stripped = TriangleMesh(
-        mesh.nodes,
-        mesh.triangles,
-        tuple((i, j, "neumann") for i, j, _ in mesh.boundary_edges),
-        mesh.mesh_size,
-        mesh.grading_factor,
-    )
+    stripped = _retagged(mesh, tuple((i, j, "neumann") for i, j, _ in mesh.boundary_edges))
     with pytest.raises(SteklovSolveError, match="steklov"):
         assemble(stripped)
+
+
+def test_shuffled_boundary_edges_give_identical_eigenvalues():
+    # an externally read mesh may list its boundary edges in any order;
+    # the surface is re-chained from corner B either way
+    domain = build_triangle_domain(
+        2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("neumann", "dirichlet")
+    )
+    mesh = generate_mesh(domain, 0.04)
+    order = np.random.default_rng(3).permutation(len(mesh.boundary_edges))
+    shuffled = _retagged(mesh, tuple(mesh.boundary_edges[i] for i in order))
+    want = solve_steklov(domain, 0.04, 6, mesh=mesh)
+    got = solve_steklov(domain, 0.04, 6, mesh=shuffled)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.s_coords.tobytes() == want.s_coords.tobytes()
+
+
+def test_surface_edges_off_a_single_open_path_are_rejected():
+    domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
+    mesh = generate_mesh(domain, 0.1)
+    surface = mesh.edges_with_tag("steklov")
+    on_surface = set(surface.ravel().tolist())
+    interior = [v for v in range(mesh.num_nodes) if v not in on_surface]
+    mid = int(surface[len(surface) // 2, 0])
+    branch = (mid, interior[-1], "steklov")
+    a, b, c = interior[-4:-1]
+    cycle = ((a, b, "steklov"), (b, c, "steklov"), (c, a, "steklov"))
+    for extra in ((branch,), cycle):
+        with pytest.raises(SteklovSolveError, match="single open path"):
+            assemble(_retagged(mesh, mesh.boundary_edges + extra))
 
 
 def test_surface_mass_matrix_structure(iso_system):
@@ -110,6 +141,37 @@ def test_dtn_action_matches_dtn_matrix(iso_system):
         want = apply_dtn(dtn, trace)
         got = apply_schur(trace)
         assert np.linalg.norm(got - want) < 1e-9 * np.linalg.norm(want)
+
+
+def test_dtn_action_matches_dense_schur_complement(iso_system):
+    # dtn_matrix and dtn_action share one interior solve, so the oracle
+    # here is a dense K_SS - K_SI K_II^{-1} K_IS formed independently
+    free = iso_system.free_nodes
+    s_pos = np.searchsorted(free, iso_system.s_path_nodes[iso_system.s_free_mask])
+    i_pos = np.setdiff1d(np.arange(len(free)), s_pos)
+    K = iso_system.stiffness.toarray()
+    dense = K[np.ix_(s_pos, s_pos)] - K[np.ix_(s_pos, i_pos)] @ np.linalg.solve(
+        K[np.ix_(i_pos, i_pos)], K[np.ix_(i_pos, s_pos)]
+    )
+    apply_schur = dtn_action(iso_system)
+    rng = np.random.default_rng(1)
+    traces = rng.standard_normal((len(s_pos), 3))
+    for trace in traces.T:
+        want = dense @ trace
+        assert np.linalg.norm(apply_schur(trace) - want) < 1e-10 * np.linalg.norm(want)
+    block = apply_schur(traces)
+    assert block.shape == traces.shape
+    np.testing.assert_allclose(block, dense @ traces, rtol=0, atol=1e-10 * np.abs(dense).max())
+
+
+def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    for build in (dtn_action, dtn_matrix):
+        with pytest.raises(SteklovSolveError, match="interior factorization failed"):
+            build(iso_system)
 
 
 def test_apply_dtn_rejects_wrong_trace_length(iso_system):
@@ -296,3 +358,13 @@ def test_surface_beam_trace_is_a_near_eigenvector():
     assert res_fine < 1e-4
     res_coarse, _, _ = residuals(4e-3)
     assert res_fine < res_coarse
+
+
+def test_quasimode_residuals_match_recorded_values():
+    # residual column of `residual --q 2 --h 0.01 --k 4,6,8` as recorded
+    # with an extended-precision refined interior solve; the plain LU
+    # solve must stay within 1e-9 relative of it
+    study = quasimode_residual_study(2, 1.0, 0.01, (4, 6, 8))
+    got = np.array([row[2] for row in study.rows])
+    want = np.array([0.0030849311654817585, 0.0056586690159126365, 0.009779755378982425])
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
