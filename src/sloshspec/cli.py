@@ -26,8 +26,9 @@ import os
 import sys
 
 
-def _common_flags(parser):
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+def _common_flags(parser, formats=True):
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", metavar="DIR", default=None, help="write artifacts into DIR instead of stdout")
     parser.add_argument("--threads", type=int, default=None, help="cap the BLAS thread pool")
 
@@ -90,7 +91,7 @@ def build_parser():
 
     p = sub.add_parser("run", help="execute an experiment configuration")
     p.add_argument("--config", required=True, metavar="FILE", help="experiment config JSON")
-    _common_flags(p)
+    _common_flags(p, formats=False)  # the config's out_format decides
 
     return parser
 
@@ -237,9 +238,9 @@ def _cmd_fem(args):
         kind="custom", domain=args.domain, h=args.h, kmax=args.neigs, grading_factor=args.grading,
     )
     if args.dump_mesh:
-        write_mesh_text(result.mesh, args.dump_mesh)
+        write_mesh_text(result.spectrum.mesh, args.dump_mesh)
     if args.dump_dtn:
-        dtn = dtn_matrix(result.system)
+        dtn = dtn_matrix(result.spectrum.system)
         n = dtn.matrix.shape[0]
         payload = np.asarray([n], dtype="<u8").tobytes() + np.ascontiguousarray(
             dtn.matrix, dtype="<f8"

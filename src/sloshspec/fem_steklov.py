@@ -1,12 +1,14 @@
 """P1 finite elements for the mixed Steklov (sloshing) eigenproblem.
 
-Pipeline: assemble the P1 stiffness matrix of the Laplacian on the
-triangulation, eliminate Dirichlet-tagged boundary nodes symmetrically,
-place the 1D P1 mass matrix of the surface in the free-node space, and
-solve the sparse pencil K u = lambda B u for its lowest pairs by
-shift-invert Lanczos with one sparse factorization.  The surface traces
-of the eigenvectors are the eigenvectors of the discrete
-Dirichlet-to-Neumann (DtN) map, which is never formed on this path.
+Pipeline: `solve_steklov` is the one entry from a domain or mesh to a
+spectrum.  `assemble` builds the P1 stiffness matrix of the Laplacian,
+eliminates Dirichlet-tagged boundary nodes symmetrically, and builds
+the 1D P1 mass matrix of the surviving surface nodes once, with their
+rows in the free-node space.  The sparse pencil K u = lambda B u, B that
+mass embedded, is solved for its lowest pairs by shift-invert Lanczos
+with one sparse factorization; the spectrum keeps its mesh and system.
+The surface traces of the eigenvectors are the eigenvectors of the
+discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
 
 The DtN map is still available as the Schur complement
 D = K_SS - K_SI K_II^{-1} K_IS of the surface block.  One path slices
@@ -34,33 +36,29 @@ class SteklovSolveError(RuntimeError):
 
 @dataclass
 class AssembledSystem:
-    """Sparse pieces of the discrete problem.
+    """Sparse pieces of the discrete problem, in the free-node space.
 
     `stiffness` acts on the free nodes (everything except eliminated
-    Dirichlet nodes), indexed by `free_nodes`.  `steklov_mass` is the 1D
-    P1 mass matrix over all surface polyline nodes in `s_path_nodes`
-    order, including any surface endpoints that a Dirichlet wall
-    eliminates; `s_free_mask` marks the rows that survive elimination.
-    `s_arclength` measures arc length along the surface polyline from
-    corner A.
+    Dirichlet nodes), indexed by `free_nodes`.  The surface nodes that
+    survive elimination sit at rows `s_pos` of that space, in path order
+    from corner B; `s_nodes` are their mesh node ids, `s_coords` their
+    arc length from corner A, and `surface_mass` the 1D P1 mass matrix
+    among them.  `surface_length` is the length of the whole surface
+    polyline, eliminated endpoints included.
     """
 
     stiffness: sp.csr_matrix
-    steklov_mass: sp.csr_matrix
     free_nodes: np.ndarray
-    s_path_nodes: np.ndarray
-    s_free_mask: np.ndarray
-    s_arclength: np.ndarray
     dirichlet_nodes: np.ndarray
+    s_pos: np.ndarray
+    s_nodes: np.ndarray
+    s_coords: np.ndarray
+    surface_mass: sp.csr_matrix
+    surface_length: float
 
     @property
     def interior_count(self):
-        return len(self.free_nodes) - int(self.s_free_mask.sum())
-
-    def steklov_mass_free(self):
-        """Surface mass restricted to non-eliminated surface nodes."""
-        keep = np.where(self.s_free_mask)[0]
-        return self.steklov_mass[keep][:, keep]
+        return len(self.free_nodes) - len(self.s_pos)
 
 
 @dataclass
@@ -78,17 +76,24 @@ class DtNOperatorMatrix:
 
 @dataclass
 class SteklovSpectrum:
-    """Lowest eigenvalues with surface traces.
+    """Lowest eigenvalues with surface traces, and what produced them.
 
-    Traces are columns, orthonormal in the surface mass inner product.
+    Traces are columns, orthonormal in the surface mass inner product;
+    their rows follow `system.s_coords`.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
-    s_coords: np.ndarray
-    mesh_size: float
-    grading_factor: float
-    num_nodes: int
+    mesh: object
+    system: AssembledSystem
+
+    @property
+    def s_coords(self):
+        return self.system.s_coords
+
+    @property
+    def num_nodes(self):
+        return self.mesh.num_nodes
 
 
 def _chain_surface_path(s_edges):
@@ -153,26 +158,18 @@ def assemble(mesh):
     edges_local = local[s_edges]
     mr, mc, mv = _backend.edge_mass_triplets(np.ascontiguousarray(nodes[path]), edges_local)
     mass = sp.coo_matrix((mv, (mr, mc)), shape=(len(path), len(path))).tocsr()
+    keep = np.where(free_mask[path])[0]  # a Dirichlet wall drops a surface endpoint
 
     return AssembledSystem(
         stiffness=k_free,
-        steklov_mass=mass,
         free_nodes=free_nodes,
-        s_path_nodes=path,
-        s_free_mask=free_mask[path],
-        s_arclength=s_arclength,
         dirichlet_nodes=dirichlet_nodes,
+        s_pos=np.searchsorted(free_nodes, path[keep]),
+        s_nodes=path[keep],
+        s_coords=s_arclength[keep],
+        surface_mass=mass[keep][:, keep],
+        surface_length=float(cum[-1]),
     )
-
-
-def _split_blocks(system):
-    """Index split of the free nodes into surface and interior blocks."""
-    free = system.free_nodes
-    s_pos = np.searchsorted(free, system.s_path_nodes[system.s_free_mask])
-    s_mask = np.zeros(len(free), dtype=bool)
-    s_mask[s_pos] = True
-    i_pos = np.where(~s_mask)[0]
-    return s_pos, i_pos
 
 
 def _schur(system):
@@ -182,8 +179,9 @@ def _schur(system):
     surface trace or a block of trace columns, and each call costs one
     pair of sparse products and one interior solve.
     """
-    s_pos, i_pos = _split_blocks(system)
+    s_pos = system.s_pos
     K = system.stiffness
+    i_pos = np.delete(np.arange(K.shape[0]), s_pos)
     k_ss = K[s_pos][:, s_pos].tocsr()
     if len(i_pos) == 0:
         return lambda X: k_ss @ np.asarray(X, dtype=float)
@@ -219,7 +217,7 @@ def dtn_matrix(system):
     one block of interior solutions stays within _SCHUR_BLOCK_BYTES.
     """
     apply = _schur(system)
-    ns = int(system.s_free_mask.sum())
+    ns = len(system.s_pos)
     step = max(8, min(128, _SCHUR_BLOCK_BYTES // (8 * max(1, system.interior_count))))
     D = np.empty((ns, ns))
     for lo in range(0, ns, step):
@@ -231,8 +229,8 @@ def dtn_matrix(system):
     D = 0.5 * (D + D.T)
     return DtNOperatorMatrix(
         matrix=D,
-        s_coords=system.s_arclength[system.s_free_mask],
-        s_nodes=system.s_path_nodes[system.s_free_mask],
+        s_coords=system.s_coords,
+        s_nodes=system.s_nodes,
     )
 
 
@@ -262,7 +260,7 @@ def _sloshing_pairs(system, n_eigs):
     orthonormal in the surface mass inner product because ARPACK returns
     B-orthonormal vectors.
     """
-    s_pos, _ = _split_blocks(system)
+    s_pos = system.s_pos
     ns = len(s_pos)
     if ns < 4 * n_eigs:
         raise SteklovSolveError(
@@ -271,9 +269,9 @@ def _sloshing_pairs(system, n_eigs):
         )
     K = system.stiffness
     n = K.shape[0]
-    m = system.steklov_mass_free().tocoo()
+    m = system.surface_mass.tocoo()
     B = sp.csr_matrix((m.data, (s_pos[m.row], s_pos[m.col])), shape=(n, n))
-    sigma = -1.0 / float(system.s_arclength.max())
+    sigma = -1.0 / system.surface_length
     try:
         lu = spla.splu((K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -299,40 +297,25 @@ def _sloshing_pairs(system, n_eigs):
     return np.clip(w, 0.0, None), u[s_pos]
 
 
-def _assembled_pairs(mesh, n_eigs):
-    """Assemble a mesh and solve it: (system, eigenvalues, traces).
-
-    Callers that need the assembled system after the eigensolve (for a
-    DtN dump or residuals) take it from here instead of assembling the
-    mesh again.
-    """
-    if n_eigs < 1:
-        raise SteklovSolveError("n_eigs must be at least 1")
-    system = assemble(mesh)
-    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
-    return system, eigenvalues, traces
-
-
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
 
-    The pencil K u = lambda B u of the stiffness and the embedded surface
-    mass is solved by sparse shift-invert Lanczos (see _sloshing_pairs),
+    Meshes the domain unless `mesh` is given, assembles it once, and
+    solves the pencil K u = lambda B u of the stiffness and the embedded
+    surface mass by sparse shift-invert Lanczos (see _sloshing_pairs),
     without forming the dense DtN matrix.  Requires the surface to carry
     at least 4 * n_eigs nodes so the top requested mode stays resolved;
-    every returned pair passes an a posteriori residual check.
+    every returned pair passes an a posteriori residual check.  The
+    returned spectrum keeps the mesh and the assembled system, so a DtN
+    dump or a residual study needs no second assembly.
     """
+    if n_eigs < 1:
+        raise SteklovSolveError("n_eigs must be at least 1")
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
-    system, eigenvalues, traces = _assembled_pairs(mesh, n_eigs)
-    return SteklovSpectrum(
-        eigenvalues=eigenvalues,
-        traces=traces,
-        s_coords=system.s_arclength[system.s_free_mask],
-        mesh_size=float(h),
-        grading_factor=float(grading_factor),
-        num_nodes=mesh.num_nodes,
-    )
+    system = assemble(mesh)
+    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
+    return SteklovSpectrum(eigenvalues=eigenvalues, traces=traces, mesh=mesh, system=system)
 
 
 @dataclass
@@ -364,8 +347,8 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25):
     n_eigs = max(k_list)
     values = np.empty((len(h_list), len(k_list)))
     for i, h in enumerate(h_list):
-        spec = solve_steklov(domain, h, n_eigs, grading_factor=grading_factor)
-        values[i] = spec.eigenvalues[np.array(k_list) - 1]
+        eigenvalues = solve_steklov(domain, h, n_eigs, grading_factor=grading_factor).eigenvalues
+        values[i] = eigenvalues[np.array(k_list) - 1]
 
     nk = len(k_list)
     order = np.full(nk, np.nan)

@@ -68,6 +68,13 @@ class TriangleMesh:
             [(i, j) for i, j, _ in self.boundary_edges], dtype=np.int64
         ).reshape(-1, 2)
         self._tag_arr = np.array([t for _, _, t in self.boundary_edges])
+        n = len(self.nodes)
+        for name, idx in (("triangle", self.triangles), ("boundary edge", self._edge_arr)):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise MeshError(f"{name} node index outside [0, {n})")
+        unknown = set(self._tag_arr.tolist()) - {"steklov", "neumann", "dirichlet"}
+        if unknown:
+            raise MeshError(f"unknown boundary tag {sorted(unknown)[0]!r}")
         if len(self.triangles):
             area, _ = _backend.triangle_quality(self.nodes, self.triangles)
             if np.any(area <= 0):

@@ -27,13 +27,8 @@ import numpy as np
 import scipy.sparse.linalg
 
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-from .fem_steklov import _assembled_pairs, convergence_study, dtn_action, solve_steklov
-from .geometry import (
-    build_curvilinear_example,
-    build_triangle_domain,
-    domain_from_json,
-    generate_mesh,
-)
+from .fem_steklov import convergence_study, dtn_action, solve_steklov
+from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
 from .highord_sl import HighOrderSLProblem, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
 
@@ -220,16 +215,15 @@ def _domain_description(domain):
 
 
 def _spectrum_with_errbar(domain, h, n_eigs, grading_factor):
-    """Fine-level mesh, assembled system and eigenvalues at mesh size h,
-    plus a two-mesh error bar.
+    """Spectrum at mesh size h plus a two-mesh error bar.
 
     The error bar is 2 |lambda(h) - lambda(2h)| per index, the same
-    convention convergence_study uses for its finest level.
+    convention convergence_study uses for its finest level.  The fine
+    level is solved first, so its mesh errors are the ones reported.
     """
-    mesh = generate_mesh(domain, h, grading_factor)
-    system, eigenvalues, _ = _assembled_pairs(mesh, n_eigs)
-    coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor=grading_factor)
-    return mesh, system, eigenvalues, 2.0 * np.abs(eigenvalues - coarse.eigenvalues)
+    fine = solve_steklov(domain, h, n_eigs, grading_factor)
+    coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor).eigenvalues
+    return fine, 2.0 * np.abs(fine.eigenvalues - coarse)
 
 
 def _comparison_report(cases, h, kmax, grading_factor):
@@ -243,16 +237,16 @@ def _comparison_report(cases, h, kmax, grading_factor):
     blocks = []
     meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
     for label, domain, predict in cases:
-        mesh, _, eigenvalues, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
+        spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
         blocks.append(
             ReportBlock(
                 label=label,
                 k=ks,
-                computed=tuple(float(v) for v in eigenvalues),
+                computed=tuple(float(v) for v in spec.eigenvalues),
                 predicted=tuple(float(v) for v in predict(ks)),
             )
         )
-        meta["num_nodes"][label] = mesh.num_nodes
+        meta["num_nodes"][label] = spec.num_nodes
         meta["errbar"][label] = [float(e) for e in errbar]
         meta["domain"][label] = _domain_description(domain)
     meta["runtime_seconds"] = time.perf_counter() - started
@@ -356,25 +350,23 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     started = time.perf_counter()
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
-    mesh = generate_mesh(domain, h, grading_factor)
-    system, eigenvalues, _ = _assembled_pairs(mesh, max(k_list) + 2)
-    apply_action = dtn_action(system)
-    mass = system.steklov_mass_free().tocsc()
+    spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
+    apply_action = dtn_action(spec.system)
+    mass = spec.system.surface_mass.tocsc()
     mass_lu = scipy.sparse.linalg.splu(mass)
-    x = system.s_arclength[system.s_free_mask]
     rows = []
     for k in sorted(k_list):
         sigma = (math.pi * (k - 0.5) - math.pi * q / 2.0) / surface_length
-        trace = quasimode_trace(q, sigma, x, surface_length)
+        trace = quasimode_trace(q, sigma, spec.s_coords, surface_length)
         trace = trace / math.sqrt(float(trace @ (mass @ trace)))
         resid = apply_action(trace) - sigma * (mass @ trace)
         norm = math.sqrt(float(resid @ mass_lu.solve(resid)))
-        nearest = float(np.min(np.abs(eigenvalues - sigma)))
+        nearest = float(np.min(np.abs(spec.eigenvalues - sigma)))
         rows.append((k, sigma, norm / sigma, nearest))
     meta = {
         "h": h,
         "grading_factor": grading_factor,
-        "num_nodes": mesh.num_nodes,
+        "num_nodes": spec.num_nodes,
         "domain": _domain_description(domain),
         "runtime_seconds": time.perf_counter() - started,
     }
@@ -470,16 +462,15 @@ class ExperimentTable:
 
     `meta`, when set, becomes `<stem>_meta.json`; each series entry
     (name, xs, ys) becomes the two-column `<stem>_<name>.csv`.  A custom
-    run also keeps its fine-level `mesh` and assembled `system`, which
-    the CLI dumps on request; neither is part of an artifact.
+    run also keeps its fine-level `spectrum`, whose mesh and assembled
+    system the CLI dumps on request; it is not part of an artifact.
     """
 
     header: tuple
     rows: list
     meta: dict = None
     series: tuple = ()
-    mesh: object = None
-    system: object = None
+    spectrum: object = None
 
 
 def _resolve_domain(domain):
@@ -553,16 +544,13 @@ def _convergence(config):
 
 def _custom(config):
     domain = _resolve_domain(config.domain)
-    mesh, system, eigenvalues, errbar = _spectrum_with_errbar(
-        domain, config.h, config.kmax, config.grading_factor
-    )
+    spec, errbar = _spectrum_with_errbar(domain, config.h, config.kmax, config.grading_factor)
     ks = list(range(1, config.kmax + 1))
     return ExperimentTable(
         header=("k", "lambda", "errbar"),
-        rows=list(zip(ks, eigenvalues, errbar)),
-        series=(("lambda", ks, eigenvalues),),
-        mesh=mesh,
-        system=system,
+        rows=list(zip(ks, spec.eigenvalues, errbar)),
+        series=(("lambda", ks, spec.eigenvalues),),
+        spectrum=spec,
     )
 
 

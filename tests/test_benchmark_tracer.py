@@ -60,3 +60,29 @@ def test_traced_cli_records_surface_size_and_residual_applications(tmp_path, cap
     assert sizes == [n]
     applications = [span for span in tracer.spans if span[3] == "fem_steklov.dtn_apply"]
     assert len(applications) == 2
+
+
+def test_every_factorization_and_assembly_runs_inside_a_fem_entry_span(capsys):
+    # the harness reaches the FEM layer only through solve_steklov and
+    # the DtN builders, so the traced benchmark attributes every
+    # assembly and sparse factorization to one of those spans
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        assert sloshspec.cli.main(["reproduce", "--example", "1", "--h", "0.04"]) == 0
+        assert sloshspec.cli.main(["residual", "--q", "2", "--h", "0.02", "--k", "4,6"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    entries = {"fem_steklov.solve_steklov", "fem_steklov.dtn_action", "fem_steklov.dtn_matrix"}
+    by_id = {span[1]: span for span in tracer.spans}
+
+    def ancestors(span):
+        parent = span[2]
+        while parent is not None:
+            yield by_id[parent][3]
+            parent = by_id[parent][2]
+
+    inner = [span for span in tracer.spans if span[3] in ("fem_steklov.splu", "fem_steklov.assemble")]
+    assert len(inner) == 11
+    assert [span[3] for span in inner if not entries.intersection(ancestors(span))] == []

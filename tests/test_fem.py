@@ -83,7 +83,7 @@ def test_surface_edges_off_a_single_open_path_are_rejected():
 
 
 def test_surface_mass_matrix_structure(iso_system):
-    mass = iso_system.steklov_mass
+    mass = iso_system.surface_mass
     assert (mass != mass.T).nnz == 0
     # row sums reproduce the trapezoidal weights, so the total is the
     # exact (chordal) surface length
@@ -92,12 +92,15 @@ def test_surface_mass_matrix_structure(iso_system):
 
 
 def test_surface_arclength_runs_from_corner_a(iso_system):
-    s = iso_system.s_arclength
-    assert s.min() == pytest.approx(0.0, abs=1e-15)
-    assert s.max() == pytest.approx(1.0, abs=1e-12)
-    # all-Neumann walls: nothing is eliminated
-    assert iso_system.s_free_mask.all()
+    s = iso_system.s_coords
+    # all-Neumann walls: nothing is eliminated, so both corners stay on
+    # the path (B first), and s_pos finds each surface node among the
+    # free nodes
+    assert s[-1] == pytest.approx(0.0, abs=1e-15)
+    assert s[0] == pytest.approx(1.0, abs=1e-12)
+    assert iso_system.surface_length == pytest.approx(1.0, abs=1e-12)
     assert len(iso_system.dirichlet_nodes) == 0
+    assert np.array_equal(iso_system.free_nodes[iso_system.s_pos], iso_system.s_nodes)
     assert iso_system.interior_count > 0
 
 
@@ -106,12 +109,20 @@ def test_dirichlet_walls_eliminate_surface_endpoints():
         math.pi / 4, math.pi / 4, 1.0, wall_conditions=("dirichlet", "dirichlet")
     )
     mesh = generate_mesh(domain, 0.05)
-    system = assemble(mesh)
-    assert len(system.dirichlet_nodes) > 0
-    assert system.s_free_mask.sum() == len(system.s_path_nodes) - 2
-    assert not system.s_free_mask[0]
-    assert not system.s_free_mask[-1]
     spec = solve_steklov(domain, 0.05, 3, mesh=mesh)
+    system = spec.system
+    assert len(system.dirichlet_nodes) > 0
+    surface = mesh.edges_with_tag("steklov")
+    assert len(system.s_nodes) == len(surface) + 1 - 2
+    ends = np.setdiff1d(np.unique(surface), system.s_nodes)
+    assert len(ends) == 2
+    assert np.isin(ends, system.dirichlet_nodes).all()
+    assert np.array_equal(system.free_nodes[system.s_pos], system.s_nodes)
+    assert system.surface_mass.shape == (len(system.s_nodes),) * 2
+    # the surface keeps its full length: sigma = -1/l must not shrink
+    # to the span of the surviving nodes
+    assert system.surface_length == pytest.approx(1.0, abs=1e-12)
+    assert 0 < system.s_coords.min() and system.s_coords.max() < system.surface_length
     assert spec.eigenvalues[0] > 0.5
 
 
@@ -146,9 +157,8 @@ def test_dtn_action_matches_dtn_matrix(iso_system):
 def test_dtn_action_matches_dense_schur_complement(iso_system):
     # dtn_matrix and dtn_action share one interior solve, so the oracle
     # here is a dense K_SS - K_SI K_II^{-1} K_IS formed independently
-    free = iso_system.free_nodes
-    s_pos = np.searchsorted(free, iso_system.s_path_nodes[iso_system.s_free_mask])
-    i_pos = np.setdiff1d(np.arange(len(free)), s_pos)
+    s_pos = iso_system.s_pos
+    i_pos = np.setdiff1d(np.arange(len(iso_system.free_nodes)), s_pos)
     K = iso_system.stiffness.toarray()
     dense = K[np.ix_(s_pos, s_pos)] - K[np.ix_(s_pos, i_pos)] @ np.linalg.solve(
         K[np.ix_(i_pos, i_pos)], K[np.ix_(i_pos, s_pos)]
@@ -199,12 +209,13 @@ def test_rectangle_matches_separated_solution():
 def test_traces_are_mass_orthonormal():
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     mesh = generate_mesh(domain, 0.05)
-    system = assemble(mesh)
     spec = solve_steklov(domain, 0.05, 5, mesh=mesh)
-    mass = system.steklov_mass_free().toarray()
+    mass = spec.system.surface_mass.toarray()
     gram = spec.traces.T @ mass @ spec.traces
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
+    assert spec.mesh is mesh
     assert spec.num_nodes == mesh.num_nodes
+    assert spec.s_coords is spec.system.s_coords
 
 
 def test_resolution_guard_rejects_underresolved_requests():
@@ -233,10 +244,9 @@ def test_sparse_eigensolve_matches_dense_dtn_oracle(walls, h):
     # discrete problem, so eigenvalues agree to rounding and each trace
     # is the dense eigenvector up to sign
     domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
-    mesh = generate_mesh(domain, h)
-    system = assemble(mesh)
-    spec = solve_steklov(domain, h, 10, mesh=mesh)
-    mass = system.steklov_mass_free().toarray()
+    spec = solve_steklov(domain, h, 10)
+    system = spec.system
+    mass = system.surface_mass.toarray()
     w, v = scipy.linalg.eigh(dtn_matrix(system).matrix, mass)
     w = w[:10]
     rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
@@ -337,12 +347,12 @@ def test_surface_beam_trace_is_a_near_eigenvector():
         mesh = generate_mesh(domain, h, grading_factor=1.0)
         system = assemble(mesh)
         apply_schur = dtn_action(system)
-        mass = system.steklov_mass_free()
+        mass = system.surface_mass
 
         def m_norm(r):
             return math.sqrt(float(r @ (mass @ r)))
 
-        trace = quasimode_trace(2, sigma, system.s_arclength, 1.0)
+        trace = quasimode_trace(2, sigma, system.s_coords, 1.0)
         trace = trace / m_norm(trace)
         d_trace = apply_schur(trace)
         m_trace = mass @ trace

@@ -626,6 +626,30 @@ def test_mesh_text_rejects_malformed_dumps(tmp_path):
         read_mesh_text(trailing)
 
 
+@pytest.mark.parametrize(
+    "header, edit, match",
+    [
+        ("triangles", lambda line, n: "-1 " + line.split(" ", 1)[1], r"triangle node index outside \[0, "),
+        ("bedges", lambda line, n: f"{n} " + line.split(" ", 1)[1], r"boundary edge node index outside \[0, "),
+        ("bedges", lambda line, n: line.rsplit(" ", 1)[0] + " robin", "unknown boundary tag 'robin'"),
+    ],
+    ids=["negative-triangle-index", "edge-index-past-end", "robin-tag"],
+)
+def test_read_mesh_text_rejects_out_of_range_indices_and_unknown_tags(tmp_path, header, edit, match):
+    # such dumps used to wrap silently, raise IndexError in assembly, or
+    # solve an unknown tag as a natural (Neumann) edge
+    dom = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
+    mesh = generate_mesh(dom, 0.2)
+    path = tmp_path / "mesh.txt"
+    write_mesh_text(mesh, path)
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(header + " ")) + 1
+    lines[first] = edit(lines[first], mesh.num_nodes)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match=match):
+        read_mesh_text(path)
+
+
 # ---------------------------------------------------------------------------
 # compute kernels
 # ---------------------------------------------------------------------------

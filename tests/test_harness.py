@@ -516,6 +516,23 @@ def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys
     assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
 
+def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, capsys):
+    # `run --format json` used to be accepted and ignored, writing CSV
+    # whenever the config asked for it
+    from sloshspec import cli
+
+    monkeypatch.chdir(tmp_path)
+    config = {"kind": "sl_vs_sloshing", "q": 2, "h": 0.05, "kmax": 3, "out_format": "json", "label": "t"}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--config", "cfg.json", "--out", "out", "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run_main(capsys, "run", "--config", "cfg.json", "--out", "out")[0] == 0
+    assert (tmp_path / "out" / "t.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv, field_name",
     [
