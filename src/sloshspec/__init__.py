@@ -56,8 +56,8 @@ from .harness import (
     ComparisonReport,
     ConfigError,
     ExperimentConfig,
+    ExperimentTable,
     ReportBlock,
-    ResidualStudy,
     config_from_json,
     quasimode_residual_study,
     reproduce_table,
@@ -92,6 +92,7 @@ __all__ = [
     "CornerSpec",
     "DtNOperatorMatrix",
     "ExperimentConfig",
+    "ExperimentTable",
     "HighOrderSLProblem",
     "LineSegment",
     "MeshError",
@@ -101,7 +102,6 @@ __all__ = [
     "QuasiFrequencySequence",
     "Regime",
     "ReportBlock",
-    "ResidualStudy",
     "SLEigenfunction",
     "SLSolveError",
     "SLSpectrum",

@@ -13,11 +13,11 @@ Subcommands map one-to-one onto the computational modules:
 
 Results go to stdout, or to files under --out DIR.  Everything is
 deterministic.  fem, peters, reproduce, residual and convergence build
-the ExperimentConfig that `run` would read and serialize what
-harness.compute_experiment returns, so they and `run` share one
-computation and one validation.  The heavy numerical imports happen
-after argument parsing so that --threads can pin the BLAS pool size
-before numpy loads.
+the ExperimentConfig that `run` would read and print the `text` of
+what harness.compute_experiment returns, so they and `run` share one
+computation, one validation and one renderer.  The heavy numerical
+imports happen after argument parsing so that --threads can pin the
+BLAS pool size before numpy loads.
 """
 
 import argparse
@@ -119,25 +119,11 @@ def _parse_list(text, flag, number):
     return values
 
 
-def _table_text(fmt, header, rows):
-    from .harness import _csv_text
-
-    if fmt == "csv":
-        return _csv_text(header, rows)
-
-    def cell(value):
-        if value is None or isinstance(value, (str, int)):
-            return value
-        return float(value)
-
-    doc = [{name: cell(value) for name, value in zip(header, row)} for row in rows]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(args, stem, text):
-    """Print text to stdout or write it as <stem>.<format> under --out."""
+def _emit(args, stem, result):
+    """Print the result's table to stdout or write it as <stem>.<format> under --out."""
     from .harness import write_atomic
 
+    text = result.text(args.format)
     if args.out is None:
         sys.stdout.write(text)
         return 0
@@ -157,7 +143,7 @@ def _positive(value, flag):
 
 def _cmd_asymptotics(args):
     from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-    from .harness import ConfigError
+    from .harness import ConfigError, ExperimentTable
 
     if args.kmax < 1:
         raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
@@ -169,11 +155,11 @@ def _cmd_asymptotics(args):
     except ValueError as exc:
         raise ConfigError("alpha", str(exc)) from None
     rows = [(k, quasi_frequency(model, k)) for k in range(1, args.kmax + 1)]
-    return _emit(args, "asymptotics", _table_text(args.format, ["k", "sigma"], rows))
+    return _emit(args, "asymptotics", ExperimentTable(("k", "sigma"), rows))
 
 
 def _cmd_sl(args):
-    from .harness import ConfigError
+    from .harness import ConfigError, ExperimentTable
     from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 
     if args.kmax < 1:
@@ -191,7 +177,7 @@ def _cmd_sl(args):
             rows.append((i, float(lam), pred, abs(float(lam) - pred)))
         else:
             rows.append((i, float(lam), None, None))
-    return _emit(args, "sl", _table_text(args.format, ["k", "lambda", "prediction", "residual"], rows))
+    return _emit(args, "sl", ExperimentTable(("k", "lambda", "prediction", "residual"), rows))
 
 
 def _experiment(flags, **fields):
@@ -210,21 +196,11 @@ def _experiment(flags, **fields):
         raise ConfigError(flags[exc.field], exc.reason) from None
 
 
-def _emit_experiment(args, stem, result):
-    from .harness import ComparisonReport, report_csv, report_json
-
-    if isinstance(result, ComparisonReport):
-        text = report_csv(result) if args.format == "csv" else report_json(result)
-    else:
-        text = _table_text(args.format, result.header, result.rows)
-    return _emit(args, stem, text)
-
-
 def _cmd_peters(args):
     result = _experiment(
         {}, kind="peters_phase", alpha=args.alpha, condition=args.bc, samples=args.samples, xmax=args.xmax
     )
-    return _emit_experiment(args, "peters", result)
+    return _emit(args, "peters", result)
 
 
 def _cmd_fem(args):
@@ -232,6 +208,7 @@ def _cmd_fem(args):
 
     from .fem_steklov import dtn_matrix
     from .geometry import write_mesh_text
+    from .harness import write_atomic
 
     result = _experiment(
         {"kmax": "neigs", "grading_factor": "grading"},
@@ -240,16 +217,10 @@ def _cmd_fem(args):
     if args.dump_mesh:
         write_mesh_text(result.spectrum.mesh, args.dump_mesh)
     if args.dump_dtn:
-        dtn = dtn_matrix(result.spectrum.system)
-        n = dtn.matrix.shape[0]
-        payload = np.asarray([n], dtype="<u8").tobytes() + np.ascontiguousarray(
-            dtn.matrix, dtype="<f8"
-        ).tobytes()
-        tmp = args.dump_dtn + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, args.dump_dtn)
-    return _emit_experiment(args, "fem", result)
+        dtn = dtn_matrix(result.spectrum.system).matrix
+        size = np.asarray([dtn.shape[0]], dtype="<u8").tobytes()
+        write_atomic(args.dump_dtn, size + np.ascontiguousarray(dtn, dtype="<f8").tobytes())
+    return _emit(args, "fem", result)
 
 
 def _cmd_reproduce(args):
@@ -257,7 +228,7 @@ def _cmd_reproduce(args):
         {"grading_factor": "grading"},
         kind=f"reproduce_example_{args.example}", h=args.h, grading_factor=args.grading,
     )
-    return _emit_experiment(args, f"example_{args.example}", result)
+    return _emit(args, f"example_{args.example}", result)
 
 
 def _cmd_residual(args):
@@ -266,7 +237,7 @@ def _cmd_residual(args):
         kind="quasimode_residual", q=args.q, surface_length=args.length, h=args.h,
         k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
     )
-    return _emit_experiment(args, "residual", result)
+    return _emit(args, "residual", result)
 
 
 def _cmd_convergence(args):
@@ -275,7 +246,7 @@ def _cmd_convergence(args):
         kind="convergence", domain=args.domain, h_list=_parse_list(args.h, "h", float),
         k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
     )
-    return _emit_experiment(args, "convergence", result)
+    return _emit(args, "convergence", result)
 
 
 def _cmd_run(args):

@@ -28,6 +28,8 @@ Mesh text dump:
     <i> <j> <tag>     (K lines, tag in {steklov, neumann, dirichlet})
 """
 
+import os
+
 import numpy as np
 
 from .domain import (
@@ -124,6 +126,7 @@ def write_mesh_text(mesh, path):
     lines.append(f"bedges {len(mesh.boundary_edges)}")
     lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
     text = "\n".join(lines) + "\n"
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -7,10 +7,11 @@ the Peters far-field phase, quasimode residual measurements,
 mesh-refinement studies and custom domains.  Each experiment is
 described by an ExperimentConfig (a flat JSON document on disk), which
 checks every field, and computed by `compute_experiment`, the one place
-its table is built.  `run_experiment` writes the result as
-deterministic CSV/JSON artifacts plus two-column plot-ready series; the
-CLI subcommands fem, peters, residual, convergence and reproduce build
-the same config from their flags and print or write the same tables.
+its table is built.  Every result renders its main table through
+`text(fmt)`, so `run_experiment`, which writes it as a deterministic
+CSV or JSON artifact plus two-column plot-ready series, and the CLI
+subcommands fem, peters, residual, convergence and reproduce, which
+build the same config from their flags, print or write the same bytes.
 
 Runtime is recorded in the in-memory report metadata but never written
 to disk, so repeated runs of the same config produce byte-identical
@@ -98,8 +99,9 @@ class ExperimentConfig:
         if self.kind in ("convergence", "custom") and self.domain is None:
             raise ConfigError("domain", f"kind {self.kind!r} requires a domain")
         if self.kind == "peters_phase":
-            if self.samples < 16:
-                raise ConfigError("samples", "need at least 16 samples for a far-field fit")
+            # the far-field fit reads the outer half of the samples and needs 12 there
+            if self.samples < 23:
+                raise ConfigError("samples", "need at least 23 samples for a far-field fit")
             if not self.xmax > 0:
                 raise ConfigError("xmax", f"must be positive, got {self.xmax}")
         if self.kind == "convergence":
@@ -121,6 +123,14 @@ class ExperimentConfig:
         return self.label or self.kind
 
 
+def _whole(value):
+    """int(value), refusing values such as 2.7 that int() would truncate."""
+    number = int(value)
+    if number != float(value):
+        raise ValueError(value)
+    return number
+
+
 def config_from_json(obj):
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(obj, dict):
@@ -132,12 +142,12 @@ def config_from_json(obj):
     if "kind" not in obj:
         raise ConfigError("kind", "missing required field")
     kwargs = dict(obj)
-    for name, number in (("k_list", int), ("h_list", float)):
+    for name, number, kind in (("k_list", _whole, "integers"), ("h_list", float, "numbers")):
         if name in kwargs:
             try:
                 kwargs[name] = tuple(number(v) for v in kwargs[name])
-            except (TypeError, ValueError):
-                raise ConfigError(name, f"must be a list of numbers, got {kwargs[name]!r}") from None
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(name, f"must be a list of {kind}, got {kwargs[name]!r}") from None
     for name in ("h", "surface_length", "alpha", "xmax", "grading_factor"):
         if name in kwargs:
             try:
@@ -147,8 +157,8 @@ def config_from_json(obj):
     for name in ("kmax", "q", "samples"):
         if name in kwargs:
             try:
-                kwargs[name] = int(kwargs[name])
-            except (TypeError, ValueError):
+                kwargs[name] = _whole(kwargs[name])
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(name, f"must be an integer, got {kwargs[name]!r}") from None
     try:
         return ExperimentConfig(**kwargs)
@@ -157,11 +167,13 @@ def config_from_json(obj):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError("config", f"not valid JSON: {exc}") from None
     return config_from_json(obj)
 
 
@@ -204,6 +216,53 @@ class ComparisonReport:
             if b.label == label:
                 return b
         raise KeyError(label)
+
+    @property
+    def series(self):
+        """(name, k, values) of each block's computed and predicted columns."""
+        return tuple(
+            (f"{b.label}_{column}", b.k, values)
+            for b in self.blocks
+            for column, values in (("lambda", b.computed), ("sigma", b.predicted))
+        )
+
+    def text(self, fmt):
+        """The report as CSV or JSON.
+
+        CSV merges the blocks into one table keyed on k.  Column layout
+        per block: computed eigenvalue, predicted lattice value, relative
+        deviation, mirroring the printed tables this reproduces (value,
+        prediction, |prediction/value - 1|, then the second block's
+        triple).  JSON keeps the blocks apart and adds the metadata
+        without its runtime.
+        """
+        if fmt == "csv":
+            first = self.blocks[0]
+            header = ["k"]
+            for b in self.blocks:
+                if b.k != first.k:
+                    raise ValueError("blocks must share the k column to merge")
+                suffix = "" if len(self.blocks) == 1 else "_" + b.label
+                header += [f"lambda{suffix}", f"sigma{suffix}", f"deviation{suffix}"]
+            rows = [
+                [k] + [value for b in self.blocks for value in (b.computed[i], b.predicted[i], b.deviation[i])]
+                for i, k in enumerate(first.k)
+            ]
+            return _csv_text(header, rows)
+        doc = {
+            "blocks": [
+                {
+                    "label": b.label,
+                    "rows": [
+                        {"k": int(k), "lambda": lam, "sigma": sigma, "deviation": dev}
+                        for k, lam, sigma, dev in zip(b.k, b.computed, b.predicted, b.deviation)
+                    ],
+                }
+                for b in self.blocks
+            ],
+            "metadata": _clean_metadata(self.metadata),
+        }
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _domain_description(domain):
@@ -316,20 +375,6 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     return _comparison_report([("fem_vs_ode", domain, ode)], h, kmax, grading_factor)
 
 
-@dataclass(frozen=True)
-class ResidualStudy:
-    """Quasimode residuals against the discrete Dirichlet-to-Neumann map.
-
-    rows are (k, sigma_k, residual, nearest_gap): the lattice frequency,
-    the relative residual ||D v - sigma M v|| in the norm induced by the
-    inverse surface mass matrix divided by sigma, and the distance from
-    sigma_k to the nearest computed eigenvalue.
-    """
-
-    rows: tuple
-    metadata: dict = field(default_factory=dict)
-
-
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     """Measure how well explicit corner quasimodes annihilate the FEM DtN map.
 
@@ -338,7 +383,9 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     product, and pushed through the Schur-complement DtN action; the
     residual r = D v - sigma M v is reported in the M^{-1} norm where it
     equals the eigenvector-coefficient-weighted distance to the discrete
-    spectrum.
+    spectrum.  Rows are (k, sigma_k, residual / sigma, nearest_gap), the
+    last being the distance from sigma_k to the nearest computed
+    eigenvalue.
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
@@ -370,7 +417,12 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
         "domain": _domain_description(domain),
         "runtime_seconds": time.perf_counter() - started,
     }
-    return ResidualStudy(rows=tuple(rows), metadata=meta)
+    return ExperimentTable(
+        header=("k", "sigma", "residual", "nearest_gap"),
+        rows=rows,
+        metadata=meta,
+        series=(("residual", [r[1] for r in rows], [r[2] for r in rows]),),
+    )
 
 
 def _float_cell(value):
@@ -394,65 +446,24 @@ def _csv_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def report_csv(report):
-    """Merge the report blocks into one table keyed on k.
-
-    Column layout per block: computed eigenvalue, predicted lattice
-    value, relative deviation, mirroring the printed tables this
-    reproduces (value, prediction, |prediction/value - 1|, then the
-    second block's triple).
-    """
-    first = report.blocks[0]
-    header = ["k"]
-    suffixes = []
-    for b in report.blocks:
-        if b.k != first.k:
-            raise ValueError("blocks must share the k column to merge")
-        suffix = "" if len(report.blocks) == 1 else "_" + b.label
-        suffixes.append(suffix)
-        header += [f"lambda{suffix}", f"sigma{suffix}", f"deviation{suffix}"]
-    rows = []
-    for i, k in enumerate(first.k):
-        row = [k]
-        for b in report.blocks:
-            row += [b.computed[i], b.predicted[i], b.deviation[i]]
-        rows.append(row)
-    return _csv_text(header, rows)
+def _json_cell(value):
+    """A table cell as JSON: non-finite floats become null, as strict parsers require."""
+    if value is None or isinstance(value, (str, int)):
+        return value
+    value = float(value)
+    return value if math.isfinite(value) else None
 
 
 def _clean_metadata(metadata):
     return {key: value for key, value in metadata.items() if key != "runtime_seconds"}
 
 
-def report_json(report):
-    doc = {
-        "blocks": [
-            {
-                "label": b.label,
-                "rows": [
-                    {
-                        "k": int(b.k[i]),
-                        "lambda": b.computed[i],
-                        "sigma": b.predicted[i],
-                        "deviation": b.deviation[i],
-                    }
-                    for i in range(len(b.k))
-                ],
-            }
-            for b in report.blocks
-        ],
-        "metadata": _clean_metadata(report.metadata),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def write_atomic(path, text):
-    """Write text through a temp file and rename into place."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+def write_atomic(path, data):
+    """Write text (as UTF-8) or bytes through a temp file and rename into place."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
 
 
@@ -460,7 +471,7 @@ def write_atomic(path, text):
 class ExperimentTable:
     """Main table of an experiment plus what run_experiment writes beside it.
 
-    `meta`, when set, becomes `<stem>_meta.json`; each series entry
+    `metadata`, when set, becomes `<stem>_meta.json`; each series entry
     (name, xs, ys) becomes the two-column `<stem>_<name>.csv`.  A custom
     run also keeps its fine-level `spectrum`, whose mesh and assembled
     system the CLI dumps on request; it is not part of an artifact.
@@ -468,9 +479,16 @@ class ExperimentTable:
 
     header: tuple
     rows: list
-    meta: dict = None
+    metadata: dict = None
     series: tuple = ()
     spectrum: object = None
+
+    def text(self, fmt):
+        """The table as CSV, or as JSON: a list of row objects keyed by the header."""
+        if fmt == "csv":
+            return _csv_text(self.header, self.rows)
+        doc = [{name: _json_cell(value) for name, value in zip(self.header, row)} for row in self.rows]
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _resolve_domain(domain):
@@ -507,20 +525,8 @@ def _peters_phase(config):
     return ExperimentTable(
         header=("x", "re_f", "im_f", "planewave_re", "residual"),
         rows=list(zip(x, values.real, values.imag, wave.real, remainder)),
-        meta=summary,
+        metadata=summary,
         series=(("remainder", x, remainder),),
-    )
-
-
-def _quasimode_residual(config):
-    study = quasimode_residual_study(
-        config.q, config.surface_length, config.h, config.k_list, config.grading_factor
-    )
-    return ExperimentTable(
-        header=("k", "sigma", "residual", "nearest_gap"),
-        rows=list(study.rows),
-        meta=study.metadata,
-        series=(("residual", [r[1] for r in study.rows], [r[2] for r in study.rows]),),
     )
 
 
@@ -559,7 +565,9 @@ _EXPERIMENTS = {
     "reproduce_example_2": lambda c: reproduce_table(2, c.h, c.grading_factor),
     "sl_vs_sloshing": lambda c: sl_vs_sloshing(c.q, c.surface_length, c.h, c.kmax, c.grading_factor),
     "peters_phase": _peters_phase,
-    "quasimode_residual": _quasimode_residual,
+    "quasimode_residual": lambda c: quasimode_residual_study(
+        c.q, c.surface_length, c.h, c.k_list, c.grading_factor
+    ),
     "convergence": _convergence,
     "custom": _custom,
 }
@@ -577,21 +585,11 @@ def compute_experiment(config):
 def _artifacts(config, result):
     """(file name, text) of every artifact of a result, main table first."""
     stem = config.stem
-    if isinstance(result, ComparisonReport):
-        main = report_csv(result) if config.out_format == "csv" else report_json(result)
-        files = [(f"{stem}.{config.out_format}", main)]
-        meta = result.metadata
-        series = [
-            (f"{b.label}_{column}", b.k, values)
-            for b in result.blocks
-            for column, values in (("lambda", b.computed), ("sigma", b.predicted))
-        ]
-    else:
-        files = [(f"{stem}.csv", _csv_text(result.header, result.rows))]
-        meta, series = result.meta, result.series
-    if meta is not None:
-        files.append((f"{stem}_meta.json", json.dumps(_clean_metadata(meta), indent=2, sort_keys=True) + "\n"))
-    files += [(f"{stem}_{name}.csv", _csv_text(["x", "y"], list(zip(xs, ys)))) for name, xs, ys in series]
+    files = [(f"{stem}.{config.out_format}", result.text(config.out_format))]
+    if result.metadata is not None:
+        meta = _clean_metadata(result.metadata)
+        files.append((f"{stem}_meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n"))
+    files += [(f"{stem}_{name}.csv", _csv_text(["x", "y"], list(zip(xs, ys)))) for name, xs, ys in result.series]
     return files
 
 

@@ -305,7 +305,7 @@ def far_field_fit(params, x, values):
     below any power rate.  Samples count as usable where
     |values - c e^{-ix} - d| stays above rounding level; the fit window
     needs 12 of them, so that up to nine real unknowns stay
-    over-determined.
+    over-determined, and fewer raise FloatingPointError.
     """
     x = np.asarray(x, dtype=float)
     values = np.asarray(values, dtype=complex)
@@ -333,5 +333,5 @@ def far_field_fit(params, x, values):
     offset = complex(sol[1]) if len(fixed) > 1 else 0j
     resid = np.abs(yw - coeff * fixed[0] - offset)
     if np.count_nonzero(resid > 1e-13 * abs(coeff)) < 12:
-        raise ValueError("too few usable samples for a decay fit")
+        raise FloatingPointError("too few usable samples for a decay fit")
     return FarFieldFit(abs(coeff), cmath.phase(coeff), float(best), offset)

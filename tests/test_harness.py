@@ -19,8 +19,6 @@ from sloshspec.harness import (
     config_from_json,
     load_config,
     quasimode_residual_study,
-    report_csv,
-    report_json,
     reproduce_table,
     run_experiment,
     sl_vs_sloshing,
@@ -159,11 +157,11 @@ def test_comparison_report_block_lookup():
 def test_report_csv_layout():
     one = ReportBlock("left", (1, 2), (1.0, 2.0), (1.0, 2.2))
     two = ReportBlock("right", (1, 2), (3.0, 4.0), (3.3, 4.4))
-    single = report_csv(ComparisonReport(blocks=(one,)))
+    single = ComparisonReport(blocks=(one,)).text("csv")
     lines = single.strip().split("\n")
     assert lines[0] == "k,lambda,sigma,deviation"
     assert len(lines) == 3
-    merged = report_csv(ComparisonReport(blocks=(one, two)))
+    merged = ComparisonReport(blocks=(one, two)).text("csv")
     header = merged.strip().split("\n")[0].split(",")
     assert header == [
         "k",
@@ -172,7 +170,7 @@ def test_report_csv_layout():
     ]
     mismatched = ReportBlock("right", (1, 3), (3.0, 4.0), (3.3, 4.4))
     with pytest.raises(ValueError, match="share the k column"):
-        report_csv(ComparisonReport(blocks=(one, mismatched)))
+        ComparisonReport(blocks=(one, mismatched)).text("csv")
 
 
 def test_report_json_drops_runtime_metadata():
@@ -180,7 +178,7 @@ def test_report_json_drops_runtime_metadata():
     report = ComparisonReport(
         blocks=(block,), metadata={"h": 0.1, "runtime_seconds": 12.0}
     )
-    doc = json.loads(report_json(report))
+    doc = json.loads(report.text("json"))
     assert doc["metadata"] == {"h": 0.1}
     assert doc["blocks"][0]["rows"][0]["lambda"] == 2.0
 
@@ -191,6 +189,8 @@ def test_write_atomic_replaces_and_creates_dirs(tmp_path):
     write_atomic(str(target), "two\n")
     assert target.read_text() == "two\n"
     assert not target.with_name("out.txt.tmp").exists()
+    write_atomic(str(target), b"\x00\xff")
+    assert target.read_bytes() == b"\x00\xff"
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +384,23 @@ def test_cli_peters_reports_wave_residual():
 
 def test_cli_fem_solves_and_dumps_mesh(tmp_path):
     domain_file = write_rectangle_json(tmp_path / "rect.json")
-    mesh_file = tmp_path / "mesh.txt"
+    # the dump directories do not exist yet; fem creates them as --out does
+    mesh_file = tmp_path / "mesh_dir" / "mesh.txt"
+    dtn_file = tmp_path / "dtn_dir" / "dtn.bin"
     out = run_cli(
         "fem", "--domain", domain_file, "--h", "0.1", "--neigs", "3",
-        "--dump-mesh", str(mesh_file),
+        "--dump-mesh", str(mesh_file), "--dump-dtn", str(dtn_file),
     )
-    assert out.returncode == 0
+    assert out.returncode == 0, out.stderr
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "k,lambda,errbar"
     lam2 = float(lines[2].split(",")[1])
     assert lam2 == pytest.approx(math.tanh(1.0), rel=1e-2)
     mesh = read_mesh_text(mesh_file)
     assert mesh.num_triangles > 100
+    raw = dtn_file.read_bytes()
+    n = int(np.frombuffer(raw[:8], dtype="<u8")[0])
+    assert n > 10 and len(raw) == 8 + 8 * n * n
 
 
 def test_cli_reproduce_emits_merged_table():
@@ -419,6 +424,16 @@ def test_cli_residual_and_convergence(tmp_path):
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "k,h,lambda,observed_order,richardson,errbar"
     assert len(lines) == 5
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    out = run_cli("convergence", "--domain", domain_file, "--h", "0.1,0.05", "--k", "1,2", "--format", "json")
+    assert out.returncode == 0
+    rows = json.loads(out.stdout, parse_constant=reject)
+    assert len(rows) == 4
+    # two levels give no observed order; CSV writes nan, JSON null
+    assert all(row["observed_order"] is None for row in rows)
 
 
 def test_cli_run_executes_config_deterministically(tmp_path):
@@ -502,13 +517,21 @@ def run_main(capsys, *argv):
         ({"kind": "convergence", "domain": "rect.json", "h_list": [0.1, -0.05], "k_list": [1]}, "h_list"),
         ({"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.05], "k_list": [0, 1]}, "k_list"),
         ({"kind": "convergence", "domain": "rect.json", "h_list": ["a", 0.05], "k_list": [1]}, "h_list"),
+        # whole numbers only: int() would run 2.7 as q=2
+        ({"kind": "sl_vs_sloshing", "q": 2.7}, "q"),
+        ({"kind": "sl_vs_sloshing", "kmax": 3.9}, "kmax"),
+        ({"kind": "quasimode_residual", "k_list": [4.5]}, "k_list"),
+        # the far-field fit needs 12 samples in the outer half of the window
+        ({"kind": "peters_phase", "samples": 20}, "samples"),
+        (None, "config"),  # no config file at all
     ],
 )
 def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys, config, field_name):
     monkeypatch.chdir(tmp_path)
     write_rectangle_json(tmp_path / "rect.json")
     (tmp_path / "not_json.txt").write_text("not json")
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
     code, doc = run_main(capsys, "run", "--config", "cfg.json", "--out", "out")
     assert code == 2
     assert doc["error"]["type"] == "config"
@@ -552,42 +575,57 @@ def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsy
     assert doc["error"]["field"] == field_name
 
 
+_SAME_TABLE_CASES = [
+    (
+        "fem-custom",
+        ["fem", "--domain", "rect.json", "--h", "0.1", "--neigs", "3", "--grading", "0.5"],
+        {"kind": "custom", "domain": "rect.json", "h": 0.1, "kmax": 3, "grading_factor": 0.5},
+        "fem",
+    ),
+    (
+        "peters-peters_phase",
+        ["peters", "--alpha", repr(math.pi / 3), "--bc", "dirichlet", "--samples", "48", "--xmax", "24"],
+        {"kind": "peters_phase", "alpha": math.pi / 3, "condition": "dirichlet", "samples": 48, "xmax": 24.0},
+        "peters",
+    ),
+    (
+        "residual-quasimode_residual",
+        ["residual", "--q", "2", "--h", "0.01", "--k", "6,4", "--grading", "1.0"],
+        {"kind": "quasimode_residual", "q": 2, "h": 0.01, "k_list": [6, 4], "grading_factor": 1.0},
+        "residual",
+    ),
+    (
+        "convergence",
+        ["convergence", "--domain", "rect.json", "--h", "0.1,0.07,0.05", "--k", "2,1"],
+        {"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.07, 0.05], "k_list": [2, 1]},
+        "convergence",
+    ),
+    (
+        "reproduce-reproduce_example_1",
+        ["reproduce", "--example", "1", "--h", "0.04"],
+        {"kind": "reproduce_example_1", "h": 0.04},
+        "example_1",
+    ),
+]
+
+
 @pytest.mark.parametrize(
-    "argv, config, table",
+    "argv, config, stem, fmt",
     [
-        (
-            ["fem", "--domain", "rect.json", "--h", "0.1", "--neigs", "3", "--grading", "0.5"],
-            {"kind": "custom", "domain": "rect.json", "h": 0.1, "kmax": 3, "grading_factor": 0.5},
-            "fem.csv",
-        ),
-        (
-            ["peters", "--alpha", repr(math.pi / 3), "--bc", "dirichlet", "--samples", "48", "--xmax", "24"],
-            {"kind": "peters_phase", "alpha": math.pi / 3, "condition": "dirichlet", "samples": 48,
-             "xmax": 24.0},
-            "peters.csv",
-        ),
-        (
-            ["residual", "--q", "2", "--h", "0.01", "--k", "6,4", "--grading", "1.0"],
-            {"kind": "quasimode_residual", "q": 2, "h": 0.01, "k_list": [6, 4], "grading_factor": 1.0},
-            "residual.csv",
-        ),
-        (
-            ["convergence", "--domain", "rect.json", "--h", "0.1,0.07,0.05", "--k", "2,1"],
-            {"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.07, 0.05], "k_list": [2, 1]},
-            "convergence.csv",
-        ),
+        pytest.param(argv, config, stem, fmt, id=name if fmt == "csv" else f"{name}-json")
+        for fmt in ("csv", "json")
+        for name, argv, config, stem in _SAME_TABLE_CASES
     ],
-    ids=["fem-custom", "peters-peters_phase", "residual-quasimode_residual", "convergence"],
 )
-def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, capsys, argv, config, table):
+def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, capsys, argv, config, stem, fmt):
     monkeypatch.chdir(tmp_path)
     write_rectangle_json(tmp_path / "rect.json")
-    (tmp_path / "cfg.json").write_text(json.dumps(dict(config, label="from_run")))
-    assert run_main(capsys, *argv, "--out", "cli")[0] == 0
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(config, label="from_run", out_format=fmt)))
+    assert run_main(capsys, *argv, "--format", fmt, "--out", "cli")[0] == 0
     assert run_main(capsys, "run", "--config", "cfg.json", "--out", "run")[0] == 0
-    cli_bytes = (tmp_path / "cli" / table).read_bytes()
+    cli_bytes = (tmp_path / "cli" / f"{stem}.{fmt}").read_bytes()
     assert cli_bytes.count(b"\n") > 2
-    assert cli_bytes == (tmp_path / "run" / "from_run.csv").read_bytes()
+    assert cli_bytes == (tmp_path / "run" / f"from_run.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,10 @@ def test_far_field_fit_validation():
     x = np.linspace(1.0, 10.0, 32)
     with pytest.raises(ValueError, match="increasing"):
         far_field_fit(params, x[::-1], np.exp(-1j * x))
+    # a pure plane wave leaves no remainder above rounding level; the CLI
+    # reports this ArithmeticError as a numerical failure (exit 1)
+    with pytest.raises(FloatingPointError, match="usable"):
+        far_field_fit(params, x, np.exp(-1j * x))
 
 
 def test_wave_coefficient_round_trip():
