@@ -26,7 +26,6 @@ from .fem_steklov import (
     DtNOperatorMatrix,
     SteklovSolveError,
     SteklovSpectrum,
-    apply_dtn,
     assemble,
     convergence_study,
     dtn_action,
@@ -110,7 +109,6 @@ __all__ = [
     "SteklovSpectrum",
     "TriangleMesh",
     "ansatz_exponents",
-    "apply_dtn",
     "assemble",
     "boundary_matrix",
     "build_curvilinear_example",

@@ -2,20 +2,23 @@
 
 Pipeline: `solve_steklov` is the one entry from a domain or mesh to a
 spectrum.  `assemble` builds the P1 stiffness matrix of the Laplacian,
-eliminates Dirichlet-tagged boundary nodes symmetrically, and builds
-the 1D P1 mass matrix of the surviving surface nodes once, with their
-rows in the free-node space.  The sparse pencil K u = lambda B u, B that
-mass embedded, is solved for its lowest pairs by shift-invert Lanczos
-with one sparse factorization; the spectrum keeps its mesh and system.
-The surface traces of the eigenvectors are the eigenvectors of the
+eliminates Dirichlet-tagged boundary nodes symmetrically, and orders
+the remaining (free) nodes in one block layout: interior nodes first,
+by node id, then the surviving surface nodes in path order.  It builds
+the 1D P1 mass matrix of the surface block once.  The sparse pencil
+K u = lambda B u, B = diag(0, surface mass), is solved for its lowest
+pairs by shift-invert Lanczos with one sparse factorization; the
+spectrum keeps its mesh and system.  The surface traces of the
+eigenvectors, the trailing rows of u, are the eigenvectors of the
 discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
 
 The DtN map is still available as the Schur complement
-D = K_SS - K_SI K_II^{-1} K_IS of the surface block.  One path slices
-the blocks and factors K_II once: `dtn_action` returns its matrix-free
-action (for residuals on fine meshes), and `dtn_matrix` applies that
-action to identity column blocks (for dumps and property checks).  All
-steps are deterministic for a fixed mesh.
+D = K_SS - K_SI K_II^{-1} K_IS of the trailing block.  One path slices
+the contiguous blocks and factors K_II once: `dtn_action` returns its
+matrix-free action (for residuals on fine meshes), and `dtn_matrix`
+applies that action to identity column blocks (for dumps and property
+checks).  Both sparse factorizations go through `_factor`.  All steps
+are deterministic for a fixed mesh.
 """
 
 from dataclasses import dataclass
@@ -39,26 +42,24 @@ class AssembledSystem:
     """Sparse pieces of the discrete problem, in the free-node space.
 
     `stiffness` acts on the free nodes (everything except eliminated
-    Dirichlet nodes), indexed by `free_nodes`.  The surface nodes that
-    survive elimination sit at rows `s_pos` of that space, in path order
-    from corner B; `s_nodes` are their mesh node ids, `s_coords` their
-    arc length from corner A, and `surface_mass` the 1D P1 mass matrix
-    among them.  `surface_length` is the length of the whole surface
-    polyline, eliminated endpoints included.
+    Dirichlet nodes).  Row i belongs to mesh node `row_nodes[i]`: the
+    first `interior_count` rows are the interior nodes by node id, the
+    rest the surface nodes that survive elimination, in path order from
+    corner B.  `s_coords` gives those surface rows' arc length from
+    corner A, and `surface_mass` the 1D P1 mass matrix among them.
+    `surface_length` is the length of the whole surface polyline,
+    eliminated endpoints included.
     """
 
     stiffness: sp.csr_matrix
-    free_nodes: np.ndarray
-    dirichlet_nodes: np.ndarray
-    s_pos: np.ndarray
-    s_nodes: np.ndarray
+    row_nodes: np.ndarray
     s_coords: np.ndarray
     surface_mass: sp.csr_matrix
     surface_length: float
 
     @property
     def interior_count(self):
-        return len(self.free_nodes) - len(self.s_pos)
+        return len(self.row_nodes) - len(self.s_coords)
 
 
 @dataclass
@@ -142,12 +143,8 @@ def assemble(mesh):
         raise SteklovSolveError("mesh carries no steklov-tagged edges")
     stiffness = _stiffness_csr(nodes, mesh.triangles)
 
-    dirichlet_nodes = np.unique(mesh.edges_with_tag("dirichlet"))
     free_mask = np.ones(n, dtype=bool)
-    free_mask[dirichlet_nodes] = False
-    free_nodes = np.where(free_mask)[0]
-    k_free = stiffness[free_nodes][:, free_nodes].tocsr()
-
+    free_mask[mesh.edges_with_tag("dirichlet")] = False
     path = _chain_surface_path(s_edges)
     seg = np.linalg.norm(np.diff(nodes[path], axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -160,37 +157,41 @@ def assemble(mesh):
     mass = sp.coo_matrix((mv, (mr, mc)), shape=(len(path), len(path))).tocsr()
     keep = np.where(free_mask[path])[0]  # a Dirichlet wall drops a surface endpoint
 
+    interior_mask = free_mask.copy()
+    interior_mask[path] = False
+    row_nodes = np.concatenate([np.where(interior_mask)[0], path[keep]])
     return AssembledSystem(
-        stiffness=k_free,
-        free_nodes=free_nodes,
-        dirichlet_nodes=dirichlet_nodes,
-        s_pos=np.searchsorted(free_nodes, path[keep]),
-        s_nodes=path[keep],
+        stiffness=stiffness[row_nodes][:, row_nodes],
+        row_nodes=row_nodes,
         s_coords=s_arclength[keep],
         surface_mass=mass[keep][:, keep],
         surface_length=float(cum[-1]),
     )
 
 
+def _factor(matrix, what):
+    """Sparse LU of `matrix`; `what` names it in the error if SuperLU fails."""
+    try:
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as exc:
+        raise SteklovSolveError(f"{what} factorization failed: {exc}") from exc
+
+
 def _schur(system):
     """Callable X -> D X for the Schur complement D = K_SS - K_SI K_II^{-1} K_IS.
 
-    Slices the blocks and factors the interior block once; X is one
-    surface trace or a block of trace columns, and each call costs one
-    pair of sparse products and one interior solve.
+    Slices the contiguous blocks and factors the interior block once; X
+    is one surface trace or a block of trace columns, and each call
+    costs one pair of sparse products and one interior solve.
     """
-    s_pos = system.s_pos
+    ni = system.interior_count
     K = system.stiffness
-    i_pos = np.delete(np.arange(K.shape[0]), s_pos)
-    k_ss = K[s_pos][:, s_pos].tocsr()
-    if len(i_pos) == 0:
+    k_ss = K[ni:, ni:]
+    if ni == 0:
         return lambda X: k_ss @ np.asarray(X, dtype=float)
-    k_is = K[i_pos][:, s_pos].tocsr()
-    k_si = K[s_pos][:, i_pos].tocsr()
-    try:
-        lu = spla.splu(K[i_pos][:, i_pos].tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SteklovSolveError(f"interior factorization failed: {exc}") from exc
+    k_is = K[:ni, ni:]
+    k_si = K[ni:, :ni]
+    lu = _factor(K[:ni, :ni], "interior")
 
     def apply(X):
         X = np.asarray(X, dtype=float)
@@ -217,7 +218,7 @@ def dtn_matrix(system):
     one block of interior solutions stays within _SCHUR_BLOCK_BYTES.
     """
     apply = _schur(system)
-    ns = len(system.s_pos)
+    ns = len(system.s_coords)
     step = max(8, min(128, _SCHUR_BLOCK_BYTES // (8 * max(1, system.interior_count))))
     D = np.empty((ns, ns))
     for lo in range(0, ns, step):
@@ -230,38 +231,26 @@ def dtn_matrix(system):
     return DtNOperatorMatrix(
         matrix=D,
         s_coords=system.s_coords,
-        s_nodes=system.s_nodes,
+        s_nodes=system.row_nodes[system.interior_count:],
     )
-
-
-def apply_dtn(dtn, trace):
-    """Apply the discrete DtN matrix to a surface trace vector."""
-    trace = np.asarray(trace, dtype=float)
-    if trace.shape[0] != dtn.matrix.shape[0]:
-        raise SteklovSolveError(
-            f"trace length {trace.shape[0]} does not match "
-            f"{dtn.matrix.shape[0]} surface nodes"
-        )
-    return dtn.matrix @ trace
 
 
 def _sloshing_pairs(system, n_eigs):
     """Lowest n_eigs eigenpairs of the sparse pencil K u = lambda B u.
 
-    K is the free-node stiffness and B the surface mass placed in the
-    free-node space, so B is only semidefinite.  Shift-invert Lanczos
+    K is the free-node stiffness and B = diag(0, M), the surface mass M
+    in the trailing block, so B is only semidefinite.  Shift-invert Lanczos
     with a shift sigma = -1/l below the spectrum (l the surface length)
     factors K - sigma B once; that matrix is SPD for every wall
     condition, and the infinite eigenvalues of the pencil map to zero
     under the transformation, so only finite ones are returned.  The
     start vector is fixed, so reruns are byte-identical.
 
-    Returns the ascending eigenvalues and the surface traces u[s_pos],
-    orthonormal in the surface mass inner product because ARPACK returns
-    B-orthonormal vectors.
+    Returns the ascending eigenvalues and the surface traces, the
+    trailing rows of u, orthonormal in the surface mass inner product
+    because ARPACK returns B-orthonormal vectors.
     """
-    s_pos = system.s_pos
-    ns = len(s_pos)
+    ns = len(system.s_coords)
     if ns < 4 * n_eigs:
         raise SteklovSolveError(
             f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
@@ -269,13 +258,10 @@ def _sloshing_pairs(system, n_eigs):
         )
     K = system.stiffness
     n = K.shape[0]
-    m = system.surface_mass.tocoo()
-    B = sp.csr_matrix((m.data, (s_pos[m.row], s_pos[m.col])), shape=(n, n))
+    ni = system.interior_count
+    B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
     sigma = -1.0 / system.surface_length
-    try:
-        lu = spla.splu((K - sigma * B).tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise SteklovSolveError(f"pencil factorization failed: {exc}") from exc
+    lu = _factor(K - sigma * B, "pencil")
     op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
     try:
         w, u = spla.eigsh(
@@ -294,7 +280,7 @@ def _sloshing_pairs(system, n_eigs):
         )
     if w[0] < -1e-8 * scale:
         raise SteklovSolveError(f"spurious negative eigenvalue {w[0]!r}")
-    return np.clip(w, 0.0, None), u[s_pos]
+    return np.clip(w, 0.0, None), u[ni:]
 
 
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):

@@ -30,7 +30,7 @@ import scipy.sparse.linalg
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
 from .fem_steklov import convergence_study, dtn_action, solve_steklov
 from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
-from .highord_sl import HighOrderSLProblem, solve_spectrum
+from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
 
 EXPERIMENT_KINDS = (
@@ -82,14 +82,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
-        if not self.h > 0:
-            raise ConfigError("h", f"mesh size must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:
+            raise ConfigError("h", f"mesh size must be positive and finite, got {self.h}")
         if self.kmax < 1:
             raise ConfigError("kmax", f"kmax must be at least 1, got {self.kmax}")
         if self.q < 1:
             raise ConfigError("q", f"q must be a positive integer, got {self.q}")
-        if not self.surface_length > 0:
-            raise ConfigError("surface_length", "must be positive")
+        if not 0 < self.surface_length < math.inf:
+            raise ConfigError("surface_length", f"must be positive and finite, got {self.surface_length}")
         if not 0 < self.grading_factor <= 1:
             raise ConfigError("grading_factor", "must lie in (0, 1]")
         if self.out_format not in ("csv", "json"):
@@ -102,15 +102,15 @@ class ExperimentConfig:
             # the far-field fit reads the outer half of the samples and needs 12 there
             if self.samples < 23:
                 raise ConfigError("samples", "need at least 23 samples for a far-field fit")
-            if not self.xmax > 0:
-                raise ConfigError("xmax", f"must be positive, got {self.xmax}")
+            if not 0 < self.xmax < math.inf:
+                raise ConfigError("xmax", f"must be positive and finite, got {self.xmax}")
         if self.kind == "convergence":
             if len(self.h_list) < 2:
                 raise ConfigError("h_list", "need at least two mesh sizes")
             if not self.k_list:
                 raise ConfigError("k_list", "need at least one eigenvalue index")
-            if not all(a > b > 0 for a, b in zip(self.h_list, self.h_list[1:])):
-                raise ConfigError("h_list", "mesh sizes must be positive and strictly decreasing")
+            if not all(math.inf > a > b > 0 for a, b in zip(self.h_list, self.h_list[1:])):
+                raise ConfigError("h_list", "mesh sizes must be positive, finite and strictly decreasing")
             if min(self.k_list) < 1:
                 raise ConfigError("k_list", "eigenvalue indices are 1-based")
         if self.kind == "quasimode_residual" and not self.k_list:
@@ -131,6 +131,13 @@ def _whole(value):
     return number
 
 
+def _number(convert, value):
+    """convert(value), refusing booleans, which JSON keeps apart from numbers."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return convert(value)
+
+
 def config_from_json(obj):
     """Build an ExperimentConfig from a parsed JSON document."""
     if not isinstance(obj, dict):
@@ -145,19 +152,21 @@ def config_from_json(obj):
     for name, number, kind in (("k_list", _whole, "integers"), ("h_list", float, "numbers")):
         if name in kwargs:
             try:
-                kwargs[name] = tuple(number(v) for v in kwargs[name])
+                if not isinstance(kwargs[name], (list, tuple)):
+                    raise TypeError(kwargs[name])
+                kwargs[name] = tuple(_number(number, v) for v in kwargs[name])
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(name, f"must be a list of {kind}, got {kwargs[name]!r}") from None
     for name in ("h", "surface_length", "alpha", "xmax", "grading_factor"):
         if name in kwargs:
             try:
-                kwargs[name] = float(kwargs[name])
-            except (TypeError, ValueError):
+                kwargs[name] = _number(float, kwargs[name])
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError(name, f"must be a number, got {kwargs[name]!r}") from None
     for name in ("kmax", "q", "samples"):
         if name in kwargs:
             try:
-                kwargs[name] = _whole(kwargs[name])
+                kwargs[name] = _number(_whole, kwargs[name])
             except (TypeError, ValueError, OverflowError):
                 raise ConfigError(name, f"must be an integer, got {kwargs[name]!r}") from None
     try:
@@ -403,7 +412,7 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     mass_lu = scipy.sparse.linalg.splu(mass)
     rows = []
     for k in sorted(k_list):
-        sigma = (math.pi * (k - 0.5) - math.pi * q / 2.0) / surface_length
+        sigma = ode_asymptotic_prediction(q, surface_length, k)
         trace = quasimode_trace(q, sigma, spec.s_coords, surface_length)
         trace = trace / math.sqrt(float(trace @ (mass @ trace)))
         resid = apply_action(trace) - sigma * (mass @ trace)

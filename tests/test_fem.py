@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 
 from sloshspec.fem_steklov import (
     SteklovSolveError,
-    apply_dtn,
     assemble,
     convergence_study,
     dtn_action,
@@ -28,10 +27,20 @@ from _tables import EX1_TABLE
 
 
 @pytest.fixture(scope="module")
-def iso_system():
+def iso_mesh():
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
+    return generate_mesh(domain, 0.05)
+
+
+@pytest.fixture(scope="module")
+def iso_system(iso_mesh):
+    return assemble(iso_mesh)
+
+
+def _iso_walls_system(walls=("dirichlet", "dirichlet")):
+    domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0, wall_conditions=walls)
     mesh = generate_mesh(domain, 0.05)
-    return assemble(mesh)
+    return mesh, assemble(mesh)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +100,17 @@ def test_surface_mass_matrix_structure(iso_system):
     assert (np.asarray(mass.sum(axis=1)).ravel() > 0).all()
 
 
-def test_surface_arclength_runs_from_corner_a(iso_system):
+def test_surface_arclength_runs_from_corner_a(iso_mesh, iso_system):
     s = iso_system.s_coords
     # all-Neumann walls: nothing is eliminated, so both corners stay on
-    # the path (B first), and s_pos finds each surface node among the
-    # free nodes
+    # the path (B first), and every mesh node owns a row; the surface
+    # rows come last
     assert s[-1] == pytest.approx(0.0, abs=1e-15)
     assert s[0] == pytest.approx(1.0, abs=1e-12)
     assert iso_system.surface_length == pytest.approx(1.0, abs=1e-12)
-    assert len(iso_system.dirichlet_nodes) == 0
-    assert np.array_equal(iso_system.free_nodes[iso_system.s_pos], iso_system.s_nodes)
+    assert len(iso_system.row_nodes) == iso_mesh.num_nodes
+    surface = np.unique(iso_mesh.edges_with_tag("steklov"))
+    assert np.array_equal(np.sort(iso_system.row_nodes[iso_system.interior_count:]), surface)
     assert iso_system.interior_count > 0
 
 
@@ -111,19 +121,52 @@ def test_dirichlet_walls_eliminate_surface_endpoints():
     mesh = generate_mesh(domain, 0.05)
     spec = solve_steklov(domain, 0.05, 3, mesh=mesh)
     system = spec.system
-    assert len(system.dirichlet_nodes) > 0
+    dirichlet = np.unique(mesh.edges_with_tag("dirichlet"))
+    assert len(dirichlet) > 0
+    assert not np.isin(dirichlet, system.row_nodes).any()
     surface = mesh.edges_with_tag("steklov")
-    assert len(system.s_nodes) == len(surface) + 1 - 2
-    ends = np.setdiff1d(np.unique(surface), system.s_nodes)
+    s_nodes = system.row_nodes[system.interior_count:]
+    assert len(s_nodes) == len(surface) + 1 - 2
+    ends = np.setdiff1d(np.unique(surface), s_nodes)
     assert len(ends) == 2
-    assert np.isin(ends, system.dirichlet_nodes).all()
-    assert np.array_equal(system.free_nodes[system.s_pos], system.s_nodes)
-    assert system.surface_mass.shape == (len(system.s_nodes),) * 2
+    assert np.isin(ends, dirichlet).all()
+    assert system.surface_mass.shape == (len(s_nodes),) * 2
     # the surface keeps its full length: sigma = -1/l must not shrink
     # to the span of the surviving nodes
     assert system.surface_length == pytest.approx(1.0, abs=1e-12)
     assert 0 < system.s_coords.min() and system.s_coords.max() < system.surface_length
     assert spec.eigenvalues[0] > 0.5
+
+
+@pytest.mark.parametrize("walls", [("neumann", "neumann"), ("neumann", "dirichlet"), ("dirichlet", "dirichlet")])
+def test_trailing_rows_are_the_surface_path_without_dirichlet_ends(walls):
+    mesh, system = _iso_walls_system(walls)
+    rows = system.row_nodes[system.interior_count:]
+    surface = mesh.edges_with_tag("steklov")
+    edges = {frozenset(e) for e in surface.tolist()}
+    assert all(frozenset(pair) in edges for pair in zip(rows[:-1].tolist(), rows[1:].tolist()))
+    dirichlet = np.unique(mesh.edges_with_tag("dirichlet"))
+    assert np.array_equal(np.sort(rows), np.setdiff1d(np.unique(surface), dirichlet))
+    # the path runs from corner B, so arc length from A falls row by row
+    # by the length of each surface edge
+    step = np.linalg.norm(np.diff(mesh.nodes[rows], axis=0), axis=1)
+    np.testing.assert_allclose(-np.diff(system.s_coords), step, rtol=1e-12)
+
+
+@pytest.mark.parametrize("walls", [("neumann", "neumann"), ("neumann", "dirichlet"), ("dirichlet", "dirichlet")])
+def test_row_nodes_permute_the_non_dirichlet_nodes(walls):
+    mesh, system = _iso_walls_system(walls)
+    rows = system.row_nodes
+    dirichlet = np.unique(mesh.edges_with_tag("dirichlet"))
+    assert np.array_equal(np.sort(rows), np.setdiff1d(np.arange(mesh.num_nodes), dirichlet))
+    ni = system.interior_count
+    assert (np.diff(rows[:ni]) > 0).all()
+    assert system.stiffness.shape == (len(rows),) * 2
+    # the stiffness rows follow row_nodes: with nothing eliminated, the
+    # energy of u = x is the domain's area (1/4 for this triangle)
+    if not len(dirichlet):
+        x = mesh.nodes[rows, 0]
+        assert float(x @ (system.stiffness @ x)) == pytest.approx(0.25, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +192,7 @@ def test_dtn_action_matches_dtn_matrix(iso_system):
     rng = np.random.default_rng(0)
     for _ in range(3):
         trace = rng.standard_normal(dtn.matrix.shape[0])
-        want = apply_dtn(dtn, trace)
+        want = dtn.matrix @ trace
         got = apply_schur(trace)
         assert np.linalg.norm(got - want) < 1e-9 * np.linalg.norm(want)
 
@@ -157,21 +200,20 @@ def test_dtn_action_matches_dtn_matrix(iso_system):
 def test_dtn_action_matches_dense_schur_complement(iso_system):
     # dtn_matrix and dtn_action share one interior solve, so the oracle
     # here is a dense K_SS - K_SI K_II^{-1} K_IS formed independently
-    s_pos = iso_system.s_pos
-    i_pos = np.setdiff1d(np.arange(len(iso_system.free_nodes)), s_pos)
-    K = iso_system.stiffness.toarray()
-    dense = K[np.ix_(s_pos, s_pos)] - K[np.ix_(s_pos, i_pos)] @ np.linalg.solve(
-        K[np.ix_(i_pos, i_pos)], K[np.ix_(i_pos, s_pos)]
-    )
-    apply_schur = dtn_action(iso_system)
-    rng = np.random.default_rng(1)
-    traces = rng.standard_normal((len(s_pos), 3))
-    for trace in traces.T:
-        want = dense @ trace
-        assert np.linalg.norm(apply_schur(trace) - want) < 1e-10 * np.linalg.norm(want)
-    block = apply_schur(traces)
-    assert block.shape == traces.shape
-    np.testing.assert_allclose(block, dense @ traces, rtol=0, atol=1e-10 * np.abs(dense).max())
+    # from the interior-first, surface-last blocks
+    for system in (iso_system, _iso_walls_system()[1]):
+        ni = system.interior_count
+        K = system.stiffness.toarray()
+        dense = K[ni:, ni:] - K[ni:, :ni] @ np.linalg.solve(K[:ni, :ni], K[:ni, ni:])
+        apply_schur = dtn_action(system)
+        rng = np.random.default_rng(1)
+        traces = rng.standard_normal((len(system.s_coords), 3))
+        for trace in traces.T:
+            want = dense @ trace
+            assert np.linalg.norm(apply_schur(trace) - want) < 1e-10 * np.linalg.norm(want)
+        block = apply_schur(traces)
+        assert block.shape == traces.shape
+        np.testing.assert_allclose(block, dense @ traces, rtol=0, atol=1e-10 * np.abs(dense).max())
 
 
 def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, monkeypatch):
@@ -182,12 +224,6 @@ def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, mo
     for build in (dtn_action, dtn_matrix):
         with pytest.raises(SteklovSolveError, match="interior factorization failed"):
             build(iso_system)
-
-
-def test_apply_dtn_rejects_wrong_trace_length(iso_system):
-    dtn = dtn_matrix(iso_system)
-    with pytest.raises(SteklovSolveError, match="does not match"):
-        apply_dtn(dtn, np.ones(dtn.matrix.shape[0] + 3))
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,26 @@ def test_config_from_json_coerces_and_rejects():
         config_from_json(["kind", "custom"])
 
 
+@pytest.mark.parametrize(
+    "doc, field_name",
+    [
+        # a string is iterable: "45" ran as k_list (4, 5)
+        ({"kind": "quasimode_residual", "k_list": "45"}, "k_list"),
+        ({"kind": "quasimode_residual", "k_list": {"4": 1}}, "k_list"),
+        # JSON booleans are not numbers: true ran as h = 1.0
+        ({"kind": "custom", "domain": "rect.json", "h": True}, "h"),
+        ({"kind": "sl_vs_sloshing", "kmax": True}, "kmax"),
+        ({"kind": "quasimode_residual", "k_list": [4, True]}, "k_list"),
+        # an integer literal too large for a float overflowed uncaught
+        ({"kind": "custom", "domain": "rect.json", "h": 10**400}, "h"),
+    ],
+)
+def test_config_from_json_rejects_strings_as_lists_and_booleans_as_numbers(doc, field_name):
+    with pytest.raises(ConfigError) as err:
+        config_from_json(doc)
+    assert err.value.field == field_name
+
+
 def test_config_stem_prefers_label():
     assert ExperimentConfig(kind="sl_vs_sloshing").stem == "sl_vs_sloshing"
     assert ExperimentConfig(kind="sl_vs_sloshing", label="run7").stem == "run7"
@@ -524,6 +544,12 @@ def run_main(capsys, *argv):
         # the far-field fit needs 12 samples in the outer half of the window
         ({"kind": "peters_phase", "samples": 20}, "samples"),
         (None, "config"),  # no config file at all
+        # non-finite sizes: JSON's Infinity used to reach the mesher or the contour
+        ({"kind": "peters_phase", "xmax": math.inf}, "xmax"),
+        ({"kind": "sl_vs_sloshing", "surface_length": math.inf}, "surface_length"),
+        ({"kind": "quasimode_residual", "surface_length": math.inf, "k_list": [4]}, "surface_length"),
+        ({"kind": "reproduce_example_1", "h": math.inf}, "h"),
+        ({"kind": "convergence", "domain": "rect.json", "h_list": [math.inf, 0.1], "k_list": [1]}, "h_list"),
     ],
 )
 def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys, config, field_name):
@@ -564,6 +590,10 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["convergence", "--domain", "rect.json", "--h", "0.1"], "h"),
         (["convergence", "--domain", "rect.json", "--h", "0.1,0.05", "--k", "0"], "k"),
         (["residual", "--h", "0.01", "--k", "4", "--grading", "2"], "grading"),
+        (["peters", "--alpha", "1.0", "--xmax", "inf"], "xmax"),
+        (["reproduce", "--example", "1", "--h", "inf"], "h"),
+        (["residual", "--length", "inf", "--k", "4"], "length"),
+        (["convergence", "--domain", "rect.json", "--h", "inf,0.1"], "h"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
