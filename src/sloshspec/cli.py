@@ -22,6 +22,7 @@ BLAS pool size before numpy loads.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -136,8 +137,8 @@ def _emit(args, stem, result):
 def _positive(value, flag):
     from .harness import ConfigError
 
-    if not value > 0:
-        raise ConfigError(flag, f"must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(flag, f"must be positive and finite, got {value}")
     return value
 
 

@@ -123,15 +123,9 @@ def _chain_surface_path(s_edges):
 
 
 def _stiffness_csr(nodes, triangles):
-    """P1 stiffness in CSR form, assembled in memory-bounded chunks."""
-    n = len(nodes)
-    chunk = 400_000
-    parts = None
-    for lo in range(0, len(triangles), chunk):
-        rows, cols, vals = _backend.stiffness_triplets(nodes, triangles[lo:lo + chunk])
-        block = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        parts = block if parts is None else parts + block
-    return parts
+    """P1 stiffness in CSR form, summed from all element triplets in one COO pass."""
+    rows, cols, vals = _backend.stiffness_triplets(nodes, triangles)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))).tocsr()
 
 
 def assemble(mesh):

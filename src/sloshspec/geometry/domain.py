@@ -119,7 +119,7 @@ class ParametricCurve:
     velocity: object
     t0: float = 0.0
     t1: float = 1.0
-    _table: tuple = field(default=None, compare=False, repr=False)
+    _table: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t1 <= self.t0:
@@ -220,6 +220,9 @@ class SloshingDomain:
         for wall in self.walls:
             if wall.condition == "steklov":
                 raise ValueError("exactly one piece may be Steklov")
+        for name, corner, wall in (("A", self.corner_A, self.walls[0]), ("B", self.corner_B, self.walls[-1])):
+            if corner.condition_adjacent_wall != wall.condition:
+                raise ValueError(f"corner {name} condition disagrees with its {wall.condition} wall")
         computed = self.sloshing_surface.curve.length()
         if abs(computed - self.surface_length) > 1e-10 * max(1.0, computed):
             raise ValueError(

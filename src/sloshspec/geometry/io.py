@@ -26,6 +26,9 @@ Mesh text dump:
     <i> <j> <k>       (M lines, zero-based)
     bedges K
     <i> <j> <tag>     (K lines, tag in {steklov, neumann, dirichlet})
+
+`write_atomic` writes mesh dumps here and, through `harness`, every other
+file the package produces.
 """
 
 import os
@@ -117,6 +120,15 @@ def domain_from_json(obj):
     )
 
 
+def write_atomic(path, data):
+    """Write text (as UTF-8) or bytes through a temp file and rename into place."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = os.fspath(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+    os.replace(tmp, path)
+
+
 def write_mesh_text(mesh, path):
     """Write a mesh in the plain text dump format."""
     lines = [f"nodes {mesh.num_nodes}"]
@@ -125,10 +137,7 @@ def write_mesh_text(mesh, path):
     lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
     lines.append(f"bedges {len(mesh.boundary_edges)}")
     lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
-    text = "\n".join(lines) + "\n"
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_mesh_text(path):

@@ -51,8 +51,8 @@ class TriangleMesh:
     boundary_edges: tuple
     mesh_size: float
     grading_factor: float
-    _edge_arr: np.ndarray = field(default=None, repr=False, compare=False)
-    _tag_arr: np.ndarray = field(default=None, repr=False, compare=False)
+    _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
+    _tag_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)

@@ -30,6 +30,7 @@ import scipy.sparse.linalg
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
 from .fem_steklov import convergence_study, dtn_action, solve_steklov
 from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
+from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
 
@@ -465,15 +466,6 @@ def _json_cell(value):
 
 def _clean_metadata(metadata):
     return {key: value for key, value in metadata.items() if key != "runtime_seconds"}
-
-
-def write_atomic(path, data):
-    """Write text (as UTF-8) or bytes through a temp file and rename into place."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

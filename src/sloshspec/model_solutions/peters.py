@@ -11,7 +11,10 @@ It is given by a keyhole-contour integral
 with mu = pi/(2 alpha) and the bracket present only in the Dirichlet case.
 The contour P runs in from infinity along one side of the ray at angle
 pi + alpha/2, around the circle |zeta| = 2, and back out along the other
-side; g_alpha on the path comes from `contour.g_alpha_continued`.
+side; g_alpha on the path comes from `contour.g_alpha_continued`.  Each
+piece of P is held as its Gauss nodes zeta and weighted densities
+w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over the pieces
+of e^(z zeta) against them.
 
 Far from the corner, f approaches a decaying-free plane wave
 A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
@@ -75,12 +78,13 @@ class SectorParams:
 class PetersEvaluator:
     """Evaluates one sector solution at points of the closed sector.
 
-    The contour pieces that do not depend on the evaluation point (the two
-    ray legs) are discretized once, including the analytic continuation of
-    g_alpha along them; the circle-plus-chord piece depends on arg z and is
-    cached per direction.  `xmax` is the largest |z| the discretization is
-    tuned for; larger arguments are rejected rather than silently
-    under-resolved.
+    Every contour piece is held as a pair (zeta, wdens) of nodes and
+    weighted densities w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so an
+    evaluation is one exponential sum per piece.  The two ray legs do not
+    depend on the evaluation point and are built once; the circle-plus-chord
+    piece depends on arg z and is cached per direction.  `xmax` is the
+    largest |z| the discretization is tuned for; larger arguments are
+    rejected rather than silently under-resolved.
     """
 
     def __init__(self, params, xmax=40.0):
@@ -91,34 +95,27 @@ class PetersEvaluator:
             return
         # the cut between the two rays bisects the sector between the walls
         self._theta_cut = math.pi + params.alpha / 2
-        self._gtol = 1e-12
         self._chord_cache = {}
-        self._build_rays()
-
-    # -- path construction -------------------------------------------------
-
-    def _build_rays(self):
         first = min(0.5, 10.0 / self.xmax)
         breaks = [_CIRCLE_RADIUS]
         while breaks[-1] < _TRUNCATION_RADIUS:
             step = max(first, 0.7 * (breaks[-1] - _CIRCLE_RADIUS))
             breaks.append(min(breaks[-1] + step, _TRUNCATION_RADIUS))
-        breaks = np.asarray(breaks)
-        r, w = _panel_nodes(breaks, 12)
-        theta_in = self._theta_cut - 2 * math.pi
-        theta_out = self._theta_cut
-        self._ray_r = r
+        r, w = _panel_nodes(np.asarray(breaks), 12)
         # in-leg traversed from infinity toward the circle, out-leg back out
-        self._ray_w_in = -w * cmath.exp(1j * theta_in)
-        self._ray_w_out = w * cmath.exp(1j * theta_out)
-        self._ray_g_in = g_alpha_continued(self.params.alpha, r, np.full(r.shape, theta_in), self._gtol)
-        self._ray_g_out = g_alpha_continued(self.params.alpha, r, np.full(r.shape, theta_out), self._gtol)
-        self._ray_zeta_in = r * cmath.exp(1j * theta_in)
-        self._ray_zeta_out = r * cmath.exp(1j * theta_out)
-        self._ray_theta_in = np.full(r.shape, theta_in)
-        self._ray_theta_out = np.full(r.shape, theta_out)
+        self._rays = []
+        for sign, theta in ((-1, self._theta_cut - 2 * math.pi), (1, self._theta_cut)):
+            turn = cmath.exp(1j * theta)
+            self._rays.append(self._piece(r * turn, sign * w * turn, r, np.full(r.shape, theta)))
 
-    def _chord_pieces(self, phi):
+    def _piece(self, zeta, weight, radius, theta):
+        """(zeta, wdens) for nodes zeta = radius e^(i theta) on the continuation path."""
+        dens = g_alpha_continued(self.params.alpha, radius, theta) / (zeta + 1j)
+        if self.params.condition == "dirichlet":
+            dens = dens * np.exp(-self.params.mu * (np.log(np.abs(zeta)) + 1j * theta))
+        return zeta, weight * dens
+
+    def _chord_piece(self, phi):
         """Arcs and chord for evaluation direction phi = arg z (cached)."""
         key = round(phi, 12)
         piece = self._chord_cache.get(key)
@@ -153,31 +150,11 @@ class PetersEvaluator:
         weights.insert(1, w * (p_hi - p_lo))
         thetas.insert(1, np.angle(zet))
         zeta = np.concatenate(zetas)
-        weight = np.concatenate(weights)
-        theta = np.concatenate(thetas)
-        piece = (zeta, weight, g_alpha_continued(self.params.alpha, np.abs(zeta), theta, self._gtol), theta)
+        piece = self._piece(zeta, np.concatenate(weights), np.abs(zeta), np.concatenate(thetas))
         self._chord_cache[key] = piece
         if len(self._chord_cache) > 64:
             self._chord_cache.pop(next(iter(self._chord_cache)))
         return piece
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _closed_form_values(self, z, order):
-        f = np.exp(-1j * z)
-        if self.params.condition == "dirichlet":
-            f = 1j * f
-        return f * (-1j) ** order
-
-    def _piece_sum(self, z, zeta, weight, gvals, theta, order):
-        mu = self.params.mu
-        dens = gvals / (zeta + 1j)
-        if self.params.condition == "dirichlet":
-            dens = dens * np.exp(-mu * (np.log(np.abs(zeta)) + 1j * theta))
-        if order:
-            dens = dens * zeta**order
-        expz = np.exp(np.multiply.outer(z, zeta))
-        return expz @ (weight * dens)
 
     def evaluate(self, z, order=0):
         """f(z), or its order-th z-derivative, for z in the closed sector."""
@@ -187,27 +164,24 @@ class PetersEvaluator:
         if np.any(np.abs(zarr) > self.xmax * (1 + 1e-9)):
             raise ValueError(f"|z| exceeds the discretization design size {self.xmax}")
         if self.closed_form:
-            out = self._closed_form_values(zarr, order)
+            out = np.exp(-1j * zarr) * (-1j) ** order
+            if self.params.condition == "dirichlet":
+                out = 1j * out
             return complex(out[0]) if np.asarray(z).ndim == 0 else out
         alpha = self.params.alpha
         phi = np.where(np.abs(zarr) == 0, 0.0, np.angle(zarr))
         if np.any(phi > 1e-9) or np.any(phi < -alpha - 1e-9):
             raise ValueError("z must satisfy -alpha <= arg z <= 0")
-        phi = np.clip(phi, -alpha, 0.0)
+        keys = np.round(np.clip(phi, -alpha, 0.0), 12)
         out = np.zeros(zarr.shape, dtype=complex)
-        for key in np.unique(np.round(phi, 12)):
-            sel = np.round(phi, 12) == key
+        for key in np.unique(keys):
+            sel = keys == key
             zs = zarr[sel]
-            acc = self._piece_sum(
-                zs, self._ray_zeta_in, self._ray_w_in, self._ray_g_in,
-                self._ray_theta_in, order,
-            )
-            acc += self._piece_sum(
-                zs, self._ray_zeta_out, self._ray_w_out, self._ray_g_out,
-                self._ray_theta_out, order,
-            )
-            zeta, weight, gvals, theta = self._chord_pieces(float(key))
-            acc += self._piece_sum(zs, zeta, weight, gvals, theta, order)
+            acc = 0
+            for zeta, wdens in (*self._rays, self._chord_piece(float(key))):
+                if order:
+                    wdens = wdens * zeta**order
+                acc = acc + np.exp(np.multiply.outer(zs, zeta)) @ wdens
             out[sel] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 

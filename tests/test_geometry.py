@@ -1,5 +1,6 @@
 """Curves, domain assembly, mesh generation, serialization, kernels."""
 
+import dataclasses
 import json
 import math
 
@@ -239,6 +240,13 @@ def test_domain_rejects_walls_running_backwards():
     )
     with pytest.raises(ValueError, match="corner A to corner B"):
         SloshingDomain(BoundaryPiece(seg, "steklov"), walls, spec, spec, 1.0)
+
+
+@pytest.mark.parametrize("corner", ["corner_A", "corner_B"])
+def test_domain_rejects_corners_that_contradict_their_walls(corner):
+    good = build_rectangle_domain(1.0, 1.0, ("neumann", "dirichlet", "neumann"))
+    with pytest.raises(ValueError, match=f"corner {corner[-1]}"):
+        dataclasses.replace(good, **{corner: CornerSpec(math.pi / 2, "dirichlet")})
 
 
 def test_triangle_domain_geometry():

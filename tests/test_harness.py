@@ -594,6 +594,8 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["reproduce", "--example", "1", "--h", "inf"], "h"),
         (["residual", "--length", "inf", "--k", "4"], "length"),
         (["convergence", "--domain", "rect.json", "--h", "inf,0.1"], "h"),
+        (["sl", "--q", "2", "--length", "inf"], "length"),
+        (["asymptotics", "--alpha", "1", "--beta", "1", "--length", "inf"], "length"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
@@ -603,6 +605,20 @@ def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsy
     assert code == 2
     assert doc["error"]["type"] == "config"
     assert doc["error"]["field"] == field_name
+
+
+@pytest.mark.parametrize("argv", [["fem", "--domain", "bad.json", "--h", "0.1"], ["run", "--config", "cfg.json", "--out", "out"]])
+def test_domain_whose_corners_contradict_its_walls_exits_two(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    doc = domain_to_json(build_rectangle_domain(math.pi, 1.0))
+    doc["corner_B"]["condition_adjacent_wall"] = "dirichlet"
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    (tmp_path / "cfg.json").write_text(json.dumps({"kind": "custom", "domain": "bad.json"}))
+    code, err = run_main(capsys, *argv)
+    assert code == 2
+    assert err["error"]["type"] == "config"
+    assert err["error"]["field"] == "domain"
+    assert "corner B" in err["error"]["message"]
 
 
 _SAME_TABLE_CASES = [

@@ -182,3 +182,21 @@ FROZEN_PETERS = {
 def test_evaluation_matches_frozen_values(denominator, condition, z):
     value = complex(eval_peters(SectorParams(math.pi / denominator, condition), z))
     assert abs(value - FROZEN_PETERS[(denominator, condition, z)]) < 1e-12
+
+
+def test_mixed_directions_and_evicted_chords_evaluate_bit_identically():
+    params = SectorParams(math.pi / 3, "dirichlet")
+    radii = np.array([0.5, 7.0, 30.0])
+    directions = -params.alpha * np.linspace(0.0, 1.0, 66)
+    points = radii[None, :] * np.exp(1j * directions)[:, None]
+    checked = [0, 33, 64, 65]
+    single = PetersEvaluator(params)
+    expected = [single.evaluate(points[i]).tobytes() for i in checked]
+    mixed = PetersEvaluator(params)
+    values = mixed.evaluate(points.ravel()).reshape(points.shape)
+    assert [values[i].tobytes() for i in checked] == expected
+    # chords are built from the wall direction up, so the 64-entry cache
+    # has dropped the two directions nearest the wall; they are rebuilt
+    wall_side = [round(float(phi), 12) for phi in directions[-2:]]
+    assert not set(wall_side) & set(mixed._chord_cache)
+    assert [mixed.evaluate(points[i]).tobytes() for i in checked[-2:]] == expected[-2:]
