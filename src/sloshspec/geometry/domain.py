@@ -4,18 +4,22 @@ A domain is a simply connected planar region whose boundary splits into a
 sloshing surface S (carrying the spectral Steklov condition) and walls W
 (Neumann or Dirichlet).  The surface endpoints are the corners A and B;
 their interior angles alpha and beta drive the eigenvalue asymptotics, so
-they are recorded explicitly rather than re-derived from the curves.
+they are recorded explicitly, and checked against the angle the surface
+and its adjacent wall make at each corner.
 
 Curves are parametrized by a fraction u in [0, 1] proportional to arc
 length, which is what boundary sampling for meshing works in.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _GAUSS_LENGTH_NODES = 24
+_TANGENT_STEP = 1e-6  # curve fraction spanned by the chord that stands in for an end tangent
+_ANGLE_TOL = 1e-4  # radians; the chord turns by at most pi * _TANGENT_STEP on an arc
 
 
 def _as_point(p):
@@ -143,6 +147,14 @@ class ParametricCurve:
         return np.asarray(self.position(t))
 
 
+def _leaving(curve, at_end):
+    """Unit direction, as a complex number, leaving a curve end along the curve."""
+    u = (1.0, 1.0 - _TANGENT_STEP) if at_end else (0.0, _TANGENT_STEP)
+    (x0, y0), (x1, y1) = curve.point(np.array(u))
+    d = complex(x1 - x0, y1 - y0)
+    return d / abs(d)
+
+
 def _gauss_length(velocity, t0, t1, tol=1e-13):
     x, w = np.polynomial.legendre.leggauss(_GAUSS_LENGTH_NODES)
     prev = None
@@ -239,6 +251,19 @@ class SloshingDomain:
         if not (np.allclose(chain[0], a_surf, atol=1e-9)
                 and np.allclose(chain[-1], b_surf, atol=1e-9)):
             raise ValueError("walls must run from corner A to corner B")
+        # the interior lies left of the loop, so each angle turns
+        # counterclockwise from the loop's outgoing piece to its incoming one
+        surface = self.sloshing_surface.curve
+        for name, corner, turn in (
+            ("A", self.corner_A, _leaving(surface, False) / _leaving(self.walls[0].curve, False)),
+            ("B", self.corner_B, _leaving(self.walls[-1].curve, True) / _leaving(surface, True)),
+        ):
+            measured = cmath.phase(turn) % (2 * math.pi)
+            if abs(measured - corner.angle) > _ANGLE_TOL:
+                raise ValueError(
+                    f"corner {name} angle {corner.angle!r} disagrees with the angle "
+                    f"{measured!r} its surface and wall make"
+                )
 
     @property
     def corner_points(self):

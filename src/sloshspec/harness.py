@@ -25,10 +25,9 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-from .fem_steklov import convergence_study, dtn_action, solve_steklov
+from .fem_steklov import _factor, convergence_study, dtn_action, solve_steklov
 from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
@@ -409,8 +408,8 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     domain = build_triangle_domain(angle, angle, surface_length)
     spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
     apply_action = dtn_action(spec.system)
-    mass = spec.system.surface_mass.tocsc()
-    mass_lu = scipy.sparse.linalg.splu(mass)
+    mass = spec.system.surface_mass
+    mass_lu = _factor(mass, "surface mass")
     rows = []
     for k in sorted(k_list):
         sigma = ode_asymptotic_prediction(q, surface_length, k)

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sloshspec.fem_steklov import (
     SteklovSolveError,
+    _factor,
     assemble,
     convergence_study,
     dtn_action,
@@ -16,6 +18,7 @@ from sloshspec.fem_steklov import (
     solve_steklov,
 )
 from sloshspec.geometry.domain import (
+    build_curvilinear_example,
     build_rectangle_domain,
     build_triangle_domain,
 )
@@ -224,6 +227,70 @@ def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, mo
     for build in (dtn_action, dtn_matrix):
         with pytest.raises(SteklovSolveError, match="interior factorization failed"):
             build(iso_system)
+
+
+# ---------------------------------------------------------------------------
+# SPD factorization
+# ---------------------------------------------------------------------------
+
+def _recorded_factors(monkeypatch):
+    """Route spla.splu through a recorder of (matrix, factor, keyword options)."""
+    calls = []
+    splu = spla.splu
+
+    def recording(matrix, **kwargs):
+        lu = splu(matrix, **kwargs)
+        calls.append((matrix, lu, kwargs))
+        return lu
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return calls
+
+
+def test_factorization_that_pivots_off_the_diagonal_is_rejected():
+    # symmetric but indefinite, with a zero diagonal: only a row
+    # interchange can factor it
+    swap = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(SteklovSolveError, match="pencil factorization pivoted off the diagonal"):
+        _factor(swap, "pencil")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_triangle_domain(*EX1_ANGLES),
+        lambda: build_triangle_domain(*EX1_ANGLES, wall_conditions=("dirichlet", "dirichlet")),
+        lambda: build_curvilinear_example("-"),
+    ],
+    ids=["ex1-neumann", "ex1-dirichlet", "ex2-minus"],
+)
+def test_pencil_and_interior_factors_keep_their_pivots_on_the_diagonal(build, monkeypatch):
+    calls = _recorded_factors(monkeypatch)
+    spec = solve_steklov(build(), 0.02, 10)
+    dtn_action(spec.system)
+    assert len(calls) == 2
+    for _, lu, _ in calls:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+def test_symmetric_mode_fills_less_than_partial_pivoting(monkeypatch):
+    calls = _recorded_factors(monkeypatch)
+    solve_steklov(build_curvilinear_example("-"), 0.02, 10)
+    pencil = calls[0][0]
+    monkeypatch.undo()
+    partial = spla.splu(pencil.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    assert _factor(pencil, "pencil").nnz < partial.nnz
+
+
+def test_every_factorization_of_the_residual_study_is_spd(monkeypatch):
+    # pencil, interior block and surface mass all run in symmetric mode
+    calls = _recorded_factors(monkeypatch)
+    quasimode_residual_study(2, 1.0, 0.02, (4,))
+    assert len(calls) == 3
+    for _, lu, kwargs in calls:
+        assert kwargs["diag_pivot_thresh"] == 0.0
+        assert kwargs["options"] == {"SymmetricMode": True}
+        assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 # ---------------------------------------------------------------------------

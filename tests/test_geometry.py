@@ -249,6 +249,30 @@ def test_domain_rejects_corners_that_contradict_their_walls(corner):
         dataclasses.replace(good, **{corner: CornerSpec(math.pi / 2, "dirichlet")})
 
 
+@pytest.mark.parametrize("corner", ["corner_A", "corner_B"])
+def test_domain_rejects_corner_angles_that_contradict_the_geometry(corner):
+    good = build_rectangle_domain(1.0, 1.0)
+    with pytest.raises(ValueError, match=f"corner {corner[-1]} angle 0.3 disagrees"):
+        dataclasses.replace(good, **{corner: CornerSpec(0.3, "neumann")})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_triangle_domain(math.pi / 4, math.pi / 4, 1.0),
+        lambda: build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, ("neumann", "dirichlet")),
+        lambda: build_rectangle_domain(math.pi, 1.0),
+        lambda: build_curvilinear_example("+"),
+        lambda: build_curvilinear_example("-"),
+        notch_domain,
+    ],
+    ids=["triangle-q2", "triangle-ex1", "rectangle", "example2-plus", "example2-minus", "notch"],
+)
+def test_builtin_domains_pass_the_corner_angle_check(build):
+    # construction runs every check, the measured corner angles included
+    assert isinstance(build(), SloshingDomain)
+
+
 def test_triangle_domain_geometry():
     dom = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     a, b = dom.corner_points

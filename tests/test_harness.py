@@ -621,6 +621,20 @@ def test_domain_whose_corners_contradict_its_walls_exits_two(tmp_path, monkeypat
     assert "corner B" in err["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [["fem", "--domain", "bad.json", "--h", "0.1"], ["run", "--config", "cfg.json", "--out", "out"]])
+def test_domain_with_a_wrong_corner_angle_exits_two(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    doc = domain_to_json(build_rectangle_domain(math.pi, 1.0))
+    doc["corner_A"]["angle"] = 0.3
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    (tmp_path / "cfg.json").write_text(json.dumps({"kind": "custom", "domain": "bad.json"}))
+    code, err = run_main(capsys, *argv)
+    assert code == 2
+    assert err["error"]["type"] == "config"
+    assert err["error"]["field"] == "domain"
+    assert "corner A angle 0.3" in err["error"]["message"]
+
+
 _SAME_TABLE_CASES = [
     (
         "fem-custom",
