@@ -54,7 +54,7 @@ def build_parser():
     _common_flags(p)
 
     p = sub.add_parser("peters", help="sector solution sampled along the surface ray")
-    p.add_argument("--alpha", type=float, required=True, help="wedge angle in radians, at most pi/2")
+    p.add_argument("--alpha", type=float, required=True, help="wedge angle in radians, below pi/2")
     p.add_argument("--bc", default="neumann", choices=("neumann", "dirichlet"))
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--xmax", type=float, default=40.0)

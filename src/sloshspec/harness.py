@@ -503,12 +503,16 @@ def _resolve_domain(domain):
 
 
 def _peters_phase(config):
-    from .model_solutions.peters import SectorParams, eval_peters, far_field_fit
+    from .model_solutions.peters import XMAX_LIMIT, SectorParams, eval_peters, far_field_fit
 
     try:
         params = SectorParams(config.alpha, config.condition)
     except ValueError as exc:
         raise ConfigError("alpha", str(exc)) from None
+    if params.closed_form:
+        raise ConfigError("alpha", "at pi/2 the solution is the plane wave itself and leaves no remainder to fit")
+    if config.xmax > XMAX_LIMIT:
+        raise ConfigError("xmax", f"must be at most {XMAX_LIMIT:.1f}; beyond it rounding in the contour exceeds 1e-8")
     x = np.linspace(config.xmax / config.samples, config.xmax, config.samples)
     values = eval_peters(params, x)
     fit = far_field_fit(params, x, values)

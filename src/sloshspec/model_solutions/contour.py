@@ -22,6 +22,9 @@ to the requested absolute tolerance.  The levels are nested: each one adds
 only the new nodes halfway between the previous ones and reuses the
 previous sum, so no node is evaluated twice.  The double-exponential nodes
 absorb the logarithmic endpoint singularities without special casing.
+The two legs share one complex logarithm per node: the (0, 1] leg's
+log(1 + X), X = (t e^{i ray})^(-2 mu), is exactly log X plus the conjugate
+of the inverted leg's log(1 + t^(2 mu) e^(-2 i mu ray)) (see `_i_ray`).
 
 Composite Gauss-Legendre panels (`_panel_nodes`) discretize the smooth
 contours built on these functions.
@@ -97,21 +100,6 @@ def _panel_nodes(breaks, n):
     return nodes, weights
 
 
-def _log1p_large(log_mod, phase):
-    """log(1 + X) for X = exp(log_mod + i*phase), stable for huge |X|.
-
-    Here |X| >= 1 throughout (X = t^{-2 mu} on t <= 1), so the plain
-    logarithm is accurate whenever exp does not overflow.  log_mod varies
-    along the leading (t) axis only, so each branch is evaluated on just
-    the rows that take it.
-    """
-    big = np.ravel(log_mod > 300.0)
-    out = np.empty(np.broadcast_shapes(np.shape(log_mod), np.shape(phase)), dtype=complex)
-    out[~big] = np.log(1.0 + np.exp(log_mod[~big]) * np.exp(1j * phase))
-    out[big] = (log_mod[big] + 1j * phase) + np.exp(-log_mod[big] - 1j * phase)
-    return out
-
-
 def _log_mu_ratio(mu, u):
     """log((1 - e^{-2 mu u})/(1 - e^{-2 u})), smooth through u = 0.
 
@@ -140,20 +128,28 @@ def _i_ray(alpha, zeta, ray, tol=1e-12):
 
     Valid whenever |arg zeta - ray| < pi/2 and |ray| < alpha; the caller is
     responsible for choosing legal rays.  Vectorized over zeta.
+
+    The (0, 1] leg's log(1 + X), X = (t e^{i ray})^(-2 mu), is taken as
+    log X + log(1 + 1/X) = -2 mu (log t + i ray) + conj(lead2), where
+    lead2 = log(1 + t^(2 mu) e^(-2 i mu ray)) is the inverted leg's term.
+    The split holds on the principal branch because |arg X| = 2 mu |ray|
+    < pi and |1/X| = t^(2 mu) < 1, so each (node, point) pair costs one
+    complex logarithm, and huge |X| near t = 0 never has to be formed.
     """
     mu = math.pi / (2 * alpha)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     ray = np.broadcast_to(np.asarray(ray, dtype=float), zeta.shape)
     e = np.exp(1j * ray)
     z2 = zeta**2
+    turn = np.exp(-2j * mu * ray)
 
     def integrand(t):
         tc = t[:, None]
         logt = np.log(tc)
-        # leg along (0, 1]: log(1 + (t e^{i ray})^{-2 mu})
-        lead = _log1p_large(-2 * mu * logt, -2 * mu * ray)
         # leg along [1, inf), inverted with s = 1/t
-        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * np.exp(-2j * mu * ray))
+        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * turn)
+        # leg along (0, 1]
+        lead = -2 * mu * (logt + 1j * ray) + lead2.conj()
         return lead * (zeta * e / (tc**2 * e**2 + z2)) + lead2 * (
             zeta * e / (e**2 + z2 * tc**2)
         )
@@ -293,8 +289,9 @@ def eval_J(mu, tol=1e-12):
 
     def integrand(t):
         logt = np.log(t)
-        lead = _log1p_large(-2 * mu * logt, 0.0)
+        # log(1 + t^(-2 mu)) split as in _i_ray, with ray = 0
         lead2 = np.log1p(np.exp(2 * mu * logt))
+        lead = -2 * mu * logt + lead2
         return lead * (ea / (t**2 - ea**2)) + lead2 * (ea / (1.0 - t**2 * ea**2))
 
     return complex(_tanh_sinh(integrand, tol, "J integral"))

@@ -14,7 +14,10 @@ pi + alpha/2, around the circle |zeta| = 2, and back out along the other
 side; g_alpha on the path comes from `contour.g_alpha_continued`.  Each
 piece of P is held as its Gauss nodes zeta and weighted densities
 w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over the pieces
-of e^(z zeta) against them.
+of e^(z zeta) against them.  The path depends on alpha, the design size
+and the evaluation direction, never on the wall condition, so the
+condition-free g_alpha(zeta)/(zeta + i) of each piece is computed once and
+shared by a sector's Neumann and Dirichlet solutions (`_g_density`).
 
 Far from the corner, f approaches a decaying-free plane wave
 A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
@@ -26,7 +29,9 @@ the arc there: on the arc, |e^(z zeta)| reaches e^(2|z|), and the resulting
 cancellation at |z| = 40 would cost half the double-precision mantissa.
 The chord is placed at Re(zeta e^(i arg z)) = _CHORD_ABSCISSA, capping
 amplification at e^(_CHORD_ABSCISSA |z|) while keeping the pole at -i and
-the branch arc of g_alpha on its far side.
+the branch arc of g_alpha on its far side.  That amplification of double
+rounding reaches 1e-8 at |z| = XMAX_LIMIT (about 117), the largest size an
+evaluator accepts short of the closed-form angle pi/2.
 
 The discretization is fixed: the circle has radius _CIRCLE_RADIUS, the rays
 extend with geometrically growing panels up to _TRUNCATION_RADIUS, and the
@@ -48,6 +53,10 @@ _CHORD_ABSCISSA = 0.15
 _CIRCLE_RADIUS = 2.0
 _TRUNCATION_RADIUS = 1e12
 _NODES_PER_UNIT = 48.0
+XMAX_LIMIT = math.log(1e-8 / np.finfo(float).eps) / _CHORD_ABSCISSA
+_DENSITY_CACHE_SIZE = 64
+# g_alpha(zeta)/(zeta + i) per contour piece, keyed on (alpha, xmax, piece)
+_DENSITY_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -62,6 +71,11 @@ class SectorParams:
             raise ValueError("alpha must lie in (0, pi/2]")
         if self.condition not in ("neumann", "dirichlet"):
             raise ValueError("condition must be 'neumann' or 'dirichlet'")
+
+    @property
+    def closed_form(self):
+        """At alpha = pi/2 the solution is exactly the plane wave."""
+        return abs(self.alpha - math.pi / 2) < 1e-12
 
     @property
     def mu(self):
@@ -82,17 +96,25 @@ class PetersEvaluator:
     weighted densities w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so an
     evaluation is one exponential sum per piece.  The two ray legs do not
     depend on the evaluation point and are built once; the circle-plus-chord
-    piece depends on arg z and is cached per direction.  `xmax` is the
-    largest |z| the discretization is tuned for; larger arguments are
-    rejected rather than silently under-resolved.
+    piece depends on arg z and is cached per direction.  Every piece takes
+    g_alpha from `_g_density`, which computes it once per (alpha, xmax,
+    piece) for both wall conditions; the Dirichlet evaluator then
+    multiplies in zeta^(-mu).  `xmax` is the largest |z| the
+    discretization is tuned for; larger arguments are rejected rather than
+    silently under-resolved, and away from alpha = pi/2 so is an `xmax`
+    above XMAX_LIMIT.
     """
 
     def __init__(self, params, xmax=40.0):
         self.params = params
         self.xmax = float(xmax)
-        self.closed_form = abs(params.alpha - math.pi / 2) < 1e-12
-        if self.closed_form:
+        if params.closed_form:
             return
+        if not self.xmax <= XMAX_LIMIT:
+            raise ValueError(
+                f"xmax {self.xmax} exceeds {XMAX_LIMIT:.1f}, past which the chord "
+                "amplifies rounding above 1e-8"
+            )
         # the cut between the two rays bisects the sector between the walls
         self._theta_cut = math.pi + params.alpha / 2
         self._chord_cache = {}
@@ -106,11 +128,13 @@ class PetersEvaluator:
         self._rays = []
         for sign, theta in ((-1, self._theta_cut - 2 * math.pi), (1, self._theta_cut)):
             turn = cmath.exp(1j * theta)
-            self._rays.append(self._piece(r * turn, sign * w * turn, r, np.full(r.shape, theta)))
+            self._rays.append(
+                self._piece(("ray", sign), r * turn, sign * w * turn, r, np.full(r.shape, theta))
+            )
 
-    def _piece(self, zeta, weight, radius, theta):
+    def _piece(self, tag, zeta, weight, radius, theta):
         """(zeta, wdens) for nodes zeta = radius e^(i theta) on the continuation path."""
-        dens = g_alpha_continued(self.params.alpha, radius, theta) / (zeta + 1j)
+        dens = _g_density(self.params.alpha, self.xmax, tag, zeta, radius, theta)
         if self.params.condition == "dirichlet":
             dens = dens * np.exp(-self.params.mu * (np.log(np.abs(zeta)) + 1j * theta))
         return zeta, weight * dens
@@ -150,7 +174,9 @@ class PetersEvaluator:
         weights.insert(1, w * (p_hi - p_lo))
         thetas.insert(1, np.angle(zet))
         zeta = np.concatenate(zetas)
-        piece = self._piece(zeta, np.concatenate(weights), np.abs(zeta), np.concatenate(thetas))
+        piece = self._piece(
+            ("chord", key), zeta, np.concatenate(weights), np.abs(zeta), np.concatenate(thetas)
+        )
         self._chord_cache[key] = piece
         if len(self._chord_cache) > 64:
             self._chord_cache.pop(next(iter(self._chord_cache)))
@@ -163,7 +189,7 @@ class PetersEvaluator:
             raise ValueError("z must be finite")
         if np.any(np.abs(zarr) > self.xmax * (1 + 1e-9)):
             raise ValueError(f"|z| exceeds the discretization design size {self.xmax}")
-        if self.closed_form:
+        if self.params.closed_form:
             out = np.exp(-1j * zarr) * (-1j) ** order
             if self.params.condition == "dirichlet":
                 out = 1j * out
@@ -186,6 +212,20 @@ class PetersEvaluator:
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
+def _g_density(alpha, xmax, tag, zeta, radius, theta):
+    """g_alpha(zeta)/(zeta + i) on the contour piece `tag` of the sector
+    (alpha, xmax), computed on first use and shared by both wall conditions.
+    Entries leave first-in first-out past _DENSITY_CACHE_SIZE pieces."""
+    key = (alpha, xmax, tag)
+    dens = _DENSITY_CACHE.get(key)
+    if dens is None:
+        dens = g_alpha_continued(alpha, radius, theta) / (zeta + 1j)
+        _DENSITY_CACHE[key] = dens
+        if len(_DENSITY_CACHE) > _DENSITY_CACHE_SIZE:
+            _DENSITY_CACHE.pop(next(iter(_DENSITY_CACHE)))
+    return dens
+
+
 _EVALUATOR_CACHE = {}
 
 
@@ -205,14 +245,15 @@ def eval_peters(params, z):
 
     A discretized evaluator is built and cached per (params, size
     bucket); the bucket doubles until it covers max |z|, so repeated calls
-    at comparable scales reuse the same contour.
+    at comparable scales reuse the same contour.  It stops at XMAX_LIMIT,
+    whose evaluator rejects anything larger.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     need = float(np.max(np.abs(zarr))) if zarr.size else 1.0
     xmax = 40.0
     while xmax < need:
         xmax *= 2.0
-    ev = _cached_evaluator(params, xmax)
+    ev = _cached_evaluator(params, min(xmax, XMAX_LIMIT))
     return ev.evaluate(z)
 
 

@@ -13,6 +13,7 @@ from sloshspec.model_solutions.contour import (
     _MAX_LEVEL,
     QuadratureError,
     _tanh_sinh,
+    _tanh_sinh_nodes,
     continuation_factor,
     eval_I_alpha,
     eval_J,
@@ -223,3 +224,59 @@ def test_nested_levels_evaluate_each_abscissa_once():
     seen.clear()
     # int_0^1 log t dt = -1, endpoint singularity included
     assert _tanh_sinh(integrand, 1e-13, "test integral") == pytest.approx(-1.0, abs=1e-13)
+
+
+def mp_sector_integral(alpha, zeta, ray):
+    """I_alpha(zeta) by mpmath along the ray at angle `ray`, with the
+    principal power (s e^{i ray})^(-2 mu) = s^(-2 mu) e^(-2 i mu ray)."""
+    mu = mpmath.pi / (2 * mpmath.mpf(alpha))
+    e = mpmath.expj(ray)
+    turn = mpmath.expj(-2 * mu * ray)
+    z = mpmath.mpc(zeta)
+
+    def integrand(s):
+        return mpmath.log(1 + s ** (-2 * mu) * turn) * z * e / (s**2 * e**2 + z**2)
+
+    return mpmath.quad(integrand, [0, 1, mpmath.inf]) / mpmath.pi
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_sector_integral_next_to_the_sector_edge_matches_mpmath(side):
+    # Within 1e-6 of the edge 2 mu |ray| approaches pi, where the split of
+    # the (0, 1] leg's log(1 + X) into log X + log(1 + 1/X) is tightest;
+    # exp_neg_I_continued clips these points' ray to alpha - 1e-6.
+    alpha = math.pi / 3
+    angle = side * (alpha - 5e-7)
+    ray = side * (alpha - 1e-6)
+    for radius in (0.4, 3.0):
+        zeta = radius * cmath.exp(1j * angle)
+        with mpmath.workdps(30):
+            own_ray = complex(mp_sector_integral(alpha, zeta, angle))
+            clipped = complex(mpmath.exp(-mp_sector_integral(alpha, zeta, ray)))
+        assert abs(eval_I_alpha(alpha, zeta) - own_ray) < 1e-12
+        assert abs(complex(exp_neg_I_continued(alpha, radius, angle)[0]) - clipped) < 1e-12
+
+
+def test_sector_integral_where_the_leading_log_is_huge_matches_mpmath():
+    # At mu = 6 the (0, 1] leg's |X| = t^(-2 mu) passes e^300 on the
+    # abscissae t < e^-25, which the driver samples from its first level,
+    # and that stretch carries far more than the tolerance.
+    alpha = math.pi / 12
+    mu = math.pi / (2 * alpha)
+    t_huge = math.exp(-300 / (2 * mu))
+    assert np.min(_tanh_sinh_nodes(0)[0]) < t_huge
+    zeta = 0.4 * cmath.exp(0.3j * alpha)
+    with mpmath.workdps(30):
+        tail = mpmath.quad(lambda s: mpmath.log(1 + s ** (-2 * mu)), [0, t_huge])
+        assert tail / math.pi * abs(1 / zeta) > 1e-9
+        direct = complex(mp_sector_integral(alpha, zeta, 0.3 * alpha))
+        # angle 1.0 steps twice by 2 alpha down to the base angle
+        angle, radius = 1.0, 0.4
+        base = angle - 4 * alpha
+        stepped = mpmath.exp(-mp_sector_integral(alpha, radius * cmath.exp(1j * base), base))
+        for j in (1, 2):
+            ue = radius * mpmath.expj(angle - 2 * alpha * j + alpha)
+            stepped *= (ue + 1j) / (ue - 1j)
+        stepped = complex(stepped)
+    assert abs(eval_I_alpha(alpha, zeta) - direct) < 1e-12
+    assert abs(complex(exp_neg_I_continued(alpha, radius, angle)[0]) - stepped) < 1e-12

@@ -550,6 +550,10 @@ def run_main(capsys, *argv):
         ({"kind": "quasimode_residual", "surface_length": math.inf, "k_list": [4]}, "surface_length"),
         ({"kind": "reproduce_example_1", "h": math.inf}, "h"),
         ({"kind": "convergence", "domain": "rect.json", "h_list": [math.inf, 0.1], "k_list": [1]}, "h_list"),
+        # pi/2 is the plane wave itself, with no remainder to fit
+        ({"kind": "peters_phase", "alpha": math.pi / 2}, "alpha"),
+        # past |z| = 117 the contour's rounding exceeds 1e-8
+        ({"kind": "peters_phase", "xmax": 400.0}, "xmax"),
     ],
 )
 def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys, config, field_name):
@@ -596,6 +600,8 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["convergence", "--domain", "rect.json", "--h", "inf,0.1"], "h"),
         (["sl", "--q", "2", "--length", "inf"], "length"),
         (["asymptotics", "--alpha", "1", "--beta", "1", "--length", "inf"], "length"),
+        (["peters", "--alpha", repr(math.pi / 2)], "alpha"),
+        (["peters", "--alpha", "1.0", "--xmax", "400"], "xmax"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):

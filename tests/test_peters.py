@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from sloshspec.model_solutions import peters
 from sloshspec.model_solutions.peters import (
+    XMAX_LIMIT,
     FarFieldFit,
     PetersEvaluator,
     SectorParams,
@@ -89,6 +91,19 @@ def test_evaluator_rejects_points_outside_its_design():
     with pytest.raises(ValueError, match="arg z"):
         evaluator.evaluate(1.0 + 1.0j)
     assert abs(complex(eval_peters(params, 60.0))) > 0  # rebuckets instead
+
+
+def test_sizes_past_the_rounding_limit_are_rejected():
+    # the chord amplifies rounding by e^(0.15 |z|): 1e-8 at |z| = 117
+    assert 117.0 < XMAX_LIMIT < 118.0
+    params = SectorParams(math.pi / 3, "neumann")
+    with pytest.raises(ValueError, match="exceeds"):
+        PetersEvaluator(params, xmax=120.0)
+    assert PetersEvaluator(SectorParams(math.pi / 2), xmax=400.0).evaluate(400.0) != 0
+    # the doubling bucket stops at the limit instead of reaching 160
+    assert abs(complex(eval_peters(params, 117.0))) > 0
+    with pytest.raises(ValueError, match="design size"):
+        eval_peters(params, 118.0)
 
 
 @pytest.mark.parametrize("denominator", [3, 4, 5])
@@ -200,3 +215,44 @@ def test_mixed_directions_and_evicted_chords_evaluate_bit_identically():
     wall_side = [round(float(phi), 12) for phi in directions[-2:]]
     assert not set(wall_side) & set(mixed._chord_cache)
     assert [mixed.evaluate(points[i]).tobytes() for i in checked[-2:]] == expected[-2:]
+
+
+def _sector_values(evaluator, alpha):
+    radii = np.array([0.5, 7.0, 30.0])
+    return [
+        evaluator.evaluate(radii * cmath.exp(-1j * alpha * frac), order=order).tobytes()
+        for frac in (0.0, 0.5, 1.0)
+        for order in (0, 1, 2)
+    ]
+
+
+@pytest.mark.parametrize("first", ["neumann", "dirichlet"])
+def test_both_wall_conditions_share_one_g_per_contour_piece(monkeypatch, first):
+    alpha = math.pi / 3
+    calls = []
+    original = peters.g_alpha_continued
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(peters, "g_alpha_continued", counting)
+    cold = {}
+    for condition in ("neumann", "dirichlet"):
+        monkeypatch.setattr(peters, "_DENSITY_CACHE", {})
+        cold[condition] = _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha)
+    monkeypatch.setattr(peters, "_DENSITY_CACHE", {})
+    calls.clear()
+    second = "dirichlet" if first == "neumann" else "neumann"
+    for condition in (first, second):
+        assert _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha) == cold[condition]
+    # the two ray legs and one chord per evaluation direction, once each
+    assert len(calls) == 2 + 3
+    # once another sector has pushed every piece out, rebuilding the
+    # first one repeats the computation bit for bit
+    monkeypatch.setattr(peters, "_DENSITY_CACHE_SIZE", 5)
+    _sector_values(PetersEvaluator(SectorParams(math.pi / 5, "neumann")), math.pi / 5)
+    assert all(key[0] != alpha for key in peters._DENSITY_CACHE)
+    calls.clear()
+    assert _sector_values(PetersEvaluator(SectorParams(alpha, second)), alpha) == cold[second]
+    assert calls == [alpha] * 5
