@@ -5,6 +5,15 @@ point-in-polygon tests, vectorized in numpy.  Sparse factorisation and
 eigensolves stay in scipy.  The kernels' cost inside whole solves is the
 ``backend.kernel.s`` metric of a traced benchmark run; see
 ``perfbench/README.md``.
+
+The point-in-polygon test is a crossing sweep (Haines, "Point in polygon
+strategies", Graphics Gems IV, 1994): points are sorted into rows of
+equal y, each polygon edge spans a contiguous run of rows and crosses
+each of them once, and a point is inside when an odd number of its row's
+crossings lie to its right.  A hex lattice row is one y, so the lattice
+candidates of the mesher cost one crossing per (row, edge) pair and one
+comparison per (point, crossing) pair; scattered centroids and
+circumcenters get one row each.
 """
 
 import numpy as np
@@ -43,12 +52,19 @@ def edge_mass_triplets(xy, edges):
     return rows, cols, vals
 
 
+def signed_areas(xy, tris):
+    """Signed triangle areas, positive for counterclockwise vertices."""
+    p0 = xy[tris[:, 0]]
+    p1 = xy[tris[:, 1]]
+    p2 = xy[tris[:, 2]]
+    return 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
+
+
 def triangle_quality(xy, tris):
     """Signed areas and minimum interior angles (radians) per triangle."""
     p0 = xy[tris[:, 0]]
     p1 = xy[tris[:, 1]]
     p2 = xy[tris[:, 2]]
-    area = 0.5 * ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1]))
     a2 = np.sum((p2 - p1) ** 2, axis=1)
     b2 = np.sum((p0 - p2) ** 2, axis=1)
     c2 = np.sum((p1 - p0) ** 2, axis=1)
@@ -57,7 +73,13 @@ def triangle_quality(xy, tris):
     cos1 = np.clip((a2 + c2 - b2) / (2.0 * a * c), -1.0, 1.0)
     cos2 = np.clip((a2 + b2 - c2) / (2.0 * a * b), -1.0, 1.0)
     ang = np.arccos(np.stack([cos0, cos1, cos2], axis=1))
-    return area, ang.min(axis=1)
+    return signed_areas(xy, tris), ang.min(axis=1)
+
+
+def _runs(lo, hi):
+    """The ranges range(lo[k], hi[k]) laid end to end, and their lengths."""
+    count = hi - lo
+    return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count), count
 
 
 def points_in_polygon(pts, poly):
@@ -65,19 +87,36 @@ def points_in_polygon(pts, poly):
 
     ``poly`` lists the vertices without repeating the first one at the end.
     Points within ~1e-14 of an edge may land on either side; callers that
-    care keep a clearance.
+    care keep a clearance.  Points with a non-finite coordinate are
+    outside.
+
+    Edge (x0, y0) -> (x1, y1) crosses the row at height y when
+    min(y0, y1) <= y < max(y0, y1), at x0 + t (x1 - x0) with
+    t = (y - y0) / (y1 - y0); a point counts the crossings strictly right
+    of it.
     """
     x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=np.bool_)
+    # a stable sort keeps an already sorted input, such as the raveled
+    # lattice, in place at linear cost
+    order = np.argsort(y, kind="stable")
+    xs, ys = x[order], y[order]
+    new_row = np.ones(len(ys), dtype=np.bool_)
+    new_row[1:] = ys[1:] != ys[:-1]
+    start = np.flatnonzero(new_row)
+    row_y = ys[start]
+    row_end = np.append(start[1:], len(ys))
     px, py = poly[:, 0], poly[:, 1]
     qx, qy = np.roll(px, -1), np.roll(py, -1)
-    for k in range(len(poly)):
-        x0, y0, x1, y1 = px[k], py[k], qx[k], qy[k]
-        crosses = (y0 > y) != (y1 > y)
-        if not crosses.any():
-            continue
-        t = (y[crosses] - y0) / (y1 - y0)
-        xin = x0 + t * (x1 - x0)
-        hit = np.where(crosses)[0][xin > x[crosses]]
-        inside[hit] = ~inside[hit]
+    # each edge spans a run of rows; NaN rows sort last and, like +-inf
+    # rows, fall in no run
+    row, spanned = _runs(
+        np.searchsorted(row_y, np.minimum(py, qy)), np.searchsorted(row_y, np.maximum(py, qy))
+    )
+    edge = np.repeat(np.arange(len(poly)), spanned)
+    t = (row_y[row] - py[edge]) / (qy[edge] - py[edge])
+    xin = px[edge] + t * (qx[edge] - px[edge])
+    point, size = _runs(start[row], row_end[row])
+    right = np.repeat(xin, size) > xs[point]
+    inside = np.zeros(len(pts), dtype=np.bool_)
+    inside[order] = np.bincount(point[right], minlength=len(pts)) % 2 == 1
     return inside

@@ -37,15 +37,14 @@ class LineSegment:
         object.__setattr__(self, "end", _as_point(self.end))
         if self.length() <= 0:
             raise ValueError("degenerate segment")
+        object.__setattr__(self, "_origin", np.array(self.start))
+        object.__setattr__(self, "_delta", np.subtract(self.end, self.start))
 
     def length(self):
         return math.hypot(self.end[0] - self.start[0], self.end[1] - self.start[1])
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        x = self.start[0] + u * (self.end[0] - self.start[0])
-        y = self.start[1] + u * (self.end[1] - self.start[1])
-        return np.stack([x, y], axis=-1)
+        return self._origin + np.multiply.outer(np.asarray(u, dtype=float), self._delta)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,16 @@ boundary nodes, so the sampled boundary stays authoritative.
 The Delaunay step knows the lattice: a unit lattice triangle whose
 circumdisk holds no boundary or refinement node is Delaunay as it
 stands, so qhull triangulates only the band of nodes next to the
-boundary and the refinement points, once per triangulation.
+boundary and the refinement points, once per triangulation.  Those kept
+lattice triangles are equilateral and cannot fail the 20 degree test, so
+each round tests the quality of the band triangles alone.
+
+The inside tests are one crossing sweep (`_backend.points_in_polygon`).
+The lattice candidates come in hex rows of one y each, and every polygon
+edge crosses a row at most once, so classifying them costs one crossing
+per (row, edge) pair; centroids and circumcenters are swept as points.
+The boundary walk keeps its step-by-step recurrence but takes the
+constant steps outside the grading zone in one vectorized guess.
 
 Everything is deterministic: identical inputs give identical meshes.
 """
@@ -44,6 +53,13 @@ class TriangleMesh:
     `boundary_edges` is a tuple of (i, j, tag) triples in boundary loop
     order; tags are the piece conditions ('steklov', 'neumann',
     'dirichlet').  Triangles are counterclockwise.
+
+    `generate_mesh` also records how it got there: the number of
+    refinement rounds that inserted circumcenters, the circumcenters it
+    rejected (outside the polygon, too close to a node or the boundary, or
+    too close to another accepted one), and the smallest interior angle
+    in radians.  They stay None on meshes built otherwise, and take no
+    part in equality or in the text dump.
     """
 
     nodes: np.ndarray
@@ -51,6 +67,9 @@ class TriangleMesh:
     boundary_edges: tuple
     mesh_size: float
     grading_factor: float
+    refinement_rounds: int = field(default=None, compare=False)
+    rejected_insertions: int = field(default=None, compare=False)
+    min_angle: float = field(default=None, compare=False)
     _edge_arr: np.ndarray = field(init=False, repr=False, compare=False)
     _tag_arr: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -75,10 +94,8 @@ class TriangleMesh:
         unknown = set(self._tag_arr.tolist()) - {"steklov", "neumann", "dirichlet"}
         if unknown:
             raise MeshError(f"unknown boundary tag {sorted(unknown)[0]!r}")
-        if len(self.triangles):
-            area, _ = _backend.triangle_quality(self.nodes, self.triangles)
-            if np.any(area <= 0):
-                raise MeshError("mesh contains non-positively-oriented triangles")
+        if np.any(_backend.signed_areas(self.nodes, self.triangles) <= 0):
+            raise MeshError("mesh contains non-positively-oriented triangles")
 
     @property
     def num_nodes(self):
@@ -104,30 +121,53 @@ def _mandatory_fractions(curve):
     return np.array([0.0, 1.0])
 
 
-def _sample_piece(curve, reverse, local_h):
-    """Interior arc-length fractions (loop direction) for one piece."""
+def _sample_piece(curve, reverse, h, graded_h):
+    """Interior arc-length fractions (loop direction) for one piece.
+
+    Each span between mandatory fractions is walked from its start until
+    the walk passes the span's end, and the steps are then scaled to land
+    on it.  A step is the least of h, the span's length and graded_h at
+    the current point.  Outside the grading zone that is h or the span's
+    length, so after two equal steps the walk guesses that the step stays
+    the same up to the span's end: one cumsum adds the guessed steps in
+    the order the walk would, one curve.point call evaluates graded_h at
+    every guessed point, and the walk keeps the guesses up to and
+    including the first point whose step differs.  In the grading zone it
+    evaluates one point per step, on numpy scalars.
+    """
     length = curve.length()
-    fracs = [0.0]
+    fracs = [np.zeros(1)]
     spans = _mandatory_fractions(curve)
     if reverse:
         spans = 1.0 - spans[::-1]
     for f0, f1 in zip(spans[:-1], spans[1:]):
         span_len = (f1 - f0) * length
+        cap = min(h, span_len)
+
+        def step(s):
+            u_loop = f0 + s / length
+            return np.minimum(cap, graded_h(curve.point(1.0 - u_loop if reverse else u_loop)))
+
         steps = []
         s = 0.0
         while s < span_len:
-            u_loop = f0 + s / length
-            u_curve = 1.0 - u_loop if reverse else u_loop
-            p = curve.point(u_curve)
-            steps.append(min(local_h(p), span_len))
-            s += steps[-1]
+            if len(steps) > 1 and steps[-1] == steps[-2]:
+                run = np.full(int((span_len - s) / steps[-1]) + 1, steps[-1])
+                at = np.cumsum(np.concatenate([[s], run]))
+                at = at[at < span_len]
+                taken = step(at)
+                differ = np.flatnonzero(taken != steps[-1])
+                n = differ[0] + 1 if len(differ) else len(at)
+                steps.extend(taken[:n])
+                s = at[n - 1] + taken[n - 1]
+            else:
+                steps.append(step(s))
+                s = s + steps[-1]
         scale = span_len / s
-        acc = f0
-        for st in steps:
-            acc += st * scale / length
-            fracs.append(acc)
-        fracs[-1] = f1
-    return np.asarray(fracs[1:-1]), length
+        acc = np.cumsum(np.concatenate([[f0], np.asarray(steps) * scale / length]))
+        acc[-1] = f1
+        fracs.append(acc[1:])
+    return np.concatenate(fracs)[1:-1], length
 
 
 def _sample_boundary(domain, h, g):
@@ -135,13 +175,18 @@ def _sample_boundary(domain, h, g):
 
     Returns (nodes, edges, tags) with nodes in loop order, edges the
     consecutive index pairs closing the loop, and one tag per edge.
+    Boundary spacing ramps from g h at the corners A and B up to h over
+    _GRADING_ZONE mesh sizes; min(h, h (g + ramp d)) equals
+    h min(1, g + ramp d) bit for bit, as rounding is monotone and
+    h * 1.0 is h.
     """
-    a_pt, b_pt = (np.asarray(p) for p in domain.corner_points)
+    (ax, ay), (bx, by) = domain.corner_points
     ramp = (1.0 - g) / (_GRADING_ZONE * h)
 
-    def local_h(p):
-        d = min(np.hypot(*(np.asarray(p) - a_pt)), np.hypot(*(np.asarray(p) - b_pt)))
-        return h * min(1.0, g + ramp * d)
+    def graded_h(p):
+        """Uncapped spacing at a point p, or at each row of an (n, 2) array."""
+        x, y = p[..., 0], p[..., 1]
+        return h * (g + ramp * np.minimum(np.hypot(x - ax, y - ay), np.hypot(x - bx, y - by)))
 
     nodes = []
     edges = []
@@ -151,7 +196,7 @@ def _sample_boundary(domain, h, g):
     nodes.append(np.asarray(start0, dtype=float))
     for piece, reverse in pieces:
         curve = piece.curve
-        inner, _ = _sample_piece(curve, reverse, local_h)
+        inner, _ = _sample_piece(curve, reverse, h, graded_h)
         u_curve = 1.0 - inner if reverse else inner
         first = len(nodes) - 1
         if len(u_curve):
@@ -306,6 +351,9 @@ def _filter_polygon(poly):
 def _triangulate(nodes, poly, bedges, lat):
     """Delaunay triangles of `nodes` inside `poly`, counterclockwise.
 
+    Returns (triangles, count): the first `count` triangles are kept unit
+    lattice triangles, which are equilateral, and the rest the band's.
+
     A unit lattice triangle whose circumdisk holds no other node is
     Delaunay as it stands.  A lattice node all six of whose triangles are
     such is interior; qhull sees only the other nodes, the band.  Every
@@ -335,13 +383,9 @@ def _triangulate(nodes, poly, bedges, lat):
     keep &= _backend.points_in_polygon(np.ascontiguousarray(cent), poly)
     tris = tris[keep]
     _check_recovery(tris, bedges, n)
-    p0, p1, p2 = nodes[tris[:, 0]], nodes[tris[:, 1]], nodes[tris[:, 2]]
-    area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
-    )
-    flip = area2 < 0
+    flip = _backend.signed_areas(nodes, tris) < 0
     tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
-    return np.concatenate([lattice, tris])
+    return np.concatenate([lattice, tris]), len(lattice)
 
 
 def _edge_keys(edges, n):
@@ -414,15 +458,19 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     lat = _lattice(center, h, ij, nb)
     nodes = np.concatenate([poly, cand], axis=0)
 
-    tris = _triangulate(nodes, fpoly, bedges, lat)
-    area, minang = _backend.triangle_quality(nodes, tris)
-
-    for _ in range(_MAX_REFINE_ROUNDS):
+    tris, lattice_count = _triangulate(nodes, fpoly, bedges, lat)
+    rounds = rejected = 0
+    while True:
+        # kept lattice triangles are equilateral: only the band can fail
+        band = tris[lattice_count:]
+        _, minang = _backend.triangle_quality(nodes, band)
         bad = minang < _MIN_ANGLE - 1e-12
         if not bad.any():
             break
+        if rounds == _MAX_REFINE_ROUNDS:
+            raise MeshError("minimum interior angle below 20 degrees after refinement")
         order = np.argsort(minang[bad])
-        cc, radius = _circumcenters(nodes, tris[bad])
+        cc, radius = _circumcenters(nodes, band[bad])
         cc, radius = cc[order], radius[order]
         ok = np.isfinite(cc).all(axis=1) & np.isfinite(radius) & (radius > 0)
         ok &= _backend.points_in_polygon(np.ascontiguousarray(cc), fpoly)
@@ -444,14 +492,14 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
                 "cannot reach the 20 degree minimum angle: refinement points "
                 "were all rejected (corner angle below 20 degrees?)"
             )
+        rounds += 1
+        rejected += len(cc) - len(accepted)
         nodes = np.concatenate([nodes, np.asarray(accepted)], axis=0)
-        tris = _triangulate(nodes, fpoly, bedges, lat)
-        area, minang = _backend.triangle_quality(nodes, tris)
+        tris, lattice_count = _triangulate(nodes, fpoly, bedges, lat)
 
-    if minang.min() < _MIN_ANGLE - 1e-12:
-        raise MeshError("minimum interior angle below 20 degrees after refinement")
     x, y = poly[:, 0], poly[:, 1]
     poly_area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+    area = _backend.signed_areas(nodes, tris)
     if abs(area.sum() - poly_area) > 1e-10 * max(1.0, abs(poly_area)):
         raise MeshError("triangle areas do not tile the boundary polygon")
 
@@ -464,4 +512,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         boundary_edges=boundary_edges,
         mesh_size=h,
         grading_factor=g,
+        refinement_rounds=rounds,
+        rejected_insertions=rejected,
+        min_angle=float(minang.min()),
     )

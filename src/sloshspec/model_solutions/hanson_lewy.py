@@ -167,8 +167,12 @@ def quasimode_trace(q: int, sigma: float, samples, surface_length: float):
     The trace combines the full corner solution at A with the decaying
     terms of the mirrored solution at B.  sigma must sit on the lattice
     sigma L = pi (k - 1/2) - pi q / 2 (within 1e-10) for some k >= q + 1;
-    the gluing phases only match there.  Returns the real trace at the
-    sample positions, normalized to a unit discrete l2 norm.
+    the gluing phases only match there.  Returns the real part of the
+    glued trace at the sample positions, normalized to a unit discrete l2
+    norm.  For q = 3 (mod 4), where gamma = -1, the plane-wave pair
+    exp(-ix) - exp(ix) = -2i sin(x) is purely imaginary and the real part
+    holds only the decaying corner terms, so the imaginary part is
+    returned instead.
     """
     L = surface_length
     if not L > 0:
@@ -191,8 +195,9 @@ def quasimode_trace(q: int, sigma: float, samples, surface_length: float):
     # The mirrored corner solution at B enters with the phase that makes
     # the oscillatory parts of the two corner traces coincide; on the
     # lattice that phase is exp(-i sigma L) / gamma.
-    tau = cmath.exp(-1j * sigma * L) / gamma_xi(q)
+    gamma = gamma_xi(q)
+    tau = cmath.exp(-1j * sigma * L) / gamma
     for t in _decaying_terms(sol):
         vals = vals + tau * t.coefficient * np.exp(-1j * t.rotation * sigma * (L - x))
-    v = vals.real
+    v = vals.imag if gamma == -1 else vals.real
     return v / np.linalg.norm(v)

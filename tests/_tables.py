@@ -71,3 +71,41 @@ CONTOUR_IM_J = {
     2.0: 3.266379135455,
     3.0: 3.903282237915,
 }
+
+
+# sha256 of nodes.tobytes(), triangles.tobytes() and repr(boundary_edges) for
+# the mesh-equivalence domains of test_geometry.py, keyed (name, h, grading
+# factor).  Recorded with numpy 2.4 on x86-64 Linux before the crossing
+# sweep, the band-only quality test and the batched boundary walk went in;
+# those reworks must not move a byte.  Another libm may round the curved
+# boundaries differently.
+MESH_DIGESTS = {
+    ("ex1-neumann", 0.04, 0.25): "ae7c575b7e2847c89c94fc66689872f0e926d8c4faae99fa22737d7cf1dda4ce",
+    ("ex1-neumann", 0.04, 1.0): "feff43b573f92771e8d0c14003fd254380c05b85fe570938165fe0b6da785edf",
+    ("ex1-neumann", 0.02, 0.25): "f6a061031bfddefdf84b6cef9f8c925556bf8a2ebaa59841a4588f377386832f",
+    ("ex1-neumann", 0.02, 1.0): "a210d92ecb06a886ea03c84063b36ec73766157edcdf8e8428179ce8cb63747e",
+    ("ex1-dirichlet", 0.04, 0.25): "97538263603b3acd63dc0b787a8b144dc4d7408178e2877b06b598a9c1c7b11f",
+    ("ex1-dirichlet", 0.04, 1.0): "81fcd7dd6cae842d83895a6cbf17031ee8279373eee122f45f946e67fadc9971",
+    ("ex1-dirichlet", 0.02, 0.25): "905377a0bd2068d710619e9f1bf1c1cd05de69560586218a2cdab02aa672b2a2",
+    ("ex1-dirichlet", 0.02, 1.0): "dd9e254b9ecee0300a7f289a8cc24f71a8cbad7b20a9ad779d1784d6313751b2",
+    ("ex2+", 0.04, 0.25): "801a57053a798504da6afe10c0e77c843bd514aee9a8825ea91dcacfa54e4851",
+    ("ex2+", 0.04, 1.0): "7e24ec872884c79f22b7fc7ed85ff7b006241932657f12738e9d718375afa838",
+    ("ex2+", 0.02, 0.25): "f0eb2b16f046b80b36a39c2abefee22dc9d4c7983ed22fc63bf11bd86bd5eee5",
+    ("ex2+", 0.02, 1.0): "e1c4228fd069b186f4299a7db7c448796c0701cfe0779b585511e077f30acd49",
+    ("ex2-", 0.04, 0.25): "f1ac10a4ad05d9537271f864e3c4527e187824dd7284f47849f1cf6ba42afc70",
+    ("ex2-", 0.04, 1.0): "92632d0621a20595a3c7a7d168d85d3af003743abcaf55c8304b17032966e517",
+    ("ex2-", 0.02, 0.25): "658b1f044ce64fa297cae898416b0b70ed53f60de28f140c848c11fa6eebd5e4",
+    ("ex2-", 0.02, 1.0): "dd6f76d0234b7f6eaa60fe702626cc16a463b8ac765b1237bc3d731ec18c73c2",
+    ("q2", 0.04, 0.25): "06a53637629d70f9256774f79386fe41d667a682e31cdd09f6b48e6f240f34ec",
+    ("q2", 0.04, 1.0): "5f4c32afd0672ade0d5bc7f1660aae998b807fd98613e99e7cafd3f7ce2a1bcc",
+    ("q2", 0.02, 0.25): "68210c0e9637c9b1d5f784cbc9208fddf1d3c038cd59d346e9f2af09806cf070",
+    ("q2", 0.02, 1.0): "ef18d79cbe7092069284d2e091ff6f6b8f57e7f5743ac272542b86b8f285311c",
+    ("q3", 0.04, 0.25): "3ce18b594cb7c5a33a1b7fab7206c8c8e0a4cb31800ea1d9d73d14d3393b8a38",
+    ("q3", 0.04, 1.0): "2486e23e8c06fe020c79b40c39832e6f656c1a5e63f79dd56b5544deef086dc3",
+    ("q3", 0.02, 0.25): "33c75be767ec9a3c7de97d7a7acb099cb96c005807aa926b995d76cfe6ff4500",
+    ("q3", 0.02, 1.0): "6142a71773ee40e0681b700038f42238f9c31dd936a49d67b884b738f4b3c637",
+    ("q4", 0.04, 0.25): "f2036ad12f7ed37bd9ee57bc6cb844e710d91018810d15f08ec857ee38161fdf",
+    ("q4", 0.04, 1.0): "120c520cf3a8f0913ed9bdaf4b2d8f68ae53caa3299317dce7a153d3fb107338",
+    ("q4", 0.02, 0.25): "cbf7cdccfa1f4de7178aceff7dc2d8a29c6fc7869969ca4fbf53d052238caa36",
+    ("q4", 0.02, 1.0): "5d8595a05c64e402839431cc451840bfdcdcd8940009f02df569663817c4f3b9",
+}

@@ -6,12 +6,14 @@ so the module tests and the acceptance gate share one computation.
 """
 
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import sloshspec
 from sloshspec.fem_steklov import convergence_study
 from sloshspec.geometry import build_triangle_domain
 from sloshspec.harness import reproduce_table
@@ -25,6 +27,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_package():
+    """Point the CLI tests' `python -m sloshspec` subprocesses at the
+    package this session imported, which pytest finds under src/ even in
+    a checkout where it is not installed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.path.dirname(os.path.dirname(sloshspec.__file__)), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

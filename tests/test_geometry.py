@@ -1,6 +1,7 @@
 """Curves, domain assembly, mesh generation, serialization, kernels."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -33,7 +34,7 @@ from sloshspec.geometry.io import (
 )
 from sloshspec.geometry.mesh import MeshError, TriangleMesh, generate_mesh
 
-from _tables import EX2_SURFACE_LENGTH, NOTCH_WALL_POINTS
+from _tables import EX2_SURFACE_LENGTH, MESH_DIGESTS, NOTCH_WALL_POINTS
 
 WAVY_SURFACE_LENGTH = 1.2160067234249798
 
@@ -401,6 +402,54 @@ def test_grading_shrinks_surface_edges_near_corners():
     assert uniform.max() < 0.055
 
 
+def _stepwise_piece(curve, reverse, h, g, corners):
+    """Reference boundary walk: one curve.point and spacing call per step."""
+    ramp = (1.0 - g) / (mesh_module._GRADING_ZONE * h)
+
+    def local_h(p):
+        d = min(np.hypot(*(np.asarray(p) - c)) for c in corners)
+        return h * min(1.0, g + ramp * d)
+
+    length = curve.length()
+    fracs = [0.0]
+    spans = mesh_module._mandatory_fractions(curve)
+    if reverse:
+        spans = 1.0 - spans[::-1]
+    for f0, f1 in zip(spans[:-1], spans[1:]):
+        span_len = (f1 - f0) * length
+        steps = []
+        s = 0.0
+        while s < span_len:
+            u_loop = f0 + s / length
+            p = curve.point(1.0 - u_loop if reverse else u_loop)
+            steps.append(min(local_h(p), span_len))
+            s += steps[-1]
+        scale = span_len / s
+        acc = f0
+        for st in steps:
+            acc += st * scale / length
+            fracs.append(acc)
+        fracs[-1] = f1
+    return np.asarray(fracs[1:-1])
+
+
+@pytest.mark.parametrize("h, g", [(0.04, 0.25), (0.013, 0.25), (0.02, 1.0), (0.3, 0.5)])
+def test_boundary_walk_matches_the_stepwise_walk(h, g, monkeypatch):
+    domains = [build_curvilinear_example("+"), build_rectangle_domain(math.pi, 0.7), notch_domain()]
+    got = [mesh_module._sample_boundary(domain, h, g) for domain in domains]
+    for domain, (nodes, edges, tags) in zip(domains, got):
+        corners = [np.asarray(c) for c in domain.corner_points]
+        monkeypatch.setattr(
+            mesh_module,
+            "_sample_piece",
+            lambda curve, reverse, *_: (_stepwise_piece(curve, reverse, h, g, corners), curve.length()),
+        )
+        want_nodes, want_edges, want_tags = mesh_module._sample_boundary(domain, h, g)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        np.testing.assert_array_equal(edges, want_edges)
+        assert tags == want_tags
+
+
 def test_mesh_generation_is_deterministic():
     dom = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0)
     m1 = generate_mesh(dom, 0.1)
@@ -429,7 +478,7 @@ def _full_qhull_triangulate(nodes, poly, bedges, lat):
     area, _ = _backend.triangle_quality(nodes, tris)
     flip = area < 0
     tris[flip, 1], tris[flip, 2] = tris[flip, 2].copy(), tris[flip, 1].copy()
-    return tris
+    return tris, 0
 
 
 def _assert_same_delaunay(ref, got):
@@ -479,6 +528,22 @@ def test_mesh_matches_delaunay_of_all_nodes(domain, monkeypatch):
         _assert_same_delaunay(generate_mesh(domain, h, g), mesh)
 
 
+def _mesh_digest(mesh):
+    digest = hashlib.sha256(mesh.nodes.tobytes())
+    digest.update(mesh.triangles.tobytes())
+    digest.update(repr(mesh.boundary_edges).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "name, domain", list(_equivalence_domains()), ids=[n for n, _ in _equivalence_domains()]
+)
+def test_meshes_match_recorded_digests(name, domain):
+    for h in (0.04, 0.02):
+        for g in (0.25, 1.0):
+            assert _mesh_digest(generate_mesh(domain, h, g)) == MESH_DIGESTS[name, h, g], (h, g)
+
+
 def test_kept_lattice_triangles_have_empty_circumdisks(monkeypatch):
     seen = []
     tested = mesh_module._empty_lattice_triangles
@@ -510,6 +575,35 @@ def test_kept_lattice_triangles_have_empty_circumdisks(monkeypatch):
         np.testing.assert_array_equal(keep, d.min(axis=1) > radius * (1.0 + 1e-9))
         kept.append(int(keep.sum()))
     assert 0 < kept[1] < kept[0] - 20
+
+
+def test_generate_mesh_records_its_refinement(monkeypatch):
+    seen = []
+    triangulate = mesh_module._triangulate
+
+    def record(nodes, *args):
+        tris, lattice_count = triangulate(nodes, *args)
+        seen.append((nodes, tris, lattice_count))
+        return tris, lattice_count
+
+    monkeypatch.setattr(mesh_module, "_triangulate", record)
+    mesh = generate_mesh(build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0), 0.1)
+    assert mesh.refinement_rounds == len(seen) - 1 == 1
+    (nodes0, tris0, _), (nodes1, _, _) = seen
+    # kept lattice triangles come first and are equilateral
+    for nodes, tris, count in seen:
+        _, angles = _backend.triangle_quality(nodes, tris[:count])
+        np.testing.assert_allclose(angles, math.pi / 3, atol=1e-12)
+    _, angles0 = _backend.triangle_quality(nodes0, tris0)
+    bad = int(np.count_nonzero(angles0 < math.radians(20.0) - 1e-12))
+    inserted = len(nodes1) - len(nodes0)
+    assert 0 < inserted < bad
+    assert mesh.rejected_insertions == bad - inserted
+    _, angles = mesh.quality()
+    assert mesh.min_angle == angles.min() >= math.radians(20.0) - 1e-12
+    # bookkeeping only: no part of equality or of the text dump
+    untracked = {f.name for f in dataclasses.fields(TriangleMesh) if not f.compare}
+    assert {"refinement_rounds", "rejected_insertions", "min_angle"} <= untracked
 
 
 def test_mesh_without_lattice_points(monkeypatch):
@@ -639,6 +733,10 @@ def test_mesh_text_round_trip(tmp_path):
     assert back.boundary_edges == mesh.boundary_edges
     assert math.isnan(back.mesh_size)
     assert math.isnan(back.grading_factor)
+    assert back.refinement_rounds is back.rejected_insertions is back.min_angle is None
+    again = tmp_path / "again.txt"
+    write_mesh_text(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_mesh_text_rejects_malformed_dumps(tmp_path):
@@ -699,11 +797,100 @@ def _winding_oracle(pts, poly):
     return np.array(inside)
 
 
-def test_points_in_polygon_matches_winding_oracle():
-    poly = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
+def _distance_to_boundary(pts, poly):
+    a = poly[None, :, :]
+    d = np.roll(poly, -1, axis=0)[None, :, :] - a
+    rel = pts[:, None, :] - a
+    t = np.clip((rel * d).sum(axis=2) / (d * d).sum(axis=2), 0.0, 1.0)
+    return np.hypot(*(rel - t[:, :, None] * d).transpose(2, 0, 1)).min(axis=1)
+
+
+def _points_at_vertex_heights(poly, rng, per_height=6):
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    y = np.repeat(poly[:, 1], per_height)
+    x = rng.uniform(lo[0] - 0.1, hi[0] + 0.1, len(y))
+    return np.stack([x, y], axis=1)
+
+
+def _check_against_winding_oracle(poly):
     rng = np.random.default_rng(0)
-    pts = rng.uniform([-0.2, -0.8], [1.2, 0.2], size=(400, 2))
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pts = np.vstack([
+        rng.uniform(lo - 0.2, hi + 0.2, size=(400, 2)),
+        _points_at_vertex_heights(poly, rng),
+    ])
+    pts = pts[_distance_to_boundary(pts, poly) > 1e-9]
     got = _backend.points_in_polygon(pts, poly)
     want = _winding_oracle(pts, poly)
     np.testing.assert_array_equal(got, want)
     assert 0 < got.sum() < len(pts)
+
+
+def test_points_in_polygon_matches_winding_oracle():
+    _check_against_winding_oracle(np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:]))
+
+
+def test_points_in_polygon_matches_winding_oracle_on_a_curved_boundary():
+    poly, _, _ = mesh_module._sample_boundary(build_curvilinear_example("+"), 0.02, 0.25)
+    assert len(poly) >= 100
+    _check_against_winding_oracle(poly)
+
+
+def _per_edge_crossings(pts, poly):
+    """Reference crossing test: one pass over all points per polygon edge."""
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    for (x0, y0), (x1, y1) in zip(poly, np.roll(poly, -1, axis=0)):
+        crosses = (y0 > y) != (y1 > y)
+        t = (y[crosses] - y0) / (y1 - y0)
+        hit = np.flatnonzero(crosses)[x0 + t * (x1 - x0) > x[crosses]]
+        inside[hit] = ~inside[hit]
+    return inside
+
+
+def test_points_in_polygon_matches_the_per_edge_loop():
+    # the sweep keeps the loop's arithmetic, so it must agree everywhere,
+    # on and next to the boundary too
+    rng = np.random.default_rng(1)
+    notch = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
+    curved, _, _ = mesh_module._sample_boundary(build_curvilinear_example("-"), 0.02, 0.25)
+    lattice, _ = mesh_module._hex_lattice((0.5, -0.25), (1.2, 0.6), 0.05)
+    for poly in (notch, curved, mesh_module._filter_polygon(curved)):
+        edge_points = poly + rng.uniform(0.0, 1.0, (len(poly), 1)) * (np.roll(poly, -1, axis=0) - poly)
+        pts = np.vstack([
+            rng.uniform(poly.min(axis=0) - 0.1, poly.max(axis=0) + 0.1, (500, 2)),
+            _points_at_vertex_heights(poly, rng),
+            poly,
+            edge_points,
+            lattice,
+            [[np.inf, -0.3], [-np.inf, -0.3], [0.3, np.nan], [np.nan, np.inf]],
+        ])
+        with np.errstate(invalid="ignore"):
+            want = _per_edge_crossings(pts, poly)
+        np.testing.assert_array_equal(_backend.points_in_polygon(pts, poly), want)
+
+
+def test_points_on_horizontal_edges_take_the_side_above():
+    # the notch polygon's floor edges (y = -0.6) have the domain above
+    # them, its closing surface edge (y = 0) has it below
+    poly = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
+    nxt = np.roll(poly, -1, axis=0)
+    flat = np.flatnonzero(poly[:, 1] == nxt[:, 1])
+    assert len(flat) == 3
+    s = np.linspace(0.05, 0.95, 9)
+    pts = np.concatenate([poly[k] + s[:, None] * (nxt[k] - poly[k]) for k in flat])
+    got = _backend.points_in_polygon(pts, poly)
+    np.testing.assert_array_equal(got, _winding_oracle(pts + [0.0, 1e-9], poly))
+    assert got.sum() == 18
+
+
+def test_non_finite_points_are_outside():
+    poly = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
+    values = [-np.inf, np.inf, np.nan, 0.25, -0.3]
+    pts = np.array([(x, y) for x in values for y in values if not (np.isfinite(x) and np.isfinite(y))])
+    assert not _backend.points_in_polygon(pts, poly).any()
+    # finite points around them are still classified
+    mixed = np.vstack([pts, [[0.25, -0.3]], pts])
+    np.testing.assert_array_equal(
+        _backend.points_in_polygon(mixed, poly), np.arange(len(mixed)) == len(pts)
+    )

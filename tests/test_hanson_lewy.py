@@ -129,16 +129,31 @@ def test_quasimode_trace_is_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_quasimode_is_a_plane_wave_away_from_the_corners():
-    # Corner corrections decay like exp(-sigma * distance); at k = 8 the
-    # middle half of the surface should carry an almost pure wave.
-    q, length = 2, 1.0
-    sigma = lattice_sigma(q, 8, length)
+def _plane_wave_fit(q, k, length):
+    """(amplitude, misfit, samples) of a plane-wave fit to the middle half."""
+    sigma = lattice_sigma(q, k, length)
     x = np.linspace(0.0, length, 1024)
     trace = quasimode_trace(q, sigma, x, length)
     middle = (x > 0.25 * length) & (x < 0.75 * length)
     basis = np.column_stack([np.cos(sigma * x[middle]), np.sin(sigma * x[middle])])
     coeffs, residual, _, _ = np.linalg.lstsq(basis, trace[middle], rcond=None)
-    amplitude = math.hypot(*coeffs)
     misfit = math.sqrt(float(residual[0])) if residual.size else 0.0
-    assert misfit < 0.01 * amplitude * math.sqrt(middle.sum())
+    return math.hypot(*coeffs), misfit, int(middle.sum())
+
+
+def test_quasimode_is_a_plane_wave_away_from_the_corners():
+    # Corner corrections decay like exp(-sigma * distance); at k = 8 the
+    # middle half of the surface should carry an almost pure wave.
+    amplitude, misfit, n = _plane_wave_fit(2, 8, 1.0)
+    assert misfit < 0.01 * amplitude * math.sqrt(n)
+
+
+@pytest.mark.parametrize("q, k", [(3, 10), (7, 24)])
+def test_quasimode_keeps_its_plane_wave_when_gamma_is_minus_one(q, k):
+    # gamma = -1 makes the plane-wave pair exp(-ix) - exp(ix) purely
+    # imaginary; the trace must still be that wave, carrying the whole
+    # unit norm, not the corner terms alone
+    assert gamma_xi(q) == -1
+    amplitude, misfit, n = _plane_wave_fit(q, k, 1.0)
+    assert misfit < 0.01 * amplitude * math.sqrt(n)
+    assert amplitude > 0.95 * math.sqrt(2.0 / 1024)

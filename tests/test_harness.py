@@ -297,6 +297,17 @@ def test_quasimode_residual_study_rows():
     assert study.metadata["num_nodes"] > 10000
 
 
+def test_quasimode_residuals_at_gamma_minus_one_bound_the_spectral_gap():
+    # q = 3 has gamma = -1; its glued trace is the imaginary part.  The
+    # real part held only corner terms and read 5.15, 0.87 and 0.43 here.
+    study = quasimode_residual_study(3, 1.0, 0.01, (4, 6, 9))
+    assert [row[0] for row in study.rows] == [4, 6, 9]
+    for k, sigma, residual, gap in study.rows:
+        assert residual < 0.07
+        # a unit quasimode with residual r lies within r of the spectrum
+        assert sigma * residual >= gap
+
+
 def test_quasimode_residual_study_validation():
     with pytest.raises(ConfigError) as err:
         quasimode_residual_study(1, 1.0, 0.01, (4,))
