@@ -12,12 +12,12 @@ Subcommands map one-to-one onto the computational modules:
     run           execute an experiment config file
 
 Results go to stdout, or to files under --out DIR.  Everything is
-deterministic.  fem, peters, reproduce, residual and convergence build
-the ExperimentConfig that `run` would read and print the `text` of
-what harness.compute_experiment returns, so they and `run` share one
-computation, one validation and one renderer.  The heavy numerical
-imports happen after argument parsing so that --threads can pin the
-BLAS pool size before numpy loads.
+deterministic, also across BLAS thread counts (OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS in the environment set them).  fem, peters, reproduce,
+residual and convergence build the ExperimentConfig that `run` would
+read and print the `text` of what harness.compute_experiment returns,
+so they and `run` share one computation, one validation and one
+renderer.
 """
 
 import argparse
@@ -26,12 +26,28 @@ import math
 import os
 import sys
 
+import numpy as np
+
+from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
+from .fem_steklov import SteklovSolveError, dtn_matrix
+from .geometry import MeshError, write_mesh_text
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    ExperimentTable,
+    compute_experiment,
+    load_config,
+    run_experiment,
+    write_atomic,
+)
+from .highord_sl import HighOrderSLProblem, SLSolveError, ode_asymptotic_prediction, solve_spectrum
+from .model_solutions.contour import QuadratureError
+
 
 def _common_flags(parser, formats=True):
     if formats:
         parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     parser.add_argument("--out", metavar="DIR", default=None, help="write artifacts into DIR instead of stdout")
-    parser.add_argument("--threads", type=int, default=None, help="cap the BLAS thread pool")
 
 
 def build_parser():
@@ -97,20 +113,7 @@ def build_parser():
     return parser
 
 
-def _apply_threads(n):
-    if n is None:
-        return
-    if n < 1:
-        from .harness import ConfigError
-
-        raise ConfigError("threads", f"thread count must be positive, got {n}")
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-
-
 def _parse_list(text, flag, number):
-    from .harness import ConfigError
-
     try:
         values = tuple(number(part) for part in str(text).split(",") if part.strip())
     except ValueError:
@@ -122,8 +125,6 @@ def _parse_list(text, flag, number):
 
 def _emit(args, stem, result):
     """Print the result's table to stdout or write it as <stem>.<format> under --out."""
-    from .harness import write_atomic
-
     text = result.text(args.format)
     if args.out is None:
         sys.stdout.write(text)
@@ -135,17 +136,12 @@ def _emit(args, stem, result):
 
 
 def _positive(value, flag):
-    from .harness import ConfigError
-
     if not (value > 0 and math.isfinite(value)):
         raise ConfigError(flag, f"must be positive and finite, got {value}")
     return value
 
 
 def _cmd_asymptotics(args):
-    from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-    from .harness import ConfigError, ExperimentTable
-
     if args.kmax < 1:
         raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
     _positive(args.length, "length")
@@ -154,15 +150,13 @@ def _cmd_asymptotics(args):
             Regime.from_string(args.regime), args.alpha, args.beta, args.length
         )
     except ValueError as exc:
-        raise ConfigError("alpha", str(exc)) from None
+        beta_alone = 0.0 < args.alpha < math.pi and not 0.0 < args.beta < math.pi
+        raise ConfigError("beta" if beta_alone else "alpha", str(exc)) from None
     rows = [(k, quasi_frequency(model, k)) for k in range(1, args.kmax + 1)]
     return _emit(args, "asymptotics", ExperimentTable(("k", "sigma"), rows))
 
 
 def _cmd_sl(args):
-    from .harness import ConfigError, ExperimentTable
-    from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
-
     if args.kmax < 1:
         raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
     _positive(args.length, "length")
@@ -187,8 +181,6 @@ def _experiment(flags, **fields):
     `flags` maps config field names to the subcommand's flag names, so
     that a ConfigError names the flag the user typed.
     """
-    from .harness import ConfigError, ExperimentConfig, compute_experiment
-
     try:
         return compute_experiment(ExperimentConfig(**fields))
     except ConfigError as exc:
@@ -205,12 +197,6 @@ def _cmd_peters(args):
 
 
 def _cmd_fem(args):
-    import numpy as np
-
-    from .fem_steklov import dtn_matrix
-    from .geometry import write_mesh_text
-    from .harness import write_atomic
-
     result = _experiment(
         {"kmax": "neigs", "grading_factor": "grading"},
         kind="custom", domain=args.domain, h=args.h, kmax=args.neigs, grading_factor=args.grading,
@@ -251,8 +237,6 @@ def _cmd_convergence(args):
 
 
 def _cmd_run(args):
-    from .harness import load_config, run_experiment
-
     config = load_config(args.config)
     out_dir = args.out if args.out is not None else "."
     for path in run_experiment(config, out_dir):
@@ -283,15 +267,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_threads(args.threads)
         return _HANDLERS[args.command](args)
     except Exception as exc:  # sort into the two documented exit codes
-        from .fem_steklov import SteklovSolveError
-        from .geometry import MeshError
-        from .harness import ConfigError
-        from .highord_sl import SLSolveError
-        from .model_solutions.contour import QuadratureError
-
         if isinstance(exc, ConfigError):
             print(_error_json("config", exc))
             return 2

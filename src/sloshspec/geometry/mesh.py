@@ -76,17 +76,15 @@ class TriangleMesh:
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
-        self.boundary_edges = tuple(
-            (int(i), int(j), str(tag)) for i, j, tag in self.boundary_edges
-        )
+        i, j, tags = tuple(zip(*self.boundary_edges)) or ((), (), ())
+        self._edge_arr = np.array((i, j), dtype=np.int64).T.copy()
+        tags = tuple(map(str, tags))  # keeps each edge on its piece's tag object
+        self._tag_arr = np.array(tags, dtype=str)
+        self.boundary_edges = tuple(zip(*self._edge_arr.T.tolist(), tags))
         if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
             raise MeshError("nodes must be an (n, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (m, 3) array")
-        self._edge_arr = np.array(
-            [(i, j) for i, j, _ in self.boundary_edges], dtype=np.int64
-        ).reshape(-1, 2)
-        self._tag_arr = np.array([t for _, _, t in self.boundary_edges])
         n = len(self.nodes)
         for name, idx in (("triangle", self.triangles), ("boundary edge", self._edge_arr)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):
@@ -503,13 +501,10 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     if abs(area.sum() - poly_area) > 1e-10 * max(1.0, abs(poly_area)):
         raise MeshError("triangle areas do not tile the boundary polygon")
 
-    boundary_edges = tuple(
-        (int(i), int(j), tag) for (i, j), tag in zip(bedges, tags)
-    )
     return TriangleMesh(
         nodes=nodes,
         triangles=tris,
-        boundary_edges=boundary_edges,
+        boundary_edges=tuple(zip(*bedges.T.tolist(), tags)),
         mesh_size=h,
         grading_factor=g,
         refinement_rounds=rounds,

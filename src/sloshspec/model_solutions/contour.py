@@ -297,19 +297,8 @@ def eval_J(mu, tol=1e-12):
     return complex(_tanh_sinh(integrand, tol, "J integral"))
 
 
-def eval_ReJ(mu, verify=False):
-    """Closed form pi^2 (1 - mu)/4 for Re J(mu), mu > 1/2.
-
-    With verify=True the quadrature of eval_J is run and compared against
-    the closed form at 1e-8; disagreement raises QuadratureError.
-    """
+def eval_ReJ(mu):
+    """Closed form pi^2 (1 - mu)/4 for Re J(mu), mu > 1/2."""
     if not mu > 0.5:
         raise ValueError("mu must exceed 1/2")
-    closed = math.pi**2 * (1.0 - mu) / 4.0
-    if verify:
-        value = eval_J(mu).real
-        if abs(value - closed) > 1e-8:
-            raise QuadratureError(
-                f"quadrature {value!r} disagrees with closed form {closed!r}"
-            )
-    return closed
+    return math.pi**2 * (1.0 - mu) / 4.0

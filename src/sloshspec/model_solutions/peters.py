@@ -12,12 +12,14 @@ with mu = pi/(2 alpha) and the bracket present only in the Dirichlet case.
 The contour P runs in from infinity along one side of the ray at angle
 pi + alpha/2, around the circle |zeta| = 2, and back out along the other
 side; g_alpha on the path comes from `contour.g_alpha_continued`.  Each
-piece of P is held as its Gauss nodes zeta and weighted densities
+piece of P (the two ray legs, and the arcs and chord of one evaluation
+direction) is held as its Gauss nodes zeta and weighted densities
 w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over the pieces
 of e^(z zeta) against them.  The path depends on alpha, the design size
-and the evaluation direction, never on the wall condition, so the
-condition-free g_alpha(zeta)/(zeta + i) of each piece is computed once and
-shared by a sector's Neumann and Dirichlet solutions (`_g_density`).
+and the evaluation direction, never on the wall condition, so
+`_contour_piece` computes g_alpha once per piece for a sector's Neumann
+and Dirichlet solutions alike.  It is the module's one cache: the 64
+pieces used last, least recently used out first.
 
 Far from the corner, f approaches a decaying-free plane wave
 A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
@@ -40,6 +42,7 @@ to be evaluated.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +57,6 @@ _CIRCLE_RADIUS = 2.0
 _TRUNCATION_RADIUS = 1e12
 _NODES_PER_UNIT = 48.0
 XMAX_LIMIT = math.log(1e-8 / np.finfo(float).eps) / _CHORD_ABSCISSA
-_DENSITY_CACHE_SIZE = 64
-# g_alpha(zeta)/(zeta + i) per contour piece, keyed on (alpha, xmax, piece)
-_DENSITY_CACHE = {}
 
 
 @dataclass(frozen=True)
@@ -92,66 +92,90 @@ class SectorParams:
 class PetersEvaluator:
     """Evaluates one sector solution at points of the closed sector.
 
-    Every contour piece is held as a pair (zeta, wdens) of nodes and
-    weighted densities w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so an
-    evaluation is one exponential sum per piece.  The two ray legs do not
-    depend on the evaluation point and are built once; the circle-plus-chord
-    piece depends on arg z and is cached per direction.  Every piece takes
-    g_alpha from `_g_density`, which computes it once per (alpha, xmax,
-    piece) for both wall conditions; the Dirichlet evaluator then
-    multiplies in zeta^(-mu).  `xmax` is the largest |z| the
-    discretization is tuned for; larger arguments are rejected rather than
-    silently under-resolved, and away from alpha = pi/2 so is an `xmax`
-    above XMAX_LIMIT.
+    An evaluation is one exponential sum per contour piece against that
+    piece's weighted densities, which `_contour_piece` builds and caches.
+    The evaluator itself holds no contour: it checks its arguments and
+    picks the density of its wall condition.  `xmax` is the largest |z|
+    the discretization is tuned for; larger arguments are rejected rather
+    than silently under-resolved, and away from alpha = pi/2 so is an
+    `xmax` above XMAX_LIMIT.
     """
 
     def __init__(self, params, xmax=40.0):
         self.params = params
         self.xmax = float(xmax)
-        if params.closed_form:
-            return
-        if not self.xmax <= XMAX_LIMIT:
+        if not params.closed_form and not self.xmax <= XMAX_LIMIT:
             raise ValueError(
                 f"xmax {self.xmax} exceeds {XMAX_LIMIT:.1f}, past which the chord "
                 "amplifies rounding above 1e-8"
             )
-        # the cut between the two rays bisects the sector between the walls
-        self._theta_cut = math.pi + params.alpha / 2
-        self._chord_cache = {}
-        first = min(0.5, 10.0 / self.xmax)
-        breaks = [_CIRCLE_RADIUS]
+
+    def evaluate(self, z, order=0):
+        """f(z), or its order-th z-derivative, for z in the closed sector."""
+        zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+        if not np.all(np.isfinite(zarr)):
+            raise ValueError("z must be finite")
+        if np.any(np.abs(zarr) > self.xmax * (1 + 1e-9)):
+            raise ValueError(f"|z| exceeds the discretization design size {self.xmax}")
+        if self.params.closed_form:
+            out = np.exp(-1j * zarr) * (-1j) ** order
+            if self.params.condition == "dirichlet":
+                out = 1j * out
+            return complex(out[0]) if np.asarray(z).ndim == 0 else out
+        alpha = self.params.alpha
+        phi = np.where(np.abs(zarr) == 0, 0.0, np.angle(zarr))
+        if np.any(phi > 1e-9) or np.any(phi < -alpha - 1e-9):
+            raise ValueError("z must satisfy -alpha <= arg z <= 0")
+        keys = np.round(np.clip(phi, -alpha, 0.0), 12)
+        column = 1 if self.params.condition == "neumann" else 2
+        out = np.zeros(zarr.shape, dtype=complex)
+        for key in np.unique(keys):
+            sel = keys == key
+            zs = zarr[sel]
+            acc = 0
+            # fetching the rays for every direction keeps them the most
+            # recently used pieces, so a sweep evicts old chords first
+            for tag in (("ray", -1), ("ray", 1), ("chord", float(key))):
+                piece = _contour_piece(alpha, self.xmax, tag)
+                zeta, wdens = piece[0], piece[column]
+                if order:
+                    wdens = wdens * zeta**order
+                acc = acc + np.exp(np.multiply.outer(zs, zeta)) @ wdens
+            out[sel] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
+        return complex(out[0]) if np.asarray(z).ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _contour_piece(alpha, xmax, tag):
+    """(zeta, Neumann wdens, Dirichlet wdens) on one piece of the contour.
+
+    `tag` is ("ray", -1) for the in-leg, ("ray", 1) for the out-leg, or
+    ("chord", phi) for the arcs and chord of evaluation direction
+    phi = arg z.  g_alpha(zeta)/(zeta + i) is computed once and weighted
+    for both wall conditions, the Dirichlet one times zeta^(-mu).
+    """
+    R = _CIRCLE_RADIUS
+    # the cut between the two rays bisects the sector between the walls
+    theta_cut = math.pi + alpha / 2
+    kind, where = tag
+    if kind == "ray":
+        first = min(0.5, 10.0 / xmax)
+        breaks = [R]
         while breaks[-1] < _TRUNCATION_RADIUS:
-            step = max(first, 0.7 * (breaks[-1] - _CIRCLE_RADIUS))
+            step = max(first, 0.7 * (breaks[-1] - R))
             breaks.append(min(breaks[-1] + step, _TRUNCATION_RADIUS))
-        r, w = _panel_nodes(np.asarray(breaks), 12)
+        radius, w = _panel_nodes(np.asarray(breaks), 12)
         # in-leg traversed from infinity toward the circle, out-leg back out
-        self._rays = []
-        for sign, theta in ((-1, self._theta_cut - 2 * math.pi), (1, self._theta_cut)):
-            turn = cmath.exp(1j * theta)
-            self._rays.append(
-                self._piece(("ray", sign), r * turn, sign * w * turn, r, np.full(r.shape, theta))
-            )
-
-    def _piece(self, tag, zeta, weight, radius, theta):
-        """(zeta, wdens) for nodes zeta = radius e^(i theta) on the continuation path."""
-        dens = _g_density(self.params.alpha, self.xmax, tag, zeta, radius, theta)
-        if self.params.condition == "dirichlet":
-            dens = dens * np.exp(-self.params.mu * (np.log(np.abs(zeta)) + 1j * theta))
-        return zeta, weight * dens
-
-    def _chord_piece(self, phi):
-        """Arcs and chord for evaluation direction phi = arg z (cached)."""
-        key = round(phi, 12)
-        piece = self._chord_cache.get(key)
-        if piece is not None:
-            return piece
-        R = _CIRCLE_RADIUS
+        angle = theta_cut if where > 0 else theta_cut - 2 * math.pi
+        turn = cmath.exp(1j * angle)
+        zeta, weight, theta = radius * turn, where * w * turn, np.full(radius.shape, angle)
+    else:
         theta_c = math.acos(_CHORD_ABSCISSA / R)
-        lo = -phi - theta_c
-        hi = -phi + theta_c
-        density = _NODES_PER_UNIT * max(self.xmax, 1.0) / 40.0 / 16.0
+        lo = -where - theta_c
+        hi = -where + theta_c
+        density = _NODES_PER_UNIT * max(xmax, 1.0) / 40.0 / 16.0
         zetas, weights, thetas = [], [], []
-        for a, b in ((self._theta_cut - 2 * math.pi, lo), (hi, self._theta_cut)):
+        for a, b in ((theta_cut - 2 * math.pi, lo), (hi, theta_cut)):
             panels = max(6, math.ceil(R * (b - a) * density))
             th, w = _panel_nodes(np.linspace(a, b, panels + 1), 16)
             zet = R * np.exp(1j * th)
@@ -173,88 +197,29 @@ class PetersEvaluator:
         zetas.insert(1, zet)
         weights.insert(1, w * (p_hi - p_lo))
         thetas.insert(1, np.angle(zet))
-        zeta = np.concatenate(zetas)
-        piece = self._piece(
-            ("chord", key), zeta, np.concatenate(weights), np.abs(zeta), np.concatenate(thetas)
-        )
-        self._chord_cache[key] = piece
-        if len(self._chord_cache) > 64:
-            self._chord_cache.pop(next(iter(self._chord_cache)))
-        return piece
-
-    def evaluate(self, z, order=0):
-        """f(z), or its order-th z-derivative, for z in the closed sector."""
-        zarr = np.atleast_1d(np.asarray(z, dtype=complex))
-        if not np.all(np.isfinite(zarr)):
-            raise ValueError("z must be finite")
-        if np.any(np.abs(zarr) > self.xmax * (1 + 1e-9)):
-            raise ValueError(f"|z| exceeds the discretization design size {self.xmax}")
-        if self.params.closed_form:
-            out = np.exp(-1j * zarr) * (-1j) ** order
-            if self.params.condition == "dirichlet":
-                out = 1j * out
-            return complex(out[0]) if np.asarray(z).ndim == 0 else out
-        alpha = self.params.alpha
-        phi = np.where(np.abs(zarr) == 0, 0.0, np.angle(zarr))
-        if np.any(phi > 1e-9) or np.any(phi < -alpha - 1e-9):
-            raise ValueError("z must satisfy -alpha <= arg z <= 0")
-        keys = np.round(np.clip(phi, -alpha, 0.0), 12)
-        out = np.zeros(zarr.shape, dtype=complex)
-        for key in np.unique(keys):
-            sel = keys == key
-            zs = zarr[sel]
-            acc = 0
-            for zeta, wdens in (*self._rays, self._chord_piece(float(key))):
-                if order:
-                    wdens = wdens * zeta**order
-                acc = acc + np.exp(np.multiply.outer(zs, zeta)) @ wdens
-            out[sel] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
-        return complex(out[0]) if np.asarray(z).ndim == 0 else out
-
-
-def _g_density(alpha, xmax, tag, zeta, radius, theta):
-    """g_alpha(zeta)/(zeta + i) on the contour piece `tag` of the sector
-    (alpha, xmax), computed on first use and shared by both wall conditions.
-    Entries leave first-in first-out past _DENSITY_CACHE_SIZE pieces."""
-    key = (alpha, xmax, tag)
-    dens = _DENSITY_CACHE.get(key)
-    if dens is None:
-        dens = g_alpha_continued(alpha, radius, theta) / (zeta + 1j)
-        _DENSITY_CACHE[key] = dens
-        if len(_DENSITY_CACHE) > _DENSITY_CACHE_SIZE:
-            _DENSITY_CACHE.pop(next(iter(_DENSITY_CACHE)))
-    return dens
-
-
-_EVALUATOR_CACHE = {}
-
-
-def _cached_evaluator(params, xmax):
-    key = (round(params.alpha, 14), params.condition, round(xmax, 6))
-    ev = _EVALUATOR_CACHE.get(key)
-    if ev is None:
-        ev = PetersEvaluator(params, xmax)
-        if len(_EVALUATOR_CACHE) > 8:
-            _EVALUATOR_CACHE.pop(next(iter(_EVALUATOR_CACHE)))
-        _EVALUATOR_CACHE[key] = ev
-    return ev
+        zeta, weight, theta = np.concatenate(zetas), np.concatenate(weights), np.concatenate(thetas)
+        radius = np.abs(zeta)
+    dens = g_alpha_continued(alpha, radius, theta) / (zeta + 1j)
+    mu = math.pi / (2 * alpha)
+    piece = (zeta, weight * dens, weight * (dens * np.exp(-mu * (np.log(np.abs(zeta)) + 1j * theta))))
+    for array in piece:
+        array.flags.writeable = False
+    return piece
 
 
 def eval_peters(params, z):
     """Sector solution f at z (scalar or array) in the closed sector.
 
-    A discretized evaluator is built and cached per (params, size
-    bucket); the bucket doubles until it covers max |z|, so repeated calls
-    at comparable scales reuse the same contour.  It stops at XMAX_LIMIT,
-    whose evaluator rejects anything larger.
+    The evaluator's size bucket doubles from 40 until it covers max |z|,
+    so calls at comparable scales share the cached contour pieces.  It
+    stops at XMAX_LIMIT, whose evaluator rejects anything larger.
     """
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     need = float(np.max(np.abs(zarr))) if zarr.size else 1.0
     xmax = 40.0
     while xmax < need:
         xmax *= 2.0
-    ev = _cached_evaluator(params, min(xmax, XMAX_LIMIT))
-    return ev.evaluate(z)
+    return PetersEvaluator(params, min(xmax, XMAX_LIMIT)).evaluate(z)
 
 
 @dataclass(frozen=True)

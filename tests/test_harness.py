@@ -613,6 +613,7 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["asymptotics", "--alpha", "1", "--beta", "1", "--length", "inf"], "length"),
         (["peters", "--alpha", repr(math.pi / 2)], "alpha"),
         (["peters", "--alpha", "1.0", "--xmax", "400"], "xmax"),
+        (["asymptotics", "--alpha", "1", "--beta", "4"], "beta"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
@@ -712,9 +713,8 @@ def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, caps
 def test_stdout_is_byte_identical_across_thread_counts(args):
     outputs = []
     for threads in ("1", "2"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "sloshspec", *args, "--threads", threads], capture_output=True
-        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "sloshspec", *args], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] and outputs[0] == outputs[1]

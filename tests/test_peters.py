@@ -199,22 +199,66 @@ def test_evaluation_matches_frozen_values(denominator, condition, z):
     assert abs(value - FROZEN_PETERS[(denominator, condition, z)]) < 1e-12
 
 
-def test_mixed_directions_and_evicted_chords_evaluate_bit_identically():
+@pytest.fixture
+def g_calls(monkeypatch):
+    """Alphas of the g_alpha_continued calls made, starting from an empty piece cache."""
+    calls = []
+    original = peters.g_alpha_continued
+
+    def counting(alpha, *args):
+        calls.append(alpha)
+        return original(alpha, *args)
+
+    monkeypatch.setattr(peters, "g_alpha_continued", counting)
+    peters._contour_piece.cache_clear()
+    yield calls
+    peters._contour_piece.cache_clear()
+
+
+def test_mixed_directions_and_evicted_chords_evaluate_bit_identically(g_calls):
     params = SectorParams(math.pi / 3, "dirichlet")
     radii = np.array([0.5, 7.0, 30.0])
     directions = -params.alpha * np.linspace(0.0, 1.0, 66)
     points = radii[None, :] * np.exp(1j * directions)[:, None]
     checked = [0, 33, 64, 65]
-    single = PetersEvaluator(params)
-    expected = [single.evaluate(points[i]).tobytes() for i in checked]
-    mixed = PetersEvaluator(params)
-    values = mixed.evaluate(points.ravel()).reshape(points.shape)
+    evaluator = PetersEvaluator(params)
+    expected = [evaluator.evaluate(points[i]).tobytes() for i in checked]
+    peters._contour_piece.cache_clear()
+    values = evaluator.evaluate(points.ravel()).reshape(points.shape)
     assert [values[i].tobytes() for i in checked] == expected
-    # chords are built from the wall direction up, so the 64-entry cache
+    # chords are built from the wall direction up, so the 64-piece cache
     # has dropped the two directions nearest the wall; they are rebuilt
-    wall_side = [round(float(phi), 12) for phi in directions[-2:]]
-    assert not set(wall_side) & set(mixed._chord_cache)
-    assert [mixed.evaluate(points[i]).tobytes() for i in checked[-2:]] == expected[-2:]
+    g_calls.clear()
+    assert [evaluator.evaluate(points[i]).tobytes() for i in checked[-2:]] == expected[-2:]
+    assert len(g_calls) == 2
+
+
+def test_piece_cache_stays_bounded_and_drops_the_least_recently_used(g_calls):
+    alpha = math.pi / 4
+    evaluator = PetersEvaluator(SectorParams(alpha, "neumann"))
+    points = 5.0 * np.exp(-1j * alpha * np.linspace(0.0, 1.0, 70))
+    first = evaluator.evaluate(points[:1]).tobytes()
+    for z in points[1:]:
+        evaluator.evaluate(z)
+        assert peters._contour_piece.cache_info().currsize <= 64
+    assert len(g_calls) == 2 + 70
+    g_calls.clear()
+    assert evaluator.evaluate(points[-1:]).size == 1
+    assert g_calls == []
+    # every direction used the two rays, so they outlived the first chord
+    assert evaluator.evaluate(points[:1]).tobytes() == first
+    assert g_calls == [alpha]
+
+
+def test_repeated_eval_peters_calls_reuse_the_cached_contour(g_calls):
+    alpha = 2 * math.pi / 7
+    x = np.linspace(0.5, 30.0, 40)
+    first = eval_peters(SectorParams(alpha, "neumann"), x)
+    assert len(g_calls) == 2 + 1
+    g_calls.clear()
+    assert eval_peters(SectorParams(alpha, "neumann"), x).tobytes() == first.tobytes()
+    eval_peters(SectorParams(alpha, "dirichlet"), x)
+    assert g_calls == []
 
 
 def _sector_values(evaluator, alpha):
@@ -227,32 +271,24 @@ def _sector_values(evaluator, alpha):
 
 
 @pytest.mark.parametrize("first", ["neumann", "dirichlet"])
-def test_both_wall_conditions_share_one_g_per_contour_piece(monkeypatch, first):
+def test_both_wall_conditions_share_one_g_per_contour_piece(g_calls, first):
     alpha = math.pi / 3
-    calls = []
-    original = peters.g_alpha_continued
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(peters, "g_alpha_continued", counting)
     cold = {}
     for condition in ("neumann", "dirichlet"):
-        monkeypatch.setattr(peters, "_DENSITY_CACHE", {})
+        peters._contour_piece.cache_clear()
         cold[condition] = _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha)
-    monkeypatch.setattr(peters, "_DENSITY_CACHE", {})
-    calls.clear()
+    peters._contour_piece.cache_clear()
+    g_calls.clear()
     second = "dirichlet" if first == "neumann" else "neumann"
     for condition in (first, second):
         assert _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha) == cold[condition]
     # the two ray legs and one chord per evaluation direction, once each
-    assert len(calls) == 2 + 3
-    # once another sector has pushed every piece out, rebuilding the
-    # first one repeats the computation bit for bit
-    monkeypatch.setattr(peters, "_DENSITY_CACHE_SIZE", 5)
-    _sector_values(PetersEvaluator(SectorParams(math.pi / 5, "neumann")), math.pi / 5)
-    assert all(key[0] != alpha for key in peters._DENSITY_CACHE)
-    calls.clear()
+    assert len(g_calls) == 2 + 3
+    # once 64 pieces of another sector have pushed every piece out,
+    # rebuilding the first one repeats the computation bit for bit
+    other = math.pi / 5
+    PetersEvaluator(SectorParams(other, "neumann")).evaluate(np.exp(-1j * other * np.linspace(0.0, 1.0, 62)))
+    assert peters._contour_piece.cache_info().currsize == 64
+    g_calls.clear()
     assert _sector_values(PetersEvaluator(SectorParams(alpha, second)), alpha) == cold[second]
-    assert calls == [alpha] * 5
+    assert g_calls == [alpha] * 5
