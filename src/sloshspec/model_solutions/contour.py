@@ -18,7 +18,8 @@ for |arg zeta| < alpha.  Everything else derives from it:
 
 Quadrature is tanh-sinh on (0, 1) after splitting each half-line at 1 and
 inverting the tail, refined by halving the step until the result is stable
-to the requested absolute tolerance.  The levels are nested: each one adds
+to the requested absolute tolerance, point by point: a point that has
+settled drops out of the finer levels.  The levels are nested: each one adds
 only the new nodes halfway between the previous ones and reuses the
 previous sum, so no node is evaluated twice.  The double-exponential nodes
 absorb the logarithmic endpoint singularities without special casing.
@@ -65,21 +66,32 @@ def _tanh_sinh_nodes(level):
 def _tanh_sinh(integrand, tol, what, finish=lambda total: total):
     """finish(int_0^1 integrand(t) dt) by nested tanh-sinh levels.
 
-    `integrand` maps a 1d array of abscissae to values whose leading axis
-    runs over them.  Halving the step halves the weights of the nodes
-    already summed, so each level is half the previous sum plus the new
-    nodes.  Refinement stops once `finish` of two consecutive levels
-    agrees to `tol` everywhere.
+    `integrand(t)` maps a 1d array of abscissae to values whose leading
+    axis runs over them and whose other axis, if any, runs over points.
+    Halving the step halves the weights of the nodes already summed, so
+    each level is half the previous sum plus the new nodes.  Each point
+    stops refining once `finish` of its two consecutive levels agrees to
+    `tol`, at the level it would stop at integrated alone, so one hard
+    point does not refine the others; once some have stopped, later
+    levels call `integrand(t, live)` for the indices `live` of the points
+    still refining.
     """
-    acc = prev = None
+    acc = total = None
+    live = ...
     for level in range(_MAX_LEVEL + 1):
         t, w = _tanh_sinh_nodes(level)
-        part = np.tensordot(w, integrand(t), axes=1)
-        acc = part if acc is None else 0.5 * acc + part
-        total = finish(acc)
-        if prev is not None and np.max(np.abs(total - prev)) < tol:
-            return total
-        prev = total
+        part = np.tensordot(w, integrand(t) if live is ... else integrand(t, live), axes=1)
+        if acc is None:
+            acc, total = np.array(part), np.array(finish(part))
+            continue
+        acc[live] = 0.5 * acc[live] + part
+        new = finish(acc[live])
+        settled = np.abs(new - total[live]) < tol
+        total[live] = new
+        if np.all(settled):
+            return total[()]
+        if np.any(settled):
+            live = np.flatnonzero(~settled) if live is ... else live[~settled]
     raise QuadratureError(f"{what} did not stabilize to {tol:g}")
 
 
@@ -143,15 +155,16 @@ def _i_ray(alpha, zeta, ray, tol=1e-12):
     z2 = zeta**2
     turn = np.exp(-2j * mu * ray)
 
-    def integrand(t):
+    def integrand(t, live=...):
+        zeta_, ray_, e_, z2_, turn_ = (a[live] for a in (zeta, ray, e, z2, turn))
         tc = t[:, None]
         logt = np.log(tc)
         # leg along [1, inf), inverted with s = 1/t
-        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * turn)
+        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * turn_)
         # leg along (0, 1]
-        lead = -2 * mu * (logt + 1j * ray) + lead2.conj()
-        return lead * (zeta * e / (tc**2 * e**2 + z2)) + lead2 * (
-            zeta * e / (e**2 + z2 * tc**2)
+        lead = -2 * mu * (logt + 1j * ray_) + lead2.conj()
+        return lead * (zeta_ * e_ / (tc**2 * e_**2 + z2_)) + lead2 * (
+            zeta_ * e_ / (e_**2 + z2_ * tc**2)
         )
 
     return _tanh_sinh(integrand, tol, "ray integral", lambda total: total / math.pi)
@@ -258,13 +271,13 @@ def eval_g_alpha(alpha, zeta, tol=1e-10):
         raise ValueError("eval_g_alpha requires Re(zeta) > 0")
     z2 = arr**2
 
-    def integrand(t):
+    def integrand(t, live=...):
         # u = log of the physical abscissa; the tail leg substitutes
         # t -> 1/t so its u is positive, the head leg's is negative.
         u = np.log(t)
         tc = t[:, None]
-        head = _log_mu_ratio(mu, u)[:, None] * (arr / (tc**2 + z2))
-        tail = _log_mu_ratio(mu, -u)[:, None] * (arr / (1.0 + z2 * tc**2))
+        head = _log_mu_ratio(mu, u)[:, None] * (arr[live] / (tc**2 + z2[live]))
+        tail = _log_mu_ratio(mu, -u)[:, None] * (arr[live] / (1.0 + z2[live] * tc**2))
         return head + tail
 
     total = _tanh_sinh(

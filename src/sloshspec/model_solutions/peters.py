@@ -15,11 +15,16 @@ side; g_alpha on the path comes from `contour.g_alpha_continued`.  Each
 piece of P (the two ray legs, and the arcs and chord of one evaluation
 direction) is held as its Gauss nodes zeta and weighted densities
 w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over the pieces
-of e^(z zeta) against them.  The path depends on alpha, the design size
-and the evaluation direction, never on the wall condition, so
-`_contour_piece` computes g_alpha once per piece for a sector's Neumann
-and Dirichlet solutions alike.  It is the module's one cache: the 64
-pieces used last, least recently used out first.
+of e^(z zeta) against them.  Both ray legs run out along the one ray
+arg zeta = pi + alpha/2, where |e^(z zeta)| = e^(-|zeta| |z| cos(arg z +
+alpha/2)) falls with |zeta|, so each point sums a leg only up to the
+panel holding its last term short of underflow: every later term is
+exactly 0.0.  At z = 0 nothing damps the legs, so f(0) sums them whole
+and derivatives there are refused.  The path depends on alpha, the
+design size and the evaluation direction, never on the wall condition,
+so `_contour_piece` computes g_alpha once per piece for a sector's
+Neumann and Dirichlet solutions alike.  It is the module's one cache:
+the 64 pieces used last, least recently used out first.
 
 Far from the corner, f approaches a decaying-free plane wave
 A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
@@ -55,6 +60,9 @@ from .contour import _panel_nodes, exp_neg_I_continued, g_alpha_continued  # noq
 _CHORD_ABSCISSA = 0.15
 _CIRCLE_RADIUS = 2.0
 _TRUNCATION_RADIUS = 1e12
+_RAY_PANEL_NODES = 12
+# e^x is exactly 0.0 in double precision below x of about -745.13
+_UNDERFLOW_EXPONENT = 750.0
 _NODES_PER_UNIT = 48.0
 XMAX_LIMIT = math.log(1e-8 / np.finfo(float).eps) / _CHORD_ABSCISSA
 
@@ -126,21 +134,37 @@ class PetersEvaluator:
         phi = np.where(np.abs(zarr) == 0, 0.0, np.angle(zarr))
         if np.any(phi > 1e-9) or np.any(phi < -alpha - 1e-9):
             raise ValueError("z must satisfy -alpha <= arg z <= 0")
+        if order and np.any(zarr == 0):
+            raise ValueError("no derivative at z = 0: nothing damps the ray tail there")
         keys = np.round(np.clip(phi, -alpha, 0.0), 12)
         column = 1 if self.params.condition == "neumann" else 2
+
+        def terms(tag):
+            piece = _contour_piece(alpha, self.xmax, tag)
+            zeta, wdens = piece[0], piece[column]
+            return zeta, wdens * zeta**order if order else wdens
+
         out = np.zeros(zarr.shape, dtype=complex)
         for key in np.unique(keys):
             sel = keys == key
             zs = zarr[sel]
-            acc = 0
             # fetching the rays for every direction keeps them the most
             # recently used pieces, so a sweep evicts old chords first
-            for tag in (("ray", -1), ("ray", 1), ("chord", float(key))):
-                piece = _contour_piece(alpha, self.xmax, tag)
-                zeta, wdens = piece[0], piece[column]
-                if order:
-                    wdens = wdens * zeta**order
-                acc = acc + np.exp(np.multiply.outer(zs, zeta)) @ wdens
+            rays = [terms(("ray", -1)), terms(("ray", 1))]
+            # Re(z zeta) = -|zeta| |z| cos(arg z + alpha/2) on both legs
+            radius = np.abs(rays[0][0])
+            with np.errstate(divide="ignore"):
+                reach = _UNDERFLOW_EXPONENT / (np.abs(zs) * math.cos(key + alpha / 2))
+            panels = -(-np.searchsorted(radius, reach) // _RAY_PANEL_NODES)
+            cuts = np.minimum(panels * _RAY_PANEL_NODES, radius.size)
+            acc = np.empty(zs.shape, dtype=complex)
+            for cut in np.unique(cuts):
+                rows = cuts == cut
+                acc[rows] = sum(
+                    np.exp(np.multiply.outer(zs[rows], zeta[:cut])) @ wdens[:cut] for zeta, wdens in rays
+                )
+            zeta, wdens = terms(("chord", float(key)))
+            acc += np.exp(np.multiply.outer(zs, zeta)) @ wdens
             out[sel] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
@@ -164,7 +188,7 @@ def _contour_piece(alpha, xmax, tag):
         while breaks[-1] < _TRUNCATION_RADIUS:
             step = max(first, 0.7 * (breaks[-1] - R))
             breaks.append(min(breaks[-1] + step, _TRUNCATION_RADIUS))
-        radius, w = _panel_nodes(np.asarray(breaks), 12)
+        radius, w = _panel_nodes(np.asarray(breaks), _RAY_PANEL_NODES)
         # in-leg traversed from infinity toward the circle, out-leg back out
         angle = theta_cut if where > 0 else theta_cut - 2 * math.pi
         turn = cmath.exp(1j * angle)

@@ -100,7 +100,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     outcomes = {}
     for key, reps in terminalreporter.stats.items():
         for rep in reps:
-            nodeid = getattr(rep, "nodeid", "")
+            # "deselected" holds the dropped items themselves, not reports
+            if not isinstance(rep, pytest.TestReport):
+                continue
+            nodeid = rep.nodeid
             if "test_acceptance.py" not in nodeid:
                 continue
             match = _CRITERION_RE.search(nodeid)

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from sloshspec.model_solutions import contour, peters
 from sloshspec.model_solutions.contour import (
     _BASE_STEP,
     _KH_MAX,
@@ -223,6 +224,48 @@ def test_nested_levels_evaluate_each_abscissa_once():
     seen.clear()
     # int_0^1 log t dt = -1, endpoint singularity included
     assert _tanh_sinh(integrand, 1e-13, "test integral") == pytest.approx(-1.0, abs=1e-13)
+
+
+def test_settled_points_drop_out_of_finer_levels():
+    calls = []
+
+    def integrand(t, live=...):
+        calls.append(live)
+        return np.stack([t, np.log(t)], axis=1)[:, live]
+
+    total = _tanh_sinh(integrand, 1e-13, "test integral")
+    # t settles after level 1, log t after level 2, as each does alone
+    assert calls[:2] == [..., ...] and len(calls) == 3
+    assert np.array_equal(calls[2], [1])
+    alone = [_tanh_sinh(lambda t: t, 1e-13, "t"), _tanh_sinh(np.log, 1e-13, "log t")]
+    assert total == pytest.approx(alone, abs=1e-15)
+
+
+def test_batch_refines_each_point_as_far_as_it_would_alone(monkeypatch):
+    """Nodes of the pi/4 chord piece for direction -pi/8, where a single
+    node needs one tanh-sinh level more than the others."""
+    pairs = []
+    original = contour._tanh_sinh
+
+    def counting(integrand, *args):
+        def counted(t, *live):
+            values = integrand(t, *live)
+            pairs.append(values.size)
+            return values
+
+        return original(counted, *args)
+
+    monkeypatch.setattr(contour, "_tanh_sinh", counting)
+    alpha = math.pi / 4
+    zeta = peters._contour_piece.__wrapped__(alpha, 40.0, ("chord", -math.pi / 8))[0]
+    radius, angle = np.abs(zeta), np.unwrap(np.angle(zeta))
+    pairs.clear()
+    batch = exp_neg_I_continued(alpha, radius, angle)
+    batch_pairs = sum(pairs)
+    pairs.clear()
+    alone = np.array([exp_neg_I_continued(alpha, r, a)[0] for r, a in zip(radius, angle)])
+    assert batch_pairs == sum(pairs)
+    assert np.max(np.abs(batch - alone)) < 1e-14
 
 
 def mp_sector_integral(alpha, zeta, ray):

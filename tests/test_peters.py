@@ -93,6 +93,18 @@ def test_evaluator_rejects_points_outside_its_design():
     assert abs(complex(eval_peters(params, 60.0))) > 0  # rebuckets instead
 
 
+def test_derivatives_at_the_corner_are_rejected_off_the_closed_form():
+    # at z = 0 nothing damps the ray tail, whose terms reach 1e22
+    evaluator = PetersEvaluator(SectorParams(math.pi / 4, "neumann"))
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="z = 0"):
+            evaluator.evaluate(np.array([1.0, 0.0]), order=order)
+    assert np.isfinite(evaluator.evaluate(0.0))
+    assert np.isfinite(evaluator.evaluate(1e-6, order=2))
+    plane = PetersEvaluator(SectorParams(math.pi / 2, "dirichlet"))
+    assert plane.evaluate(0.0, order=2) == -1j
+
+
 def test_sizes_past_the_rounding_limit_are_rejected():
     # the chord amplifies rounding by e^(0.15 |z|): 1e-8 at |z| = 117
     assert 117.0 < XMAX_LIMIT < 118.0
@@ -292,3 +304,35 @@ def test_both_wall_conditions_share_one_g_per_contour_piece(g_calls, first):
     g_calls.clear()
     assert _sector_values(PetersEvaluator(SectorParams(alpha, second)), alpha) == cold[second]
     assert g_calls == [alpha] * 5
+
+
+@pytest.mark.parametrize("xmax", [40.0, 80.0])
+@pytest.mark.parametrize("alpha", [math.pi / 3, math.pi / 4, math.pi / 5, math.pi / 8, math.pi / 2 - 0.05])
+def test_ray_sums_that_stop_at_underflow_match_the_full_contour_sum(alpha, xmax):
+    """Each point drops only ray nodes where e^(z zeta) is exactly 0.0, so
+    `evaluate` differs from the sum over every node by summation order:
+    within 16 eps times the sum of the magnitudes of the terms."""
+    directions = [0.0, -alpha / 2, -alpha]
+    radii = np.geomspace(1e-6, xmax, 25)
+    for condition in ("neumann", "dirichlet"):
+        params = SectorParams(alpha, condition)
+        evaluator = PetersEvaluator(params, xmax)
+        column = 1 if condition == "neumann" else 2
+        scale = math.sqrt(params.mu) / math.pi
+        for direction in directions:
+            z = radii * cmath.exp(1j * direction)
+            pieces = [("ray", -1), ("ray", 1), ("chord", round(direction, 12))]
+            # z = 0 takes the chord of direction 0
+            corner = [0.0] if direction == 0 else []
+            for order, points in [(0, np.append(z, corner)), (1, z), (2, z)]:
+                full = np.zeros(points.shape, dtype=complex)
+                size = np.zeros(points.shape)
+                for tag in pieces:
+                    piece = peters._contour_piece(alpha, xmax, tag)
+                    weights = piece[column] * piece[0] ** order
+                    exps = np.exp(np.multiply.outer(points, piece[0]))
+                    full += exps @ weights
+                    size += np.abs(exps) @ np.abs(weights)
+                full *= scale / 1j
+                bound = 16 * np.finfo(float).eps * scale * size
+                assert np.all(np.abs(evaluator.evaluate(points, order=order) - full) <= bound)
