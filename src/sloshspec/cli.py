@@ -79,7 +79,12 @@ def build_parser():
     p = sub.add_parser("fem", help="Steklov spectrum of a JSON-described domain")
     p.add_argument("--domain", required=True, metavar="FILE", help="domain JSON document")
     p.add_argument("--h", type=float, required=True, help="target mesh size")
-    p.add_argument("--neigs", type=int, default=10)
+    p.add_argument(
+        "--neigs",
+        type=int,
+        default=10,
+        help="number of lowest eigenvalues; the mesh must put at least 4*neigs nodes on the surface",
+    )
     p.add_argument("--grading", type=float, default=0.25, help="corner grading factor in (0, 1]")
     p.add_argument("--dump-mesh", metavar="FILE", default=None, help="write the mesh as plain text")
     p.add_argument("--dump-dtn", metavar="FILE", default=None, help="write the dense DtN matrix (binary)")

@@ -5,12 +5,15 @@ spectrum.  `assemble` builds the P1 stiffness matrix of the Laplacian,
 eliminates Dirichlet-tagged boundary nodes symmetrically, and orders
 the remaining (free) nodes in one block layout: interior nodes first,
 by node id, then the surviving surface nodes in path order.  It builds
-the 1D P1 mass matrix of the surface block once.  The sparse pencil
-K u = lambda B u, B = diag(0, surface mass), is solved for its lowest
-pairs by shift-invert Lanczos with one sparse factorization; the
-spectrum keeps its mesh and system.  The surface traces of the
-eigenvectors, the trailing rows of u, are the eigenvectors of the
-discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
+the 1D P1 mass matrix of the surface block once.  That mass is
+tridiagonal in path order, and its banded Cholesky factor M = R^T R is
+made once per system.  The sparse pencil K u = lambda B u,
+B = diag(0, M), is solved for its lowest pairs by standard Lanczos on
+an operator of surface size, which costs one sparse factorization of
+the shifted pencil; the spectrum keeps its mesh and system.  The
+surface traces of the eigenvectors, the trailing rows of u, are the
+eigenvectors of the discrete Dirichlet-to-Neumann (DtN) map, never
+formed on this path.
 
 The DtN map is still available as the Schur complement
 D = K_SS - K_SI K_II^{-1} K_IS of the trailing block.  One path slices
@@ -19,18 +22,19 @@ matrix-free action (for residuals on fine meshes), and `dtn_matrix`
 applies that action to identity column blocks (for dumps and property
 checks).
 
-Every sparse factorization, the pencil and K_II here and the surface
-mass of the residual study, goes through `_factor`.  Each of those
-matrices is symmetric positive definite, so `_factor` runs SuperLU in
-symmetric mode with diagonal pivots only, which stores and works
-through less supernode padding than the default mode, and rejects a
-factor that pivoted off the diagonal anyway.  All steps are
+Every sparse factorization, of the pencil and of K_II, goes through
+`_factor`.  Both matrices are symmetric positive definite, so `_factor`
+runs SuperLU in symmetric mode with diagonal pivots only, which stores
+and works through less supernode padding than the default mode, and
+rejects a factor that pivoted off the diagonal anyway.  All steps are
 deterministic for a fixed mesh.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,6 +42,13 @@ from . import _backend
 from .geometry import generate_mesh
 
 _SCHUR_BLOCK_BYTES = 2 * 10**8
+
+# ARPACK's relative accuracy target for the Ritz values of the surface
+# operator.  Against tol=0 (machine precision) it saves about 8 of the
+# ~50 pencil solves of a 10-pair eigensolve; eigenvalues move by at most
+# 4.4e-15 and every pair still passes the 1e-8 residual gate with orders
+# of magnitude to spare.
+_ARPACK_TOL = 1e-10
 
 
 class SteklovSolveError(RuntimeError):
@@ -68,6 +79,25 @@ class AssembledSystem:
     def interior_count(self):
         return len(self.row_nodes) - len(self.s_coords)
 
+    @cached_property
+    def surface_cholesky(self):
+        """Upper factor R of M = R^T R, in `scipy.linalg.cholesky_banded` layout.
+
+        Consecutive surface rows are the ends of one surface edge, so M
+        is tridiagonal and R upper bidiagonal: row 0 holds R's
+        superdiagonal (from column 1), row 1 its diagonal.  Made once
+        per system; `scipy.linalg.cho_solve_banded((R, False), r)` solves
+        with M.
+        """
+        mass = self.surface_mass
+        ab = np.zeros((2, mass.shape[0]))
+        ab[0, 1:] = mass.diagonal(1)
+        ab[1] = mass.diagonal()
+        try:
+            return scipy.linalg.cholesky_banded(ab)
+        except np.linalg.LinAlgError as exc:
+            raise SteklovSolveError(f"surface mass factorization failed: {exc}") from exc
+
 
 @dataclass
 class DtNOperatorMatrix:
@@ -87,13 +117,18 @@ class SteklovSpectrum:
     """Lowest eigenvalues with surface traces, and what produced them.
 
     Traces are columns, orthonormal in the surface mass inner product;
-    their rows follow `system.s_coords`.
+    their rows follow `system.s_coords`.  `eigen_residual` is the largest
+    pair residual |K u - lambda B u| relative to max(1, lambda_max), and
+    `pencil_solves` counts the solves with the pencil factor that the
+    eigensolve made.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
     mesh: object
     system: AssembledSystem
+    eigen_residual: float
+    pencil_solves: int
 
     @property
     def s_coords(self):
@@ -258,16 +293,21 @@ def _sloshing_pairs(system, n_eigs):
     """Lowest n_eigs eigenpairs of the sparse pencil K u = lambda B u.
 
     K is the free-node stiffness and B = diag(0, M), the surface mass M
-    in the trailing block, so B is only semidefinite.  Shift-invert Lanczos
-    with a shift sigma = -1/l below the spectrum (l the surface length)
-    factors K - sigma B once; that matrix is SPD for every wall
-    condition, and the infinite eigenvalues of the pencil map to zero
-    under the transformation, so only finite ones are returned.  The
-    start vector is fixed, so reruns are byte-identical.
+    in the trailing block, so B is only semidefinite.  A shift
+    sigma = -1/l below the spectrum (l the surface length) makes
+    A = K - sigma B SPD for every wall condition, and A is factored once.
+    With the surface Cholesky factor M = R^T R, the surface operator
+    T y = R (A^{-1} [0; R^T y])_S is symmetric positive definite, and its
+    eigenvalues theta = 1/(lambda - sigma) are those of the pencil's
+    finite spectrum, the largest for the lowest lambda.  Standard
+    Lanczos on T works with surface-length vectors only.  The start
+    vector is fixed, so reruns are byte-identical.
 
-    Returns the ascending eigenvalues and the surface traces, the
-    trailing rows of u, orthonormal in the surface mass inner product
-    because ARPACK returns B-orthonormal vectors.
+    The eigenvectors come from one block solve u = A^{-1} [0; R^T Y] / theta;
+    each pair is checked against the full pencil.  Returns the ascending
+    eigenvalues, the surface traces (the trailing rows of u, orthonormal
+    in the surface mass inner product because Y is orthonormal), the
+    largest relative pair residual and the count of solves with A.
     """
     ns = len(system.s_coords)
     if ns < 4 * n_eigs:
@@ -278,28 +318,44 @@ def _sloshing_pairs(system, n_eigs):
     K = system.stiffness
     n = K.shape[0]
     ni = system.interior_count
-    B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
+    mass = system.surface_mass
+    cb = system.surface_cholesky
+    R = sp.diags([cb[1], cb[0, 1:]], [0, 1], format="csr")
     sigma = -1.0 / system.surface_length
+    B = sp.block_diag((sp.csr_matrix((ni, ni)), mass), format="csr")
     lu = _factor(K - sigma * B, "pencil")
-    op_inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=np.float64)
+    solves = 0
+
+    def lift_solve(Y):
+        """A^{-1} [0; R^T Y], for one surface vector or a block of them."""
+        nonlocal solves
+        rhs = np.zeros((n,) + Y.shape[1:])
+        rhs[ni:] = R.T @ Y
+        solves += 1 if Y.ndim == 1 else Y.shape[1]
+        return lu.solve(rhs)
+
+    op = spla.LinearOperator(
+        (ns, ns), matvec=lambda y: R @ lift_solve(y)[ni:], dtype=np.float64
+    )
     try:
-        w, u = spla.eigsh(
-            K, k=n_eigs, M=B, sigma=sigma, OPinv=op_inv, v0=np.ones(n)
-        )
+        theta, Y = spla.eigsh(op, k=n_eigs, which="LA", v0=np.ones(ns), tol=_ARPACK_TOL)
     except spla.ArpackError as exc:  # ArpackNoConvergence included
         raise SteklovSolveError(f"sparse eigensolve failed: {exc}") from exc
+    w = sigma + 1.0 / theta
     order = np.argsort(w, kind="stable")
     w = w[order]
-    u = u[:, order]
+    u = lift_solve(Y[:, order]) / theta[order]
     scale = max(1.0, abs(w[-1]))
-    residual = np.linalg.norm(K @ u - (B @ u) * w, axis=0).max()
+    resid = K @ u
+    resid[ni:] -= (mass @ u[ni:]) * w
+    residual = np.linalg.norm(resid, axis=0).max()
     if not residual <= 1e-8 * scale:
         raise SteklovSolveError(
             f"eigenpair residual {residual:.3e} exceeds {1e-8 * scale:.3e}"
         )
     if w[0] < -1e-8 * scale:
         raise SteklovSolveError(f"spurious negative eigenvalue {w[0]!r}")
-    return np.clip(w, 0.0, None), u[ni:]
+    return np.clip(w, 0.0, None), u[ni:], residual / scale, solves
 
 
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
@@ -307,8 +363,9 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
 
     Meshes the domain unless `mesh` is given, assembles it once, and
     solves the pencil K u = lambda B u of the stiffness and the embedded
-    surface mass by sparse shift-invert Lanczos (see _sloshing_pairs),
-    without forming the dense DtN matrix.  Requires the surface to carry
+    surface mass by Lanczos on a surface-size operator with one sparse
+    factorization of the shifted pencil (see _sloshing_pairs), without
+    forming the dense DtN matrix.  Requires the surface to carry
     at least 4 * n_eigs nodes so the top requested mode stays resolved;
     every returned pair passes an a posteriori residual check.  The
     returned spectrum keeps the mesh and the assembled system, so a DtN
@@ -319,8 +376,15 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
     system = assemble(mesh)
-    eigenvalues, traces = _sloshing_pairs(system, n_eigs)
-    return SteklovSpectrum(eigenvalues=eigenvalues, traces=traces, mesh=mesh, system=system)
+    eigenvalues, traces, eigen_residual, pencil_solves = _sloshing_pairs(system, n_eigs)
+    return SteklovSpectrum(
+        eigenvalues=eigenvalues,
+        traces=traces,
+        mesh=mesh,
+        system=system,
+        eigen_residual=eigen_residual,
+        pencil_solves=pencil_solves,
+    )
 
 
 @dataclass

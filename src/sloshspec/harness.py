@@ -25,9 +25,10 @@ import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.linalg
 
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
-from .fem_steklov import _factor, convergence_study, dtn_action, solve_steklov
+from .fem_steklov import convergence_study, dtn_action, solve_steklov
 from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
@@ -409,14 +410,14 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
     apply_action = dtn_action(spec.system)
     mass = spec.system.surface_mass
-    mass_lu = _factor(mass, "surface mass")
+    mass_factor = (spec.system.surface_cholesky, False)
     rows = []
     for k in sorted(k_list):
         sigma = ode_asymptotic_prediction(q, surface_length, k)
         trace = quasimode_trace(q, sigma, spec.s_coords, surface_length)
         trace = trace / math.sqrt(float(trace @ (mass @ trace)))
         resid = apply_action(trace) - sigma * (mass @ trace)
-        norm = math.sqrt(float(resid @ mass_lu.solve(resid)))
+        norm = math.sqrt(float(resid @ scipy.linalg.cho_solve_banded(mass_factor, resid)))
         nearest = float(np.min(np.abs(spec.eigenvalues - sigma)))
         rows.append((k, sigma, norm / sigma, nearest))
     meta = {

@@ -84,8 +84,8 @@ def test_every_factorization_and_assembly_runs_inside_a_fem_entry_span(capsys):
             parent = by_id[parent][2]
 
     inner = [span for span in tracer.spans if span[3] in ("fem_steklov.splu", "fem_steklov.assemble")]
-    assert len(inner) == 12
-    # the one exception is the residual study's own surface-mass factor
-    # for the dual norm of its residuals, made right inside its span
+    assert len(inner) == 11
+    # the residual study's dual norm reuses the eigensolve's banded
+    # surface-mass factor, so no factorization is left outside them
     stray = [(span[3], by_id[span[2]][3]) for span in inner if not entries.intersection(ancestors(span))]
-    assert stray == [("fem_steklov.splu", "harness.quasimode_residual_study")]
+    assert stray == []

@@ -8,6 +8,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from sloshspec import harness
 from sloshspec.fem_steklov import (
     SteklovSolveError,
     _factor,
@@ -22,6 +23,7 @@ from sloshspec.geometry.domain import (
     build_rectangle_domain,
     build_triangle_domain,
 )
+from sloshspec.geometry.io import read_mesh_text, write_mesh_text
 from sloshspec.geometry.mesh import TriangleMesh, generate_mesh
 from sloshspec.harness import quasimode_residual_study
 from sloshspec.model_solutions.hanson_lewy import quasimode_trace
@@ -283,14 +285,36 @@ def test_symmetric_mode_fills_less_than_partial_pivoting(monkeypatch):
 
 
 def test_every_factorization_of_the_residual_study_is_spd(monkeypatch):
-    # pencil, interior block and surface mass all run in symmetric mode
+    # pencil and interior block run in symmetric mode; the M^{-1} norm of
+    # the residuals reuses the eigensolve's banded surface-mass Cholesky
     calls = _recorded_factors(monkeypatch)
-    quasimode_residual_study(2, 1.0, 0.02, (4,))
-    assert len(calls) == 3
+    spectra = []
+    solve = harness.solve_steklov
+
+    def keep(*args, **kwargs):
+        spectra.append(solve(*args, **kwargs))
+        return spectra[-1]
+
+    residuals = []
+    cho_solve_banded = scipy.linalg.cho_solve_banded
+
+    def recording(factor, b, **kwargs):
+        residuals.append(np.array(b))
+        return cho_solve_banded(factor, b, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_steklov", keep)
+    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", recording)
+    table = quasimode_residual_study(2, 1.0, 0.02, (4, 6))
+    assert len(calls) == 2
     for _, lu, kwargs in calls:
         assert kwargs["diag_pivot_thresh"] == 0.0
         assert kwargs["options"] == {"SymmetricMode": True}
         assert np.array_equal(lu.perm_r, lu.perm_c)
+    assert len(spectra) == 1 and len(residuals) == len(table.rows) == 2
+    mass = spectra[0].system.surface_mass.toarray()
+    for (_, sigma, relative, _), r in zip(table.rows, residuals):
+        dense = float(r @ scipy.linalg.solve(mass, r))
+        assert (relative * sigma) ** 2 == pytest.approx(dense, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +404,83 @@ def test_eigenpair_residual_check_rejects_inaccurate_pairs(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", perturbed)
     with pytest.raises(SteklovSolveError, match="eigenpair residual"):
         solve_steklov(domain, 0.1, 3)
+
+
+def test_eigensolve_is_standard_lanczos_on_the_surface(monkeypatch):
+    # ARPACK sees only the ns x ns surface operator, with no mass matrix
+    # and no shift: every product it asks for is one pencil solve, and so
+    # is each rebuilt eigenvector column
+    calls = []
+    eigsh = spla.eigsh
+
+    def recording(A, **kwargs):
+        products = []
+
+        def matvec(y):
+            products.append(y)
+            return A.matvec(y)
+
+        calls.append((A.shape, kwargs, products))
+        return eigsh(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", recording)
+    for walls in (("neumann", "neumann"), ("dirichlet", "dirichlet")):
+        domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
+        spec = solve_steklov(domain, 0.04, 6)
+        shape, kwargs, products = calls[-1]
+        ns = len(spec.s_coords)
+        assert shape == (ns, ns)
+        assert kwargs["k"] == 6
+        assert kwargs.get("M") is None and kwargs.get("sigma") is None
+        assert spec.pencil_solves == len(products) + 6
+        assert 0.0 < spec.eigen_residual <= 1e-8
+    assert len(calls) == 2
+
+
+def _dumped_with_shuffled_surface(mesh, path):
+    """`mesh` written as a text dump and read back, its Steklov edge lines permuted."""
+    write_mesh_text(mesh, path)
+    lines = path.read_text().splitlines()
+    rows = [i for i, line in enumerate(lines) if line.endswith(" steklov")]
+    shuffled = list(lines)
+    for i, j in zip(rows, np.random.default_rng(5).permutation(rows)):
+        shuffled[i] = lines[j]
+    path.write_text("\n".join(shuffled) + "\n")
+    return read_mesh_text(path)
+
+
+@pytest.mark.parametrize(
+    "walls, dump",
+    [
+        (("dirichlet", "dirichlet"), False),
+        (("neumann", "dirichlet"), False),
+        (("neumann", "neumann"), True),
+    ],
+    ids=["dirichlet", "mixed", "shuffled-dump"],
+)
+def test_surface_reduction_matches_dense_dtn_oracle(walls, dump, tmp_path):
+    # the surface operator factors the surface mass as a tridiagonal
+    # matrix in row order, which must hold with surface endpoints
+    # eliminated and for a read mesh whose Steklov edges come in any order
+    domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
+    mesh = generate_mesh(domain, 0.02)
+    if dump:
+        surface = mesh.edges_with_tag("steklov")
+        mesh = _dumped_with_shuffled_surface(mesh, tmp_path / "mesh.txt")
+        assert not np.array_equal(mesh.edges_with_tag("steklov"), surface)
+    spec = solve_steklov(domain, 0.02, 10, mesh=mesh)
+    system = spec.system
+    surface_nodes = len(np.unique(mesh.edges_with_tag("steklov")))
+    assert len(system.s_coords) == surface_nodes - walls.count("dirichlet")
+    mass = system.surface_mass
+    assert sp.triu(mass, 2).nnz == 0 and sp.tril(mass, -2).nnz == 0
+    mass = mass.toarray()
+    w, v = scipy.linalg.eigh(dtn_matrix(system).matrix, mass)
+    w = w[:10]
+    rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
+    assert rel.max() <= 1e-10
+    overlap = np.abs(np.sum(spec.traces * (mass @ v[:, :10]), axis=0))
+    np.testing.assert_allclose(overlap, 1.0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,26 @@ def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, caps
     assert cli_bytes == (tmp_path / "run" / f"from_run.{fmt}").read_bytes()
 
 
+def test_fem_and_reproduce_artifacts_leave_out_the_eigensolve_diagnostics(tmp_path, monkeypatch, capsys):
+    # eigen_residual and pencil_solves stay on SteklovSpectrum: no table
+    # carries them, and reruns write the same bytes
+    monkeypatch.chdir(tmp_path)
+    write_rectangle_json(tmp_path / "rect.json")
+    runs = []
+    for out in ("a", "b"):
+        for argv in (
+            ("fem", "--domain", "rect.json", "--h", "0.1", "--neigs", "3"),
+            ("reproduce", "--example", "1", "--h", "0.04"),
+        ):
+            for fmt in ("csv", "json"):
+                assert run_main(capsys, *argv, "--format", fmt, "--out", out)[0] == 0
+        runs.append({path.name: path.read_bytes() for path in sorted((tmp_path / out).iterdir())})
+    assert len(runs[0]) == 4
+    assert runs[0] == runs[1]
+    for body in runs[0].values():
+        assert b"eigen_residual" not in body and b"pencil_solves" not in body
+
+
 @pytest.mark.parametrize(
     "args",
     [("reproduce", "--example", "1", "--h", "0.02"), ("residual", "--q", "2", "--h", "0.01")],
