@@ -17,10 +17,13 @@ OMP_NUM_THREADS in the environment set them).  fem, peters, reproduce,
 residual and convergence build the ExperimentConfig that `run` would
 read and print the `text` of what harness.compute_experiment returns,
 so they and `run` share one computation, one validation and one
-renderer.
+renderer.  Their flags carry the config field names as argparse dests,
+one `_experiment` builds every such config from them, and a config
+error names the flag the user typed.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -71,7 +74,7 @@ def build_parser():
 
     p = sub.add_parser("peters", help="sector solution sampled along the surface ray")
     p.add_argument("--alpha", type=float, required=True, help="wedge angle in radians, below pi/2")
-    p.add_argument("--bc", default="neumann", choices=("neumann", "dirichlet"))
+    p.add_argument("--bc", dest="condition", default="neumann", choices=("neumann", "dirichlet"))
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--xmax", type=float, default=40.0)
     _common_flags(p)
@@ -81,11 +84,16 @@ def build_parser():
     p.add_argument("--h", type=float, required=True, help="target mesh size")
     p.add_argument(
         "--neigs",
+        dest="kmax",
+        metavar="NEIGS",
         type=int,
         default=10,
         help="number of lowest eigenvalues; the mesh must put at least 4*neigs nodes on the surface",
     )
-    p.add_argument("--grading", type=float, default=0.25, help="corner grading factor in (0, 1]")
+    p.add_argument(
+        "--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25,
+        help="corner grading factor in (0, 1]",
+    )
     p.add_argument("--dump-mesh", metavar="FILE", default=None, help="write the mesh as plain text")
     p.add_argument("--dump-dtn", metavar="FILE", default=None, help="write the dense DtN matrix (binary)")
     _common_flags(p)
@@ -93,22 +101,22 @@ def build_parser():
     p = sub.add_parser("reproduce", help="worked example eigenvalue tables")
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
     p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--grading", type=float, default=0.25)
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25)
     _common_flags(p)
 
     p = sub.add_parser("residual", help="quasimode residuals against the FEM DtN map")
     p.add_argument("--q", type=int, default=2)
-    p.add_argument("--length", type=float, default=1.0)
+    p.add_argument("--length", dest="surface_length", metavar="LENGTH", type=float, default=1.0)
     p.add_argument("--h", type=float, default=0.002)
-    p.add_argument("--k", default="4,6,8", help="comma-separated lattice indices")
-    p.add_argument("--grading", type=float, default=1.0)
+    p.add_argument("--k", dest="k_list", metavar="K", default="4,6,8", help="comma-separated lattice indices")
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=1.0)
     _common_flags(p)
 
     p = sub.add_parser("convergence", help="mesh refinement study")
     p.add_argument("--domain", required=True, metavar="FILE")
-    p.add_argument("--h", required=True, help="comma-separated decreasing mesh sizes")
-    p.add_argument("--k", default="1,2,3", help="comma-separated eigenvalue indices")
-    p.add_argument("--grading", type=float, default=0.25)
+    p.add_argument("--h", dest="h_list", metavar="H", required=True, help="comma-separated decreasing mesh sizes")
+    p.add_argument("--k", dest="k_list", metavar="K", default="1,2,3", help="comma-separated eigenvalue indices")
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25)
     _common_flags(p)
 
     p = sub.add_parser("run", help="execute an experiment configuration")
@@ -118,13 +126,13 @@ def build_parser():
     return parser
 
 
-def _parse_list(text, flag, number):
+def _parse_list(text, name, number):
     try:
         values = tuple(number(part) for part in str(text).split(",") if part.strip())
     except ValueError:
-        raise ConfigError(flag, f"expected comma-separated {number.__name__} values, got {text!r}") from None
+        raise ConfigError(name, f"expected comma-separated {number.__name__} values, got {text!r}") from None
     if not values:
-        raise ConfigError(flag, "empty list")
+        raise ConfigError(name, "empty list")
     return values
 
 
@@ -180,32 +188,34 @@ def _cmd_sl(args):
     return _emit(args, "sl", ExperimentTable(("k", "lambda", "prediction", "residual"), rows))
 
 
-def _experiment(flags, **fields):
-    """Compute the experiment that `fields` configure.
+# the flag of each config field whose flag has another name
+_FLAGS = {
+    "kmax": "neigs", "grading_factor": "grading", "surface_length": "length",
+    "condition": "bc", "k_list": "k", "h_list": "h",
+}
+_FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 
-    `flags` maps config field names to the subcommand's flag names, so
-    that a ConfigError names the flag the user typed.
+
+def _experiment(args, kind):
+    """Compute experiment `kind` from the config fields the subcommand's flags set.
+
+    Those flags take their field's name as dest.  A ConfigError is
+    renamed through _FLAGS, so that it names the flag the user typed.
     """
+    values = {name: value for name, value in vars(args).items() if name in _FIELDS}
     try:
-        return compute_experiment(ExperimentConfig(**fields))
+        for name, number in (("h_list", float), ("k_list", int)):
+            if name in values:
+                values[name] = _parse_list(values[name], name, number)
+        return compute_experiment(ExperimentConfig(kind=kind, **values))
     except ConfigError as exc:
-        if exc.field not in flags:
+        if exc.field not in _FLAGS:
             raise
-        raise ConfigError(flags[exc.field], exc.reason) from None
-
-
-def _cmd_peters(args):
-    result = _experiment(
-        {}, kind="peters_phase", alpha=args.alpha, condition=args.bc, samples=args.samples, xmax=args.xmax
-    )
-    return _emit(args, "peters", result)
+        raise ConfigError(_FLAGS[exc.field], exc.reason) from None
 
 
 def _cmd_fem(args):
-    result = _experiment(
-        {"kmax": "neigs", "grading_factor": "grading"},
-        kind="custom", domain=args.domain, h=args.h, kmax=args.neigs, grading_factor=args.grading,
-    )
+    result = _experiment(args, "custom")
     if args.dump_mesh:
         write_mesh_text(result.spectrum.mesh, args.dump_mesh)
     if args.dump_dtn:
@@ -216,29 +226,7 @@ def _cmd_fem(args):
 
 
 def _cmd_reproduce(args):
-    result = _experiment(
-        {"grading_factor": "grading"},
-        kind=f"reproduce_example_{args.example}", h=args.h, grading_factor=args.grading,
-    )
-    return _emit(args, f"example_{args.example}", result)
-
-
-def _cmd_residual(args):
-    result = _experiment(
-        {"surface_length": "length", "grading_factor": "grading"},
-        kind="quasimode_residual", q=args.q, surface_length=args.length, h=args.h,
-        k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
-    )
-    return _emit(args, "residual", result)
-
-
-def _cmd_convergence(args):
-    result = _experiment(
-        {"h_list": "h", "k_list": "k", "grading_factor": "grading"},
-        kind="convergence", domain=args.domain, h_list=_parse_list(args.h, "h", float),
-        k_list=_parse_list(args.k, "k", int), grading_factor=args.grading,
-    )
-    return _emit(args, "convergence", result)
+    return _emit(args, f"example_{args.example}", _experiment(args, f"reproduce_example_{args.example}"))
 
 
 def _cmd_run(args):
@@ -252,11 +240,11 @@ def _cmd_run(args):
 _HANDLERS = {
     "asymptotics": _cmd_asymptotics,
     "sl": _cmd_sl,
-    "peters": _cmd_peters,
+    "peters": lambda args: _emit(args, "peters", _experiment(args, "peters_phase")),
     "fem": _cmd_fem,
     "reproduce": _cmd_reproduce,
-    "residual": _cmd_residual,
-    "convergence": _cmd_convergence,
+    "residual": lambda args: _emit(args, "residual", _experiment(args, "quasimode_residual")),
+    "convergence": lambda args: _emit(args, "convergence", _experiment(args, "convergence")),
     "run": _cmd_run,
 }
 

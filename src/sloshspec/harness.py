@@ -22,28 +22,17 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
 
 from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
 from .fem_steklov import convergence_study, dtn_action, solve_steklov
-from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json
+from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
-
-EXPERIMENT_KINDS = (
-    "reproduce_example_1",
-    "reproduce_example_2",
-    "sl_vs_sloshing",
-    "peters_phase",
-    "quasimode_residual",
-    "convergence",
-    "custom",
-)
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; remembers the offending field."""
@@ -81,8 +70,8 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError("kind", f"unknown kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
+        if self.kind not in _EXPERIMENTS:
+            raise ConfigError("kind", f"unknown kind {self.kind!r}; expected one of {tuple(_EXPERIMENTS)}")
         if not 0 < self.h < math.inf:
             raise ConfigError("h", f"mesh size must be positive and finite, got {self.h}")
         if self.kmax < 1:
@@ -283,30 +272,33 @@ def _domain_description(domain):
     )
 
 
-def _spectrum_with_errbar(domain, h, n_eigs, grading_factor):
+def _spectrum_with_errbar(domain, h, n_eigs, grading_factor, meshes=(None, None)):
     """Spectrum at mesh size h plus a two-mesh error bar.
 
     The error bar is 2 |lambda(h) - lambda(2h)| per index, the same
     convention convergence_study uses for its finest level.  The fine
     level is solved first, so its mesh errors are the ones reported.
+    `meshes` holds the meshes at h and 2h, or None where the domain is
+    to be meshed.
     """
-    fine = solve_steklov(domain, h, n_eigs, grading_factor)
-    coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor).eigenvalues
+    fine = solve_steklov(domain, h, n_eigs, grading_factor, mesh=meshes[0])
+    coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor, mesh=meshes[1]).eigenvalues
     return fine, 2.0 * np.abs(fine.eigenvalues - coarse)
 
 
 def _comparison_report(cases, h, kmax, grading_factor):
     """FEM spectra against predictions, one report block per case.
 
-    `cases` yields (label, domain, predict), where predict(ks) gives the
-    predicted values at the indices ks.
+    `cases` yields (label, domain, predict, meshes), where predict(ks)
+    gives the predicted values at the indices ks and meshes is as in
+    _spectrum_with_errbar.
     """
     started = time.perf_counter()
     ks = tuple(range(1, kmax + 1))
     blocks = []
     meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
-    for label, domain, predict in cases:
-        spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor)
+    for label, domain, predict, meshes in cases:
+        spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor, meshes)
         blocks.append(
             ReportBlock(
                 label=label,
@@ -326,12 +318,21 @@ def _lattice(model):
     return lambda ks: [quasi_frequency(model, k) for k in ks]
 
 
-def _example_cases(example):
+def _with_walls(mesh, condition):
+    """`mesh` with every wall edge tagged `condition`."""
+    edges = tuple((i, j, tag if tag == "steklov" else condition) for i, j, tag in mesh.boundary_edges)
+    return replace(mesh, boundary_edges=edges)
+
+
+def _example_cases(example, h, grading_factor):
     if example == 1:
         angles = (2 * math.pi / 5, math.pi / 6, 2.0)
+        # the wall conditions only tag the walls, so both cases solve on one mesh per level
+        meshes = [generate_mesh(build_triangle_domain(*angles), size, grading_factor) for size in (h, 2.0 * h)]
         for label, regime in (("neumann", Regime.NEUMANN_NEUMANN), ("dirichlet", Regime.DIRICHLET_DIRICHLET)):
             domain = build_triangle_domain(*angles, wall_conditions=(label, label))
-            yield label, domain, _lattice(QuasiFrequencyModel(regime, *angles))
+            model = QuasiFrequencyModel(regime, *angles)
+            yield label, domain, _lattice(model), [_with_walls(mesh, label) for mesh in meshes]
     else:
         for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
             domain = build_curvilinear_example(sign)
@@ -342,7 +343,7 @@ def _example_cases(example):
                 domain.corner_A.angle,
                 domain.surface_length,
             )
-            yield label, domain, _lattice(model)
+            yield label, domain, _lattice(model), (None, None)
 
 
 def reproduce_table(example, h, grading_factor=0.25):
@@ -357,7 +358,7 @@ def reproduce_table(example, h, grading_factor=0.25):
     """
     if example not in (1, 2):
         raise ConfigError("example", f"expected 1 or 2, got {example!r}")
-    return _comparison_report(_example_cases(example), h, 10, grading_factor)
+    return _comparison_report(_example_cases(example, h, grading_factor), h, 10, grading_factor)
 
 
 def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
@@ -382,7 +383,7 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     def ode(ks):
         return solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), len(ks)).eigenvalues
 
-    return _comparison_report([("fem_vs_ode", domain, ode)], h, kmax, grading_factor)
+    return _comparison_report([("fem_vs_ode", domain, ode, (None, None))], h, kmax, grading_factor)
 
 
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
@@ -565,6 +566,8 @@ def _custom(config):
     )
 
 
+# one entry per experiment kind; ExperimentConfig accepts exactly these
+# kinds and lists them in this order when it rejects one
 _EXPERIMENTS = {
     "reproduce_example_1": lambda c: reproduce_table(1, c.h, c.grading_factor),
     "reproduce_example_2": lambda c: reproduce_table(2, c.h, c.grading_factor),

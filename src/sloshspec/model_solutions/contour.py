@@ -18,7 +18,7 @@ for |arg zeta| < alpha.  Everything else derives from it:
 
 Quadrature is tanh-sinh on (0, 1) after splitting each half-line at 1 and
 inverting the tail, refined by halving the step until the result is stable
-to the requested absolute tolerance, point by point: a point that has
+to the absolute tolerance `_TOL`, point by point: a point that has
 settled drops out of the finer levels.  The levels are nested: each one adds
 only the new nodes halfway between the previous ones and reuses the
 previous sum, so no node is evaluated twice.  The double-exponential nodes
@@ -41,6 +41,10 @@ _KH_MAX = 4.0
 _BASE_STEP = 0.25
 _MAX_LEVEL = 6
 _EDGE_MARGIN = 1e-8
+# absolute tolerance at which tanh-sinh stops refining a point; the
+# right-half-plane g representation, a cross-check route, stops at _G_TOL
+_TOL = 1e-12
+_G_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -135,7 +139,7 @@ def _log_mu_ratio(mu, u):
     return out
 
 
-def _i_ray(alpha, zeta, ray, tol=1e-12):
+def _i_ray(alpha, zeta, ray):
     """I_alpha at points zeta integrated along per-point ray angles.
 
     Valid whenever |arg zeta - ray| < pi/2 and |ray| < alpha; the caller is
@@ -167,10 +171,10 @@ def _i_ray(alpha, zeta, ray, tol=1e-12):
             zeta_ * e_ / (e_**2 + z2_ * tc**2)
         )
 
-    return _tanh_sinh(integrand, tol, "ray integral", lambda total: total / math.pi)
+    return _tanh_sinh(integrand, _TOL, "ray integral", lambda total: total / math.pi)
 
 
-def eval_I_alpha(alpha, zeta, tol=1e-12):
+def eval_I_alpha(alpha, zeta):
     """The auxiliary sector integral at points with |arg zeta| < alpha.
 
     Integrates along the ray through each point, which keeps the kernel
@@ -186,13 +190,13 @@ def eval_I_alpha(alpha, zeta, tol=1e-12):
     ang = np.angle(arr)
     if np.any(alpha - np.abs(ang) < _EDGE_MARGIN):
         raise ValueError("zeta lies on or within 1e-8 of the singular ray")
-    out = _i_ray(alpha, arr, ang, tol)
+    out = _i_ray(alpha, arr, ang)
     if np.asarray(zeta).ndim == 0:
         return complex(out[0])
     return out
 
 
-def half_plane_I(alpha, zeta, ray, tol=1e-12):
+def half_plane_I(alpha, zeta, ray):
     """Analytic continuation of I_alpha via a fixed off-point ray.
 
     With the ray pinned at |ray| < alpha, the representation stays valid
@@ -206,7 +210,7 @@ def half_plane_I(alpha, zeta, ray, tol=1e-12):
     gap = np.abs(np.angle(arr * np.exp(-1j * ray)))
     if np.any(gap >= math.pi / 2 - 1e-10):
         raise ValueError("zeta outside the half-plane covered by this ray")
-    out = _i_ray(alpha, arr, np.full(arr.shape, float(ray)), tol)
+    out = _i_ray(alpha, arr, np.full(arr.shape, float(ray)))
     if np.asarray(zeta).ndim == 0:
         return complex(out[0])
     return out
@@ -220,7 +224,7 @@ def continuation_factor(alpha, u):
     return (ue + 1j) / (ue - 1j)
 
 
-def exp_neg_I_continued(alpha, radius, angle, tol=1e-12):
+def exp_neg_I_continued(alpha, radius, angle):
     """exp(-I_alpha) at polar points (radius, angle), any angle.
 
     Angles are taken literally (no re-wrapping), so the two sides of a
@@ -235,7 +239,7 @@ def exp_neg_I_continued(alpha, radius, angle, tol=1e-12):
     base_angle = angle - 2 * alpha * n
     ray = np.clip(base_angle, -(alpha - 1e-6), alpha - 1e-6)
     base_pts = radius * np.exp(1j * base_angle)
-    k = np.exp(-_i_ray(alpha, base_pts, ray, tol))
+    k = np.exp(-_i_ray(alpha, base_pts, ray))
     for j in range(1, int(n.max(initial=0)) + 1):
         mask = n >= j
         u = radius[mask] * np.exp(1j * (angle[mask] - 2 * alpha * j))
@@ -247,14 +251,14 @@ def exp_neg_I_continued(alpha, radius, angle, tol=1e-12):
     return k
 
 
-def g_alpha_continued(alpha, radius, angle, tol=1e-12):
+def g_alpha_continued(alpha, radius, angle):
     """g_alpha at polar points via the stepping continuation of exp(-I)."""
     zeta = np.atleast_1d(radius * np.exp(1j * np.asarray(angle, dtype=float)))
-    k = exp_neg_I_continued(alpha, radius, np.asarray(angle, dtype=float) - alpha, tol)
+    k = exp_neg_I_continued(alpha, radius, np.asarray(angle, dtype=float) - alpha)
     return k * (zeta + 1j) / zeta
 
 
-def eval_g_alpha(alpha, zeta, tol=1e-10):
+def eval_g_alpha(alpha, zeta):
     """Right-half-plane representation of g_alpha.
 
     Evaluates exp(-(1/pi) int_0^inf log((1 - t^{-2 mu})/(1 - t^{-2}))
@@ -280,15 +284,13 @@ def eval_g_alpha(alpha, zeta, tol=1e-10):
         tail = _log_mu_ratio(mu, -u)[:, None] * (arr[live] / (1.0 + z2[live] * tc**2))
         return head + tail
 
-    total = _tanh_sinh(
-        integrand, tol, "g integral", lambda acc: np.exp(-acc / math.pi)
-    )
+    total = _tanh_sinh(integrand, _G_TOL, "g integral", lambda acc: np.exp(-acc / math.pi))
     if np.asarray(zeta).ndim == 0:
         return complex(total[0])
     return total
 
 
-def eval_J(mu, tol=1e-12):
+def eval_J(mu):
     """The corner-constant integral J(mu), computed by quadrature.
 
     J(mu) = int_0^inf log(1 + t^{-2 mu}) e^{i pi/(2 mu)}/(t^2 - e^{i pi/mu}) dt.
@@ -307,7 +309,7 @@ def eval_J(mu, tol=1e-12):
         lead = -2 * mu * logt + lead2
         return lead * (ea / (t**2 - ea**2)) + lead2 * (ea / (1.0 - t**2 * ea**2))
 
-    return complex(_tanh_sinh(integrand, tol, "J integral"))
+    return complex(_tanh_sinh(integrand, _TOL, "J integral"))
 
 
 def eval_ReJ(mu):

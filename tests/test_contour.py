@@ -159,9 +159,10 @@ def test_domain_validation():
         continuation_factor(alpha, cmath.exp(1j * (math.pi / 2 - alpha)))
 
 
-def test_quadrature_error_on_impossible_tolerance():
+def test_quadrature_error_on_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(contour, "_TOL", 0.0)
     with pytest.raises(QuadratureError, match="did not stabilize"):
-        eval_I_alpha(math.pi / 4, 0.7 + 0.1j, tol=0.0)
+        eval_I_alpha(math.pi / 4, 0.7 + 0.1j)
 
 
 # Values frozen from the level-by-level tanh-sinh sums that preceded the

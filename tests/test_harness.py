@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -252,6 +253,35 @@ def test_example_2_reproduces_reference_eigenvalues(ex2_report):
         for k, computed, ref in zip(block.k, block.computed, reference):
             if k >= 5:
                 assert abs(computed - ref) / ref < 1e-2, (label, k)
+
+
+def test_example_1_meshes_its_triangle_once_per_level(monkeypatch):
+    # the Dirichlet case solves on the Neumann meshes with the walls retagged
+    from sloshspec import fem_steklov, harness
+    from sloshspec.geometry import build_triangle_domain, mesh
+
+    meshed, solved = [], []
+    generate, solve = mesh.generate_mesh, harness.solve_steklov
+
+    def counting(domain, h, *args):
+        meshed.append(h)
+        return generate(domain, h, *args)
+
+    def keep(*args, **kwargs):
+        spectrum = solve(*args, **kwargs)
+        solved.append(spectrum.eigenvalues)
+        return spectrum
+
+    for module in (mesh, fem_steklov, harness):
+        monkeypatch.setattr(module, "generate_mesh", counting)
+    monkeypatch.setattr(harness, "solve_steklov", keep)
+    reproduce_table(1, 0.04)
+    assert meshed == [0.04, 0.08]
+    monkeypatch.undo()
+    dirichlet = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("dirichlet",) * 2)
+    assert len(solved) == 4
+    for h, got in zip((0.04, 0.08), solved[2:]):
+        assert got.tobytes() == solve(dirichlet, h, 10).eigenvalues.tobytes()
 
 
 def test_reproduce_table_validates_example_number():
@@ -614,6 +644,7 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["peters", "--alpha", repr(math.pi / 2)], "alpha"),
         (["peters", "--alpha", "1.0", "--xmax", "400"], "xmax"),
         (["asymptotics", "--alpha", "1", "--beta", "4"], "beta"),
+        (["residual", "--h", "0.05", "--k", "2"], "k"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
@@ -623,6 +654,31 @@ def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsy
     assert code == 2
     assert doc["error"]["type"] == "config"
     assert doc["error"]["field"] == field_name
+
+
+@pytest.mark.parametrize(
+    "command, usage",
+    [
+        ("fem", "--neigs NEIGS"),
+        ("fem", "--grading GRADING"),
+        ("reproduce", "--grading GRADING"),
+        ("residual", "--length LENGTH"),
+        ("residual", "--k K"),
+        ("residual", "--grading GRADING"),
+        ("convergence", "--h H"),
+        ("convergence", "--k K"),
+        ("convergence", "--grading GRADING"),
+        ("peters", "--bc {neumann,dirichlet}"),
+    ],
+)
+def test_help_names_each_flag_argument_after_its_flag(capsys, command, usage):
+    # the flags that set a config field take the field's name as dest
+    from sloshspec import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert re.search(re.escape(usage) + r"(?!\w)", capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("argv", [["fem", "--domain", "bad.json", "--h", "0.1"], ["run", "--config", "cfg.json", "--out", "out"]])
