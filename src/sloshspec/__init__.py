@@ -13,10 +13,8 @@ the worked eigenvalue tables.
 
 from .asymptotics import (
     QuasiFrequencyModel,
-    QuasiFrequencySequence,
     Regime,
     quasi_frequency,
-    quasi_frequency_sequence,
     remainder_exponent,
     weyl_count_estimate,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "ParametricCurve",
     "Polyline",
     "QuasiFrequencyModel",
-    "QuasiFrequencySequence",
     "Regime",
     "ReportBlock",
     "SLEigenfunction",
@@ -127,7 +124,6 @@ __all__ = [
     "generate_mesh",
     "ode_asymptotic_prediction",
     "quasi_frequency",
-    "quasi_frequency_sequence",
     "quasimode_residual_study",
     "read_mesh_text",
     "remainder_exponent",

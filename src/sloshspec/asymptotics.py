@@ -11,7 +11,7 @@ conditions.  This module evaluates those closed forms, the associated
 remainder exponents, and the one-term Weyl counting estimate.
 
 Everything here is exact double-precision arithmetic on explicit
-formulas; no rounding or table lookup happens anywhere.
+formulas; nothing is rounded or interpolated.
 """
 
 import enum
@@ -39,14 +39,24 @@ class Regime(enum.Enum):
         raise ValueError(f"unknown regime {name!r}; expected one of: {valid}")
 
 
+# the walls at corners A and B of each regime; the general regimes come first
+_WALLS = {
+    Regime.NEUMANN_NEUMANN: ("neumann", "neumann"),
+    Regime.DIRICHLET_DIRICHLET: ("dirichlet", "dirichlet"),
+    Regime.MIXED_DIRICHLET_A_NEUMANN_B: ("dirichlet", "neumann"),
+    Regime.HALFPI_NEUMANN: ("neumann", "neumann"),
+    Regime.HALFPI_DIRICHLET: ("dirichlet", "dirichlet"),
+}
+_SIGN = {"neumann": -1.0, "dirichlet": 1.0}
+
+
 @dataclass(frozen=True)
 class QuasiFrequencyModel:
     """Container geometry and wall conditions entering the two-term law.
 
     alpha and beta are the interior angles between the free surface and
-    the walls at corners A and B.  For the mixed regime, alpha is the
-    angle at the corner whose adjacent wall carries the Dirichlet
-    condition (corner A by convention) and beta the Neumann one.  The
+    the walls at corners A and B; the regime fixes the walls (_WALLS), so
+    for the mixed regime alpha is the Dirichlet corner's angle.  The
     half-pi regimes fix alpha = pi/2 exactly (a vertical wall at A, where
     the model solution is exact) and keep beta free.
     """
@@ -65,22 +75,26 @@ class QuasiFrequencyModel:
             if abs(self.alpha - HALF_PI) > 1e-15:
                 raise ValueError("half-pi regimes require alpha = pi/2 exactly")
 
+    @classmethod
+    def from_walls(cls, alpha, wall_a, beta, wall_b, surface_length):
+        """The model of corners (alpha, wall_a) and (beta, wall_b), mixed ones in mixed order."""
+        if (wall_a, wall_b) == ("neumann", "dirichlet"):
+            alpha, wall_a, beta, wall_b = beta, wall_b, alpha, wall_a
+        for regime, walls in _WALLS.items():
+            if walls == (wall_a, wall_b):
+                return cls(regime, alpha, beta, surface_length)
+        raise ValueError(f"wall conditions must be 'neumann' or 'dirichlet', got {wall_a!r}, {wall_b!r}")
+
+    def _corners(self):
+        """(angle, wall) at A, then at B."""
+        wall_a, wall_b = _WALLS[self.regime]
+        return (self.alpha, wall_a), (self.beta, wall_b)
+
     @property
     def phase(self) -> float:
-        """The k-independent phase shift added to pi (k - 1/2)."""
-        a, b = self.alpha, self.beta
-        quarter = math.pi**2 / 8.0
-        if self.regime is Regime.NEUMANN_NEUMANN:
-            return -quarter * (1.0 / a + 1.0 / b)
-        if self.regime is Regime.DIRICHLET_DIRICHLET:
-            return quarter * (1.0 / a + 1.0 / b)
-        if self.regime is Regime.MIXED_DIRICHLET_A_NEUMANN_B:
-            return quarter * (1.0 / a - 1.0 / b)
-        if self.regime is Regime.HALFPI_NEUMANN:
-            return -math.pi / 4.0 - math.pi**2 / (8.0 * b)
-        if self.regime is Regime.HALFPI_DIRICHLET:
-            return math.pi / 4.0 + math.pi**2 / (8.0 * b)
-        raise AssertionError(f"unhandled regime {self.regime}")
+        """The phase added to pi (k - 1/2): pi^2/(8 angle) per corner, negative behind Neumann."""
+        (a, wall_a), (b, wall_b) = self._corners()
+        return math.pi**2 / 8.0 * (_SIGN[wall_a] / a + _SIGN[wall_b] / b)
 
     @property
     def conjectural(self) -> bool:
@@ -98,51 +112,17 @@ def quasi_frequency(model: QuasiFrequencyModel, k: int) -> float:
 def remainder_exponent(model: QuasiFrequencyModel):
     """Power-law exponent of sigma_k - quasi_frequency(k), or "exponential".
 
-    The deviation from the lattice decays like k**exponent, driven by the
-    wider corner; vertical Neumann walls contribute no algebraic term at
-    all, so the fully vertical Neumann case decays exponentially.
+    The deviation from the lattice decays like k**exponent, the largest
+    corner exponent: 1 - pi/(2 angle) behind a Neumann wall, 1 - pi/angle
+    behind a Dirichlet one.  A vertical wall, whose model solution is the
+    exact plane wave, adds no algebraic term.
     """
-    a, b = model.alpha, model.beta
-    tol = 1e-12
-    if model.regime is Regime.NEUMANN_NEUMANN:
-        if abs(a - HALF_PI) <= tol and abs(b - HALF_PI) <= tol:
-            return "exponential"
-        return 1.0 - math.pi / (2.0 * max(a, b))
-    if model.regime is Regime.DIRICHLET_DIRICHLET:
-        return 1.0 - math.pi / max(a, b)
-    if model.regime is Regime.MIXED_DIRICHLET_A_NEUMANN_B:
-        return 1.0 - math.pi / max(a, 2.0 * b)
-    if model.regime is Regime.HALFPI_NEUMANN:
-        if abs(b - HALF_PI) <= tol:
-            return "exponential"
-        return 1.0 - math.pi / (2.0 * b)
-    if model.regime is Regime.HALFPI_DIRICHLET:
-        return 1.0 - math.pi / b
-    raise AssertionError(f"unhandled regime {model.regime}")
-
-
-@dataclass(frozen=True)
-class QuasiFrequencySequence:
-    """Evaluated lattice sigma_1..sigma_kmax plus decay metadata."""
-
-    model: QuasiFrequencyModel
-    kmax: int
-    remainder_exponent: object  # float or the string "exponential"
-
-    def sigma(self, k: int) -> float:
-        if not 1 <= k <= self.kmax:
-            raise ValueError(f"k must lie in 1..{self.kmax}, got {k}")
-        return quasi_frequency(self.model, k)
-
-    @property
-    def values(self):
-        return [quasi_frequency(self.model, k) for k in range(1, self.kmax + 1)]
-
-
-def quasi_frequency_sequence(model: QuasiFrequencyModel, kmax: int) -> QuasiFrequencySequence:
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    return QuasiFrequencySequence(model=model, kmax=kmax, remainder_exponent=remainder_exponent(model))
+    exponents = [
+        1.0 - math.pi / (2.0 * angle if wall == "neumann" else angle)
+        for angle, wall in model._corners()
+        if abs(angle - HALF_PI) > 1e-12
+    ]
+    return max(exponents) if exponents else "exponential"
 
 
 def weyl_count_estimate(lam: float, surface_length: float) -> float:

@@ -40,6 +40,11 @@ _GRADING_ZONE = 10.0
 _LATTICE_CLEARANCE = 0.6
 _INSERT_CLEARANCE = 0.45
 _MAX_REFINE_ROUNDS = 30
+# Bound on the estimated nodes of a mesh request.  The largest mesh in
+# use (h = 0.002 on the pi/4 triangle, 72 539 nodes) is estimated at
+# 2.1e5, a tenth of the bound; the P1 factor of a mesh past it would
+# take gigabytes.
+_MAX_NODES = 2_000_000
 
 
 class MeshError(RuntimeError):
@@ -428,8 +433,9 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     near the surface corners A and B the boundary spacing ramps down to
     `grading_factor * mesh_size` over a zone of ten mesh sizes, which is
     where the corner singularities of the eigenfunctions live.  Raises
-    MeshError if a mesh with minimum interior angle of 20 degrees cannot
-    be reached.
+    MeshError if the request would take more than about _MAX_NODES nodes,
+    or if a mesh with minimum interior angle of 20 degrees cannot be
+    reached.
     """
     h = float(mesh_size)
     g = float(grading_factor)
@@ -437,6 +443,14 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         raise MeshError("mesh_size must be positive")
     if not 0 < g <= 1:
         raise MeshError("grading_factor must lie in (0, 1]")
+    # boundary steps are at least g h long, and the lattice covers the
+    # bounding box, of area at most perimeter^2 / 8, at one node per sqrt(3)/2 h^2
+    steps = sum(piece.curve.length() for piece, _ in domain.loop_pieces()) / h  # inf for a tiny h
+    estimate = steps / g + steps * steps / (4.0 * math.sqrt(3.0))
+    if not estimate <= _MAX_NODES:
+        raise MeshError(
+            f"mesh_size {h!r} asks for about {estimate:.3g} nodes, more than the {_MAX_NODES} a mesh may have"
+        )
 
     poly, bedges, tags = _sample_boundary(domain, h, g)
     fpoly = _filter_polygon(poly)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 import scipy.linalg
 
-from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
+from .asymptotics import QuasiFrequencyModel, quasi_frequency
 from .fem_steklov import convergence_study, dtn_action, solve_steklov
 from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
@@ -314,7 +314,12 @@ def _comparison_report(cases, h, kmax, grading_factor):
     return ComparisonReport(blocks=tuple(blocks), metadata=meta)
 
 
-def _lattice(model):
+def _lattice(domain):
+    """The two-term lattice of `domain`'s corners, as predict(ks)."""
+    a, b = domain.corner_A, domain.corner_B
+    model = QuasiFrequencyModel.from_walls(
+        a.angle, a.condition_adjacent_wall, b.angle, b.condition_adjacent_wall, domain.surface_length
+    )
     return lambda ks: [quasi_frequency(model, k) for k in ks]
 
 
@@ -329,21 +334,13 @@ def _example_cases(example, h, grading_factor):
         angles = (2 * math.pi / 5, math.pi / 6, 2.0)
         # the wall conditions only tag the walls, so both cases solve on one mesh per level
         meshes = [generate_mesh(build_triangle_domain(*angles), size, grading_factor) for size in (h, 2.0 * h)]
-        for label, regime in (("neumann", Regime.NEUMANN_NEUMANN), ("dirichlet", Regime.DIRICHLET_DIRICHLET)):
+        for label in ("neumann", "dirichlet"):
             domain = build_triangle_domain(*angles, wall_conditions=(label, label))
-            model = QuasiFrequencyModel(regime, *angles)
-            yield label, domain, _lattice(model), [_with_walls(mesh, label) for mesh in meshes]
+            yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in meshes]
     else:
         for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
             domain = build_curvilinear_example(sign)
-            # the Dirichlet wall meets the surface at corner B
-            model = QuasiFrequencyModel(
-                Regime.MIXED_DIRICHLET_A_NEUMANN_B,
-                domain.corner_B.angle,
-                domain.corner_A.angle,
-                domain.surface_length,
-            )
-            yield label, domain, _lattice(model), (None, None)
+            yield label, domain, _lattice(domain), (None, None)
 
 
 def reproduce_table(example, h, grading_factor=0.25):

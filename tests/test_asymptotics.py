@@ -1,19 +1,24 @@
 """Closed-form quasi-frequency lattice: phases, remainders, counting."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sloshspec import cli
 from sloshspec.asymptotics import (
     QuasiFrequencyModel,
     Regime,
     quasi_frequency,
-    quasi_frequency_sequence,
     remainder_exponent,
     weyl_count_estimate,
 )
+from sloshspec.geometry.domain import build_curvilinear_example, build_triangle_domain
+from sloshspec.highord_sl import ode_asymptotic_prediction
+from sloshspec.model_solutions.peters import SectorParams
 
 from _tables import EX1_TABLE, EX2_TABLE
 
@@ -112,6 +117,97 @@ def test_remainder_exponents():
     assert remainder_exponent(hd) == pytest.approx(-2.0, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "regime, shift",
+    [(Regime.NEUMANN_NEUMANN, 1.0), (Regime.DIRICHLET_DIRICHLET, 0.0), (Regime.MIXED_DIRICHLET_A_NEUMANN_B, 0.5)],
+    ids=["nn", "dd", "mixed"],
+)
+def test_rectangle_lattice_is_its_exact_spectrum(regime, shift):
+    # On [0, pi] x [-1, 0] the exact eigenvalues are n tanh(n) with
+    # n = k - shift, which meet the lattice n exponentially fast.
+    model = QuasiFrequencyModel(regime, math.pi / 2, math.pi / 2, math.pi)
+    for k in range(1, 30):
+        assert quasi_frequency(model, k) == pytest.approx(k - shift, abs=1e-13)
+    assert remainder_exponent(model) == "exponential"
+
+
+@pytest.mark.parametrize(
+    "regime, alpha, beta, exponent",
+    [
+        (Regime.NEUMANN_NEUMANN, math.pi / 2, math.pi / 3, -0.5),
+        (Regime.HALFPI_NEUMANN, math.pi / 2, math.pi / 3, -0.5),
+        (Regime.DIRICHLET_DIRICHLET, math.pi / 2, math.pi / 3, -2.0),
+        (Regime.HALFPI_DIRICHLET, math.pi / 2, math.pi / 3, -2.0),
+        # the vertical wall is the Neumann one: corner A's Dirichlet term is left
+        (Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi / 3, math.pi / 2, -2.0),
+    ],
+    ids=["nn", "halfpi-neumann", "dd", "halfpi-dirichlet", "mixed"],
+)
+def test_vertical_corner_adds_no_algebraic_remainder(regime, alpha, beta, exponent):
+    assert remainder_exponent(QuasiFrequencyModel(regime, alpha, beta, 1.0)) == pytest.approx(exponent, abs=1e-14)
+
+
+WALLS = {
+    Regime.NEUMANN_NEUMANN: ("neumann", "neumann"),
+    Regime.DIRICHLET_DIRICHLET: ("dirichlet", "dirichlet"),
+    Regime.MIXED_DIRICHLET_A_NEUMANN_B: ("dirichlet", "neumann"),
+    Regime.HALFPI_NEUMANN: ("neumann", "neumann"),
+    Regime.HALFPI_DIRICHLET: ("dirichlet", "dirichlet"),
+}
+
+
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+def test_phase_is_the_sum_of_the_corner_phase_shifts(regime):
+    # sigma L = chi_A + chi_B + (k - 1) pi, the relation gluing the corner
+    # solutions along the surface relies on
+    wall_a, wall_b = WALLS[regime]
+    rng = np.random.default_rng(20170)
+    for alpha, beta in rng.uniform(0.01, math.pi / 2, size=(2000, 2)):
+        if regime in (Regime.HALFPI_NEUMANN, Regime.HALFPI_DIRICHLET):
+            alpha = math.pi / 2
+        chi = SectorParams(alpha, wall_a).chi + SectorParams(beta, wall_b).chi
+        assert QuasiFrequencyModel(regime, alpha, beta, 1.0).phase == pytest.approx(chi - math.pi / 2, abs=1e-13)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_ode_prediction_is_the_neumann_lattice_of_its_triangle(q):
+    angle = math.pi / (2 * q)
+    model = QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, angle, angle, 1.7)
+    for k in range(q + 1, q + 30):
+        assert ode_asymptotic_prediction(q, 1.7, k) == pytest.approx(quasi_frequency(model, k), rel=1e-14)
+
+
+def test_from_walls_builds_the_worked_examples_models():
+    for sign in ("+", "-"):
+        domain = build_curvilinear_example(sign)
+        a, b = domain.corner_A, domain.corner_B
+        built = QuasiFrequencyModel.from_walls(
+            a.angle, a.condition_adjacent_wall, b.angle, b.condition_adjacent_wall, domain.surface_length
+        )
+        # the Dirichlet wall meets the surface at corner B
+        assert built == QuasiFrequencyModel(Regime.MIXED_DIRICHLET_A_NEUMANN_B, b.angle, a.angle, domain.surface_length)
+    for wall, regime in (("neumann", Regime.NEUMANN_NEUMANN), ("dirichlet", Regime.DIRICHLET_DIRICHLET)):
+        domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=(wall, wall))
+        built = QuasiFrequencyModel.from_walls(2 * math.pi / 5, wall, math.pi / 6, wall, domain.surface_length)
+        assert built == QuasiFrequencyModel(regime, 2 * math.pi / 5, math.pi / 6, 2.0)
+    with pytest.raises(ValueError, match="wall conditions"):
+        QuasiFrequencyModel.from_walls(1.0, "neumann", 1.0, "robin", 1.0)
+
+
+@pytest.mark.parametrize(
+    "regime, digest",
+    [
+        ("nn", "e06fc51511805e701073b9881176dc125b6fda7410de628f26862af9180dd108"),
+        ("dd", "d7dad7f9a3c55b593a13b73e4e272648bb40706ab5cd7d21cfbd89f912a72a43"),
+        ("mixed", "89e6d3588b9cddc854b5803983a76f85fca1c496d9ce45266436d4b14e3bb70e"),
+    ],
+)
+def test_asymptotics_csv_matches_recorded_digest(capsys, regime, digest):
+    argv = ["asymptotics", "--regime", regime, "--alpha", repr(2 * math.pi / 5), "--beta", repr(math.pi / 6)]
+    assert cli.main(argv + ["--length", "2", "--kmax", "20"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_conjectural_flag_tracks_obtuse_corners():
     assert not nn_model(math.pi / 3, math.pi / 6).conjectural
     assert nn_model(2 * math.pi / 5, math.pi / 6).conjectural is False
@@ -124,17 +220,6 @@ def test_quasi_frequency_validates_k():
         quasi_frequency(model, 0)
     with pytest.raises(ValueError, match="positive integer"):
         quasi_frequency(model, 2.5)
-
-
-def test_sequence_carries_values_and_bounds():
-    seq = quasi_frequency_sequence(nn_model(), 10)
-    assert len(seq.values) == 10
-    assert seq.sigma(4) == pytest.approx(39 * math.pi / 32, abs=1e-13)
-    assert seq.remainder_exponent == remainder_exponent(nn_model())
-    with pytest.raises(ValueError):
-        seq.sigma(11)
-    with pytest.raises(ValueError):
-        quasi_frequency_sequence(nn_model(), 0)
 
 
 def test_model_validation():

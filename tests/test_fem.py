@@ -333,6 +333,27 @@ def test_rectangle_matches_separated_solution():
     assert rel[0] < 5e-4
 
 
+@pytest.mark.parametrize(
+    "walls, shift",
+    [(("neumann", "neumann"), 1.0), (("dirichlet", "dirichlet"), 0.0), (("dirichlet", "neumann"), 0.5)],
+    ids=["neumann", "dirichlet", "mixed"],
+)
+def test_p1_bounds_the_rectangle_spectrum_from_above_at_order_two(walls, shift):
+    # [0, pi] x [-1, 0] with a Neumann bottom: eigenvalues n tanh(n) with
+    # n = k - shift.  P1 is a conforming Rayleigh-Ritz method, so each
+    # discrete eigenvalue lies above the exact one, and halving h divides
+    # the error by about 4.
+    domain = build_rectangle_domain(math.pi, 1.0, (walls[0], "neumann", walls[1]))
+    n = np.arange(1, 11) - shift
+    exact = n * np.tanh(n)
+    tol = 1e-12 * np.maximum(1.0, exact)
+    coarse, fine = (solve_steklov(domain, h, 10).eigenvalues - exact for h in (0.04, 0.02))
+    assert (coarse >= -tol).all() and (fine >= -tol).all()
+    resolved = fine > tol
+    assert 3.0 <= (coarse[resolved] / fine[resolved]).min()
+    assert (coarse[resolved] / fine[resolved]).max() <= 6.0
+
+
 def test_traces_are_mass_orthonormal():
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     mesh = generate_mesh(domain, 0.05)

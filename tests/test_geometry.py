@@ -646,6 +646,17 @@ def test_qhull_sees_only_the_boundary_band(monkeypatch):
         assert qhull_sizes[0] <= 0.1 * num_nodes
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-7])
+def test_mesh_size_past_the_node_bound_is_rejected_before_sampling(h, monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("the boundary was sampled")
+
+    monkeypatch.setattr(mesh_module, "_sample_boundary", no_sampling)
+    domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0)
+    with pytest.raises(MeshError, match="nodes, more than"):
+        generate_mesh(domain, h)
+
+
 def test_triangle_mesh_validation():
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError, match="non-positively-oriented"):

@@ -520,6 +520,13 @@ def test_cli_mesh_failure_exits_one_with_error_json(tmp_path):
     assert "not recovered" in doc["error"]["message"]
 
 
+def test_cli_mesh_size_past_the_node_bound_exits_one_with_error_json(capsys):
+    code, doc = run_main(capsys, "reproduce", "--example", "1", "--h", "1e-300")
+    assert code == 1
+    assert doc["error"]["type"] == "numerical"
+    assert "nodes, more than" in doc["error"]["message"]
+
+
 def test_cli_eigensolve_failure_exits_one_with_error_json(tmp_path, monkeypatch, capsys):
     import scipy.sparse.linalg as spla
 
