@@ -24,6 +24,7 @@ error names the flag the user typed.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -53,7 +54,9 @@ def _common_flags(parser, formats=True):
     parser.add_argument("--out", metavar="DIR", default=None, help="write artifacts into DIR instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="sloshspec", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

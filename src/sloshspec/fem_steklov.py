@@ -321,6 +321,7 @@ def _sloshing_pairs(system, n_eigs):
     mass = system.surface_mass
     cb = system.surface_cholesky
     R = sp.diags([cb[1], cb[0, 1:]], [0, 1], format="csr")
+    Rt = R.T.tocsr()
     sigma = -1.0 / system.surface_length
     B = sp.block_diag((sp.csr_matrix((ni, ni)), mass), format="csr")
     lu = _factor(K - sigma * B, "pencil")
@@ -330,7 +331,7 @@ def _sloshing_pairs(system, n_eigs):
         """A^{-1} [0; R^T Y], for one surface vector or a block of them."""
         nonlocal solves
         rhs = np.zeros((n,) + Y.shape[1:])
-        rhs[ni:] = R.T @ Y
+        rhs[ni:] = Rt @ Y
         solves += 1 if Y.ndim == 1 else Y.shape[1]
         return lu.solve(rhs)
 

@@ -6,7 +6,10 @@ lattice of interior points with a clearance band along the boundary,
 Delaunay-triangulate everything, keep triangles whose centroid lies in
 the domain, and insert circumcenters of poor triangles until every
 interior angle reaches 20 degrees.  Refinement never moves or adds
-boundary nodes, so the sampled boundary stays authoritative.
+boundary nodes, so the sampled boundary loop stays authoritative: it is
+the one boundary representation.  Its order is the edge list, edge k
+joining node k to node k + 1 mod nb, and every inside test runs on that
+polygon as sampled.
 
 The Delaunay step knows the lattice: a unit lattice triangle whose
 circumdisk holds no boundary or refinement node is Delaunay as it
@@ -19,6 +22,8 @@ The inside tests are one crossing sweep (`_backend.points_in_polygon`).
 The lattice candidates come in hex rows of one y each, and every polygon
 edge crosses a row at most once, so classifying them costs one crossing
 per (row, edge) pair; centroids and circumcenters are swept as points.
+A straight wall cut into many collinear edges thus costs about what one
+edge would, and the polygon needs no thinning first.
 The boundary walk keeps its step-by-step recurrence but takes the
 constant steps outside the grading zone in one vectorized guess.
 
@@ -170,14 +175,16 @@ def _sample_piece(curve, reverse, h, graded_h):
         acc = np.cumsum(np.concatenate([[f0], np.asarray(steps) * scale / length]))
         acc[-1] = f1
         fracs.append(acc[1:])
-    return np.concatenate(fracs)[1:-1], length
+    return np.concatenate(fracs)[1:-1]
 
 
 def _sample_boundary(domain, h, g):
     """Polygonalize the boundary loop.
 
-    Returns (nodes, edges, tags) with nodes in loop order, edges the
-    consecutive index pairs closing the loop, and one tag per edge.
+    Returns (nodes, tags): the nodes in loop order and one tag per edge,
+    edge k joining node k to node k + 1 mod len(nodes).  That order is
+    the mesh's boundary edge list, and the inside tests run on this
+    polygon as it stands.  Each piece ends on its curve's own endpoint.
     Boundary spacing ramps from g h at the corners A and B up to h over
     _GRADING_ZONE mesh sizes; min(h, h (g + ramp d)) equals
     h min(1, g + ramp d) bit for bit, as rounding is monotone and
@@ -191,32 +198,20 @@ def _sample_boundary(domain, h, g):
         x, y = p[..., 0], p[..., 1]
         return h * (g + ramp * np.minimum(np.hypot(x - ax, y - ay), np.hypot(x - bx, y - by)))
 
-    nodes = []
-    edges = []
-    tags = []
     pieces = domain.loop_pieces()
-    start0 = pieces[0][0].curve.point(1.0 if pieces[0][1] else 0.0)
-    nodes.append(np.asarray(start0, dtype=float))
+    nodes = [pieces[0][0].curve.point(1.0 if pieces[0][1] else 0.0)]
+    tags = []
     for piece, reverse in pieces:
         curve = piece.curve
-        inner, _ = _sample_piece(curve, reverse, h, graded_h)
-        u_curve = 1.0 - inner if reverse else inner
-        first = len(nodes) - 1
-        if len(u_curve):
-            pts = np.atleast_2d(curve.point(u_curve))
-            nodes.extend(pts)
-        end_pt = curve.point(0.0 if reverse else 1.0)
-        nodes.append(np.asarray(end_pt, dtype=float))
-        last = len(nodes) - 1
-        for i in range(first, last):
-            edges.append((i, i + 1))
-            tags.append(piece.condition)
+        inner = _sample_piece(curve, reverse, h, graded_h)
+        nodes.append(curve.point(1.0 - inner if reverse else inner))
+        nodes.append(curve.point(0.0 if reverse else 1.0))
+        tags += [piece.condition] * (len(inner) + 1)
+    nodes = np.concatenate([np.reshape(p, (-1, 2)) for p in nodes])
     # the loop closes: the final node duplicates node 0
-    closing = nodes.pop()
-    if not np.allclose(closing, nodes[0], atol=1e-9):
+    if not np.allclose(nodes[-1], nodes[0], atol=1e-9):
         raise MeshError("boundary pieces do not close into a loop")
-    edges[-1] = (edges[-1][0], 0)
-    return np.asarray(nodes), np.asarray(edges, dtype=np.int64), tags
+    return nodes[:-1], tags
 
 
 def _hex_lattice(center, extent, a):
@@ -334,23 +329,6 @@ def _lattice_triangle_at(lat, pts):
     return _lattice_cells(lat, np.floor(rows).astype(np.int64), col.astype(np.int64))
 
 
-def _filter_polygon(poly):
-    """Drop collinear vertices; the reduced polygon bounds the same set.
-
-    Point-in-polygon tests cost O(vertices) per point, and straight
-    boundary pieces contribute long collinear runs of sampled nodes that
-    carry no shape information.
-    """
-    prev = np.roll(poly, 1, axis=0)
-    nxt = np.roll(poly, -1, axis=0)
-    a = poly - prev
-    b = nxt - poly
-    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    scale = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    keep = np.abs(cross) > 1e-12 * scale
-    return poly[keep] if keep.sum() >= 3 else poly
-
-
 def _triangulate(nodes, poly, bedges, lat):
     """Delaunay triangles of `nodes` inside `poly`, counterclockwise.
 
@@ -452,25 +430,25 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
             f"mesh_size {h!r} asks for about {estimate:.3g} nodes, more than the {_MAX_NODES} a mesh may have"
         )
 
-    poly, bedges, tags = _sample_boundary(domain, h, g)
-    fpoly = _filter_polygon(poly)
+    poly, tags = _sample_boundary(domain, h, g)
     nb = len(poly)
-    # every boundary node closes exactly two edges
-    lens = np.linalg.norm(poly[bedges[:, 1]] - poly[bedges[:, 0]], axis=1)
-    bspacing = 0.5 * np.bincount(bedges.ravel(), weights=np.repeat(lens, 2), minlength=nb)
+    bedges = np.stack([np.arange(nb), np.roll(np.arange(nb), -1)], axis=1)
+    # node k closes edges k - 1 and k
+    lens = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
+    bspacing = 0.5 * (np.roll(lens, 1) + lens)
     btree = cKDTree(poly)
 
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     center = 0.5 * (lo + hi)
     cand, ij = _hex_lattice(center, hi - lo, h)
-    keep = _backend.points_in_polygon(np.ascontiguousarray(cand), fpoly)
+    keep = _backend.points_in_polygon(np.ascontiguousarray(cand), poly)
     d, _ = btree.query(cand[keep])
     keep[keep] = d >= _LATTICE_CLEARANCE * h
     cand, ij = cand[keep], ij[keep]
     lat = _lattice(center, h, ij, nb)
     nodes = np.concatenate([poly, cand], axis=0)
 
-    tris, lattice_count = _triangulate(nodes, fpoly, bedges, lat)
+    tris, lattice_count = _triangulate(nodes, poly, bedges, lat)
     rounds = rejected = 0
     while True:
         # kept lattice triangles are equilateral: only the band can fail
@@ -485,7 +463,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         cc, radius = _circumcenters(nodes, band[bad])
         cc, radius = cc[order], radius[order]
         ok = np.isfinite(cc).all(axis=1) & np.isfinite(radius) & (radius > 0)
-        ok &= _backend.points_in_polygon(np.ascontiguousarray(cc), fpoly)
+        ok &= _backend.points_in_polygon(np.ascontiguousarray(cc), poly)
         tree = cKDTree(nodes)
         d_any, _ = tree.query(cc)
         ok &= d_any >= _INSERT_CLEARANCE * radius
@@ -507,7 +485,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         rounds += 1
         rejected += len(cc) - len(accepted)
         nodes = np.concatenate([nodes, np.asarray(accepted)], axis=0)
-        tris, lattice_count = _triangulate(nodes, fpoly, bedges, lat)
+        tris, lattice_count = _triangulate(nodes, poly, bedges, lat)
 
     x, y = poly[:, 0], poly[:, 1]
     poly_area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))

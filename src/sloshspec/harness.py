@@ -107,6 +107,9 @@ class ExperimentConfig:
             raise ConfigError("k_list", "need at least one lattice index")
         if isinstance(self.domain, str) and not os.path.exists(self.domain):
             raise ConfigError("domain", f"referenced file does not exist: {self.domain}")
+        # the label names every artifact, so it must stay one file name inside the output directory
+        if not isinstance(self.label, str) or any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError("label", f"must be a string with no path separator or NUL, got {self.label!r}")
 
     @property
     def stem(self):

@@ -437,17 +437,26 @@ def _stepwise_piece(curve, reverse, h, g, corners):
 def test_boundary_walk_matches_the_stepwise_walk(h, g, monkeypatch):
     domains = [build_curvilinear_example("+"), build_rectangle_domain(math.pi, 0.7), notch_domain()]
     got = [mesh_module._sample_boundary(domain, h, g) for domain in domains]
-    for domain, (nodes, edges, tags) in zip(domains, got):
+    for domain, (nodes, tags) in zip(domains, got):
         corners = [np.asarray(c) for c in domain.corner_points]
         monkeypatch.setattr(
             mesh_module,
             "_sample_piece",
-            lambda curve, reverse, *_: (_stepwise_piece(curve, reverse, h, g, corners), curve.length()),
+            lambda curve, reverse, *_: _stepwise_piece(curve, reverse, h, g, corners),
         )
-        want_nodes, want_edges, want_tags = mesh_module._sample_boundary(domain, h, g)
+        want_nodes, want_tags = mesh_module._sample_boundary(domain, h, g)
         assert nodes.tobytes() == want_nodes.tobytes()
-        np.testing.assert_array_equal(edges, want_edges)
         assert tags == want_tags
+
+
+@pytest.mark.parametrize("h, g", [(0.1, 0.25), (0.05, 0.5)])
+def test_boundary_edges_follow_the_loop_order(h, g):
+    for domain in (build_curvilinear_example("+"), build_rectangle_domain(math.pi, 0.7), notch_domain()):
+        mesh = generate_mesh(domain, h, g)
+        nodes, tags = mesh_module._sample_boundary(domain, h, g)
+        nb = len(nodes)
+        assert mesh.boundary_edges == tuple((k, (k + 1) % nb, tags[k]) for k in range(nb))
+        assert mesh.nodes[:nb].tobytes() == nodes.tobytes()
 
 
 def test_mesh_generation_is_deterministic():
@@ -842,7 +851,7 @@ def test_points_in_polygon_matches_winding_oracle():
 
 
 def test_points_in_polygon_matches_winding_oracle_on_a_curved_boundary():
-    poly, _, _ = mesh_module._sample_boundary(build_curvilinear_example("+"), 0.02, 0.25)
+    poly, _ = mesh_module._sample_boundary(build_curvilinear_example("+"), 0.02, 0.25)
     assert len(poly) >= 100
     _check_against_winding_oracle(poly)
 
@@ -864,9 +873,9 @@ def test_points_in_polygon_matches_the_per_edge_loop():
     # on and next to the boundary too
     rng = np.random.default_rng(1)
     notch = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
-    curved, _, _ = mesh_module._sample_boundary(build_curvilinear_example("-"), 0.02, 0.25)
+    curved, _ = mesh_module._sample_boundary(build_curvilinear_example("-"), 0.02, 0.25)
     lattice, _ = mesh_module._hex_lattice((0.5, -0.25), (1.2, 0.6), 0.05)
-    for poly in (notch, curved, mesh_module._filter_polygon(curved)):
+    for poly in (notch, curved):
         edge_points = poly + rng.uniform(0.0, 1.0, (len(poly), 1)) * (np.roll(poly, -1, axis=0) - poly)
         pts = np.vstack([
             rng.uniform(poly.min(axis=0) - 0.1, poly.max(axis=0) + 0.1, (500, 2)),

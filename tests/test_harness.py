@@ -602,6 +602,12 @@ def run_main(capsys, *argv):
         ({"kind": "peters_phase", "alpha": math.pi / 2}, "alpha"),
         # past |z| = 117 the contour's rounding exceeds 1e-8
         ({"kind": "peters_phase", "xmax": 400.0}, "xmax"),
+        # the label names every artifact: the first wrote beside --out, the
+        # next two died with a traceback, and 5 wrote 5.csv
+        ({"kind": "sl_vs_sloshing", "h": 0.05, "kmax": 3, "label": "../escaped"}, "label"),
+        ({"kind": "sl_vs_sloshing", "h": 0.05, "kmax": 3, "label": "sub/../../escaped"}, "label"),
+        ({"kind": "sl_vs_sloshing", "h": 0.05, "kmax": 3, "label": "nul\0byte"}, "label"),
+        ({"kind": "sl_vs_sloshing", "h": 0.05, "kmax": 3, "label": 5}, "label"),
     ],
 )
 def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys, config, field_name):
@@ -615,6 +621,24 @@ def test_run_rejects_invalid_configs_with_exit_two(tmp_path, monkeypatch, capsys
     assert doc["error"]["type"] == "config"
     assert doc["error"]["field"] == field_name
     assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+    assert set(os.listdir(tmp_path)) <= {"rect.json", "not_json.txt", "cfg.json", "out"}
+
+
+def test_cli_gives_the_same_answer_after_other_calls_in_one_process(capsys):
+    from sloshspec import cli
+
+    def sl():
+        return cli.main(["sl", "--q", "2", "--kmax", "4"]), capsys.readouterr().out
+
+    first = sl()
+    assert cli.main(["asymptotics", "--alpha", "1.0", "--beta", "0.7"]) == 0
+    assert cli.main(["peters", "--alpha", "2.0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert sl() == first
+    assert first[0] == 0 and first[1].startswith("k,lambda,prediction,residual")
 
 
 def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, capsys):
