@@ -181,10 +181,12 @@ def _cmd_sl(args):
     except ValueError as exc:
         raise ConfigError("q", str(exc)) from None
     spectrum = solve_spectrum(problem, args.kmax)
+    # Dirichlet has no zero modes: its row i is the Neumann row i + q
+    shift = args.q if args.bc == "dirichlet" else 0
     rows = []
     for i, lam in enumerate(spectrum.eigenvalues, start=1):
-        if i > args.q:
-            pred = ode_asymptotic_prediction(args.q, args.length, i)
+        if i + shift > args.q:
+            pred = ode_asymptotic_prediction(args.q, args.length, i + shift)
             rows.append((i, float(lam), pred, abs(float(lam) - pred)))
         else:
             rows.append((i, float(lam), None, None))

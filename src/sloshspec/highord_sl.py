@@ -109,9 +109,9 @@ def boundary_matrix(problem: HighOrderSLProblem, lam: float) -> np.ndarray:
     return _boundary_matrices(problem, [lam], ansatz_exponents(problem.q))[0]
 
 
-def _det_imag(problem, lam, w):
-    """Im det of the scaled boundary matrix: real, and zero at eigenvalues."""
-    return float(np.linalg.det(_boundary_matrices(problem, [lam], w)[0]).imag)
+def _det_imag(problem, lams, w):
+    """Im det of the scaled boundary matrix at each of lams: real, and zero at eigenvalues."""
+    return np.linalg.det(_boundary_matrices(problem, lams, w)).imag
 
 
 def characteristic_smallest_singular_value(problem: HighOrderSLProblem, lam: float) -> float:
@@ -132,24 +132,40 @@ def ode_asymptotic_prediction(q: int, interval_length: float, k: int) -> float:
 
 
 def _illinois(f, a, b, fa, fb):
-    """Root of f in a sign-change bracket [a, b] by Illinois regula falsi."""
-    side = 0
-    while b - a > 4.0 * np.finfo(float).eps * b:
+    """Roots of f in the sign-change brackets [a, b] by Illinois regula falsi.
+
+    Every bracket follows the scalar iteration: step to the secant point c,
+    keep the sub-bracket whose ends differ in sign, and halve the value at
+    the end that stays when the other one moves twice running; stop at a zero of f, at c
+    on an end (the root is within rounding of it), or at the midpoint once
+    the bracket is narrower than 4 eps b.  The brackets step together: f
+    is called once per step, on the array of the open brackets' secant
+    points.
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    side = np.zeros(a.shape, dtype=int)  # -1: b moved last, 1: a moved last
+    index = np.arange(a.size)  # of the brackets still open
+    roots = np.empty(a.shape)
+    while index.size:
+        wide = b - a > 4.0 * np.finfo(float).eps * b
+        roots[index[~wide]] = 0.5 * (a + b)[~wide]
         c = (a * fb - b * fa) / (fb - fa)
-        fc = f(c) if a < c < b else 0.0  # c on an end: the root is within rounding of it
-        if fc == 0.0:
-            return c
-        if (fc > 0) == (fb > 0):
-            b, fb = c, fc
-            if side == -1:  # b moved twice running: halve fa (the Illinois step)
-                fa *= 0.5
-            side = -1
-        else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+        fc = np.zeros(c.shape)
+        inside = wide & (a < c) & (c < b)  # c on an end: the root is within rounding of it
+        if np.any(inside):
+            fc[inside] = f(c[inside])
+        hit = wide & (fc == 0.0)
+        roots[index[hit]] = c[hit]
+        moves_b = (fc > 0) == (fb > 0)
+        # an end that moves twice running halves the other end's value (the Illinois step)
+        fa = np.where(moves_b, np.where(side == -1, 0.5 * fa, fa), fc)
+        fb = np.where(moves_b, fc, np.where(side == 1, 0.5 * fb, fb))
+        a = np.where(moves_b, a, c)
+        b = np.where(moves_b, c, b)
+        side = np.where(moves_b, -1, 1)
+        keep = wide & ~hit
+        a, b, fa, fb, side, index = (v[keep] for v in (a, b, fa, fb, side, index))
+    return roots
 
 
 @dataclass
@@ -246,12 +262,14 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     Im det of the scaled boundary matrix is evaluated on a grid of step
     pi / (4 L), in chunks reaching past the lattice prediction of the
     last eigenvalue wanted; grid points where it does not exceed
-    16 |Re det| (rounding) are skipped.  Each sign change between consecutive trusted points is
-    refined by Illinois regula falsi to 4 eps lam and accepted where the
-    normalized smallest singular value is below 1e-9, which also gives
-    the multiplicity and kernel vectors.  A density check against the
-    one-per-pi/L eigenvalue spacing guards against missed or spurious
-    roots.
+    16 |Re det| (rounding) are skipped.  The sign changes between
+    consecutive trusted points of a chunk are refined together by Illinois
+    regula falsi to 4 eps lam, one batched determinant per step, and their
+    roots get one stacked SVD.  In order, until kmax are found, a root is
+    accepted where the normalized smallest singular value is below 1e-9,
+    which also gives the multiplicity and kernel vectors.  A density check
+    against the one-per-pi/L eigenvalue spacing guards against missed or
+    spurious roots.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -266,7 +284,6 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
         return SLSpectrum(problem, eigenvalues[:kmax], coefficient_sets[:kmax])
 
     w = ansatz_exponents(q)
-    signed = lambda lam: _det_imag(problem, lam, w)
     step = math.pi / (4.0 * L)
     lam_lo = 0.25 * math.pi / L
     ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
@@ -279,14 +296,21 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
         grid = lam_lo + step * np.arange(start, min(start + chunk + 1, limit))
         det = np.linalg.det(_boundary_matrices(problem, grid, w))
         trusted = np.abs(det.imag) > _TRUST * np.abs(det.real)
+        brackets = []
         for lam, f in zip(grid[trusted], det.imag[trusted]):
-            if prev is not None and (f > 0) != (prev[1] > 0) and len(found) < needed:
-                root = _illinois(signed, prev[0], lam, prev[1], f)
-                s, vh = np.linalg.svd(_boundary_matrices(problem, [root], w)[0])[1:]
-                mult = int(np.sum(s / s[0] < SINGULAR_THRESHOLD))
-                found.extend((root, vh[-1 - j].conj()) for j in range(mult))
+            if prev is not None and (f > 0) != (prev[1] > 0):
+                brackets.append(prev + (lam, f))
             prev = (lam, f)
         start += len(grid)
+        if not brackets:
+            continue
+        a, fa, b, fb = zip(*brackets)
+        roots = _illinois(lambda lams: _det_imag(problem, lams, w), a, b, fa, fb)
+        s, vh = np.linalg.svd(_boundary_matrices(problem, roots, w))[1:]
+        for root, si, vhi in zip(roots, s, vh):
+            if len(found) < needed:
+                mult = int(np.sum(si / si[0] < SINGULAR_THRESHOLD))
+                found.extend((float(root), vhi[-1 - j].conj()) for j in range(mult))
     if len(found) < needed:
         raise SLSolveError(
             f"located only {len(found)} of {needed} positive eigenvalues below lam = {grid[-1]:.6g}"

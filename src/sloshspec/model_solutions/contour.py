@@ -23,9 +23,11 @@ settled drops out of the finer levels.  The levels are nested: each one adds
 only the new nodes halfway between the previous ones and reuses the
 previous sum, so no node is evaluated twice.  The double-exponential nodes
 absorb the logarithmic endpoint singularities without special casing.
-The two legs share one complex logarithm per node: the (0, 1] leg's
-log(1 + X), X = (t e^{i ray})^(-2 mu), is exactly log X plus the conjugate
-of the inverted leg's log(1 + t^(2 mu) e^(-2 i mu ray)) (see `_i_ray`).
+The two legs share one logarithm per node: the (0, 1] leg's log(1 + X),
+X = (t e^{i ray})^(-2 mu), is exactly log X plus the conjugate of the
+inverted leg's log(1 + t^(2 mu) e^(-2 i mu ray)), and that one is taken
+from its real and imaginary parts, a real logarithm and an arctan2, with
+no complex logarithm (see `_i_ray`).
 
 Composite Gauss-Legendre panels (`_panel_nodes`) discretize the smooth
 contours built on these functions.
@@ -149,27 +151,35 @@ def _i_ray(alpha, zeta, ray):
     log X + log(1 + 1/X) = -2 mu (log t + i ray) + conj(lead2), where
     lead2 = log(1 + t^(2 mu) e^(-2 i mu ray)) is the inverted leg's term.
     The split holds on the principal branch because |arg X| = 2 mu |ray|
-    < pi and |1/X| = t^(2 mu) < 1, so each (node, point) pair costs one
-    complex logarithm, and huge |X| near t = 0 never has to be formed.
+    < pi and |1/X| = t^(2 mu) < 1, and huge |X| near t = 0 never has to
+    be formed.  lead2 itself comes from real parts: with x = t^(2 mu) and
+    phi = -2 mu ray, 1 + x e^(i phi) = re + i im, re = 1 + x cos phi >= 1 - x
+    > 0, so its principal logarithm is log(re^2 + im^2)/2 + i arctan2(im, re)
+    and no complex logarithm is taken.
     """
     mu = math.pi / (2 * alpha)
     zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
     ray = np.broadcast_to(np.asarray(ray, dtype=float), zeta.shape)
     e = np.exp(1j * ray)
-    z2 = zeta**2
+    ze, e2, z2 = zeta * e, e**2, zeta**2
     turn = np.exp(-2j * mu * ray)
 
     def integrand(t, live=...):
-        zeta_, ray_, e_, z2_, turn_ = (a[live] for a in (zeta, ray, e, z2, turn))
+        ray_, ze_, e2_, z2_, turn_ = (a[live] for a in (ray, ze, e2, z2, turn))
         tc = t[:, None]
         logt = np.log(tc)
         # leg along [1, inf), inverted with s = 1/t
-        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * turn_)
-        # leg along (0, 1]
-        lead = -2 * mu * (logt + 1j * ray_) + lead2.conj()
-        return lead * (zeta_ * e_ / (tc**2 * e_**2 + z2_)) + lead2 * (
-            zeta_ * e_ / (e_**2 + z2_ * tc**2)
-        )
+        x = np.exp(2 * mu * logt)
+        re = 1.0 + x * turn_.real
+        im = x * turn_.imag
+        lead2 = np.empty(im.shape, dtype=complex)
+        lead2.real = 0.5 * np.log(re * re + im * im)
+        lead2.imag = np.arctan2(im, re)
+        # leg along (0, 1]: -2 mu (log t + i ray) + conj(lead2), part by part
+        lead = np.empty_like(lead2)
+        lead.real = lead2.real - 2 * mu * logt
+        lead.imag = -2 * mu * ray_ - lead2.imag
+        return lead * (ze_ / (tc**2 * e2_ + z2_)) + lead2 * (ze_ / (e2_ + z2_ * tc**2))
 
     return _tanh_sinh(integrand, _TOL, "ray integral", lambda total: total / math.pi)
 

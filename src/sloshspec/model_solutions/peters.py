@@ -64,6 +64,9 @@ _RAY_PANEL_NODES = 12
 # e^x is exactly 0.0 in double precision below x of about -745.13
 _UNDERFLOW_EXPONENT = 750.0
 _NODES_PER_UNIT = 48.0
+# points summed at once: each takes a row of e^(z zeta) over a piece's
+# nodes, so blocks bound the memory of large `samples`
+_BLOCK_POINTS = 256
 XMAX_LIMIT = math.log(1e-8 / np.finfo(float).eps) / _CHORD_ABSCISSA
 
 
@@ -101,7 +104,8 @@ class PetersEvaluator:
     """Evaluates one sector solution at points of the closed sector.
 
     An evaluation is one exponential sum per contour piece against that
-    piece's weighted densities, which `_contour_piece` builds and caches.
+    piece's weighted densities, which `_contour_piece` builds and caches,
+    over blocks of at most _BLOCK_POINTS points.
     The evaluator itself holds no contour: it checks its arguments and
     picks the density of its wall condition.  `xmax` is the largest |z|
     the discretization is tuned for; larger arguments are rejected rather
@@ -146,26 +150,27 @@ class PetersEvaluator:
 
         out = np.zeros(zarr.shape, dtype=complex)
         for key in np.unique(keys):
-            sel = keys == key
-            zs = zarr[sel]
             # fetching the rays for every direction keeps them the most
             # recently used pieces, so a sweep evicts old chords first
             rays = [terms(("ray", -1)), terms(("ray", 1))]
-            # Re(z zeta) = -|zeta| |z| cos(arg z + alpha/2) on both legs
+            chord = terms(("chord", float(key)))
             radius = np.abs(rays[0][0])
-            with np.errstate(divide="ignore"):
-                reach = _UNDERFLOW_EXPONENT / (np.abs(zs) * math.cos(key + alpha / 2))
-            panels = -(-np.searchsorted(radius, reach) // _RAY_PANEL_NODES)
-            cuts = np.minimum(panels * _RAY_PANEL_NODES, radius.size)
-            acc = np.empty(zs.shape, dtype=complex)
-            for cut in np.unique(cuts):
-                rows = cuts == cut
-                acc[rows] = sum(
-                    np.exp(np.multiply.outer(zs[rows], zeta[:cut])) @ wdens[:cut] for zeta, wdens in rays
-                )
-            zeta, wdens = terms(("chord", float(key)))
-            acc += np.exp(np.multiply.outer(zs, zeta)) @ wdens
-            out[sel] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
+            sel = np.flatnonzero(keys == key)
+            for block in np.split(sel, range(_BLOCK_POINTS, sel.size, _BLOCK_POINTS)):
+                zs = zarr[block]
+                # Re(z zeta) = -|zeta| |z| cos(arg z + alpha/2) on both legs
+                with np.errstate(divide="ignore"):
+                    reach = _UNDERFLOW_EXPONENT / (np.abs(zs) * math.cos(key + alpha / 2))
+                panels = -(-np.searchsorted(radius, reach) // _RAY_PANEL_NODES)
+                cuts = np.minimum(panels * _RAY_PANEL_NODES, radius.size)
+                acc = np.empty(zs.shape, dtype=complex)
+                for cut in np.unique(cuts):
+                    rows = cuts == cut
+                    acc[rows] = sum(
+                        np.exp(np.multiply.outer(zs[rows], zeta[:cut])) @ wdens[:cut] for zeta, wdens in rays
+                    )
+                acc += np.exp(np.multiply.outer(zs, chord[0])) @ chord[1]
+                out[block] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 

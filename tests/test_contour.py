@@ -323,3 +323,40 @@ def test_sector_integral_where_the_leading_log_is_huge_matches_mpmath():
         stepped = complex(stepped)
     assert abs(eval_I_alpha(alpha, zeta) - direct) < 1e-12
     assert abs(complex(exp_neg_I_continued(alpha, radius, angle)[0]) - stepped) < 1e-12
+
+
+def complex_log_ray_integrand(alpha, zeta, ray):
+    """_i_ray's integrand with one complex np.log per (node, point) pair,
+    and the magnitudes of the two legs' kernel factors."""
+    mu = math.pi / (2 * alpha)
+    e, z2, turn = np.exp(1j * ray), zeta**2, np.exp(-2j * mu * ray)
+
+    def integrand(t):
+        tc = t[:, None]
+        logt = np.log(tc)
+        lead2 = np.log(1.0 + np.exp(2 * mu * logt) * turn)
+        lead = -2 * mu * (logt + 1j * ray) + lead2.conj()
+        k1, k2 = zeta * e / (tc**2 * e**2 + z2), zeta * e / (e**2 + z2 * tc**2)
+        return lead * k1 + lead2 * k2, np.abs(k1) + np.abs(k2)
+
+    return integrand
+
+
+@pytest.mark.parametrize("alpha", np.linspace(math.pi / 8 + 0.01, math.pi / 2 - 0.05, 7))
+def test_ray_integrand_takes_the_complex_logarithm_from_real_parts(monkeypatch, alpha):
+    """Either way log(1 + x e^(i phi)) is off by rounding of order 1e-16,
+    absolute, which each leg's kernel factor multiplies: next to a pole,
+    or at |zeta| t near 1 for large |zeta|, that factor reaches 1e3."""
+    captured = []
+    monkeypatch.setattr(contour, "_tanh_sinh", lambda integrand, *args: captured.append(integrand))
+    edge = alpha - 1e-6
+    ray = np.repeat(np.linspace(-edge, edge, 9), 5)
+    # radii 1e-3 .. 1e3, on the ray and up to 80 degrees off it on either side
+    zeta = np.geomspace(1e-3, 1e3, ray.size) * np.exp(1j * (ray + np.tile(np.linspace(-1.4, 1.4, 5), 9)))
+    contour._i_ray(alpha, zeta, ray)
+    reference = complex_log_ray_integrand(alpha, zeta, ray)
+    for level in range(contour._MAX_LEVEL + 1):
+        t = contour._tanh_sinh_nodes(level)[0]
+        value = captured[0](t)
+        expected, kernels = reference(t)
+        assert np.all(np.abs(value - expected) <= 1e-15 * (1 + np.abs(value) + kernels))

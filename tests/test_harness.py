@@ -418,6 +418,32 @@ def test_cli_sl_emits_beam_spectrum_with_predictions():
     assert rows[4]["residual"] < 1e-3
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_cli_sl_dirichlet_rows_take_the_neumann_lattice_index(capsys, q):
+    # Dirichlet has no zero modes: its row i is the Neumann row i + q
+    from sloshspec import cli
+
+    def rows(bc):
+        assert cli.main(["sl", "--q", str(q), "--bc", bc, "--kmax", str(8 + q), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    neumann, dirichlet = rows("neumann"), rows("dirichlet")
+    for row, below in zip(dirichlet, neumann[q:]):
+        assert row["prediction"] == below["prediction"]
+        assert row["residual"] == abs(row["lambda"] - row["prediction"])
+        assert row["residual"] == pytest.approx(below["residual"], rel=0, abs=1e-12)
+
+
+def test_cli_peters_and_sl_print_the_same_bytes_in_two_processes():
+    for argv in (
+        ("peters", "--alpha", "0.7", "--bc", "dirichlet", "--samples", "40", "--xmax", "20"),
+        ("sl", "--q", "3", "--bc", "dirichlet", "--kmax", "12"),
+    ):
+        first, second = run_cli(*argv), run_cli(*argv)
+        assert first.returncode == 0, first.stderr
+        assert first.stdout == second.stdout
+
+
 def test_cli_sl_leaves_scipy_optimize_unimported():
     # Importing scipy.optimize adds about 8 MiB RSS to a process; the
     # order-2q solver finds its roots without it.

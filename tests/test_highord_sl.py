@@ -216,12 +216,13 @@ def test_spectra_match_frozen_golden_section_values(key):
 
 
 def test_refinement_evaluation_budget(monkeypatch):
-    calls = []
+    # counts abscissae, not calls: one call evaluates every open bracket
+    evaluated = []
     original = highord_sl._det_imag
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(problem, lams, w):
+        evaluated.append(len(lams))
+        return original(problem, lams, w)
 
     monkeypatch.setattr(highord_sl, "_det_imag", counted)
     positives = 0
@@ -229,8 +230,67 @@ def test_refinement_evaluation_budget(monkeypatch):
         for condition in ("neumann", "dirichlet"):
             spectrum = solve_spectrum(HighOrderSLProblem(q, 1.0, condition), 20)
             positives += sum(lam > 0 for lam in spectrum.eigenvalues)
-    assert calls
-    assert len(calls) <= 12 * positives
+    assert evaluated
+    assert sum(evaluated) <= 12 * positives
+
+
+def scalar_reference_spectrum(problem, kmax):
+    """solve_spectrum's scan with one scalar Illinois solve and one SVD per bracket."""
+    q, L = problem.q, problem.interval_length
+    w = ansatz_exponents(q)
+    matrix = lambda lam: highord_sl._boundary_matrices(problem, [lam], w)[0]
+
+    def illinois(a, b, fa, fb):
+        side = 0
+        while b - a > 4.0 * np.finfo(float).eps * b:
+            c = (a * fb - b * fa) / (fb - fa)
+            fc = float(np.linalg.det(matrix(c)).imag) if a < c < b else 0.0
+            if fc == 0.0:
+                return c
+            if (fc > 0) == (fb > 0):
+                b, fb = c, fc
+                if side == -1:
+                    fa *= 0.5
+                side = -1
+            else:
+                a, fa = c, fc
+                if side == 1:
+                    fb *= 0.5
+                side = 1
+        return 0.5 * (a + b)
+
+    zeros = q if problem.condition == "neumann" else 0
+    needed = kmax - zeros
+    step, lam_lo = math.pi / (4.0 * L), 0.25 * math.pi / L
+    ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
+    chunk = int(math.ceil((ceiling - lam_lo) / step))
+    found, prev, start = [], None, 0
+    while len(found) < needed:
+        grid = lam_lo + step * np.arange(start, start + chunk + 1)
+        det = np.linalg.det(highord_sl._boundary_matrices(problem, grid, w))
+        trusted = np.abs(det.imag) > 16.0 * np.abs(det.real)
+        for lam, f in zip(grid[trusted], det.imag[trusted]):
+            if prev is not None and (f > 0) != (prev[1] > 0) and len(found) < needed:
+                root = illinois(prev[0], lam, prev[1], f)
+                s, vh = np.linalg.svd(matrix(root))[1:]
+                mult = int(np.sum(s / s[0] < highord_sl.SINGULAR_THRESHOLD))
+                found.extend((root, vh[-1 - j].conj()) for j in range(mult))
+            prev = (lam, f)
+        start += len(grid)
+    return [0.0] * zeros + [lam for lam, _ in found[:needed]], [vec for _, vec in found[:needed]]
+
+
+@pytest.mark.parametrize("length", [0.37, 1.0, math.pi])
+@pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
+def test_batched_refinement_matches_scalar_refinement_bit_for_bit(condition, length):
+    for q in range(1, 9):
+        problem = HighOrderSLProblem(q, length, condition)
+        spectrum = solve_spectrum(problem, 20)
+        eigenvalues, vectors = scalar_reference_spectrum(problem, 20)
+        assert np.asarray(spectrum.eigenvalues).tobytes() == np.asarray(eigenvalues).tobytes()
+        computed = [vec for vec in spectrum.coefficient_sets if vec is not None]
+        assert len(computed) == len(vectors)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(computed, vectors))
 
 
 def test_characteristic_ratio_dips_at_eigenvalues():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,3 +337,20 @@ def test_ray_sums_that_stop_at_underflow_match_the_full_contour_sum(alpha, xmax)
                 full *= scale / 1j
                 bound = 16 * np.finfo(float).eps * scale * size
                 assert np.all(np.abs(evaluator.evaluate(points, order=order) - full) <= bound)
+
+
+def test_large_sample_counts_are_summed_in_bounded_blocks(monkeypatch):
+    params = SectorParams(math.pi / 3, "neumann")
+    x = np.linspace(0.01, 40.0, 4000)
+    eval_peters(params, x[:50])  # the contour pieces, built before measuring
+    tracemalloc.start()
+    try:
+        blocked = eval_peters(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert eval_peters(params, x).tobytes() == blocked.tobytes()
+    monkeypatch.setattr(peters, "_BLOCK_POINTS", x.size)
+    whole = eval_peters(params, x)
+    assert np.all(np.abs(blocked - whole) <= 1e-15 * np.maximum(1.0, np.abs(whole)))
