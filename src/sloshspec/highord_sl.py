@@ -265,7 +265,9 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     16 |Re det| (rounding) are skipped.  The sign changes between
     consecutive trusted points of a chunk are refined together by Illinois
     regula falsi to 4 eps lam, one batched determinant per step, and their
-    roots get one stacked SVD.  In order, until kmax are found, a root is
+    roots get one stacked SVD; a batch takes only the first brackets, as
+    many as eigenvalues are still wanted, and the next ones follow only if
+    some root proves spurious.  In order, until kmax are found, a root is
     accepted where the normalized smallest singular value is below 1e-9,
     which also gives the multiplicity and kernel vectors.  A density check
     against the one-per-pi/L eigenvalue spacing guards against missed or
@@ -302,15 +304,17 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
                 brackets.append(prev + (lam, f))
             prev = (lam, f)
         start += len(grid)
-        if not brackets:
-            continue
-        a, fa, b, fb = zip(*brackets)
-        roots = _illinois(lambda lams: _det_imag(problem, lams, w), a, b, fa, fb)
-        s, vh = np.linalg.svd(_boundary_matrices(problem, roots, w))[1:]
-        for root, si, vhi in zip(roots, s, vh):
-            if len(found) < needed:
-                mult = int(np.sum(si / si[0] < SINGULAR_THRESHOLD))
-                found.extend((float(root), vhi[-1 - j].conj()) for j in range(mult))
+        # each bracket holds at least one root unless it proves spurious, so
+        # refine only as many as are still needed and return for more after
+        while brackets and len(found) < needed:
+            batch, brackets = brackets[: needed - len(found)], brackets[needed - len(found) :]
+            a, fa, b, fb = zip(*batch)
+            roots = _illinois(lambda lams: _det_imag(problem, lams, w), a, b, fa, fb)
+            s, vh = np.linalg.svd(_boundary_matrices(problem, roots, w))[1:]
+            for root, si, vhi in zip(roots, s, vh):
+                if len(found) < needed:
+                    mult = int(np.sum(si / si[0] < SINGULAR_THRESHOLD))
+                    found.extend((float(root), vhi[-1 - j].conj()) for j in range(mult))
     if len(found) < needed:
         raise SLSolveError(
             f"located only {len(found)} of {needed} positive eigenvalues below lam = {grid[-1]:.6g}"

@@ -175,11 +175,17 @@ def _i_ray(alpha, zeta, ray):
         lead2 = np.empty(im.shape, dtype=complex)
         lead2.real = 0.5 * np.log(re * re + im * im)
         lead2.imag = np.arctan2(im, re)
+        del re, im
         # leg along (0, 1]: -2 mu (log t + i ray) + conj(lead2), part by part
         lead = np.empty_like(lead2)
         lead.real = lead2.real - 2 * mu * logt
         lead.imag = -2 * mu * ray_ - lead2.imag
-        return lead * (ze_ / (tc**2 * e2_ + z2_)) + lead2 * (ze_ / (e2_ + z2_ * tc**2))
+        # one leg's product at a time: fewer (nodes x points) arrays are
+        # live at once, so each level faults fewer fresh pages in
+        lead = lead * (ze_ / (tc**2 * e2_ + z2_))
+        lead2 = lead2 * (ze_ / (e2_ + z2_ * tc**2))
+        lead += lead2
+        return lead
 
     return _tanh_sinh(integrand, _TOL, "ray integral", lambda total: total / math.pi)
 

@@ -10,40 +10,50 @@ It is given by a keyhole-contour integral
 
 with mu = pi/(2 alpha) and the bracket present only in the Dirichlet case.
 The contour P runs in from infinity along one side of the ray at angle
-pi + alpha/2, around the circle |zeta| = 2, and back out along the other
-side; g_alpha on the path comes from `contour.g_alpha_continued`.  Each
-piece of P (the two ray legs, and the arcs and chord of one evaluation
-direction) is held as its Gauss nodes zeta and weighted densities
-w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over the pieces
-of e^(z zeta) against them.  Both ray legs run out along the one ray
-arg zeta = pi + alpha/2, where |e^(z zeta)| = e^(-|zeta| |z| cos(arg z +
-alpha/2)) falls with |zeta|, so each point sums a leg only up to the
-panel holding its last term short of underflow: every later term is
-exactly 0.0.  At z = 0 nothing damps the legs, so f(0) sums them whole
-and derivatives there are refused.  The path depends on alpha, the
-design size and the evaluation direction, never on the wall condition,
-so `_contour_piece` computes g_alpha once per piece for a sector's
-Neumann and Dirichlet solutions alike.  It is the module's one cache:
-the 64 pieces used last, least recently used out first.
+pi + alpha/2, around the origin at radius about 2, and back out along the
+other side; g_alpha on the path comes from `contour.g_alpha_continued`.
+Each piece of P (the two ray legs, and the path between them for one
+evaluation direction) is held as its Gauss nodes zeta and weighted
+densities w g_alpha(zeta)/(zeta + i) [zeta^(-mu)], so f(z) is a sum over
+the pieces of e^(z zeta) against them.  Both ray legs run out along the
+one ray arg zeta = pi + alpha/2 on the same nodes, so one exponential per
+node serves both, against the sum of their densities; there
+|e^(z zeta)| = e^(-|zeta| |z| cos(arg z + alpha/2)) falls with |zeta|,
+so each point sums the legs only up to the panel holding its last term
+short of underflow: every later term is exactly 0.0.  At z = 0 nothing
+damps the legs, so f(0) sums them whole and derivatives there are
+refused.  The path between the legs is straight segments cut into equal
+panels, so a segment's nodes are panel midpoints m plus offsets d shared
+by all its panels, and e^(z (m + d)) = e^(z m) e^(z d) costs one
+exponential per panel and one per offset.  The path depends on alpha,
+the design size and the evaluation direction, never on the wall
+condition, so `_contour_piece` computes g_alpha once per piece for a
+sector's Neumann and Dirichlet solutions alike.  It is the module's one
+cache: the 64 pieces used last, least recently used out first.
 
 Far from the corner, f approaches a decaying-free plane wave
 A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
 spectral information; the amplitude A has no closed form and is only ever
 fitted.
 
-The straight segment of the circle crossing the right half-plane replaces
-the arc there: on the arc, |e^(z zeta)| reaches e^(2|z|), and the resulting
-cancellation at |z| = 40 would cost half the double-precision mantissa.
-The chord is placed at Re(zeta e^(i arg z)) = _CHORD_ABSCISSA, capping
-amplification at e^(_CHORD_ABSCISSA |z|) while keeping the pole at -i and
-the branch arc of g_alpha on its far side.  That amplification of double
-rounding reaches 1e-8 at |z| = XMAX_LIMIT (about 117), the largest size an
-evaluator accepts short of the closed-form angle pi/2.
+The path between the legs follows the circle |zeta| = 2 except where it
+crosses the right half-plane: on that arc, |e^(z zeta)| reaches e^(2|z|),
+and the resulting cancellation at |z| = 40 would cost half the
+double-precision mantissa.  A chord replaces it there, placed at
+Re(zeta e^(i arg z)) = _CHORD_ABSCISSA, capping amplification at
+e^(_CHORD_ABSCISSA |z|) while keeping the pole at -i and the branch arc
+of g_alpha on its far side.  The rest of the circle is replaced by
+segments whose vertices on it lie at most pi/3 apart, so every node keeps
+|zeta| >= sqrt 3, clear of the closed unit disk that holds the pole and
+the singular points of the continuation, and no node lies right of the
+chord line.  That amplification of double rounding reaches 1e-8 at
+|z| = XMAX_LIMIT (about 117), the largest size an evaluator accepts short
+of the closed-form angle pi/2.
 
 The discretization is fixed: the circle has radius _CIRCLE_RADIUS, the rays
 extend with geometrically growing panels up to _TRUNCATION_RADIUS, and the
-arc and chord node density is _NODES_PER_UNIT, scaled with the largest |z|
-to be evaluated.
+node density of the path between them is _NODES_PER_UNIT, scaled with the
+largest |z| to be evaluated.
 """
 
 import cmath
@@ -55,7 +65,7 @@ import numpy as np
 
 # exp_neg_I_continued stays bound here: perfbench's self-test expects its
 # tracer to find the name in this module
-from .contour import _panel_nodes, exp_neg_I_continued, g_alpha_continued  # noqa: F401
+from .contour import _gauss, _panel_nodes, exp_neg_I_continued, g_alpha_continued  # noqa: F401
 
 _CHORD_ABSCISSA = 0.15
 _CIRCLE_RADIUS = 2.0
@@ -103,9 +113,11 @@ class SectorParams:
 class PetersEvaluator:
     """Evaluates one sector solution at points of the closed sector.
 
-    An evaluation is one exponential sum per contour piece against that
-    piece's weighted densities, which `_contour_piece` builds and caches,
-    over blocks of at most _BLOCK_POINTS points.
+    An evaluation sums e^(z zeta) against the weighted densities of the
+    contour pieces, which `_contour_piece` builds and caches, over blocks
+    of at most _BLOCK_POINTS points: one exponential per ray node for both
+    legs, and per segment of the path between them one per panel and one
+    per Gauss offset.
     The evaluator itself holds no contour: it checks its arguments and
     picks the density of its wall condition.  `xmax` is the largest |z|
     the discretization is tuned for; larger arguments are rejected rather
@@ -143,18 +155,21 @@ class PetersEvaluator:
         keys = np.round(np.clip(phi, -alpha, 0.0), 12)
         column = 1 if self.params.condition == "neumann" else 2
 
-        def terms(tag):
-            piece = _contour_piece(alpha, self.xmax, tag)
+        def weighted(piece):
             zeta, wdens = piece[0], piece[column]
-            return zeta, wdens * zeta**order if order else wdens
+            return wdens * zeta**order if order else wdens
 
         out = np.zeros(zarr.shape, dtype=complex)
         for key in np.unique(keys):
             # fetching the rays for every direction keeps them the most
             # recently used pieces, so a sweep evicts old chords first
-            rays = [terms(("ray", -1)), terms(("ray", 1))]
-            chord = terms(("chord", float(key)))
-            radius = np.abs(rays[0][0])
+            legs = [_contour_piece(alpha, self.xmax, ("ray", where)) for where in (-1, 1)]
+            path = _contour_piece(alpha, self.xmax, ("chord", float(key)))
+            # the legs share their nodes: one exponential per node serves both
+            zeta, ray = legs[0][0], weighted(legs[0]) + weighted(legs[1])
+            mid, offset, bounds = path[3:]
+            weights = weighted(path).reshape(mid.size, -1)
+            radius = np.abs(zeta)
             sel = np.flatnonzero(keys == key)
             for block in np.split(sel, range(_BLOCK_POINTS, sel.size, _BLOCK_POINTS)):
                 zs = zarr[block]
@@ -166,27 +181,41 @@ class PetersEvaluator:
                 acc = np.empty(zs.shape, dtype=complex)
                 for cut in np.unique(cuts):
                     rows = cuts == cut
-                    acc[rows] = sum(
-                        np.exp(np.multiply.outer(zs[rows], zeta[:cut])) @ wdens[:cut] for zeta, wdens in rays
-                    )
-                acc += np.exp(np.multiply.outer(zs, chord[0])) @ chord[1]
+                    acc[rows] = np.exp(np.multiply.outer(zs[rows], zeta[:cut])) @ ray[:cut]
+                # e^(z (mid + offset)) = e^(z mid) e^(z offset): per segment,
+                # one exponential per panel and one per Gauss offset
+                at_mid = np.exp(np.multiply.outer(zs, mid))
+                at_offset = np.exp(np.multiply.outer(zs, offset))
+                for s, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
+                    acc += np.sum((at_offset[:, s] @ weights[first:last].T) * at_mid[:, first:last], axis=1)
                 out[block] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=64)
 def _contour_piece(alpha, xmax, tag):
-    """(zeta, Neumann wdens, Dirichlet wdens) on one piece of the contour.
+    """(zeta, Neumann wdens, Dirichlet wdens[, mid, offset, bounds]) on one piece.
 
     `tag` is ("ray", -1) for the in-leg, ("ray", 1) for the out-leg, or
-    ("chord", phi) for the arcs and chord of evaluation direction
+    ("chord", phi) for the path between them at evaluation direction
     phi = arg z.  g_alpha(zeta)/(zeta + i) is computed once and weighted
     for both wall conditions, the Dirichlet one times zeta^(-mu).
+
+    Both legs take their nodes from the one turn e^(i theta_cut), so
+    their zeta arrays are equal; only the angle of g_alpha's branch and
+    the direction of travel differ.  The path between them is straight
+    segments: the arc of |zeta| = 2 up to the chord as segments whose
+    vertices on the circle lie at most pi/3 apart (so every node keeps
+    |zeta| >= sqrt 3), the chord, and the arc after it likewise.  Segment
+    s has equal panels, bounds[s] <= p < bounds[s + 1], so its nodes are
+    mid[p] + offset[s, j], 16 per panel; the angle given to g_alpha runs
+    continuously from theta_cut - 2 pi to theta_cut.
     """
     R = _CIRCLE_RADIUS
     # the cut between the two rays bisects the sector between the walls
     theta_cut = math.pi + alpha / 2
     kind, where = tag
+    layout = ()
     if kind == "ray":
         first = min(0.5, 10.0 / xmax)
         breaks = [R]
@@ -196,41 +225,42 @@ def _contour_piece(alpha, xmax, tag):
         radius, w = _panel_nodes(np.asarray(breaks), _RAY_PANEL_NODES)
         # in-leg traversed from infinity toward the circle, out-leg back out
         angle = theta_cut if where > 0 else theta_cut - 2 * math.pi
-        turn = cmath.exp(1j * angle)
+        turn = cmath.exp(1j * theta_cut)
         zeta, weight, theta = radius * turn, where * w * turn, np.full(radius.shape, angle)
     else:
         theta_c = math.acos(_CHORD_ABSCISSA / R)
         lo = -where - theta_c
         hi = -where + theta_c
         density = _NODES_PER_UNIT * max(xmax, 1.0) / 40.0 / 16.0
-        zetas, weights, thetas = [], [], []
-        for a, b in ((theta_cut - 2 * math.pi, lo), (hi, theta_cut)):
-            panels = max(6, math.ceil(R * (b - a) * density))
-            th, w = _panel_nodes(np.linspace(a, b, panels + 1), 16)
-            zet = R * np.exp(1j * th)
+        # vertex angles: each arc in steps of at most pi/3, the chord from lo to hi
+        arcs = ((theta_cut - 2 * math.pi, lo), (hi, theta_cut))
+        vertices = np.concatenate([np.linspace(a, b, math.ceil((b - a) / (math.pi / 3)) + 1) for a, b in arcs])
+        x, gw = _gauss(16)
+        zetas, weights, thetas, mids, offsets = [], [], [], [], []
+        for a, b in zip(vertices[:-1], vertices[1:]):
+            start, end = R * cmath.exp(1j * a), R * cmath.exp(1j * b)
+            panels = max(2, math.ceil(abs(end - start) * density))
+            if a == lo:
+                # the 1/(zeta + i) pole sits a distance ~_CHORD_ABSCISSA off
+                # the chord; panels must stay shorter than twice that for
+                # the Gauss rule to converge past it
+                panels = max(6, panels, math.ceil(abs(end - start) / (2 * _CHORD_ABSCISSA)))
+            half = (end - start) / (2 * panels)
+            mid, offset = start + half * np.arange(1, 2 * panels, 2), half * x
+            zet = (mid[:, None] + offset).ravel()
+            # every node lies within pi/2 of the segment's central angle
+            center = 0.5 * (a + b)
             zetas.append(zet)
-            weights.append(w * 1j * zet)  # dzeta = i R e^{i th} dth
-            thetas.append(th)
-        p_lo = R * cmath.exp(1j * lo)
-        p_hi = R * cmath.exp(1j * hi)
-        # the 1/(zeta + i) pole sits a distance ~_CHORD_ABSCISSA off the
-        # chord; panels must stay shorter than twice that for the Gauss
-        # rule to converge past it
-        panels = max(
-            6,
-            math.ceil(abs(p_hi - p_lo) * density),
-            math.ceil(abs(p_hi - p_lo) / (2 * _CHORD_ABSCISSA)),
-        )
-        s, w = _panel_nodes(np.linspace(0.0, 1.0, panels + 1), 16)
-        zet = p_lo + s * (p_hi - p_lo)
-        zetas.insert(1, zet)
-        weights.insert(1, w * (p_hi - p_lo))
-        thetas.insert(1, np.angle(zet))
+            weights.append(np.tile(half * gw, panels))
+            thetas.append(center + np.angle(zet * cmath.exp(-1j * center)))
+            mids.append(mid)
+            offsets.append(offset)
         zeta, weight, theta = np.concatenate(zetas), np.concatenate(weights), np.concatenate(thetas)
         radius = np.abs(zeta)
+        layout = (np.concatenate(mids), np.array(offsets), np.cumsum([0] + [m.size for m in mids]))
     dens = g_alpha_continued(alpha, radius, theta) / (zeta + 1j)
     mu = math.pi / (2 * alpha)
-    piece = (zeta, weight * dens, weight * (dens * np.exp(-mu * (np.log(np.abs(zeta)) + 1j * theta))))
+    piece = (zeta, weight * dens, weight * (dens * np.exp(-mu * (np.log(np.abs(zeta)) + 1j * theta)))) + layout
     for array in piece:
         array.flags.writeable = False
     return piece

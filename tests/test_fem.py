@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -350,6 +351,43 @@ def test_p1_bounds_the_rectangle_spectrum_from_above_at_order_two(walls, shift):
     coarse, fine = (solve_steklov(domain, h, 10).eigenvalues - exact for h in (0.04, 0.02))
     assert (coarse >= -tol).all() and (fine >= -tol).all()
     resolved = fine > tol
+    assert 3.0 <= (coarse[resolved] / fine[resolved]).min()
+    assert (coarse[resolved] / fine[resolved]).max() <= 6.0
+
+
+def kirchhoff_v_canal_spectrum(length, count):
+    """First `count` sloshing eigenvalues of the 90 degree V-canal with surface `length`.
+
+    With the walls on y = +-x and the surface at y = a = length/2, the
+    modes cosh kx cos ky + cos kx cosh ky and sinh kx sin ky + sin kx sinh ky
+    meet both wall conditions (Kirchhoff); with z = ka the spectrum is
+    {0, 2/length} u {z tanh z / a : tan z = -tanh z}
+    u {z coth z / a : tan z = tanh z, z > 0}.
+    """
+    a = length / 2
+    values = [0.0, 2.0 / length]
+    z = np.linspace(0.5, 4.0 * count, 2000 * count)
+    for sign, eigenvalue in ((1.0, lambda z: z * math.tanh(z) / a), (-1.0, lambda z: z / math.tanh(z) / a)):
+        # tan z = -sign tanh z, written without the poles of tan
+        f = lambda z: math.sin(z) + sign * math.cos(z) * math.tanh(z)
+        fz = np.array([f(t) for t in z])
+        for i in np.flatnonzero(np.sign(fz[:-1]) != np.sign(fz[1:])):
+            values.append(eigenvalue(scipy.optimize.brentq(f, z[i], z[i + 1], xtol=1e-15)))
+    return np.sort(values)[:count]
+
+
+def test_p1_bounds_the_kirchhoff_v_canal_spectrum_from_above_at_order_two():
+    # the pi/4 triangle with Neumann walls and L = 1 has an exact spectrum;
+    # P1 is conforming Rayleigh-Ritz, so it lies above it, and halving h
+    # divides the error by about 4
+    exact = kirchhoff_v_canal_spectrum(1.0, 6)
+    assert exact == pytest.approx([0.0, 2.0, 4.64727551, 7.85930901, 10.99523894, 14.13718599], abs=1e-8)
+    domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
+    tol = 1e-12 * np.maximum(1.0, exact)
+    coarse, fine = (solve_steklov(domain, h, 6).eigenvalues - exact for h in (0.04, 0.02))
+    assert (coarse >= -tol).all() and (fine >= -tol).all()
+    resolved = fine > tol
+    assert resolved.sum() == 5
     assert 3.0 <= (coarse[resolved] / fine[resolved]).min()
     assert (coarse[resolved] / fine[resolved]).max() <= 6.0
 

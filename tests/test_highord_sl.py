@@ -234,6 +234,44 @@ def test_refinement_evaluation_budget(monkeypatch):
     assert sum(evaluated) <= 12 * positives
 
 
+def _counting_brackets(monkeypatch, spoil_first_root=False):
+    """Bracket counts of the `_illinois` calls made; optionally the first
+    call's first root is replaced by its bracket's left end, no eigenvalue."""
+    sizes = []
+    original = highord_sl._illinois
+
+    def counted(f, a, b, fa, fb):
+        roots = original(f, a, b, fa, fb)
+        if spoil_first_root and not sizes:
+            roots[0] = a[0]
+        sizes.append(len(a))
+        return roots
+
+    monkeypatch.setattr(highord_sl, "_illinois", counted)
+    return sizes
+
+
+def test_only_brackets_whose_roots_are_kept_are_refined(monkeypatch):
+    sizes = _counting_brackets(monkeypatch)
+    positives = 0
+    for q in range(2, 9):
+        for condition in ("neumann", "dirichlet"):
+            spectrum = solve_spectrum(HighOrderSLProblem(q, 1.0, condition), 20)
+            positives += sum(lam > 0 for lam in spectrum.eigenvalues)
+    assert positives == 245
+    assert sum(sizes) == positives
+
+
+def test_a_spurious_root_sends_for_the_next_bracket(monkeypatch):
+    # q = 1 Neumann on [0, 1]: eigenvalues k pi.  The scan chunk holds six
+    # brackets, around pi .. 6 pi, and five positive eigenvalues are wanted.
+    sizes = _counting_brackets(monkeypatch, spoil_first_root=True)
+    spectrum = solve_spectrum(HighOrderSLProblem(1, 1.0, "neumann"), 6)
+    assert sizes == [5, 1]
+    assert spectrum.eigenvalues[0] == 0.0
+    assert spectrum.eigenvalues[1:] == pytest.approx(math.pi * np.arange(2, 7), rel=1e-13)
+
+
 def scalar_reference_spectrum(problem, kmax):
     """solve_spectrum's scan with one scalar Illinois solve and one SVD per bracket."""
     q, L = problem.q, problem.interval_length

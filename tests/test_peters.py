@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -354,3 +355,87 @@ def test_large_sample_counts_are_summed_in_bounded_blocks(monkeypatch):
     monkeypatch.setattr(peters, "_BLOCK_POINTS", x.size)
     whole = eval_peters(params, x)
     assert np.all(np.abs(blocked - whole) <= 1e-15 * np.maximum(1.0, np.abs(whole)))
+
+
+GEOMETRY_ANGLES = [math.pi / 8 + 0.01, math.pi / 3, math.pi / 2 - 0.05]
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", GEOMETRY_ANGLES)
+def test_contour_path_is_gapless_straight_and_clear_of_the_poles(monkeypatch, alpha, frac):
+    """The path between the ray legs at direction phi: unbroken from the
+    in-leg through the chord to the out-leg, never right of the chord
+    line, arc-replacing segments outside |zeta| = sqrt 3, and g_alpha's
+    angle continuous from theta_cut - 2 pi to theta_cut."""
+    passed = []
+    original = peters.g_alpha_continued
+
+    def recording(alpha, radius, angle):
+        passed.append((radius, angle))
+        return original(alpha, radius, angle)
+
+    monkeypatch.setattr(peters, "g_alpha_continued", recording)
+    phi = round(-alpha * frac, 12)
+    build = peters._contour_piece.__wrapped__
+    legs = [build(alpha, 40.0, ("ray", where)) for where in (-1, 1)]
+    zeta, _, _, mid, offset, bounds = build(alpha, 40.0, ("chord", phi))
+    (_, in_angle), (_, out_angle), (radius, angle) = passed
+    theta_cut = math.pi + alpha / 2
+    assert np.all(in_angle == theta_cut - 2 * math.pi) and np.all(out_angle == theta_cut)
+    # one node array for both legs, on the ray beyond the circle
+    assert legs[0][0].tobytes() == legs[1][0].tobytes()
+    assert np.allclose(legs[0][0] / np.abs(legs[0][0]), cmath.exp(1j * theta_cut), rtol=0, atol=1e-15)
+    assert np.min(np.abs(legs[0][0])) > peters._CIRCLE_RADIUS
+    # nodes are mid + offset of equal panels; panel ends from the Gauss offsets
+    x = np.polynomial.legendre.leggauss(16)[0]
+    segment = np.searchsorted(bounds, np.arange(mid.size), side="right") - 1
+    assert np.allclose(zeta, (mid[:, None] + offset[segment]).ravel(), rtol=0, atol=1e-15)
+    half = (offset[:, -1] - offset[:, 0]) / (x[-1] - x[0])
+    ends = np.concatenate([mid - half[segment], mid[-1:] + half[-1:]])
+    joint = peters._CIRCLE_RADIUS * cmath.exp(1j * theta_cut)
+    assert abs(ends[0] - joint) < 1e-14 and abs(ends[-1] - joint) < 1e-14
+    assert np.max(np.abs(mid[:-1] + half[segment[:-1]] - ends[1:-1])) < 1e-14
+    # the chord caps Re(z zeta) at _CHORD_ABSCISSA |z|; the arc segments stay left of it
+    abscissa = (zeta * cmath.exp(1j * phi)).real
+    assert np.max(abscissa) <= peters._CHORD_ABSCISSA + 1e-14
+    on_chord = np.abs(abscissa - peters._CHORD_ABSCISSA) < 1e-12
+    chord_segments = np.unique(segment[on_chord.reshape(mid.size, 16).all(axis=1)])
+    assert chord_segments.size == 1
+    assert np.all(np.abs(zeta[np.repeat(segment != chord_segments[0], 16)]) >= math.sqrt(3))
+    # g_alpha sees |zeta| and a continuous angle along the path
+    assert np.array_equal(radius, np.abs(zeta))
+    assert np.allclose(np.exp(1j * angle), zeta / radius, rtol=0, atol=1e-15)
+    steps = np.diff(np.concatenate([[theta_cut - 2 * math.pi], angle, [theta_cut]]))
+    assert np.all(steps > 0) and np.max(steps) < 0.5
+
+
+@pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("frac", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", GEOMETRY_ANGLES)
+def test_summation_at_the_design_limit_loses_at_most_1e_8(alpha, frac, condition):
+    """`evaluate` at |z| = XMAX_LIMIT against a 40-digit sum over the same
+    nodes and weights: the chord's e^(0.15 |z|) amplification of double
+    rounding is the only error left, within the 1e-8 the limit allows.
+    The path's nodes are mid + offset, summed exactly as such here."""
+    params = SectorParams(alpha, condition)
+    phi = round(-alpha * frac, 12)
+    z = XMAX_LIMIT * cmath.exp(1j * phi)
+    column = 1 if condition == "neumann" else 2
+    ins, outs, path = (peters._contour_piece(alpha, XMAX_LIMIT, t) for t in (("ray", -1), ("ray", 1), ("chord", phi)))
+    mid, offset, bounds = path[3:]
+    segment = np.searchsorted(bounds, np.arange(mid.size), side="right") - 1
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z)
+        total = mpmath.mpc(0)
+        # ray terms with Re(z zeta) below -800 are under 1e-347
+        live = (z * ins[0]).real > -800.0
+        for zeta, w in zip(ins[0][live], (ins[column] + outs[column])[live]):
+            total += mpmath.mpc(w) * mpmath.exp(zm * mpmath.mpc(zeta))
+        weights = path[column].reshape(mid.size, 16)
+        for p in range(mid.size):
+            at_mid = mpmath.exp(zm * mpmath.mpc(mid[p]))
+            for d, w in zip(offset[segment[p]], weights[p]):
+                total += mpmath.mpc(w) * at_mid * mpmath.exp(zm * mpmath.mpc(d))
+        reference = complex(total * mpmath.sqrt(params.mu) / (1j * mpmath.pi))
+    value = complex(PetersEvaluator(params, XMAX_LIMIT).evaluate(z))
+    assert abs(value - reference) <= 1e-8 * max(1.0, abs(reference))
