@@ -13,7 +13,6 @@ the worked eigenvalue tables.
 
 from .asymptotics import (
     QuasiFrequencyModel,
-    Regime,
     quasi_frequency,
     remainder_exponent,
     weyl_count_estimate,
@@ -96,7 +95,6 @@ __all__ = [
     "ParametricCurve",
     "Polyline",
     "QuasiFrequencyModel",
-    "Regime",
     "ReportBlock",
     "SLEigenfunction",
     "SLSolveError",

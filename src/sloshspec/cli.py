@@ -32,9 +32,9 @@ import sys
 
 import numpy as np
 
-from .asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
+from .asymptotics import QuasiFrequencyModel, quasi_frequency
 from .fem_steklov import SteklovSolveError, dtn_matrix
-from .geometry import MeshError, write_mesh_text
+from .geometry import CornerSpec, MeshError, write_mesh_text
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -46,6 +46,16 @@ from .harness import (
 )
 from .highord_sl import HighOrderSLProblem, SLSolveError, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.contour import QuadratureError
+
+
+# the walls at corners A and B of each --regime; halfpi-* also fix alpha = pi/2
+_REGIMES = {
+    "nn": ("neumann", "neumann"),
+    "dd": ("dirichlet", "dirichlet"),
+    "mixed": ("dirichlet", "neumann"),
+    "halfpi-neumann": ("neumann", "neumann"),
+    "halfpi-dirichlet": ("dirichlet", "dirichlet"),
+}
 
 
 def _common_flags(parser, formats=True):
@@ -61,7 +71,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("asymptotics", help="quasi-frequency lattice sigma_k")
-    p.add_argument("--regime", default="nn", choices=("nn", "dd", "mixed", "halfpi-neumann", "halfpi-dirichlet"))
+    p.add_argument(
+        "--regime", default="nn", choices=tuple(_REGIMES),
+        help="walls at A and B: nn, dd, mixed (Dirichlet at A, Neumann at B); "
+        "halfpi-neumann and halfpi-dirichlet are nn and dd with alpha = pi/2",
+    )
     p.add_argument("--alpha", type=float, required=True, help="corner angle at A in radians")
     p.add_argument("--beta", type=float, required=True, help="corner angle at B in radians")
     p.add_argument("--length", type=float, default=1.0, help="sloshing surface length")
@@ -161,13 +175,15 @@ def _cmd_asymptotics(args):
     if args.kmax < 1:
         raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
     _positive(args.length, "length")
-    try:
-        model = QuasiFrequencyModel(
-            Regime.from_string(args.regime), args.alpha, args.beta, args.length
-        )
-    except ValueError as exc:
-        beta_alone = 0.0 < args.alpha < math.pi and not 0.0 < args.beta < math.pi
-        raise ConfigError("beta" if beta_alone else "alpha", str(exc)) from None
+    corners = []
+    for flag, angle, wall in zip(("alpha", "beta"), (args.alpha, args.beta), _REGIMES[args.regime]):
+        try:
+            corners.append(CornerSpec(angle, wall))
+        except ValueError as exc:
+            raise ConfigError(flag, str(exc)) from None
+    if args.regime.startswith("halfpi") and abs(args.alpha - math.pi / 2) > 1e-15:
+        raise ConfigError("alpha", "half-pi regimes require alpha = pi/2 exactly")
+    model = QuasiFrequencyModel(*corners, args.length)
     rows = [(k, quasi_frequency(model, k)) for k in range(1, args.kmax + 1)]
     return _emit(args, "asymptotics", ExperimentTable(("k", "sigma"), rows))
 

@@ -66,10 +66,10 @@ class TriangleMesh:
 
     `generate_mesh` also records how it got there: the number of
     refinement rounds that inserted circumcenters, the circumcenters it
-    rejected (outside the polygon, too close to a node or the boundary, or
-    too close to another accepted one), and the smallest interior angle
-    in radians.  They stay None on meshes built otherwise, and take no
-    part in equality or in the text dump.
+    rejected (outside the polygon, too close to a node, or too close to
+    another accepted one), and the smallest interior angle in radians.
+    They stay None on meshes built otherwise, and take no part in
+    equality or in the text dump.
     """
 
     nodes: np.ndarray
@@ -433,16 +433,12 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     poly, tags = _sample_boundary(domain, h, g)
     nb = len(poly)
     bedges = np.stack([np.arange(nb), np.roll(np.arange(nb), -1)], axis=1)
-    # node k closes edges k - 1 and k
-    lens = np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)
-    bspacing = 0.5 * (np.roll(lens, 1) + lens)
-    btree = cKDTree(poly)
 
     lo, hi = poly.min(axis=0), poly.max(axis=0)
     center = 0.5 * (lo + hi)
     cand, ij = _hex_lattice(center, hi - lo, h)
     keep = _backend.points_in_polygon(np.ascontiguousarray(cand), poly)
-    d, _ = btree.query(cand[keep])
+    d, _ = cKDTree(poly).query(cand[keep])
     keep[keep] = d >= _LATTICE_CLEARANCE * h
     cand, ij = cand[keep], ij[keep]
     lat = _lattice(center, h, ij, nb)
@@ -467,8 +463,6 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         tree = cKDTree(nodes)
         d_any, _ = tree.query(cc)
         ok &= d_any >= _INSERT_CLEARANCE * radius
-        d_b, i_b = btree.query(cc)
-        ok &= d_b >= _INSERT_CLEARANCE * bspacing[i_b]
         accepted = []
         for k in np.where(ok)[0]:
             p = cc[k]

@@ -319,10 +319,7 @@ def _comparison_report(cases, h, kmax, grading_factor):
 
 def _lattice(domain):
     """The two-term lattice of `domain`'s corners, as predict(ks)."""
-    a, b = domain.corner_A, domain.corner_B
-    model = QuasiFrequencyModel.from_walls(
-        a.angle, a.condition_adjacent_wall, b.angle, b.condition_adjacent_wall, domain.surface_length
-    )
+    model = QuasiFrequencyModel(domain.corner_A, domain.corner_B, domain.surface_length)
     return lambda ks: [quasi_frequency(model, k) for k in ks]
 
 

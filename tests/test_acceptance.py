@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from sloshspec.asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
+from sloshspec.asymptotics import QuasiFrequencyModel, quasi_frequency
 from sloshspec.fem_steklov import dtn_matrix, assemble, solve_steklov
 from sloshspec.geometry.domain import (
+    CornerSpec,
     build_curvilinear_example,
     build_triangle_domain,
 )
@@ -57,25 +58,25 @@ def log_linear_r2(k, residuals):
 
 def test_criterion_1_sigma_columns_match_reference():
     length = build_curvilinear_example("+").surface_length
+
+    def two_term(alpha, beta, length, wall_a, wall_b):
+        return QuasiFrequencyModel(CornerSpec(alpha, wall_a), CornerSpec(beta, wall_b), length)
+
     cases = [
         (
-            QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, 2 * math.pi / 5, math.pi / 6, 2.0),
+            two_term(2 * math.pi / 5, math.pi / 6, 2.0, "neumann", "neumann"),
             [row[2] for row in EX1_TABLE],
         ),
         (
-            QuasiFrequencyModel(Regime.DIRICHLET_DIRICHLET, 2 * math.pi / 5, math.pi / 6, 2.0),
+            two_term(2 * math.pi / 5, math.pi / 6, 2.0, "dirichlet", "dirichlet"),
             [row[4] for row in EX1_TABLE],
         ),
         (
-            QuasiFrequencyModel(
-                Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi / 4, 3 * math.pi / 4, length
-            ),
+            two_term(math.pi / 4, 3 * math.pi / 4, length, "dirichlet", "neumann"),
             [row[2] for row in EX2_TABLE],
         ),
         (
-            QuasiFrequencyModel(
-                Regime.MIXED_DIRICHLET_A_NEUMANN_B, 3 * math.pi / 4, math.pi / 4, length
-            ),
+            two_term(3 * math.pi / 4, math.pi / 4, length, "dirichlet", "neumann"),
             [row[4] for row in EX2_TABLE],
         ),
     ]
@@ -84,7 +85,7 @@ def test_criterion_1_sigma_columns_match_reference():
     elapsed = time.perf_counter() - started
     for (model, reference), sigmas in zip(cases, computed):
         for sigma, ref in zip(sigmas, reference):
-            assert abs(sigma - ref) < 5e-4, model.regime
+            assert abs(sigma - ref) < 5e-4, model
     assert elapsed < 0.25
 
 

@@ -1,6 +1,7 @@
 """Closed-form quasi-frequency lattice: phases, remainders, counting."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,45 +9,45 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sloshspec import cli
+from sloshspec import cli, harness
 from sloshspec.asymptotics import (
     QuasiFrequencyModel,
-    Regime,
     quasi_frequency,
     remainder_exponent,
     weyl_count_estimate,
 )
-from sloshspec.geometry.domain import build_curvilinear_example, build_triangle_domain
+from sloshspec.geometry.domain import CornerSpec, build_curvilinear_example
 from sloshspec.highord_sl import ode_asymptotic_prediction
 from sloshspec.model_solutions.peters import SectorParams
 
 from _tables import EX1_TABLE, EX2_TABLE
 
 ANGLES = st.floats(min_value=0.05, max_value=math.pi - 0.05)
+NN = ("neumann", "neumann")
+DD = ("dirichlet", "dirichlet")
+MIXED = ("dirichlet", "neumann")
+
+
+def model(alpha, beta, length, walls):
+    """The model of corners (alpha, walls[0]) at A and (beta, walls[1]) at B."""
+    return QuasiFrequencyModel(CornerSpec(alpha, walls[0]), CornerSpec(beta, walls[1]), length)
 
 
 def nn_model(alpha=2 * math.pi / 5, beta=math.pi / 6, length=2.0):
-    return QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, alpha, beta, length)
-
-
-def test_regime_string_round_trip():
-    for regime in Regime:
-        assert Regime.from_string(regime.value) is regime
-    with pytest.raises(ValueError, match="unknown regime"):
-        Regime.from_string("robin")
+    return model(alpha, beta, length, NN)
 
 
 def test_phase_closed_forms():
     a, b = 2 * math.pi / 5, math.pi / 6
     quarter = math.pi**2 / 8
     assert nn_model(a, b).phase == -quarter * (1 / a + 1 / b)
-    dd = QuasiFrequencyModel(Regime.DIRICHLET_DIRICHLET, a, b, 2.0)
+    dd = model(a, b, 2.0, DD)
     assert dd.phase == quarter * (1 / a + 1 / b)
-    mixed = QuasiFrequencyModel(Regime.MIXED_DIRICHLET_A_NEUMANN_B, a, b, 2.0)
+    mixed = model(a, b, 2.0, MIXED)
     assert mixed.phase == pytest.approx(quarter * (1 / a - 1 / b), abs=1e-15)
-    hn = QuasiFrequencyModel(Regime.HALFPI_NEUMANN, math.pi / 2, b, 2.0)
+    hn = nn_model(math.pi / 2, b)
     assert hn.phase == pytest.approx(-math.pi / 4 - math.pi**2 / (8 * b), abs=1e-15)
-    hd = QuasiFrequencyModel(Regime.HALFPI_DIRICHLET, math.pi / 2, b, 2.0)
+    hd = model(math.pi / 2, b, 2.0, DD)
     assert hd.phase == pytest.approx(math.pi / 4 + math.pi**2 / (8 * b), abs=1e-15)
 
 
@@ -64,9 +65,7 @@ def test_triangle_lattice_is_arithmetic_with_offset():
 
 def test_reference_sigma_columns():
     model_n = nn_model()
-    model_d = QuasiFrequencyModel(
-        Regime.DIRICHLET_DIRICHLET, 2 * math.pi / 5, math.pi / 6, 2.0
-    )
+    model_d = model(2 * math.pi / 5, math.pi / 6, 2.0, DD)
     for k, _, sigma_n, _, sigma_d in EX1_TABLE:
         assert quasi_frequency(model_n, k) == pytest.approx(sigma_n, abs=5e-4)
         assert quasi_frequency(model_d, k) == pytest.approx(sigma_d, abs=5e-4)
@@ -77,12 +76,8 @@ def test_mixed_regime_reference_sigma_columns():
     # flipping the surface swaps which angle carries the Dirichlet wall
     # and negates the phase.
     length = 1.2160067234249798
-    plus = QuasiFrequencyModel(
-        Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi / 4, math.pi * 3 / 4, length
-    )
-    minus = QuasiFrequencyModel(
-        Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi * 3 / 4, math.pi / 4, length
-    )
+    plus = model(math.pi / 4, math.pi * 3 / 4, length, MIXED)
+    minus = model(math.pi * 3 / 4, math.pi / 4, length, MIXED)
     assert plus.phase == pytest.approx(math.pi / 3, abs=1e-13)
     assert minus.phase == pytest.approx(-math.pi / 3, abs=1e-13)
     for k, _, sigma_plus, _, sigma_minus in EX2_TABLE:
@@ -90,108 +85,114 @@ def test_mixed_regime_reference_sigma_columns():
         assert quasi_frequency(minus, k) == pytest.approx(sigma_minus, abs=5e-4)
 
 
-def test_half_pi_regimes_require_vertical_wall():
-    with pytest.raises(ValueError, match="alpha = pi/2"):
-        QuasiFrequencyModel(Regime.HALFPI_NEUMANN, math.pi / 3, math.pi / 4, 1.0)
-    model = QuasiFrequencyModel(Regime.HALFPI_NEUMANN, math.pi / 2, math.pi / 4, 1.0)
-    assert model.phase == pytest.approx(-math.pi / 4 - math.pi / 2, abs=1e-14)
+def test_half_pi_regimes_require_vertical_wall(capsys):
+    # the half-pi regimes are nn and dd with a vertical wall at A; the CLI holds them to it
+    argv = ["asymptotics", "--regime", "halfpi-neumann", "--beta", repr(math.pi / 4), "--kmax", "1"]
+    assert cli.main(argv + ["--alpha", repr(math.pi / 3)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["field"] == "alpha" and "alpha = pi/2" in doc["error"]["message"]
+    assert cli.main(argv + ["--alpha", repr(math.pi / 2)]) == 0
+    sigma = float(capsys.readouterr().out.split("\n")[1].split(",")[1])
+    assert sigma == quasi_frequency(nn_model(math.pi / 2, math.pi / 4, 1.0), 1)
+    assert nn_model(math.pi / 2, math.pi / 4, 1.0).phase == pytest.approx(-math.pi / 4 - math.pi / 2, abs=1e-14)
 
 
 def test_remainder_exponents():
     assert remainder_exponent(nn_model()) == pytest.approx(
         1 - math.pi / (2 * (2 * math.pi / 5)), abs=1e-14
     )
-    dd = QuasiFrequencyModel(Regime.DIRICHLET_DIRICHLET, 2 * math.pi / 5, math.pi / 6, 2.0)
+    dd = model(2 * math.pi / 5, math.pi / 6, 2.0, DD)
     assert remainder_exponent(dd) == pytest.approx(1 - math.pi / (2 * math.pi / 5), abs=1e-14)
-    mixed = QuasiFrequencyModel(
-        Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi / 3, math.pi / 3, 1.0
-    )
+    mixed = model(math.pi / 3, math.pi / 3, 1.0, MIXED)
     assert remainder_exponent(mixed) == pytest.approx(1 - math.pi / (2 * math.pi / 3), abs=1e-14)
-    vertical = QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, math.pi / 2, math.pi / 2, 1.0)
+    vertical = nn_model(math.pi / 2, math.pi / 2, 1.0)
     assert remainder_exponent(vertical) == "exponential"
-    hn = QuasiFrequencyModel(Regime.HALFPI_NEUMANN, math.pi / 2, math.pi / 2, 1.0)
-    assert remainder_exponent(hn) == "exponential"
-    hn_tilted = QuasiFrequencyModel(Regime.HALFPI_NEUMANN, math.pi / 2, math.pi / 3, 1.0)
-    assert remainder_exponent(hn_tilted) == pytest.approx(-0.5, abs=1e-14)
-    hd = QuasiFrequencyModel(Regime.HALFPI_DIRICHLET, math.pi / 2, math.pi / 3, 1.0)
+    tilted = nn_model(math.pi / 2, math.pi / 3, 1.0)
+    assert remainder_exponent(tilted) == pytest.approx(-0.5, abs=1e-14)
+    hd = model(math.pi / 2, math.pi / 3, 1.0, DD)
     assert remainder_exponent(hd) == pytest.approx(-2.0, abs=1e-14)
 
 
-@pytest.mark.parametrize(
-    "regime, shift",
-    [(Regime.NEUMANN_NEUMANN, 1.0), (Regime.DIRICHLET_DIRICHLET, 0.0), (Regime.MIXED_DIRICHLET_A_NEUMANN_B, 0.5)],
-    ids=["nn", "dd", "mixed"],
-)
-def test_rectangle_lattice_is_its_exact_spectrum(regime, shift):
+@pytest.mark.parametrize("walls, shift", [(NN, 1.0), (DD, 0.0), (MIXED, 0.5)], ids=["nn", "dd", "mixed"])
+def test_rectangle_lattice_is_its_exact_spectrum(walls, shift):
     # On [0, pi] x [-1, 0] the exact eigenvalues are n tanh(n) with
     # n = k - shift, which meet the lattice n exponentially fast.
-    model = QuasiFrequencyModel(regime, math.pi / 2, math.pi / 2, math.pi)
+    rectangle = model(math.pi / 2, math.pi / 2, math.pi, walls)
     for k in range(1, 30):
-        assert quasi_frequency(model, k) == pytest.approx(k - shift, abs=1e-13)
-    assert remainder_exponent(model) == "exponential"
+        assert quasi_frequency(rectangle, k) == pytest.approx(k - shift, abs=1e-13)
+    assert remainder_exponent(rectangle) == "exponential"
 
 
 @pytest.mark.parametrize(
     "regime, alpha, beta, exponent",
     [
-        (Regime.NEUMANN_NEUMANN, math.pi / 2, math.pi / 3, -0.5),
-        (Regime.HALFPI_NEUMANN, math.pi / 2, math.pi / 3, -0.5),
-        (Regime.DIRICHLET_DIRICHLET, math.pi / 2, math.pi / 3, -2.0),
-        (Regime.HALFPI_DIRICHLET, math.pi / 2, math.pi / 3, -2.0),
+        ("nn", math.pi / 2, math.pi / 3, -0.5),
+        ("halfpi-neumann", math.pi / 2, math.pi / 3, -0.5),
+        ("dd", math.pi / 2, math.pi / 3, -2.0),
+        ("halfpi-dirichlet", math.pi / 2, math.pi / 3, -2.0),
         # the vertical wall is the Neumann one: corner A's Dirichlet term is left
-        (Regime.MIXED_DIRICHLET_A_NEUMANN_B, math.pi / 3, math.pi / 2, -2.0),
+        ("mixed", math.pi / 3, math.pi / 2, -2.0),
     ],
     ids=["nn", "halfpi-neumann", "dd", "halfpi-dirichlet", "mixed"],
 )
 def test_vertical_corner_adds_no_algebraic_remainder(regime, alpha, beta, exponent):
-    assert remainder_exponent(QuasiFrequencyModel(regime, alpha, beta, 1.0)) == pytest.approx(exponent, abs=1e-14)
+    walls = cli._REGIMES[regime]
+    assert remainder_exponent(model(alpha, beta, 1.0, walls)) == pytest.approx(exponent, abs=1e-14)
 
 
-WALLS = {
-    Regime.NEUMANN_NEUMANN: ("neumann", "neumann"),
-    Regime.DIRICHLET_DIRICHLET: ("dirichlet", "dirichlet"),
-    Regime.MIXED_DIRICHLET_A_NEUMANN_B: ("dirichlet", "neumann"),
-    Regime.HALFPI_NEUMANN: ("neumann", "neumann"),
-    Regime.HALFPI_DIRICHLET: ("dirichlet", "dirichlet"),
-}
-
-
-@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+@pytest.mark.parametrize("regime", tuple(cli._REGIMES))
 def test_phase_is_the_sum_of_the_corner_phase_shifts(regime):
     # sigma L = chi_A + chi_B + (k - 1) pi, the relation gluing the corner
     # solutions along the surface relies on
-    wall_a, wall_b = WALLS[regime]
+    walls = cli._REGIMES[regime]
     rng = np.random.default_rng(20170)
     for alpha, beta in rng.uniform(0.01, math.pi / 2, size=(2000, 2)):
-        if regime in (Regime.HALFPI_NEUMANN, Regime.HALFPI_DIRICHLET):
+        if regime.startswith("halfpi"):
             alpha = math.pi / 2
-        chi = SectorParams(alpha, wall_a).chi + SectorParams(beta, wall_b).chi
-        assert QuasiFrequencyModel(regime, alpha, beta, 1.0).phase == pytest.approx(chi - math.pi / 2, abs=1e-13)
+        chi = SectorParams(alpha, walls[0]).chi + SectorParams(beta, walls[1]).chi
+        assert model(alpha, beta, 1.0, walls).phase == pytest.approx(chi - math.pi / 2, abs=1e-13)
 
 
 @pytest.mark.parametrize("q", range(2, 9))
 def test_ode_prediction_is_the_neumann_lattice_of_its_triangle(q):
     angle = math.pi / (2 * q)
-    model = QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, angle, angle, 1.7)
+    triangle = nn_model(angle, angle, 1.7)
     for k in range(q + 1, q + 30):
-        assert ode_asymptotic_prediction(q, 1.7, k) == pytest.approx(quasi_frequency(model, k), rel=1e-14)
+        assert ode_asymptotic_prediction(q, 1.7, k) == pytest.approx(quasi_frequency(triangle, k), rel=1e-14)
 
 
-def test_from_walls_builds_the_worked_examples_models():
-    for sign in ("+", "-"):
-        domain = build_curvilinear_example(sign)
-        a, b = domain.corner_A, domain.corner_B
-        built = QuasiFrequencyModel.from_walls(
-            a.angle, a.condition_adjacent_wall, b.angle, b.condition_adjacent_wall, domain.surface_length
-        )
-        # the Dirichlet wall meets the surface at corner B
-        assert built == QuasiFrequencyModel(Regime.MIXED_DIRICHLET_A_NEUMANN_B, b.angle, a.angle, domain.surface_length)
-    for wall, regime in (("neumann", Regime.NEUMANN_NEUMANN), ("dirichlet", Regime.DIRICHLET_DIRICHLET)):
-        domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=(wall, wall))
-        built = QuasiFrequencyModel.from_walls(2 * math.pi / 5, wall, math.pi / 6, wall, domain.surface_length)
-        assert built == QuasiFrequencyModel(regime, 2 * math.pi / 5, math.pi / 6, 2.0)
-    with pytest.raises(ValueError, match="wall conditions"):
-        QuasiFrequencyModel.from_walls(1.0, "neumann", 1.0, "robin", 1.0)
+def test_corner_order_moves_no_bit():
+    # the CLI's mixed regime puts the Dirichlet corner first, a domain may
+    # put it second; phase and lattice are the same bits either way
+    rng = np.random.default_rng(28)
+    for a, b, length in rng.uniform((0.01, 0.01, 0.1), (math.pi - 0.01, math.pi - 0.01, 10.0), size=(500, 3)):
+        neumann_first = model(a, b, length, ("neumann", "dirichlet"))
+        dirichlet_first = model(b, a, length, MIXED)
+        assert neumann_first.phase == dirichlet_first.phase
+        for k in range(1, 21):
+            assert quasi_frequency(neumann_first, k) == quasi_frequency(dirichlet_first, k)
+        assert remainder_exponent(neumann_first) == remainder_exponent(dirichlet_first)
+        assert neumann_first.conjectural == dirichlet_first.conjectural
+
+
+@pytest.mark.parametrize("sign", ("+", "-"))
+def test_example_2_lattice_is_the_mixed_regime(capsys, sign):
+    domain = build_curvilinear_example(sign)
+    a, b = domain.corner_A, domain.corner_B
+    # the Dirichlet wall meets the surface at corner B, so it is --alpha
+    assert (b.condition_adjacent_wall, a.condition_adjacent_wall) == MIXED
+    argv = ["asymptotics", "--regime", "mixed", "--alpha", repr(b.angle), "--beta", repr(a.angle)]
+    argv += ["--length", repr(domain.surface_length), "--kmax", "10", "--format", "json"]
+    assert cli.main(argv) == 0
+    sigmas = [row["sigma"] for row in json.loads(capsys.readouterr().out)]
+    assert harness._lattice(domain)(range(1, 11)) == sigmas
+
+
+def asymptotics_digest(capsys, regime, fmt):
+    alpha = math.pi / 2 if regime.startswith("halfpi") else 2 * math.pi / 5
+    argv = ["asymptotics", "--regime", regime, "--alpha", repr(alpha), "--beta", repr(math.pi / 6)]
+    assert cli.main(argv + ["--length", "2", "--kmax", "20", "--format", fmt]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -200,12 +201,35 @@ def test_from_walls_builds_the_worked_examples_models():
         ("nn", "e06fc51511805e701073b9881176dc125b6fda7410de628f26862af9180dd108"),
         ("dd", "d7dad7f9a3c55b593a13b73e4e272648bb40706ab5cd7d21cfbd89f912a72a43"),
         ("mixed", "89e6d3588b9cddc854b5803983a76f85fca1c496d9ce45266436d4b14e3bb70e"),
+        ("halfpi-neumann", "66e270f83c125b9e5cd3d2507a912adb876325e30ec920a8e4e7b4166a40a017"),
+        ("halfpi-dirichlet", "7722018ac84d705c80251b551faaa6589692f9db71adf8e5b176bd38021a4e6e"),
     ],
 )
 def test_asymptotics_csv_matches_recorded_digest(capsys, regime, digest):
-    argv = ["asymptotics", "--regime", regime, "--alpha", repr(2 * math.pi / 5), "--beta", repr(math.pi / 6)]
-    assert cli.main(argv + ["--length", "2", "--kmax", "20"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert asymptotics_digest(capsys, regime, "csv") == digest
+
+
+@pytest.mark.parametrize(
+    "regime, digest",
+    [
+        ("nn", "9a1249c57fe663051df6e1f433f35b52b3f4f46310eb68a00b6d2602a7e06297"),
+        ("dd", "dfc0ac79f956e160ad96e93ec34558efc33d97ef50ad6112b5e2f90effabd85e"),
+        ("mixed", "98dc8b3aa2312d73dd2d525ca8f0ba981a97e35471c487595dfba84e6482e076"),
+        ("halfpi-neumann", "78bb6fb3e01bf1d41ece5c1c108f1f4cc599f91112ebbeb9933c969f1810546d"),
+        ("halfpi-dirichlet", "c205f62f0c71069dad77e3c0d49911351262ca2f24d5207cd034aa7574b0ca3b"),
+    ],
+)
+def test_asymptotics_json_matches_recorded_digest(capsys, regime, digest):
+    assert asymptotics_digest(capsys, regime, "json") == digest
+
+
+def test_non_finite_quasi_frequency_raises(capsys):
+    # L = 1e-310 is positive and finite, but sigma_k * L / L overflows
+    tiny = nn_model(1.0, 1.0, 1e-310)
+    with pytest.raises(OverflowError, match="not finite"):
+        quasi_frequency(tiny, 1)
+    assert cli.main(["asymptotics", "--alpha", "1", "--beta", "1", "--length", "1e-310"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "numerical"
 
 
 def test_conjectural_flag_tracks_obtuse_corners():
@@ -223,18 +247,17 @@ def test_quasi_frequency_validates_k():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError, match="between 0 and pi"):
-        QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=r"in \(0, pi\)"):
+        nn_model(0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="surface_length"):
-        QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, 1.0, 1.0, 0.0)
+        nn_model(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         weyl_count_estimate(1.0, -1.0)
 
 
 @given(alpha=ANGLES, beta=ANGLES, length=st.floats(min_value=0.1, max_value=10.0))
 def test_lattice_spacing_is_pi_over_length(alpha, beta, length):
-    model = QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, alpha, beta, length)
-    values = [quasi_frequency(model, k) for k in range(1, 8)]
+    values = [quasi_frequency(nn_model(alpha, beta, length), k) for k in range(1, 8)]
     gaps = [b - a for a, b in zip(values, values[1:])]
     for gap in gaps:
         assert gap == pytest.approx(math.pi / length, rel=1e-12)
@@ -242,8 +265,8 @@ def test_lattice_spacing_is_pi_over_length(alpha, beta, length):
 
 @given(alpha=ANGLES, beta=ANGLES)
 def test_dirichlet_lattice_sits_above_neumann(alpha, beta):
-    nn = QuasiFrequencyModel(Regime.NEUMANN_NEUMANN, alpha, beta, 1.0)
-    dd = QuasiFrequencyModel(Regime.DIRICHLET_DIRICHLET, alpha, beta, 1.0)
+    nn = nn_model(alpha, beta, 1.0)
+    dd = model(alpha, beta, 1.0, DD)
     assert dd.phase == pytest.approx(-nn.phase, rel=1e-12)
     for k in range(1, 6):
         assert quasi_frequency(dd, k) > quasi_frequency(nn, k)
@@ -251,8 +274,8 @@ def test_dirichlet_lattice_sits_above_neumann(alpha, beta):
 
 @given(alpha=ANGLES, beta=ANGLES)
 def test_mixed_phase_antisymmetric_under_corner_swap(alpha, beta):
-    ab = QuasiFrequencyModel(Regime.MIXED_DIRICHLET_A_NEUMANN_B, alpha, beta, 1.0)
-    ba = QuasiFrequencyModel(Regime.MIXED_DIRICHLET_A_NEUMANN_B, beta, alpha, 1.0)
+    ab = model(alpha, beta, 1.0, MIXED)
+    ba = model(beta, alpha, 1.0, MIXED)
     assert ab.phase == pytest.approx(-ba.phase, abs=1e-12)
 
 

@@ -389,7 +389,8 @@ def test_run_experiment_report_artifacts(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cli_asymptotics_matches_library():
-    from sloshspec.asymptotics import QuasiFrequencyModel, Regime, quasi_frequency
+    from sloshspec.asymptotics import QuasiFrequencyModel, quasi_frequency
+    from sloshspec.geometry import CornerSpec
 
     out = run_cli(
         "asymptotics", "--regime", "nn",
@@ -399,9 +400,7 @@ def test_cli_asymptotics_matches_library():
     assert out.returncode == 0
     lines = out.stdout.strip().split("\n")
     assert lines[0] == "k,sigma"
-    model = QuasiFrequencyModel(
-        Regime.NEUMANN_NEUMANN, 2 * math.pi / 5, math.pi / 6, 2.0
-    )
+    model = QuasiFrequencyModel(CornerSpec(2 * math.pi / 5, "neumann"), CornerSpec(math.pi / 6, "neumann"), 2.0)
     for line in lines[1:]:
         k, sigma = line.split(",")
         assert float(sigma) == pytest.approx(quasi_frequency(model, int(k)), abs=1e-12)
@@ -702,6 +701,8 @@ def test_run_takes_its_format_from_the_config_not_a_flag(tmp_path, monkeypatch, 
         (["peters", "--alpha", "1.0", "--xmax", "400"], "xmax"),
         (["asymptotics", "--alpha", "1", "--beta", "4"], "beta"),
         (["residual", "--h", "0.05", "--k", "2"], "k"),
+        (["asymptotics", "--regime", "halfpi-neumann", "--alpha", "1.0", "--beta", "0.5"], "alpha"),
+        (["asymptotics", "--alpha", "4", "--beta", "4"], "alpha"),
     ],
 )
 def test_cli_rejects_what_run_rejects_with_exit_two(tmp_path, monkeypatch, capsys, argv, field_name):
