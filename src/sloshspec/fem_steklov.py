@@ -395,7 +395,8 @@ class ConvergenceStudy:
     `values[i, j]` is eigenvalue k_values[j] at h_values[i].  Richardson
     limits extrapolate the two finest meshes with the observed order
     (default 2 when fewer than three meshes are available), and `errbar`
-    is twice the last eigenvalue increment, per k.
+    is twice the last eigenvalue increment, per k.  `finest` is the
+    finest level's spectrum, with its mesh and assembled system.
     """
 
     h_values: tuple
@@ -404,10 +405,17 @@ class ConvergenceStudy:
     observed_order: np.ndarray
     richardson: np.ndarray
     errbar: np.ndarray
+    finest: SteklovSpectrum
 
 
-def convergence_study(domain, h_list, k_list, grading_factor=0.25):
-    """Rerun solve_steklov on a ladder of mesh sizes."""
+def convergence_study(domain, h_list, k_list, grading_factor=0.25, meshes=None):
+    """Rerun solve_steklov on a ladder of mesh sizes, finest level first.
+
+    Every FEM table reads its eigenvalues and error bar from here, the
+    single-size ones on (2h, h).  `meshes`, if given, holds one mesh per
+    size.  Going finest first, a failure names the size asked for, and
+    that level's spectrum (not its factor) is kept for the coarser ones.
+    """
     h_list = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(h_list[:-1], h_list[1:])):
         raise SteklovSolveError("h_list must be strictly decreasing")
@@ -415,10 +423,13 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25):
     if min(k_list) < 1:
         raise SteklovSolveError("eigenvalue indices are 1-based")
     n_eigs = max(k_list)
+    meshes = meshes or [None] * len(h_list)
+    index = np.array(k_list) - 1
     values = np.empty((len(h_list), len(k_list)))
-    for i, h in enumerate(h_list):
-        eigenvalues = solve_steklov(domain, h, n_eigs, grading_factor=grading_factor).eigenvalues
-        values[i] = eigenvalues[np.array(k_list) - 1]
+    finest = solve_steklov(domain, h_list[-1], n_eigs, grading_factor, mesh=meshes[-1])
+    values[-1] = finest.eigenvalues[index]
+    for i in range(len(h_list) - 2, -1, -1):
+        values[i] = solve_steklov(domain, h_list[i], n_eigs, grading_factor, mesh=meshes[i]).eigenvalues[index]
 
     nk = len(k_list)
     order = np.full(nk, np.nan)
@@ -437,9 +448,7 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25):
                     p = np.log(d_coarse / d_fine) / np.log(r0)
                     order[j] = p
                     p = min(max(p, 0.5), 4.0)
-            richardson[j] = values[-1, j] + (values[-1, j] - values[-2, j]) / (
-                ratio ** p - 1.0
-            )
+            richardson[j] = values[-1, j] + d_fine / (ratio ** p - 1.0)
     return ConvergenceStudy(
         h_values=tuple(h_list),
         k_values=tuple(k_list),
@@ -447,4 +456,5 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25):
         observed_order=order,
         richardson=richardson,
         errbar=errbar,
+        finest=finest,
     )

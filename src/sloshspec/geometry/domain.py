@@ -235,7 +235,7 @@ class SloshingDomain:
             if corner.condition_adjacent_wall != wall.condition:
                 raise ValueError(f"corner {name} condition disagrees with its {wall.condition} wall")
         computed = self.sloshing_surface.curve.length()
-        if abs(computed - self.surface_length) > 1e-10 * max(1.0, computed):
+        if not abs(computed - self.surface_length) <= 1e-10 * max(1.0, computed):  # NaN fails too
             raise ValueError(
                 f"surface_length {self.surface_length!r} disagrees with "
                 f"computed arc length {computed!r}"

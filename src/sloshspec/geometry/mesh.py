@@ -95,6 +95,8 @@ class TriangleMesh:
             raise MeshError("nodes must be an (n, 2) array")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise MeshError("triangles must be an (m, 3) array")
+        if not np.isfinite(self.nodes).all():
+            raise MeshError("node coordinates must be finite")
         n = len(self.nodes)
         for name, idx in (("triangle", self.triangles), ("boundary edge", self._edge_arr)):
             if idx.size and (idx.min() < 0 or idx.max() >= n):

@@ -23,6 +23,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -179,33 +180,26 @@ def load_config(path):
     return config_from_json(obj)
 
 
-def _deviation(computed, predicted):
-    if computed == 0.0:
-        return None
-    return abs(predicted / computed - 1.0)
-
-
 @dataclass(frozen=True)
 class ReportBlock:
     """One (k, computed, predicted, deviation) table block.
 
-    The deviation column is always |predicted/computed - 1| recomputed
-    from the stored values, so it can never drift out of sync with them.
+    The deviation column is not stored: it is |predicted/computed - 1|
+    of the stored values, None where computed is 0.
     """
 
     label: str
     k: tuple
     computed: tuple
     predicted: tuple
-    deviation: tuple = ()
 
     def __post_init__(self):
         if not len(self.k) == len(self.computed) == len(self.predicted):
             raise ValueError("block columns must have equal length")
-        recomputed = tuple(_deviation(c, p) for c, p in zip(self.computed, self.predicted))
-        if self.deviation and tuple(self.deviation) != recomputed:
-            raise ValueError("deviation column inconsistent with computed/predicted")
-        object.__setattr__(self, "deviation", recomputed)
+
+    @cached_property
+    def deviation(self):
+        return tuple(None if c == 0.0 else abs(p / c - 1.0) for c, p in zip(self.computed, self.predicted))
 
 
 @dataclass(frozen=True)
@@ -275,43 +269,31 @@ def _domain_description(domain):
     )
 
 
-def _spectrum_with_errbar(domain, h, n_eigs, grading_factor, meshes=(None, None)):
-    """Spectrum at mesh size h plus a two-mesh error bar.
-
-    The error bar is 2 |lambda(h) - lambda(2h)| per index, the same
-    convention convergence_study uses for its finest level.  The fine
-    level is solved first, so its mesh errors are the ones reported.
-    `meshes` holds the meshes at h and 2h, or None where the domain is
-    to be meshed.
-    """
-    fine = solve_steklov(domain, h, n_eigs, grading_factor, mesh=meshes[0])
-    coarse = solve_steklov(domain, 2.0 * h, n_eigs, grading_factor, mesh=meshes[1]).eigenvalues
-    return fine, 2.0 * np.abs(fine.eigenvalues - coarse)
-
-
 def _comparison_report(cases, h, kmax, grading_factor):
     """FEM spectra against predictions, one report block per case.
 
     `cases` yields (label, domain, predict, meshes), where predict(ks)
-    gives the predicted values at the indices ks and meshes is as in
-    _spectrum_with_errbar.
+    gives the predicted values at the indices ks and meshes is None or
+    the meshes at 2h and h.  Each case solves through convergence_study
+    on the ladder (2h, h): the block's computed column is the level h,
+    and the metadata's error bar is 2 |lambda(h) - lambda(2h)| per k.
     """
     started = time.perf_counter()
     ks = tuple(range(1, kmax + 1))
     blocks = []
     meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
     for label, domain, predict, meshes in cases:
-        spec, errbar = _spectrum_with_errbar(domain, h, kmax, grading_factor, meshes)
+        study = convergence_study(domain, (2.0 * h, h), ks, grading_factor, meshes)
         blocks.append(
             ReportBlock(
                 label=label,
                 k=ks,
-                computed=tuple(float(v) for v in spec.eigenvalues),
+                computed=tuple(float(v) for v in study.values[-1]),
                 predicted=tuple(float(v) for v in predict(ks)),
             )
         )
-        meta["num_nodes"][label] = spec.num_nodes
-        meta["errbar"][label] = [float(e) for e in errbar]
+        meta["num_nodes"][label] = study.finest.num_nodes
+        meta["errbar"][label] = [float(e) for e in study.errbar]
         meta["domain"][label] = _domain_description(domain)
     meta["runtime_seconds"] = time.perf_counter() - started
     return ComparisonReport(blocks=tuple(blocks), metadata=meta)
@@ -332,15 +314,16 @@ def _with_walls(mesh, condition):
 def _example_cases(example, h, grading_factor):
     if example == 1:
         angles = (2 * math.pi / 5, math.pi / 6, 2.0)
-        # the wall conditions only tag the walls, so both cases solve on one mesh per level
+        # the wall conditions only tag the walls, so both cases solve on one mesh per level;
+        # h is meshed first, so a meshing error names it
         meshes = [generate_mesh(build_triangle_domain(*angles), size, grading_factor) for size in (h, 2.0 * h)]
         for label in ("neumann", "dirichlet"):
             domain = build_triangle_domain(*angles, wall_conditions=(label, label))
-            yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in meshes]
+            yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in reversed(meshes)]
     else:
         for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
             domain = build_curvilinear_example(sign)
-            yield label, domain, _lattice(domain), (None, None)
+            yield label, domain, _lattice(domain), None
 
 
 def reproduce_table(example, h, grading_factor=0.25):
@@ -380,7 +363,7 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     def ode(ks):
         return solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), len(ks)).eigenvalues
 
-    return _comparison_report([("fem_vs_ode", domain, ode, (None, None))], h, kmax, grading_factor)
+    return _comparison_report([("fem_vs_ode", domain, ode, None)], h, kmax, grading_factor)
 
 
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
@@ -553,13 +536,13 @@ def _convergence(config):
 
 def _custom(config):
     domain = _resolve_domain(config.domain)
-    spec, errbar = _spectrum_with_errbar(domain, config.h, config.kmax, config.grading_factor)
     ks = list(range(1, config.kmax + 1))
+    study = convergence_study(domain, (2.0 * config.h, config.h), ks, config.grading_factor)
     return ExperimentTable(
         header=("k", "lambda", "errbar"),
-        rows=list(zip(ks, spec.eigenvalues, errbar)),
-        series=(("lambda", ks, spec.eigenvalues),),
-        spectrum=spec,
+        rows=list(zip(ks, study.values[-1], study.errbar)),
+        series=(("lambda", ks, study.values[-1]),),
+        spectrum=study.finest,
     )
 
 

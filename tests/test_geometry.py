@@ -800,6 +800,20 @@ def test_read_mesh_text_rejects_out_of_range_indices_and_unknown_tags(tmp_path, 
         read_mesh_text(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_read_mesh_text_rejects_non_finite_nodes(tmp_path, value):
+    # the orientation test is false for NaN, so such a dump used to load
+    # and then fail in the pencil factorization as exactly singular
+    mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.2)
+    path = tmp_path / "mesh.txt"
+    write_mesh_text(mesh, path)
+    lines = path.read_text().splitlines()
+    lines[1] = value + " " + lines[1].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshError, match="node coordinates must be finite"):
+        read_mesh_text(path)
+
+
 # ---------------------------------------------------------------------------
 # compute kernels
 # ---------------------------------------------------------------------------
