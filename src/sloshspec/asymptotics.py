@@ -46,9 +46,7 @@ class QuasiFrequencyModel:
     def phase(self) -> float:
         """The phase added to pi (k - 1/2): pi^2/(8 angle) per corner, negative behind Neumann."""
         a, b = self.corner_A, self.corner_B
-        return math.pi**2 / 8.0 * (
-            _SIGN[a.condition_adjacent_wall] / a.angle + _SIGN[b.condition_adjacent_wall] / b.angle
-        )
+        return math.pi**2 / 8.0 * (_SIGN[a.condition] / a.angle + _SIGN[b.condition] / b.angle)
 
     @property
     def conjectural(self) -> bool:
@@ -70,14 +68,14 @@ def remainder_exponent(model: QuasiFrequencyModel):
     """Power-law exponent of sigma_k - quasi_frequency(k), or "exponential".
 
     The deviation from the lattice decays like k**exponent, the largest
-    corner exponent: 1 - pi/(2 angle) behind a Neumann wall, 1 - pi/angle
-    behind a Dirichlet one.  A vertical wall, whose model solution is the
-    exact plane wave, adds no algebraic term.
+    corner exponent with mu = pi/(2 angle): 1 - mu behind a Neumann wall,
+    1 - 2 mu behind a Dirichlet one.  A vertical wall, whose model
+    solution is the exact plane wave, adds no algebraic term.
     """
     exponents = [
-        1.0 - math.pi / (2.0 * c.angle if c.condition_adjacent_wall == "neumann" else c.angle)
+        1.0 - (c.mu if c.condition == "neumann" else 2.0 * c.mu)
         for c in (model.corner_A, model.corner_B)
-        if abs(c.angle - HALF_PI) > 1e-12
+        if not c.closed_form
     ]
     return max(exponents) if exponents else "exponential"
 

@@ -178,16 +178,36 @@ _CONDITIONS = ("steklov", "neumann", "dirichlet")
 
 @dataclass(frozen=True)
 class CornerSpec:
-    """Interior angle at a surface endpoint and its wall's condition."""
+    """Interior angle at a surface endpoint and its wall's condition.
+
+    The domain, the quasi-frequency lattice and the Peters sector solutions
+    share this type; the Peters route refuses angles past pi/2.
+    """
 
     angle: float
-    condition_adjacent_wall: str
+    condition: str
 
     def __post_init__(self):
         if not 0 < self.angle < math.pi:
             raise ValueError("corner angle must lie in (0, pi)")
-        if self.condition_adjacent_wall not in ("neumann", "dirichlet"):
+        if self.condition not in ("neumann", "dirichlet"):
             raise ValueError("wall condition must be 'neumann' or 'dirichlet'")
+
+    @property
+    def closed_form(self):
+        """At angle = pi/2 the sector solution is exactly the plane wave."""
+        return abs(self.angle - math.pi / 2) < 1e-12
+
+    @property
+    def mu(self):
+        return math.pi / (2 * self.angle)
+
+    @property
+    def chi(self):
+        """Far-field phase shift of the sector solution's outgoing plane wave."""
+        if self.condition == "neumann":
+            return (math.pi / 4) * (1 - self.mu)
+        return (math.pi / 4) * (1 + self.mu)
 
 
 @dataclass(frozen=True)
@@ -232,7 +252,7 @@ class SloshingDomain:
             if wall.condition == "steklov":
                 raise ValueError("exactly one piece may be Steklov")
         for name, corner, wall in (("A", self.corner_A, self.walls[0]), ("B", self.corner_B, self.walls[-1])):
-            if corner.condition_adjacent_wall != wall.condition:
+            if corner.condition != wall.condition:
                 raise ValueError(f"corner {name} condition disagrees with its {wall.condition} wall")
         computed = self.sloshing_surface.curve.length()
         if not abs(computed - self.surface_length) <= 1e-10 * max(1.0, computed):  # NaN fails too

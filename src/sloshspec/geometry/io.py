@@ -86,19 +86,21 @@ def _piece_from_json(obj):
     return BoundaryPiece(_curve_from_json(obj["curve"]), str(obj["condition"]))
 
 
+def _corner_to_json(corner):
+    return {"angle": corner.angle, "condition_adjacent_wall": corner.condition}
+
+
+def _corner_from_json(obj):
+    return CornerSpec(float(obj["angle"]), str(obj["condition_adjacent_wall"]))
+
+
 def domain_to_json(domain):
     """JSON-serializable dict describing a sloshing domain."""
     return {
         "surface": _piece_to_json(domain.sloshing_surface),
         "walls": [_piece_to_json(w) for w in domain.walls],
-        "corner_A": {
-            "angle": domain.corner_A.angle,
-            "condition_adjacent_wall": domain.corner_A.condition_adjacent_wall,
-        },
-        "corner_B": {
-            "angle": domain.corner_B.angle,
-            "condition_adjacent_wall": domain.corner_B.condition_adjacent_wall,
-        },
+        "corner_A": _corner_to_json(domain.corner_A),
+        "corner_B": _corner_to_json(domain.corner_B),
         "surface_length": domain.surface_length,
     }
 
@@ -108,14 +110,8 @@ def domain_from_json(obj):
     return SloshingDomain(
         sloshing_surface=_piece_from_json(obj["surface"]),
         walls=tuple(_piece_from_json(w) for w in obj["walls"]),
-        corner_A=CornerSpec(
-            float(obj["corner_A"]["angle"]),
-            str(obj["corner_A"]["condition_adjacent_wall"]),
-        ),
-        corner_B=CornerSpec(
-            float(obj["corner_B"]["angle"]),
-            str(obj["corner_B"]["condition_adjacent_wall"]),
-        ),
+        corner_A=_corner_from_json(obj["corner_A"]),
+        corner_B=_corner_from_json(obj["corner_B"]),
         surface_length=float(obj["surface_length"]),
     )
 

@@ -30,7 +30,7 @@ import scipy.linalg
 
 from .asymptotics import QuasiFrequencyModel, quasi_frequency
 from .fem_steklov import convergence_study, dtn_action, solve_steklov
-from .geometry import build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
+from .geometry import CornerSpec, build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
@@ -485,26 +485,31 @@ def _resolve_domain(domain):
 
 
 def _peters_phase(config):
-    from .model_solutions.peters import XMAX_LIMIT, SectorParams, eval_peters, far_field_fit
+    from .model_solutions.peters import XMAX_LIMIT, eval_peters, far_field_fit
 
+    # CornerSpec refuses angles outside (0, pi), the sector solution those past pi/2
+    refused = "alpha must lie in (0, pi/2]"
     try:
-        params = SectorParams(config.alpha, config.condition)
-    except ValueError as exc:
-        raise ConfigError("alpha", str(exc)) from None
-    if params.closed_form:
+        corner = CornerSpec(config.alpha, config.condition)
+    except ValueError:
+        raise ConfigError("alpha", refused) from None
+    if corner.closed_form:
         raise ConfigError("alpha", "at pi/2 the solution is the plane wave itself and leaves no remainder to fit")
     if config.xmax > XMAX_LIMIT:
         raise ConfigError("xmax", f"must be at most {XMAX_LIMIT:.1f}; beyond it rounding in the contour exceeds 1e-8")
     x = np.linspace(config.xmax / config.samples, config.xmax, config.samples)
-    values = eval_peters(params, x)
-    fit = far_field_fit(params, x, values)
+    try:
+        values = eval_peters(corner, x)
+    except ValueError:
+        raise ConfigError("alpha", refused) from None
+    fit = far_field_fit(corner, x, values)
     wave = fit.wave_coefficient * np.exp(-1j * x) + fit.offset
     remainder = np.abs(values - wave)
     summary = {
         "alpha": config.alpha,
         "condition": config.condition,
         "fitted_phase": fit.phase,
-        "closed_form_phase": params.chi,
+        "closed_form_phase": corner.chi,
         "decay_exponent": fit.decay_exponent,
         "amplitude": fit.amplitude,
     }

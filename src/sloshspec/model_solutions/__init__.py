@@ -12,7 +12,7 @@ from .hanson_lewy import (
     steklov_defect,
     wall_defect,
 )
-from .peters import SectorParams, PetersEvaluator, eval_peters, far_field_fit
+from .peters import CornerSpec, PetersEvaluator, eval_peters, far_field_fit
 
 __all__ = [
     "eval_I_alpha",
@@ -30,7 +30,7 @@ __all__ = [
     "quasimode_trace",
     "steklov_defect",
     "wall_defect",
-    "SectorParams",
+    "CornerSpec",
     "PetersEvaluator",
     "eval_peters",
     "far_field_fit",

@@ -1,9 +1,10 @@
 """Sector solutions of the sloshing problem with a Robin surface condition.
 
-For an infinite wedge of half-angle alpha below the horizontal, the model
-solution is a function f analytic in the sector -alpha <= arg z <= 0 whose
-real part satisfies the surface condition d(Re f)/dy = Re f on the positive
-real axis together with a Neumann or Dirichlet condition on the sloped wall.
+For the wedge at a surface corner, a `geometry.CornerSpec` with angle
+alpha in (0, pi/2] below the horizontal, the model solution is a function
+f analytic in the sector -alpha <= arg z <= 0 whose real part satisfies
+the surface condition d(Re f)/dy = Re f on the positive real axis
+together with the corner's Neumann or Dirichlet wall condition.
 It is given by a keyhole-contour integral
 
     f(z) = (mu^(1/2)/(i pi)) * int_P g_alpha(zeta)/(zeta + i) [zeta^(-mu)] e^(z zeta) dzeta,
@@ -32,9 +33,9 @@ sector's Neumann and Dirichlet solutions alike.  It is the module's one
 cache: the 64 pieces used last, least recently used out first.
 
 Far from the corner, f approaches a decaying-free plane wave
-A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ pi/(2 alpha)) carries the
-spectral information; the amplitude A has no closed form and is only ever
-fitted.
+A e^{-i(z - chi)} whose phase chi = pi/4 (1 -/+ mu), `CornerSpec.chi`,
+carries the spectral information; the amplitude A has no closed form and
+is only ever fitted.
 
 The path between the legs follows the circle |zeta| = 2 except where it
 crosses the right half-plane: on that arc, |e^(z zeta)| reaches e^(2|z|),
@@ -63,9 +64,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry.domain import CornerSpec
 # exp_neg_I_continued stays bound here: perfbench's self-test expects its
 # tracer to find the name in this module
 from .contour import _gauss, _panel_nodes, exp_neg_I_continued, g_alpha_continued  # noqa: F401
+
+# perfbench's workloads build their sector corners under this name
+SectorParams = CornerSpec
 
 _CHORD_ABSCISSA = 0.15
 _CIRCLE_RADIUS = 2.0
@@ -80,38 +85,8 @@ _BLOCK_POINTS = 256
 XMAX_LIMIT = math.log(1e-8 / np.finfo(float).eps) / _CHORD_ABSCISSA
 
 
-@dataclass(frozen=True)
-class SectorParams:
-    """Wedge half-angle and wall condition for a sector solution."""
-
-    alpha: float
-    condition: str = "neumann"
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= math.pi / 2 + 1e-12:
-            raise ValueError("alpha must lie in (0, pi/2]")
-        if self.condition not in ("neumann", "dirichlet"):
-            raise ValueError("condition must be 'neumann' or 'dirichlet'")
-
-    @property
-    def closed_form(self):
-        """At alpha = pi/2 the solution is exactly the plane wave."""
-        return abs(self.alpha - math.pi / 2) < 1e-12
-
-    @property
-    def mu(self):
-        return math.pi / (2 * self.alpha)
-
-    @property
-    def chi(self):
-        """Far-field phase shift of the outgoing plane wave."""
-        if self.condition == "neumann":
-            return (math.pi / 4) * (1 - self.mu)
-        return (math.pi / 4) * (1 + self.mu)
-
-
 class PetersEvaluator:
-    """Evaluates one sector solution at points of the closed sector.
+    """Evaluates the sector solution of one corner at points of its sector.
 
     An evaluation sums e^(z zeta) against the weighted densities of the
     contour pieces, which `_contour_piece` builds and caches, over blocks
@@ -119,16 +94,19 @@ class PetersEvaluator:
     legs, and per segment of the path between them one per panel and one
     per Gauss offset.
     The evaluator itself holds no contour: it checks its arguments and
-    picks the density of its wall condition.  `xmax` is the largest |z|
-    the discretization is tuned for; larger arguments are rejected rather
+    picks the density of its wall condition.  A corner past pi/2 has no
+    sector solution and is refused.  `xmax` is the largest |z| the
+    discretization is tuned for; larger arguments are rejected rather
     than silently under-resolved, and away from alpha = pi/2 so is an
     `xmax` above XMAX_LIMIT.
     """
 
-    def __init__(self, params, xmax=40.0):
-        self.params = params
+    def __init__(self, corner, xmax=40.0):
+        if not corner.angle <= math.pi / 2 + 1e-12:
+            raise ValueError(f"a sector solution needs a corner angle in (0, pi/2], got {corner.angle!r}")
+        self.corner = corner
         self.xmax = float(xmax)
-        if not params.closed_form and not self.xmax <= XMAX_LIMIT:
+        if not corner.closed_form and not self.xmax <= XMAX_LIMIT:
             raise ValueError(
                 f"xmax {self.xmax} exceeds {XMAX_LIMIT:.1f}, past which the chord "
                 "amplifies rounding above 1e-8"
@@ -141,19 +119,19 @@ class PetersEvaluator:
             raise ValueError("z must be finite")
         if np.any(np.abs(zarr) > self.xmax * (1 + 1e-9)):
             raise ValueError(f"|z| exceeds the discretization design size {self.xmax}")
-        if self.params.closed_form:
+        if self.corner.closed_form:
             out = np.exp(-1j * zarr) * (-1j) ** order
-            if self.params.condition == "dirichlet":
+            if self.corner.condition == "dirichlet":
                 out = 1j * out
             return complex(out[0]) if np.asarray(z).ndim == 0 else out
-        alpha = self.params.alpha
+        alpha = self.corner.angle
         phi = np.where(np.abs(zarr) == 0, 0.0, np.angle(zarr))
         if np.any(phi > 1e-9) or np.any(phi < -alpha - 1e-9):
             raise ValueError("z must satisfy -alpha <= arg z <= 0")
         if order and np.any(zarr == 0):
             raise ValueError("no derivative at z = 0: nothing damps the ray tail there")
         keys = np.round(np.clip(phi, -alpha, 0.0), 12)
-        column = 1 if self.params.condition == "neumann" else 2
+        column = 1 if self.corner.condition == "neumann" else 2
 
         def weighted(piece):
             zeta, wdens = piece[0], piece[column]
@@ -188,7 +166,7 @@ class PetersEvaluator:
                 at_offset = np.exp(np.multiply.outer(zs, offset))
                 for s, (first, last) in enumerate(zip(bounds[:-1], bounds[1:])):
                     acc += np.sum((at_offset[:, s] @ weights[first:last].T) * at_mid[:, first:last], axis=1)
-                out[block] = acc * (math.sqrt(self.params.mu) / (1j * math.pi))
+                out[block] = acc * (math.sqrt(self.corner.mu) / (1j * math.pi))
         return complex(out[0]) if np.asarray(z).ndim == 0 else out
 
 
@@ -266,8 +244,8 @@ def _contour_piece(alpha, xmax, tag):
     return piece
 
 
-def eval_peters(params, z):
-    """Sector solution f at z (scalar or array) in the closed sector.
+def eval_peters(corner, z):
+    """Sector solution f of `corner` at z (scalar or array) in its closed sector.
 
     The evaluator's size bucket doubles from 40 until it covers max |z|,
     so calls at comparable scales share the cached contour pieces.  It
@@ -278,7 +256,7 @@ def eval_peters(params, z):
     xmax = 40.0
     while xmax < need:
         xmax *= 2.0
-    return PetersEvaluator(params, min(xmax, XMAX_LIMIT)).evaluate(z)
+    return PetersEvaluator(corner, min(xmax, XMAX_LIMIT)).evaluate(z)
 
 
 @dataclass(frozen=True)
@@ -320,8 +298,8 @@ def _remainder_misfits(t, y, basis, exponents):
     return np.sqrt(np.maximum(np.vdot(y, y).real - explained, 0.0))
 
 
-def far_field_fit(params, x, values):
-    """Fit the far-field decomposition of surface samples.
+def far_field_fit(corner, x, values):
+    """Fit the far-field decomposition of surface samples of `corner`'s solution.
 
     The samples are modeled as c e^{-ix} + d + r(x): an outgoing plane
     wave, a constant, and a decaying remainder r(x) = b x^p + b' x^(p-1),
@@ -333,8 +311,8 @@ def far_field_fit(params, x, values):
     window, so that neither the constant nor the wave absorbs the tail
     of r: c, d, b and b' by complex linear least squares for each trial
     p, and p by a global grid over [-40, 0) refined around the best
-    point.  The decay exponent is that p.  Expected rates: x^(-mu) for
-    Neumann, x^(-2 mu) for Dirichlet.  At angles pi/(2q) the remainder
+    point.  The decay exponent is that p.  Expected rates, with the
+    corner's mu: x^(-mu) for Neumann, x^(-2 mu) for Dirichlet.  At angles pi/(2q) the remainder
     instead collapses exponentially, and the fitted exponent lands far
     below any power rate.  Samples count as usable where
     |values - c e^{-ix} - d| stays above rounding level; the fit window
@@ -350,7 +328,7 @@ def far_field_fit(params, x, values):
     window = x >= x[0] + 0.5 * (x[-1] - x[0])
     xw, yw = x[window], values[window]
     fixed = [np.exp(-1j * xw)]
-    if params.condition == "dirichlet":
+    if corner.condition == "dirichlet":
         fixed.append(np.ones(xw.size))
     basis, _ = np.linalg.qr(np.column_stack(fixed))
     t = xw / xw[0]

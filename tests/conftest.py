@@ -15,10 +15,10 @@ from hypothesis import HealthCheck, settings
 
 import sloshspec
 from sloshspec.fem_steklov import convergence_study
-from sloshspec.geometry import build_triangle_domain
+from sloshspec.geometry import CornerSpec, build_triangle_domain
 from sloshspec.harness import reproduce_table
 from sloshspec.highord_sl import HighOrderSLProblem, solve_spectrum
-from sloshspec.model_solutions.peters import SectorParams, eval_peters, far_field_fit
+from sloshspec.model_solutions.peters import eval_peters, far_field_fit
 
 settings.register_profile(
     "deterministic",
@@ -75,7 +75,7 @@ def peters_fits():
     x = np.linspace(40.0 / 200, 40.0, 200)
     for condition in ("neumann", "dirichlet"):
         for denominator in (3, 4, 5):
-            params = SectorParams(math.pi / denominator, condition)
+            params = CornerSpec(math.pi / denominator, condition)
             values = eval_peters(params, x)
             fits[(condition, denominator)] = (params, far_field_fit(params, x, values))
     return fits

@@ -18,7 +18,6 @@ from sloshspec.asymptotics import (
 )
 from sloshspec.geometry.domain import CornerSpec, build_curvilinear_example
 from sloshspec.highord_sl import ode_asymptotic_prediction
-from sloshspec.model_solutions.peters import SectorParams
 
 from _tables import EX1_TABLE, EX2_TABLE
 
@@ -97,6 +96,36 @@ def test_half_pi_regimes_require_vertical_wall(capsys):
     assert nn_model(math.pi / 2, math.pi / 4, 1.0).phase == pytest.approx(-math.pi / 4 - math.pi / 2, abs=1e-14)
 
 
+def _corner_angles():
+    """pi/k for k = 2..12, then a seeded grid in (0, pi)."""
+    grid = np.random.default_rng(31).uniform(0.0, math.pi, size=400)
+    return [math.pi / k for k in range(2, 13)] + [float(a) for a in grid if 0.0 < a < math.pi]
+
+
+def test_corner_formulas_keep_the_bits_of_their_written_out_expressions():
+    # mu, chi and closed_form moved onto CornerSpec, and remainder_exponent
+    # reads them there; each must still round exactly as the explicit
+    # expression does
+    angles = _corner_angles()
+    for angle in angles:
+        for wall, sign in (("neumann", -1.0), ("dirichlet", 1.0)):
+            corner = CornerSpec(angle, wall)
+            assert corner.mu.hex() == (math.pi / (2 * angle)).hex()
+            assert corner.chi.hex() == ((math.pi / 4) * (1 + sign * (math.pi / (2 * angle)))).hex()
+            assert corner.closed_form == (abs(angle - math.pi / 2) < 1e-12)
+    pairs = [(a, b) for a in angles[:11] for b in angles[:11]] + list(zip(angles[11:], reversed(angles[11:])))
+    for walls in (NN, DD, MIXED, MIXED[::-1]):
+        for alpha, beta in pairs:
+            exponents = [
+                1.0 - math.pi / (2.0 * angle if wall == "neumann" else angle)
+                for angle, wall in zip((alpha, beta), walls)
+                if abs(angle - math.pi / 2) > 1e-12
+            ]
+            expected = max(exponents) if exponents else "exponential"
+            got = remainder_exponent(model(alpha, beta, 1.0, walls))
+            assert got == expected and type(got) is type(expected), (alpha, beta, walls)
+
+
 def test_remainder_exponents():
     assert remainder_exponent(nn_model()) == pytest.approx(
         1 - math.pi / (2 * (2 * math.pi / 5)), abs=1e-14
@@ -149,7 +178,7 @@ def test_phase_is_the_sum_of_the_corner_phase_shifts(regime):
     for alpha, beta in rng.uniform(0.01, math.pi / 2, size=(2000, 2)):
         if regime.startswith("halfpi"):
             alpha = math.pi / 2
-        chi = SectorParams(alpha, walls[0]).chi + SectorParams(beta, walls[1]).chi
+        chi = CornerSpec(alpha, walls[0]).chi + CornerSpec(beta, walls[1]).chi
         assert model(alpha, beta, 1.0, walls).phase == pytest.approx(chi - math.pi / 2, abs=1e-13)
 
 
@@ -180,7 +209,7 @@ def test_example_2_lattice_is_the_mixed_regime(capsys, sign):
     domain = build_curvilinear_example(sign)
     a, b = domain.corner_A, domain.corner_B
     # the Dirichlet wall meets the surface at corner B, so it is --alpha
-    assert (b.condition_adjacent_wall, a.condition_adjacent_wall) == MIXED
+    assert (b.condition, a.condition) == MIXED
     argv = ["asymptotics", "--regime", "mixed", "--alpha", repr(b.angle), "--beta", repr(a.angle)]
     argv += ["--length", repr(domain.surface_length), "--kmax", "10", "--format", "json"]
     assert cli.main(argv) == 0

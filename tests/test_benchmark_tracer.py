@@ -89,3 +89,24 @@ def test_every_factorization_and_assembly_runs_inside_a_fem_entry_span(capsys):
     # surface-mass factor, so no factorization is left outside them
     stray = [(span[3], by_id[span[2]][3]) for span in inner if not entries.intersection(ancestors(span))]
     assert stray == []
+
+
+def test_traced_model_route_records_the_decay_deviation_and_points(capsys):
+    # the tracer reads mu and condition off far_field_fit's first argument,
+    # and the benchmark's workloads build that corner as peters.SectorParams
+    from sloshspec.model_solutions import peters
+
+    alpha = math.pi / 3
+    z = np.linspace(0.5, 20.0, 64) * np.exp(-0.5j * alpha)
+    tracer = _load("tracing").Tracer()
+    tracer.install()
+    try:
+        assert sloshspec.cli.main(["peters", "--alpha", repr(alpha), "--samples", "40", "--xmax", "20"]) == 0
+        peters.eval_peters(peters.SectorParams(alpha, "dirichlet"), z)
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    deviations = [value for _, name, value in tracer.samples if name == "peters.decay_exponent_dev"]
+    assert len(deviations) == 1 and math.isfinite(deviations[0])
+    points = [value for _, name, value in tracer.samples if name == "peters.points"]
+    assert points == [40, z.size]

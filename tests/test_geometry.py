@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 
@@ -286,8 +287,8 @@ def test_triangle_domain_geometry():
     mixed = build_triangle_domain(
         2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("neumann", "dirichlet")
     )
-    assert mixed.corner_A.condition_adjacent_wall == "neumann"
-    assert mixed.corner_B.condition_adjacent_wall == "dirichlet"
+    assert mixed.corner_A.condition == "neumann"
+    assert mixed.corner_B.condition == "dirichlet"
     assert mixed.walls[0].condition == "neumann"
     assert mixed.walls[1].condition == "dirichlet"
     with pytest.raises(ValueError, match="below pi"):
@@ -313,9 +314,9 @@ def test_rectangle_domain_geometry():
 def test_curvilinear_example_corner_data():
     plus = build_curvilinear_example("+")
     assert plus.corner_A.angle == pytest.approx(3 * math.pi / 4)
-    assert plus.corner_A.condition_adjacent_wall == "neumann"
+    assert plus.corner_A.condition == "neumann"
     assert plus.corner_B.angle == pytest.approx(math.pi / 4)
-    assert plus.corner_B.condition_adjacent_wall == "dirichlet"
+    assert plus.corner_B.condition == "dirichlet"
     minus = build_curvilinear_example("-")
     assert minus.corner_A.angle == pytest.approx(math.pi / 4)
     assert minus.corner_B.angle == pytest.approx(3 * math.pi / 4)
@@ -702,6 +703,43 @@ def test_domain_json_round_trip():
         back.walls[0].endpoints(), dom.walls[0].endpoints(), atol=0
     )
     assert domain_to_json(back) == doc
+
+
+# sha256 of json.dumps(domain_to_json(d), sort_keys=True); the domain file
+# format keeps the key "condition_adjacent_wall" for each corner
+DOMAIN_JSON_DIGESTS = {
+    "triangle": "d0568f14b44212a784b8a0c119e332d3ee3740f57bbcde51127f25d2441df558",
+    "mixed_triangle": "4fbc4f201abafeeaf7f3c674bd4764b4c5097973870c663fb360be940fe00ace",
+    "mixed_triangle_reversed": "5af804377318d68e09bc1eac2711064cbef82f635e68fb4be1f5881f9c3e4290",
+    "rectangle_nnn": "b57d56c715cf2a35177797e8e985453f48782cde39cb25aa3d73e9f6de3d434c",
+    "rectangle_nnd": "8a1fe9b8ba113039c580e3e15fbdc16347de888f39422aba536589ef59872017",
+    "rectangle_ndn": "9476bc32378afe453aaa1b3603134404f085c97e2bf5113a0e526f7f36e18074",
+    "rectangle_ndd": "88cba736bd677628f5209bc155d0d75cf2aa4e2508909267ce366dd1a36e2490",
+    "rectangle_dnn": "a21b220062b0face78c509be2823d37323e8cf4066ae31533b1b229c2084daf4",
+    "rectangle_dnd": "47b67f1f8b1fc797b98130966c0287d3a70b18dfcd12d1e72e01165e0e8e2c2c",
+    "rectangle_ddn": "2dc39f49d38f366121b6b29418a300ef1bfff0a66828bd84a06911316fde9533",
+    "rectangle_ddd": "bd8c3fd22335591db34d0b6fc6ff551bb5f711b6a7aee907770797492fcce68d",
+}
+
+
+def _digest_domains():
+    yield "triangle", build_triangle_domain(math.pi / 4, math.pi / 3, 1.0)
+    yield "mixed_triangle", build_triangle_domain(
+        2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("neumann", "dirichlet")
+    )
+    yield "mixed_triangle_reversed", build_triangle_domain(
+        math.pi / 3, math.pi / 3, 1.0, wall_conditions=("dirichlet", "neumann")
+    )
+    for walls in itertools.product(("neumann", "dirichlet"), repeat=3):
+        yield "rectangle_" + "".join(w[0] for w in walls), build_rectangle_domain(math.pi, 1.0, walls)
+
+
+def test_domain_json_keeps_its_bytes():
+    digests = {
+        name: hashlib.sha256(json.dumps(domain_to_json(dom), sort_keys=True).encode()).hexdigest()
+        for name, dom in _digest_domains()
+    }
+    assert digests == DOMAIN_JSON_DIGESTS
 
 
 def test_domain_json_handles_arc_and_polyline_walls():

@@ -1,19 +1,22 @@
 """Sector solutions with a Robin surface condition and their far fields."""
 
 import cmath
+import json
 import math
+import os
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
+from sloshspec import cli
+from sloshspec.geometry import CornerSpec, build_curvilinear_example
 from sloshspec.model_solutions import peters
 from sloshspec.model_solutions.peters import (
     XMAX_LIMIT,
     FarFieldFit,
     PetersEvaluator,
-    SectorParams,
     eval_peters,
     far_field_fit,
 )
@@ -24,32 +27,52 @@ def wrap_angle(value):
 
 
 def test_params_closed_forms_and_validation():
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     assert params.mu == pytest.approx(1.5, abs=1e-15)
     assert params.chi == pytest.approx(math.pi / 4 * (1 - 1.5), abs=1e-15)
-    dirichlet = SectorParams(math.pi / 5, "dirichlet")
+    dirichlet = CornerSpec(math.pi / 5, "dirichlet")
     assert dirichlet.chi == pytest.approx(math.pi / 4 * (1 + 2.5), abs=1e-15)
     with pytest.raises(ValueError):
-        SectorParams(0.0)
+        CornerSpec(0.0, "neumann")
     with pytest.raises(ValueError):
-        SectorParams(math.pi / 2 + 0.1)
+        PetersEvaluator(CornerSpec(math.pi / 2 + 0.1, "neumann"))
     with pytest.raises(ValueError):
-        SectorParams(math.pi / 3, "robin")
+        CornerSpec(math.pi / 3, "robin")
+
+
+def test_obtuse_corners_are_refused_where_a_sector_solution_is_built():
+    # a domain corner may be obtuse; the sector solution exists only up to pi/2
+    corner = build_curvilinear_example("+").corner_A
+    assert corner.angle == 3 * math.pi / 4
+    with pytest.raises(ValueError):
+        eval_peters(corner, 1.0)
+    with pytest.raises(ValueError):
+        PetersEvaluator(CornerSpec(1.6, "dirichlet"))
+
+
+def test_cli_refuses_an_obtuse_sector_with_field_alpha(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"kind": "peters_phase", "alpha": 2.5}))
+    for argv in (["peters", "--alpha", "1.6"], ["run", "--config", "cfg.json", "--out", "out"]):
+        assert cli.main(argv) == 2
+        error = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+        assert (error["type"], error["field"]) == ("config", "alpha")
+    assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
 
 def test_vertical_wall_collapses_to_the_plane_wave():
     x = np.linspace(0.5, 10.0, 40)
-    neumann = eval_peters(SectorParams(math.pi / 2, "neumann"), x)
+    neumann = eval_peters(CornerSpec(math.pi / 2, "neumann"), x)
     assert np.max(np.abs(neumann - np.exp(-1j * x))) < 1e-12
-    dirichlet = eval_peters(SectorParams(math.pi / 2, "dirichlet"), x)
+    dirichlet = eval_peters(CornerSpec(math.pi / 2, "dirichlet"), x)
     assert np.max(np.abs(dirichlet - 1j * np.exp(-1j * x))) < 1e-12
-    interior = complex(eval_peters(SectorParams(math.pi / 2, "neumann"), 0.5 - 0.3j))
+    interior = complex(eval_peters(CornerSpec(math.pi / 2, "neumann"), 0.5 - 0.3j))
     assert interior == pytest.approx(cmath.exp(-1j * (0.5 - 0.3j)), abs=1e-12)
 
 
 @pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
 def test_solution_satisfies_the_surface_condition(condition):
-    params = SectorParams(math.pi / 3, condition)
+    params = CornerSpec(math.pi / 3, condition)
     evaluator = PetersEvaluator(params)
     x = np.array([1.0, 5.0, 20.0], dtype=complex)
     f = evaluator.evaluate(x)
@@ -63,7 +86,7 @@ def test_solution_satisfies_the_surface_condition(condition):
 @pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
 def test_solution_satisfies_the_wall_condition(condition):
     alpha = math.pi / 3
-    params = SectorParams(alpha, condition)
+    params = CornerSpec(alpha, condition)
     evaluator = PetersEvaluator(params)
     z = np.array([1.0, 5.0]) * cmath.exp(-1j * alpha)
     f = evaluator.evaluate(z)
@@ -76,7 +99,7 @@ def test_solution_satisfies_the_wall_condition(condition):
 
 
 def test_solution_is_harmonic_inside_the_sector():
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     evaluator = PetersEvaluator(params)
     z = 2.0 * cmath.exp(-0.4j)
     h = 1e-3
@@ -86,7 +109,7 @@ def test_solution_is_harmonic_inside_the_sector():
 
 
 def test_evaluator_rejects_points_outside_its_design():
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     evaluator = PetersEvaluator(params, xmax=40.0)
     with pytest.raises(ValueError, match="design size"):
         evaluator.evaluate(80.0 + 0j)
@@ -97,23 +120,23 @@ def test_evaluator_rejects_points_outside_its_design():
 
 def test_derivatives_at_the_corner_are_rejected_off_the_closed_form():
     # at z = 0 nothing damps the ray tail, whose terms reach 1e22
-    evaluator = PetersEvaluator(SectorParams(math.pi / 4, "neumann"))
+    evaluator = PetersEvaluator(CornerSpec(math.pi / 4, "neumann"))
     for order in (1, 2):
         with pytest.raises(ValueError, match="z = 0"):
             evaluator.evaluate(np.array([1.0, 0.0]), order=order)
     assert np.isfinite(evaluator.evaluate(0.0))
     assert np.isfinite(evaluator.evaluate(1e-6, order=2))
-    plane = PetersEvaluator(SectorParams(math.pi / 2, "dirichlet"))
+    plane = PetersEvaluator(CornerSpec(math.pi / 2, "dirichlet"))
     assert plane.evaluate(0.0, order=2) == -1j
 
 
 def test_sizes_past_the_rounding_limit_are_rejected():
     # the chord amplifies rounding by e^(0.15 |z|): 1e-8 at |z| = 117
     assert 117.0 < XMAX_LIMIT < 118.0
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     with pytest.raises(ValueError, match="exceeds"):
         PetersEvaluator(params, xmax=120.0)
-    assert PetersEvaluator(SectorParams(math.pi / 2), xmax=400.0).evaluate(400.0) != 0
+    assert PetersEvaluator(CornerSpec(math.pi / 2, "neumann"), xmax=400.0).evaluate(400.0) != 0
     # the doubling bucket stops at the limit instead of reaching 160
     assert abs(complex(eval_peters(params, 117.0))) > 0
     with pytest.raises(ValueError, match="design size"):
@@ -154,7 +177,7 @@ def test_dirichlet_remainder_decays_like_minus_two_mu_minus_one(peters_fits, den
 def test_decay_exponent_off_the_criterion_angles(condition, denominator):
     # Regression for a fit whose constant soaked up the remainder's tail:
     # it reported -5.44 and -4.26 for the Dirichlet cases here.
-    params = SectorParams(math.pi / denominator, condition)
+    params = CornerSpec(math.pi / denominator, condition)
     x = np.linspace(40.0 / 200, 40.0, 200)
     fit = far_field_fit(params, x, eval_peters(params, x))
     target = -params.mu if condition == "neumann" else -2 * params.mu
@@ -171,7 +194,7 @@ def test_integer_mu_remainder_is_exponential(peters_fits, condition):
 
 
 def test_far_field_fit_validation():
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     x = np.linspace(1.0, 10.0, 8)
     with pytest.raises(ValueError, match="at least 16"):
         far_field_fit(params, x, np.exp(-1j * x))
@@ -190,7 +213,7 @@ def test_wave_coefficient_round_trip():
 
 
 def test_evaluation_is_deterministic():
-    params = SectorParams(math.pi / 5, "neumann")
+    params = CornerSpec(math.pi / 5, "neumann")
     x = np.linspace(0.5, 30.0, 64)
     assert np.array_equal(eval_peters(params, x), eval_peters(params, x))
 
@@ -209,7 +232,7 @@ FROZEN_PETERS = {
 
 @pytest.mark.parametrize("denominator,condition,z", list(FROZEN_PETERS))
 def test_evaluation_matches_frozen_values(denominator, condition, z):
-    value = complex(eval_peters(SectorParams(math.pi / denominator, condition), z))
+    value = complex(eval_peters(CornerSpec(math.pi / denominator, condition), z))
     assert abs(value - FROZEN_PETERS[(denominator, condition, z)]) < 1e-12
 
 
@@ -230,9 +253,9 @@ def g_calls(monkeypatch):
 
 
 def test_mixed_directions_and_evicted_chords_evaluate_bit_identically(g_calls):
-    params = SectorParams(math.pi / 3, "dirichlet")
+    params = CornerSpec(math.pi / 3, "dirichlet")
     radii = np.array([0.5, 7.0, 30.0])
-    directions = -params.alpha * np.linspace(0.0, 1.0, 66)
+    directions = -params.angle * np.linspace(0.0, 1.0, 66)
     points = radii[None, :] * np.exp(1j * directions)[:, None]
     checked = [0, 33, 64, 65]
     evaluator = PetersEvaluator(params)
@@ -249,7 +272,7 @@ def test_mixed_directions_and_evicted_chords_evaluate_bit_identically(g_calls):
 
 def test_piece_cache_stays_bounded_and_drops_the_least_recently_used(g_calls):
     alpha = math.pi / 4
-    evaluator = PetersEvaluator(SectorParams(alpha, "neumann"))
+    evaluator = PetersEvaluator(CornerSpec(alpha, "neumann"))
     points = 5.0 * np.exp(-1j * alpha * np.linspace(0.0, 1.0, 70))
     first = evaluator.evaluate(points[:1]).tobytes()
     for z in points[1:]:
@@ -267,11 +290,11 @@ def test_piece_cache_stays_bounded_and_drops_the_least_recently_used(g_calls):
 def test_repeated_eval_peters_calls_reuse_the_cached_contour(g_calls):
     alpha = 2 * math.pi / 7
     x = np.linspace(0.5, 30.0, 40)
-    first = eval_peters(SectorParams(alpha, "neumann"), x)
+    first = eval_peters(CornerSpec(alpha, "neumann"), x)
     assert len(g_calls) == 2 + 1
     g_calls.clear()
-    assert eval_peters(SectorParams(alpha, "neumann"), x).tobytes() == first.tobytes()
-    eval_peters(SectorParams(alpha, "dirichlet"), x)
+    assert eval_peters(CornerSpec(alpha, "neumann"), x).tobytes() == first.tobytes()
+    eval_peters(CornerSpec(alpha, "dirichlet"), x)
     assert g_calls == []
 
 
@@ -290,21 +313,21 @@ def test_both_wall_conditions_share_one_g_per_contour_piece(g_calls, first):
     cold = {}
     for condition in ("neumann", "dirichlet"):
         peters._contour_piece.cache_clear()
-        cold[condition] = _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha)
+        cold[condition] = _sector_values(PetersEvaluator(CornerSpec(alpha, condition)), alpha)
     peters._contour_piece.cache_clear()
     g_calls.clear()
     second = "dirichlet" if first == "neumann" else "neumann"
     for condition in (first, second):
-        assert _sector_values(PetersEvaluator(SectorParams(alpha, condition)), alpha) == cold[condition]
+        assert _sector_values(PetersEvaluator(CornerSpec(alpha, condition)), alpha) == cold[condition]
     # the two ray legs and one chord per evaluation direction, once each
     assert len(g_calls) == 2 + 3
     # once 64 pieces of another sector have pushed every piece out,
     # rebuilding the first one repeats the computation bit for bit
     other = math.pi / 5
-    PetersEvaluator(SectorParams(other, "neumann")).evaluate(np.exp(-1j * other * np.linspace(0.0, 1.0, 62)))
+    PetersEvaluator(CornerSpec(other, "neumann")).evaluate(np.exp(-1j * other * np.linspace(0.0, 1.0, 62)))
     assert peters._contour_piece.cache_info().currsize == 64
     g_calls.clear()
-    assert _sector_values(PetersEvaluator(SectorParams(alpha, second)), alpha) == cold[second]
+    assert _sector_values(PetersEvaluator(CornerSpec(alpha, second)), alpha) == cold[second]
     assert g_calls == [alpha] * 5
 
 
@@ -317,7 +340,7 @@ def test_ray_sums_that_stop_at_underflow_match_the_full_contour_sum(alpha, xmax)
     directions = [0.0, -alpha / 2, -alpha]
     radii = np.geomspace(1e-6, xmax, 25)
     for condition in ("neumann", "dirichlet"):
-        params = SectorParams(alpha, condition)
+        params = CornerSpec(alpha, condition)
         evaluator = PetersEvaluator(params, xmax)
         column = 1 if condition == "neumann" else 2
         scale = math.sqrt(params.mu) / math.pi
@@ -341,7 +364,7 @@ def test_ray_sums_that_stop_at_underflow_match_the_full_contour_sum(alpha, xmax)
 
 
 def test_large_sample_counts_are_summed_in_bounded_blocks(monkeypatch):
-    params = SectorParams(math.pi / 3, "neumann")
+    params = CornerSpec(math.pi / 3, "neumann")
     x = np.linspace(0.01, 40.0, 4000)
     eval_peters(params, x[:50])  # the contour pieces, built before measuring
     tracemalloc.start()
@@ -417,7 +440,7 @@ def test_summation_at_the_design_limit_loses_at_most_1e_8(alpha, frac, condition
     nodes and weights: the chord's e^(0.15 |z|) amplification of double
     rounding is the only error left, within the 1e-8 the limit allows.
     The path's nodes are mid + offset, summed exactly as such here."""
-    params = SectorParams(alpha, condition)
+    params = CornerSpec(alpha, condition)
     phi = round(-alpha * frac, 12)
     z = XMAX_LIMIT * cmath.exp(1j * phi)
     column = 1 if condition == "neumann" else 2
