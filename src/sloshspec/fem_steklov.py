@@ -26,8 +26,17 @@ Every sparse factorization, of the pencil and of K_II, goes through
 `_factor`.  Both matrices are symmetric positive definite, so `_factor`
 runs SuperLU in symmetric mode with diagonal pivots only, which stores
 and works through less supernode padding than the default mode, and
-rejects a factor that pivoted off the diagonal anyway.  All steps are
-deterministic for a fixed mesh.
+rejects a factor that pivoted off the diagonal anyway.  Both are also
+exactly symmetric, so SuperLU reads each CSR in place through its
+transpose, a CSC view, not a CSC copy.  All steps are deterministic for
+a fixed mesh.
+
+Memory: the factor and SuperLU's working arrays set the peak of a fine
+solve, so nothing else is held across a factorization that the next
+stage does not read.  The spectrum keeps its surface traces as their
+own (ns, k) array rather than a view into all n rows of the
+eigenvectors, and callers that need only the assembled system let the
+mesh go before K_II is factored.
 """
 
 from dataclasses import dataclass
@@ -216,10 +225,28 @@ def _factor(matrix, what):
     An SPD matrix needs no row interchange, so a factor whose row
     permutation differs from its column permutation pivoted off the
     diagonal, and is rejected.  `what` names the matrix in the error.
+
+    SuperLU reads CSC and copies nothing it gets in that form, so a CSC
+    `matrix` goes to it unchanged.  A CSR `matrix` has its indices sorted
+    in place and goes as its transpose, a CSC view of the same three
+    arrays, with no copy.  That view is entry for entry what tocsc()
+    would build, because every matrix factored here is exactly
+    symmetric: each element matrix is symmetric, and the COO-to-CSR sum
+    adds the duplicates of (i, j) and of (j, i) in the same triangle
+    order.  With sorted indices, row j of the CSR lists column indices
+    i ascending with values A[j, i] = A[i, j], which is column j of the
+    CSC.  Unsorted, the order would differ and SuperLU's bits with it.
+    The sort reorders the argument's storage, so callers pass a matrix
+    built for the call: the pencil, or the sliced K_II.  Sorting the
+    stored stiffness would move the bits of every sparse product that
+    sums in its storage order.
     """
+    if matrix.format == "csr":
+        matrix.sort_indices()
+        matrix = matrix.T
     try:
         lu = spla.splu(
-            matrix.tocsc(),
+            matrix,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -356,7 +383,8 @@ def _sloshing_pairs(system, n_eigs):
         )
     if w[0] < -1e-8 * scale:
         raise SteklovSolveError(f"spurious negative eigenvalue {w[0]!r}")
-    return np.clip(w, 0.0, None), u[ni:], residual / scale, solves
+    # a copy, not a view: the view would keep all n rows of u alive
+    return np.clip(w, 0.0, None), u[ni:].copy(), residual / scale, solves
 
 
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):

@@ -295,6 +295,7 @@ def _comparison_report(cases, h, kmax, grading_factor):
         meta["num_nodes"][label] = study.finest.num_nodes
         meta["errbar"][label] = [float(e) for e in study.errbar]
         meta["domain"][label] = _domain_description(domain)
+        del study  # free this case's finest spectrum before the next case solves
     meta["runtime_seconds"] = time.perf_counter() - started
     return ComparisonReport(blocks=tuple(blocks), metadata=meta)
 
@@ -377,6 +378,11 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     spectrum.  Rows are (k, sigma_k, residual / sigma, nearest_gap), the
     last being the distance from sigma_k to the nearest computed
     eigenvalue.
+
+    Of the spectrum only the assembled system, the eigenvalues and the
+    node count are kept: the mesh and the eigenvector traces are freed
+    before the DtN action factors K_II, the largest allocation of the
+    study on a fine mesh.
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
@@ -389,22 +395,24 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
     spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
-    apply_action = dtn_action(spec.system)
-    mass = spec.system.surface_mass
-    mass_factor = (spec.system.surface_cholesky, False)
+    system, eigenvalues, num_nodes = spec.system, spec.eigenvalues, spec.num_nodes
+    del spec  # frees the mesh and traces before K_II is factored
+    apply_action = dtn_action(system)
+    mass = system.surface_mass
+    mass_factor = (system.surface_cholesky, False)
     rows = []
     for k in sorted(k_list):
         sigma = ode_asymptotic_prediction(q, surface_length, k)
-        trace = quasimode_trace(q, sigma, spec.s_coords, surface_length)
+        trace = quasimode_trace(q, sigma, system.s_coords, surface_length)
         trace = trace / math.sqrt(float(trace @ (mass @ trace)))
         resid = apply_action(trace) - sigma * (mass @ trace)
         norm = math.sqrt(float(resid @ scipy.linalg.cho_solve_banded(mass_factor, resid)))
-        nearest = float(np.min(np.abs(spec.eigenvalues - sigma)))
+        nearest = float(np.min(np.abs(eigenvalues - sigma)))
         rows.append((k, sigma, norm / sigma, nearest))
     meta = {
         "h": h,
         "grading_factor": grading_factor,
-        "num_nodes": spec.num_nodes,
+        "num_nodes": num_nodes,
         "domain": _domain_description(domain),
         "runtime_seconds": time.perf_counter() - started,
     }

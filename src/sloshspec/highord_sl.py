@@ -268,10 +268,16 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     roots get one stacked SVD; a batch takes only the first brackets, as
     many as eigenvalues are still wanted, and the next ones follow only if
     some root proves spurious.  In order, until kmax are found, a root is
-    accepted where the normalized smallest singular value is below 1e-9,
-    which also gives the multiplicity and kernel vectors.  A density check
-    against the one-per-pi/L eigenvalue spacing guards against missed or
-    spurious roots.
+    accepted where exactly one normalized singular value is below 1e-9,
+    which also gives its kernel vector.  A root with none is spurious.  So
+    is a root with more: a sign change locates only a root of odd
+    multiplicity, and where several singular values sit below 1e-9 the
+    matrix is singular to rounding over a whole range, not at a point.
+    That happens at small lam L for large q, where the columns
+    exp(w_k lam x) are close to the kernel span{1, ..., x^(q-1)} of
+    lam = 0, and the computed sign of Im det there means nothing.  A
+    density check against the one-per-pi/L eigenvalue spacing guards
+    against missed or spurious roots.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
@@ -291,7 +297,7 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
     chunk = int(math.ceil((ceiling - lam_lo) / step))
     limit = 4 * chunk + 8
-    found = []  # (lam, scaled kernel vector), one entry per multiplicity
+    found = []  # (lam, scaled kernel vector)
     prev = None  # last trusted (lam, Im det)
     start = 0
     while len(found) < needed and start < limit:
@@ -312,9 +318,8 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
             roots = _illinois(lambda lams: _det_imag(problem, lams, w), a, b, fa, fb)
             s, vh = np.linalg.svd(_boundary_matrices(problem, roots, w))[1:]
             for root, si, vhi in zip(roots, s, vh):
-                if len(found) < needed:
-                    mult = int(np.sum(si / si[0] < SINGULAR_THRESHOLD))
-                    found.extend((float(root), vhi[-1 - j].conj()) for j in range(mult))
+                if len(found) < needed and np.sum(si / si[0] < SINGULAR_THRESHOLD) == 1:
+                    found.append((float(root), vhi[-1].conj()))
     if len(found) < needed:
         raise SLSolveError(
             f"located only {len(found)} of {needed} positive eigenvalues below lam = {grid[-1]:.6g}"

@@ -285,6 +285,60 @@ def test_symmetric_mode_fills_less_than_partial_pivoting(monkeypatch):
     assert _factor(pencil, "pencil").nnz < partial.nnz
 
 
+def test_factor_hands_splu_its_matrix_without_a_copy(iso_system, monkeypatch):
+    # a CSR argument goes as its transpose, a CSC view of the same arrays;
+    # a CSC argument goes unchanged
+    calls = _recorded_factors(monkeypatch)
+    stiffness = iso_system.stiffness.copy()  # _factor sorts a CSR's indices in place
+    for matrix in (stiffness, stiffness.tocsc()):
+        _factor(matrix, "pencil")
+        assert calls[-1][0].format == "csc"
+        assert np.shares_memory(calls[-1][0].data, matrix.data)
+
+
+def _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, h, mesh=None):
+    """Solve and factor K_II; each matrix factored is exactly symmetric,
+    its CSC view is entry for entry the tocsc() copy of its CSR, and the
+    factors of the two solve a fixed right-hand side bit for bit."""
+    calls = _recorded_factors(monkeypatch)
+    spec = solve_steklov(domain, h, 6, mesh=mesh)
+    dtn_action(spec.system)
+    monkeypatch.undo()
+    stiffness = spec.system.stiffness
+    assert (stiffness != stiffness.T).nnz == 0
+    assert len(calls) == 2  # the pencil, then K_II
+    for view, lu, kwargs in calls:
+        csr = view.T
+        assert (csr != view).nnz == 0
+        copy = csr.tocsc()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(view, name).tobytes() == getattr(copy, name).tobytes()
+        rhs = np.cos(np.arange(view.shape[0]))
+        assert lu.solve(rhs).tobytes() == spla.splu(copy, **kwargs).solve(rhs).tobytes()
+
+
+@pytest.mark.parametrize("h", [0.04, 0.02])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_rectangle_domain(1.0, 0.5, ("neumann", "dirichlet", "neumann")),
+        lambda: build_rectangle_domain(1.0, 0.5),
+        lambda: build_triangle_domain(1.0, 0.7, 1.0),
+        lambda: build_curvilinear_example("-"),
+        lambda: build_triangle_domain(math.pi / 4, math.pi / 4, 1.0),
+    ],
+    ids=["rectangle-ndn", "rectangle-n", "triangle-1.0-0.7", "ex2-minus", "iso"],
+)
+def test_pencil_and_interior_factors_are_those_of_a_csc_copy(build, h, monkeypatch):
+    _assert_factors_are_those_of_a_csc_copy(monkeypatch, build(), h)
+
+
+def test_factors_of_a_mesh_read_from_a_dump_are_those_of_a_csc_copy(tmp_path, monkeypatch):
+    domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=("neumann", "dirichlet"))
+    mesh = _dumped_with_shuffled_surface(generate_mesh(domain, 0.04), tmp_path / "mesh.txt")
+    _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, 0.04, mesh)
+
+
 def test_every_factorization_of_the_residual_study_is_spd(monkeypatch):
     # pencil and interior block run in symmetric mode; the M^{-1} norm of
     # the residuals reuses the eigensolve's banded surface-mass Cholesky
@@ -399,6 +453,9 @@ def test_traces_are_mass_orthonormal():
     mass = spec.system.surface_mass.toarray()
     gram = spec.traces.T @ mass @ spec.traces
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
+    # the traces own their rows, so the spectrum does not keep the whole eigenvector block
+    assert spec.traces.base is None
+    assert spec.traces.shape == (len(spec.s_coords), 5)
     assert spec.mesh is mesh
     assert spec.num_nodes == mesh.num_nodes
     assert spec.s_coords is spec.system.s_coords

@@ -272,6 +272,19 @@ def test_a_spurious_root_sends_for_the_next_bracket(monkeypatch):
     assert spectrum.eigenvalues[1:] == pytest.approx(math.pi * np.arange(2, 7), rel=1e-13)
 
 
+@pytest.mark.parametrize("length", [0.37, 1.0, 3.0])
+def test_high_orders_solve_and_neumann_equals_dirichlet_away_from_zero(length):
+    # at small lam L and large q the boundary matrix is singular to rounding
+    # over a range, and a sign change of Im det there is no eigenvalue:
+    # q = 9 with Neumann walls on [0, 1] used to stop on such a root at pi/4,
+    # counted four times
+    for q in range(2, 21):
+        neumann = solve_spectrum(HighOrderSLProblem(q, length, "neumann"), q + 12)
+        dirichlet = solve_spectrum(HighOrderSLProblem(q, length, "dirichlet"), 12)
+        assert neumann.eigenvalues[:q] == [0.0] * q
+        np.testing.assert_allclose(neumann.eigenvalues[q:], dirichlet.eigenvalues, rtol=1e-8, err_msg=f"q={q}")
+
+
 def scalar_reference_spectrum(problem, kmax):
     """solve_spectrum's scan with one scalar Illinois solve and one SVD per bracket."""
     q, L = problem.q, problem.interval_length
