@@ -23,6 +23,7 @@ error names the flag the user typed.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -153,6 +154,19 @@ def _parse_list(text, name, number):
     return values
 
 
+@contextlib.contextmanager
+def _writing(flag, path):
+    """Turn an OSError raised while writing `path` into a config error on `flag`.
+
+    The message names the file the error names (a rename's target first),
+    else `path`: a failed write(2) names none.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write {exc.filename2 or exc.filename or path}: {exc.strerror}") from None
+
+
 def _emit(args, stem, result):
     """Print the result's table to stdout or write it as <stem>.<format> under --out."""
     text = result.text(args.format)
@@ -160,7 +174,8 @@ def _emit(args, stem, result):
         sys.stdout.write(text)
         return 0
     path = os.path.join(args.out, f"{stem}.{args.format}")
-    write_atomic(path, text)
+    with _writing("out", path):
+        write_atomic(path, text)
     print(path)
     return 0
 
@@ -238,11 +253,13 @@ def _experiment(args, kind):
 def _cmd_fem(args):
     result = _experiment(args, "custom")
     if args.dump_mesh:
-        write_mesh_text(result.spectrum.mesh, args.dump_mesh)
+        with _writing("dump-mesh", args.dump_mesh):
+            write_mesh_text(result.spectrum.mesh, args.dump_mesh)
     if args.dump_dtn:
         dtn = dtn_matrix(result.spectrum.system).matrix
         size = np.asarray([dtn.shape[0]], dtype="<u8").tobytes()
-        write_atomic(args.dump_dtn, size + np.ascontiguousarray(dtn, dtype="<f8").tobytes())
+        with _writing("dump-dtn", args.dump_dtn):
+            write_atomic(args.dump_dtn, size + np.ascontiguousarray(dtn, dtype="<f8").tobytes())
     return _emit(args, "fem", result)
 
 
@@ -253,7 +270,10 @@ def _cmd_reproduce(args):
 def _cmd_run(args):
     config = load_config(args.config)
     out_dir = args.out if args.out is not None else "."
-    for path in run_experiment(config, out_dir):
+    # the computation reads no file but the domain, whose errors are config errors already
+    with _writing("out", out_dir):
+        paths = run_experiment(config, out_dir)
+    for path in paths:
         print(path)
     return 0
 

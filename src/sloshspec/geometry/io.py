@@ -117,12 +117,20 @@ def domain_from_json(obj):
 
 
 def write_atomic(path, data):
-    """Write text (as UTF-8) or bytes through a temp file and rename into place."""
+    """Write text (as UTF-8) or bytes through a temp file and rename into place.
+
+    A failed write or rename removes the temp file and re-raises.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def write_mesh_text(mesh, path):

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .. import _backend
 from .domain import Polyline
@@ -359,7 +359,10 @@ def _triangulate(nodes, poly, bedges, lat):
     kept = _empty_lattice_triangles(lat, nodes, nodes[others])
     lattice = lat.tris[kept]
     band = np.flatnonzero(np.bincount(lattice.ravel(), minlength=n) < 6)
-    tris = band[Delaunay(nodes[band]).simplices]
+    try:
+        tris = band[Delaunay(nodes[band]).simplices]
+    except QhullError as exc:  # e.g. nodes too close together for qhull's precision
+        raise MeshError(f"Delaunay triangulation failed: {str(exc).splitlines()[0]}") from None
     cent = nodes[tris].mean(axis=1)
     # -1, no lattice triangle underneath, reads the appended False
     keep = ~np.append(kept, False)[_lattice_triangle_at(lat, cent)]

@@ -488,6 +488,8 @@ def _resolve_domain(domain):
             with open(domain, encoding="utf-8") as fh:
                 domain = json.load(fh)
         return domain_from_json(domain)
+    except OSError as exc:
+        raise ConfigError("domain", f"cannot read {domain}: {exc.strerror}") from None
     except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError("domain", f"not a valid domain document: {exc!r}") from None
 

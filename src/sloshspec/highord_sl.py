@@ -18,7 +18,8 @@ exactly q.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .model_solutions.contour import _panel_nodes
@@ -44,6 +45,11 @@ class HighOrderSLProblem:
             raise ValueError("interval_length must be positive")
         if self.condition not in ("neumann", "dirichlet"):
             raise ValueError("condition must be 'neumann' or 'dirichlet'")
+
+    @cached_property
+    def exponents(self):
+        """ansatz_exponents(q), computed once per problem."""
+        return ansatz_exponents(self.q)
 
     @property
     def derivative_orders(self):
@@ -81,15 +87,12 @@ def ansatz_exponents(q: int) -> np.ndarray:
     return np.exp(1j * args)
 
 
-def _boundary_matrices(problem: HighOrderSLProblem, lams, w) -> np.ndarray:
-    """boundary_matrix at each of lams > 0, stacked to shape (n, 2q, 2q).
-
-    w is ansatz_exponents(q), passed in so that a solve computes it once.
-    """
+def _boundary_matrices(problem: HighOrderSLProblem, lams) -> np.ndarray:
+    """boundary_matrix at each of lams > 0, stacked to shape (n, 2q, 2q)."""
     lams = np.asarray(lams, dtype=float)[:, None]
     if not np.all(lams > 0):
         raise ValueError("lam must be positive")
-    L = problem.interval_length
+    L, w = problem.interval_length, problem.exponents
     shift = np.maximum(w.real, 0.0) * lams * L
     ends = np.stack([np.exp(-shift), np.exp(w * lams * L - shift)], axis=1)
     powers = np.array([w**m for m in problem.derivative_orders])
@@ -106,12 +109,12 @@ def boundary_matrix(problem: HighOrderSLProblem, lam: float) -> np.ndarray:
     vector v of the scaled matrix maps to coefficients c_k = v_k / s_k
     with s_k = exp(max(0, Re w_k) lam L).
     """
-    return _boundary_matrices(problem, [lam], ansatz_exponents(problem.q))[0]
+    return _boundary_matrices(problem, [lam])[0]
 
 
-def _det_imag(problem, lams, w):
+def _det_imag(problem, lams):
     """Im det of the scaled boundary matrix at each of lams: real, and zero at eigenvalues."""
-    return np.linalg.det(_boundary_matrices(problem, lams, w)).imag
+    return np.linalg.det(_boundary_matrices(problem, lams)).imag
 
 
 def characteristic_smallest_singular_value(problem: HighOrderSLProblem, lam: float) -> float:
@@ -168,32 +171,31 @@ def _illinois(f, a, b, fa, fb):
     return roots
 
 
-@dataclass
+@dataclass(frozen=True)
 class SLEigenfunction:
-    """One positive eigenvalue with render-ready ansatz coefficients.
+    """One positive eigenvalue with its render-ready ansatz coefficients.
 
     ``scaled_coefficients`` pair with the overflow-free exponents
-    w_k lam x - max(0, Re w_k) lam L; ``coefficients`` are the plain
-    ansatz coefficients c_k (tiny for growing exponentials).  Both are
-    already phase-aligned, sign-fixed, and L2-normalized on [0, L].
+    w_k lam x - max(0, Re w_k) lam L and are phase-aligned, sign-fixed,
+    and L2-normalized on [0, L]; ``coefficients`` derives from them.
     """
 
     problem: HighOrderSLProblem
     lam: float
-    coefficients: np.ndarray
     scaled_coefficients: np.ndarray
-    roots: np.ndarray = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if self.roots is None:
-            self.roots = ansatz_exponents(self.problem.q)
+    @property
+    def coefficients(self):
+        """The plain ansatz coefficients c_k (tiny for growing exponentials)."""
+        shift = np.maximum(self.problem.exponents.real, 0.0) * self.lam * self.problem.interval_length
+        return self.scaled_coefficients * np.exp(-shift)
 
 
 def _eval_complex(entry: SLEigenfunction, x, order=0):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     L = entry.problem.interval_length
     lam = entry.lam
-    w = entry.roots
+    w = entry.problem.exponents
     shift = np.maximum(w.real, 0.0) * lam * L
     expo = np.outer(x, w * lam) - shift[None, :]
     deriv = (w * lam) ** order if order else np.ones_like(w)
@@ -202,8 +204,7 @@ def _eval_complex(entry: SLEigenfunction, x, order=0):
 
 def eigenfunction_eval(entry: SLEigenfunction, x):
     """Real normalized eigenfunction evaluated at points x in [0, L]."""
-    out = _eval_complex(entry, x).real
-    return float(out[0]) if np.asarray(x).ndim == 0 else out
+    return eigenfunction_derivative(entry, x, 0)
 
 
 def eigenfunction_derivative(entry: SLEigenfunction, x, order: int):
@@ -214,46 +215,45 @@ def eigenfunction_derivative(entry: SLEigenfunction, x, order: int):
     return float(out[0]) if np.asarray(x).ndim == 0 else out
 
 
-def _finalize_eigenfunction(problem, lam, scaled_vec, roots):
-    entry = SLEigenfunction(problem, lam, None, scaled_vec.copy(), roots)
+def _finalize_eigenfunction(problem, lam, kernel):
+    """The eigenfunction of the scaled kernel vector, phase-aligned, normalized and sign-fixed."""
     L = problem.interval_length
     panels = max(8, int(math.ceil(lam * L)) + 4)
     xq, wq = _panel_nodes(np.linspace(0.0, L, panels + 1), 12)
-    u = _eval_complex(entry, xq)
+    u = _eval_complex(SLEigenfunction(problem, lam, kernel), xq)
     # rotate the arbitrary SVD phase so the real part carries maximal norm
     g2 = np.sum(wq * u * u)
     theta = -0.5 * np.angle(g2) if abs(g2) > 0 else 0.0
-    entry.scaled_coefficients = entry.scaled_coefficients * np.exp(1j * theta)
     u = u * np.exp(1j * theta)
     norm = math.sqrt(float(np.sum(wq * u.real**2)))
     if norm == 0.0:
         raise SLSolveError(f"degenerate null vector at lam = {lam}")
-    entry.scaled_coefficients /= norm
+    entry = SLEigenfunction(problem, lam, kernel * np.exp(1j * theta) / norm)
     # fix the overall sign from the first nonvanishing derivative at 0+
     for order in range(0, 2 * problem.q + 1):
-        v0 = float(_eval_complex(entry, np.array([0.0]), order=order).real[0])
+        v0 = eigenfunction_derivative(entry, 0.0, order)
         if abs(v0) > 1e-8 * max(1.0, lam) ** order:
-            if v0 < 0:
-                entry.scaled_coefficients = -entry.scaled_coefficients
-            break
-    shift = np.maximum(roots.real, 0.0) * lam * L
-    entry.coefficients = entry.scaled_coefficients * np.exp(-shift)
+            return SLEigenfunction(problem, lam, -entry.scaled_coefficients) if v0 < 0 else entry
     return entry
 
 
 @dataclass
 class SLSpectrum:
+    """The first kmax eigenvalues of a problem with multiplicity, Neumann's q zeros first.
+
+    eigenfunction(i) derives its coefficients from the problem and
+    eigenvalue i: the kernel vector of the scaled boundary matrix there.
+    """
+
     problem: HighOrderSLProblem
     eigenvalues: list
-    coefficient_sets: list  # aligned with eigenvalues; None for the zero modes
 
     def eigenfunction(self, index: int) -> SLEigenfunction:
         lam = self.eigenvalues[index]
         if lam <= 0:
             raise ValueError("the zero eigenvalue has the polynomial kernel 1, x, ..., x^(q-1)")
-        return _finalize_eigenfunction(
-            self.problem, lam, self.coefficient_sets[index], ansatz_exponents(self.problem.q)
-        )
+        kernel = np.linalg.svd(boundary_matrix(self.problem, lam))[2][-1].conj()
+        return _finalize_eigenfunction(self.problem, lam, kernel)
 
 
 def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
@@ -268,41 +268,39 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     roots get one stacked SVD; a batch takes only the first brackets, as
     many as eigenvalues are still wanted, and the next ones follow only if
     some root proves spurious.  In order, until kmax are found, a root is
-    accepted where exactly one normalized singular value is below 1e-9,
-    which also gives its kernel vector.  A root with none is spurious.  So
-    is a root with more: a sign change locates only a root of odd
-    multiplicity, and where several singular values sit below 1e-9 the
-    matrix is singular to rounding over a whole range, not at a point.
+    accepted where exactly one normalized singular value is below 1e-9.
+    A root with none is spurious.  So is a root with more: a sign change
+    locates only a root of odd multiplicity, and where several singular
+    values sit below 1e-9 the matrix is singular to rounding over a whole
+    range, not at a point.
     That happens at small lam L for large q, where the columns
     exp(w_k lam x) are close to the kernel span{1, ..., x^(q-1)} of
     lam = 0, and the computed sign of Im det there means nothing.  A
     density check against the one-per-pi/L eigenvalue spacing guards
-    against missed or spurious roots.
+    against missed or spurious roots, and a length so small that the scan
+    leaves the floating-point range is refused.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     q, L = problem.q, problem.interval_length
-    eigenvalues = []
-    coefficient_sets = []
-    if problem.condition == "neumann":
-        eigenvalues.extend([0.0] * q)
-        coefficient_sets.extend([None] * q)
+    eigenvalues = [0.0] * q if problem.condition == "neumann" else []
     needed = kmax - len(eigenvalues)
     if needed <= 0:
-        return SLSpectrum(problem, eigenvalues[:kmax], coefficient_sets[:kmax])
+        return SLSpectrum(problem, eigenvalues[:kmax])
 
-    w = ansatz_exponents(q)
     step = math.pi / (4.0 * L)
     lam_lo = 0.25 * math.pi / L
     ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
+    if not (math.isfinite(step) and math.isfinite(ceiling)):
+        raise SLSolveError(f"interval length {L:.6g} puts the eigenvalues past the floating-point range")
     chunk = int(math.ceil((ceiling - lam_lo) / step))
     limit = 4 * chunk + 8
-    found = []  # (lam, scaled kernel vector)
+    found = []
     prev = None  # last trusted (lam, Im det)
     start = 0
     while len(found) < needed and start < limit:
         grid = lam_lo + step * np.arange(start, min(start + chunk + 1, limit))
-        det = np.linalg.det(_boundary_matrices(problem, grid, w))
+        det = np.linalg.det(_boundary_matrices(problem, grid))
         trusted = np.abs(det.imag) > _TRUST * np.abs(det.real)
         brackets = []
         for lam, f in zip(grid[trusted], det.imag[trusted]):
@@ -315,28 +313,24 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
         while brackets and len(found) < needed:
             batch, brackets = brackets[: needed - len(found)], brackets[needed - len(found) :]
             a, fa, b, fb = zip(*batch)
-            roots = _illinois(lambda lams: _det_imag(problem, lams, w), a, b, fa, fb)
-            s, vh = np.linalg.svd(_boundary_matrices(problem, roots, w))[1:]
-            for root, si, vhi in zip(roots, s, vh):
+            roots = _illinois(lambda lams: _det_imag(problem, lams), a, b, fa, fb)
+            s = np.linalg.svd(_boundary_matrices(problem, roots), compute_uv=False)
+            for root, si in zip(roots, s):
                 if len(found) < needed and np.sum(si / si[0] < SINGULAR_THRESHOLD) == 1:
-                    found.append((float(root), vhi[-1].conj()))
+                    found.append(float(root))
     if len(found) < needed:
         raise SLSolveError(
             f"located only {len(found)} of {needed} positive eigenvalues below lam = {grid[-1]:.6g}"
         )
 
-    found = found[:needed]
     # density sanity: positive eigenvalues should sit one per pi/L near the lattice
-    top = found[-1][0]
+    top = found[-1]
     expected = top * L / math.pi + q / 2.0 + 0.5 - q
     if abs(len(found) - expected) > 1.6:
         raise SLSolveError(
             f"{len(found)} eigenvalues located below {top:.6g} but the one-per-pi/L density predicts {expected:.2f}"
         )
-    for lam, vec in found:
-        eigenvalues.append(lam)
-        coefficient_sets.append(vec)
-    return SLSpectrum(problem, eigenvalues, coefficient_sets)
+    return SLSpectrum(problem, eigenvalues + found)
 
 
 def duality_map(coefficients: np.ndarray, q: int) -> np.ndarray:

@@ -222,6 +222,21 @@ def test_dtn_action_matches_dense_schur_complement(iso_system):
         np.testing.assert_allclose(block, dense @ traces, rtol=0, atol=1e-10 * np.abs(dense).max())
 
 
+def test_without_interior_nodes_the_dtn_matrix_is_the_stiffness():
+    # a fan under five surface nodes whose apex and ends lie on Dirichlet
+    # walls: the free nodes 1, 2, 3 are all on the surface, so there is no
+    # interior block to eliminate
+    nodes = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0], [0.5, -0.5]])
+    triangles = np.array([[i + 1, i, 5] for i in range(4)])
+    edges = tuple((i, i + 1, "steklov") for i in range(4)) + ((4, 5, "dirichlet"), (5, 0, "dirichlet"))
+    system = assemble(TriangleMesh(nodes, triangles, edges, 0.25, 1.0))
+    assert system.interior_count == 0
+    dense = system.stiffness.toarray()
+    assert dense.shape == (3, 3)
+    np.testing.assert_array_equal(dtn_matrix(system).matrix, dense)
+    np.testing.assert_array_equal(dtn_action(system)(np.eye(3)), dense)
+
+
 def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")

@@ -212,6 +212,15 @@ def test_write_atomic_replaces_and_creates_dirs(tmp_path):
     assert target.read_bytes() == b"\x00\xff"
 
 
+def test_write_atomic_removes_its_temp_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "existing"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_atomic(str(target), "text\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert not list(target.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # worked example tables
 # ---------------------------------------------------------------------------
