@@ -19,7 +19,9 @@ read and print the `text` of what harness.compute_experiment returns,
 so they and `run` share one computation, one validation and one
 renderer.  Their flags carry the config field names as argparse dests,
 one `_experiment` builds every such config from them, and a config
-error names the flag the user typed.
+error names the flag the user typed.  A flag left out leaves its field
+at ExperimentConfig's default, except residual's --h, --k and --grading
+and convergence's --k, which keep defaults of their own.
 """
 
 import argparse
@@ -59,6 +61,11 @@ _REGIMES = {
 }
 
 
+def _items(text):
+    """The items of a comma-separated flag value; its config field converts them."""
+    return [part for part in text.split(",") if part.strip()]
+
+
 def _common_flags(parser, formats=True):
     if formats:
         parser.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
@@ -90,14 +97,16 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=8)
     _common_flags(p)
 
-    p = sub.add_parser("peters", help="sector solution sampled along the surface ray")
+    experiment = {"argument_default": argparse.SUPPRESS}
+
+    p = sub.add_parser("peters", help="sector solution sampled along the surface ray", **experiment)
     p.add_argument("--alpha", type=float, required=True, help="wedge angle in radians, below pi/2")
-    p.add_argument("--bc", dest="condition", default="neumann", choices=("neumann", "dirichlet"))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--xmax", type=float, default=40.0)
+    p.add_argument("--bc", dest="condition", choices=("neumann", "dirichlet"))
+    p.add_argument("--samples", type=int)
+    p.add_argument("--xmax", type=float)
     _common_flags(p)
 
-    p = sub.add_parser("fem", help="Steklov spectrum of a JSON-described domain")
+    p = sub.add_parser("fem", help="Steklov spectrum of a JSON-described domain", **experiment)
     p.add_argument("--domain", required=True, metavar="FILE", help="domain JSON document")
     p.add_argument("--h", type=float, required=True, help="target mesh size")
     p.add_argument(
@@ -105,36 +114,40 @@ def build_parser():
         dest="kmax",
         metavar="NEIGS",
         type=int,
-        default=10,
         help="number of lowest eigenvalues; the mesh must put at least 4*neigs nodes on the surface",
     )
     p.add_argument(
-        "--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25,
-        help="corner grading factor in (0, 1]",
+        "--grading", dest="grading_factor", metavar="GRADING", type=float, help="corner grading factor in (0, 1]"
     )
     p.add_argument("--dump-mesh", metavar="FILE", default=None, help="write the mesh as plain text")
     p.add_argument("--dump-dtn", metavar="FILE", default=None, help="write the dense DtN matrix (binary)")
     _common_flags(p)
 
-    p = sub.add_parser("reproduce", help="worked example eigenvalue tables")
+    p = sub.add_parser("reproduce", help="worked example eigenvalue tables", **experiment)
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25)
+    p.add_argument("--h", type=float)
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float)
     _common_flags(p)
 
-    p = sub.add_parser("residual", help="quasimode residuals against the FEM DtN map")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--length", dest="surface_length", metavar="LENGTH", type=float, default=1.0)
+    p = sub.add_parser("residual", help="quasimode residuals against the FEM DtN map", **experiment)
+    p.add_argument("--q", type=int)
+    p.add_argument("--length", dest="surface_length", metavar="LENGTH", type=float)
     p.add_argument("--h", type=float, default=0.002)
-    p.add_argument("--k", dest="k_list", metavar="K", default="4,6,8", help="comma-separated lattice indices")
+    p.add_argument(
+        "--k", dest="k_list", metavar="K", type=_items, default="4,6,8", help="comma-separated lattice indices"
+    )
     p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=1.0)
     _common_flags(p)
 
-    p = sub.add_parser("convergence", help="mesh refinement study")
+    p = sub.add_parser("convergence", help="mesh refinement study", **experiment)
     p.add_argument("--domain", required=True, metavar="FILE")
-    p.add_argument("--h", dest="h_list", metavar="H", required=True, help="comma-separated decreasing mesh sizes")
-    p.add_argument("--k", dest="k_list", metavar="K", default="1,2,3", help="comma-separated eigenvalue indices")
-    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=0.25)
+    p.add_argument(
+        "--h", dest="h_list", metavar="H", type=_items, required=True, help="comma-separated decreasing mesh sizes"
+    )
+    p.add_argument(
+        "--k", dest="k_list", metavar="K", type=_items, default="1,2,3", help="comma-separated eigenvalue indices"
+    )
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float)
     _common_flags(p)
 
     p = sub.add_parser("run", help="execute an experiment configuration")
@@ -142,16 +155,6 @@ def build_parser():
     _common_flags(p, formats=False)  # the config's out_format decides
 
     return parser
-
-
-def _parse_list(text, name, number):
-    try:
-        values = tuple(number(part) for part in str(text).split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(name, f"expected comma-separated {number.__name__} values, got {text!r}") from None
-    if not values:
-        raise ConfigError(name, "empty list")
-    return values
 
 
 @contextlib.contextmanager
@@ -240,9 +243,6 @@ def _experiment(args, kind):
     """
     values = {name: value for name, value in vars(args).items() if name in _FIELDS}
     try:
-        for name, number in (("h_list", float), ("k_list", int)):
-            if name in values:
-                values[name] = _parse_list(values[name], name, number)
         return compute_experiment(ExperimentConfig(kind=kind, **values))
     except ConfigError as exc:
         if exc.field not in _FLAGS:

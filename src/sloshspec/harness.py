@@ -6,18 +6,20 @@ of the triangle sloshing spectrum with the higher-order ODE spectrum,
 the Peters far-field phase, quasimode residual measurements,
 mesh-refinement studies and custom domains.  Each experiment is
 described by an ExperimentConfig (a flat JSON document on disk), which
-checks every field, and computed by `compute_experiment`, the one place
-its table is built.  Every result renders its main table through
-`text(fmt)`, so `run_experiment`, which writes it as a deterministic
-CSV or JSON artifact plus two-column plot-ready series, and the CLI
-subcommands fem, peters, residual, convergence and reproduce, which
-build the same config from their flags, print or write the same bytes.
+converts and checks every field, and computed by `compute_experiment`,
+the one place its table is built.  Every result renders its main table
+through `text(fmt)`, so `run_experiment`, which writes it as a
+deterministic CSV or JSON artifact plus two-column plot-ready series,
+and the CLI subcommands fem, peters, residual, convergence and
+reproduce, which build the same config from their flags, print or
+write the same bytes.
 
 Runtime is recorded in the in-memory report metadata but never written
 to disk, so repeated runs of the same config produce byte-identical
 files.
 """
 
+import errno
 import json
 import math
 import os
@@ -51,7 +53,11 @@ class ExperimentConfig:
     Only the fields relevant to `kind` are consulted; the rest keep
     their defaults.  `domain` is either an inline domain document (a
     dict following the JSON schema in geometry.io) or a path to a JSON
-    file holding one.
+    file holding one.  Each numeric field is converted to its declared
+    type here, so a config built in code is checked like one read from
+    JSON: booleans, values int() would truncate and floats that
+    overflow are refused, a list field stores a tuple, and no `k_list`
+    index may repeat.
     """
 
     kind: str
@@ -62,8 +68,8 @@ class ExperimentConfig:
     domain: object = None
     alpha: float = math.pi / 3
     condition: str = "neumann"
-    k_list: tuple = ()
-    h_list: tuple = ()
+    k_list: tuple[int, ...] = ()
+    h_list: tuple[float, ...] = ()
     samples: int = 200
     xmax: float = 40.0
     grading_factor: float = 0.25
@@ -71,7 +77,10 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in _EXPERIMENTS:
+        for f in fields(self):
+            if f.type in _CONVERSIONS:
+                object.__setattr__(self, f.name, _converted(f.name, getattr(self, f.name), *_CONVERSIONS[f.type]))
+        if not isinstance(self.kind, str) or self.kind not in _EXPERIMENTS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}; expected one of {tuple(_EXPERIMENTS)}")
         if not 0 < self.h < math.inf:
             raise ConfigError("h", f"mesh size must be positive and finite, got {self.h}")
@@ -104,6 +113,8 @@ class ExperimentConfig:
                 raise ConfigError("h_list", "mesh sizes must be positive, finite and strictly decreasing")
             if min(self.k_list) < 1:
                 raise ConfigError("k_list", "eigenvalue indices are 1-based")
+        if len(set(self.k_list)) < len(self.k_list):
+            raise ConfigError("k_list", f"indices must not repeat, got {self.k_list!r}")
         if self.kind == "quasimode_residual" and not self.k_list:
             raise ConfigError("k_list", "need at least one lattice index")
         if isinstance(self.domain, str) and not os.path.exists(self.domain):
@@ -125,15 +136,38 @@ def _whole(value):
     return number
 
 
-def _number(convert, value):
-    """convert(value), refusing booleans, which JSON keeps apart from numbers."""
-    if isinstance(value, bool):
-        raise TypeError(value)
-    return convert(value)
+def _converted(name, value, convert, is_list, noun):
+    """Field `name`'s value through `convert`, item by item for a list, or a ConfigError on it.
+
+    Booleans are refused: JSON keeps them apart from numbers.
+    """
+    try:
+        items = value if is_list else (value,)
+        if not isinstance(items, (list, tuple)) or any(isinstance(v, bool) for v in items):
+            raise TypeError(value)
+        converted = tuple(convert(v) for v in items)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(name, f"must be {noun}, got {value!r}") from None
+    return converted if is_list else converted[0]
+
+
+# how ExperimentConfig converts a field of each declared numeric type:
+# (item conversion, whether the field is a list, the type as errors name it)
+_CONVERSIONS = {
+    int: (_whole, False, "an integer"),
+    float: (float, False, "a number"),
+    tuple[int, ...]: (_whole, True, "a list of integers"),
+    tuple[float, ...]: (float, True, "a list of numbers"),
+}
 
 
 def config_from_json(obj):
-    """Build an ExperimentConfig from a parsed JSON document."""
+    """Build an ExperimentConfig from a parsed JSON document.
+
+    Only the document's shape is checked here: a JSON object with a
+    `kind` and no unknown field.  ExperimentConfig converts and checks
+    every value, as it does for a config built in code.
+    """
     if not isinstance(obj, dict):
         raise ConfigError("config", "top-level document must be a JSON object")
     known = {f.name for f in fields(ExperimentConfig)}
@@ -142,31 +176,7 @@ def config_from_json(obj):
         raise ConfigError(sorted(unknown)[0], "unknown configuration field")
     if "kind" not in obj:
         raise ConfigError("kind", "missing required field")
-    kwargs = dict(obj)
-    for name, number, kind in (("k_list", _whole, "integers"), ("h_list", float, "numbers")):
-        if name in kwargs:
-            try:
-                if not isinstance(kwargs[name], (list, tuple)):
-                    raise TypeError(kwargs[name])
-                kwargs[name] = tuple(_number(number, v) for v in kwargs[name])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(name, f"must be a list of {kind}, got {kwargs[name]!r}") from None
-    for name in ("h", "surface_length", "alpha", "xmax", "grading_factor"):
-        if name in kwargs:
-            try:
-                kwargs[name] = _number(float, kwargs[name])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(name, f"must be a number, got {kwargs[name]!r}") from None
-    for name in ("kmax", "q", "samples"):
-        if name in kwargs:
-            try:
-                kwargs[name] = _number(_whole, kwargs[name])
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(name, f"must be an integer, got {kwargs[name]!r}") from None
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError("config", str(exc)) from None
+    return ExperimentConfig(**obj)
 
 
 def load_config(path):
@@ -386,7 +396,7 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
-    k_list = tuple(int(k) for k in k_list)
+    k_list = _converted("k_list", k_list, *_CONVERSIONS[tuple[int, ...]])
     if not k_list:
         raise ConfigError("k_list", "need at least one lattice index")
     if min(k_list) < q + 1:
@@ -600,12 +610,15 @@ def run_experiment(config, out_dir="."):
     """Run one configured experiment and write its artifacts.
 
     Returns the list of file paths written.  All writes are atomic and
-    the bytes depend only on the config and package version.
+    the bytes depend only on the config and package version.  A target
+    that is a directory refuses the set (IsADirectoryError naming it)
+    before any file is written.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for name, text in _artifacts(config, compute_experiment(config)):
-        path = os.path.join(out_dir, name)
+    files = [(os.path.join(out_dir, name), text) for name, text in _artifacts(config, compute_experiment(config))]
+    for path, _ in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for path, text in files:
         write_atomic(path, text)
-        paths.append(path)
-    return paths
+    return [path for path, _ in files]

@@ -9,9 +9,18 @@ from sloshspec import cli
 from sloshspec.geometry.domain import build_rectangle_domain, build_triangle_domain
 from sloshspec.geometry.io import domain_to_json
 
+# config files written beside the domains: cfg.json's domain is a directory
+CONFIGS = {
+    "cfg.json": {"kind": "custom", "domain": "adir", "h": 0.1, "kmax": 2},
+    "kind_list.json": {"kind": []},
+    "kind_object.json": {"kind": {}},
+    "kind_number.json": {"kind": 5},
+    "repeat.json": {"kind": "convergence", "domain": "tri.json", "h_list": [0.2, 0.1], "k_list": [2, 2]},
+}
+
 # (argv, exit code, error type, field); run in a directory holding tiny.json
 # (a 1e-200 square, below qhull's precision), tri.json, the directories
-# adir and existing, the regular file afile, and cfg.json, whose domain is adir
+# adir and existing, the regular file afile, and CONFIGS
 CASES = [
     (["fem", "--domain", "tiny.json", "--h", "0.1"], 1, "numerical", None),
     (["residual", "--q", "2", "--h", "0.05", "--k", "4", "--length", "1e-300"], 1, "numerical", None),
@@ -27,6 +36,13 @@ CASES = [
     (["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", "0"], 2, "config", "kmax"),
     (["sl", "--q", "2", "--kmax", "0"], 2, "config", "kmax"),
     (["sl", "--q", "0"], 2, "config", "q"),
+    (["run", "--config", "kind_list.json"], 2, "config", "kind"),
+    (["run", "--config", "kind_object.json"], 2, "config", "kind"),
+    (["run", "--config", "kind_number.json"], 2, "config", "kind"),
+    # a repeated index printed its rows, or wrote and listed its artifact, twice
+    (["convergence", "--domain", "tri.json", "--h", "0.2,0.1", "--k", "1,1"], 2, "config", "k"),
+    (["residual", "--h", "0.05", "--k", "4,4"], 2, "config", "k"),
+    (["run", "--config", "repeat.json", "--out", "existing"], 2, "config", "k_list"),
 ]
 
 
@@ -35,7 +51,8 @@ def test_hostile_input_exits_with_one_json_error(tmp_path, monkeypatch, capsys, 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "tiny.json").write_text(json.dumps(domain_to_json(build_rectangle_domain(1e-200, 1e-200))))
     (tmp_path / "tri.json").write_text(json.dumps(domain_to_json(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0))))
-    (tmp_path / "cfg.json").write_text(json.dumps({"kind": "custom", "domain": "adir", "h": 0.1, "kmax": 2}))
+    for name, config in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
     (tmp_path / "afile").write_text("")
     (tmp_path / "adir").mkdir()
     (tmp_path / "existing").mkdir()
@@ -47,3 +64,17 @@ def test_hostile_input_exits_with_one_json_error(tmp_path, monkeypatch, capsys, 
     assert error.get("field") == field_name
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "existing").is_dir() and not list((tmp_path / "existing").iterdir())
+
+
+def test_a_run_refused_by_one_target_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
+    # the main table used to be written before the metadata's target was found to be a directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "peters.json").write_text(json.dumps({"kind": "peters_phase", "alpha": 0.7, "samples": 30, "xmax": 10}))
+    (tmp_path / "out" / "peters_phase_meta.json").mkdir(parents=True)
+    assert cli.main(["run", "--config", "peters.json", "--out", "out"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert (error["type"], error["field"]) == ("config", "out")
+    assert "peters_phase_meta.json" in error["message"]
+    assert [p.name for p in (tmp_path / "out").rglob("*")] == ["peters_phase_meta.json"]

@@ -83,11 +83,23 @@ def test_config_field_validation():
         (dict(kind="convergence", domain={"x": 1}, h_list=(0.1, 0.05)), "k_list"),
         (dict(kind="quasimode_residual"), "k_list"),
         (dict(kind="custom", domain="/nonexistent/place.json"), "domain"),
+        # built in code, these used to end in a TypeError inside range or run as k = 4
+        (dict(kind="sl_vs_sloshing", kmax=2.7), "kmax"),
+        (dict(kind="peters_phase", samples=30.5), "samples"),
+        (dict(kind="quasimode_residual", k_list=[4.5]), "k_list"),
+        (dict(kind="sl_vs_sloshing", q=True), "q"),
+        (dict(kind="quasimode_residual", k_list=[4, 6, 4]), "k_list"),
     ]
     for kwargs, field_name in cases:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**kwargs)
         assert err.value.field == field_name, kwargs
+
+
+def test_a_config_built_in_code_converts_its_fields():
+    assert ExperimentConfig(kind="sl_vs_sloshing", h="0.05").h == 0.05
+    config = ExperimentConfig(kind="quasimode_residual", k_list=[4, 6])
+    assert config.k_list == (4, 6) and isinstance(config.k_list, tuple)
 
 
 def test_config_from_json_coerces_and_rejects():
@@ -351,6 +363,10 @@ def test_quasimode_residual_study_validation():
     assert err.value.field == "q"
     with pytest.raises(ConfigError, match="at least q"):
         quasimode_residual_study(2, 1.0, 0.01, (2,))
+    # int() ran 4.5 as k = 4
+    with pytest.raises(ConfigError) as err:
+        quasimode_residual_study(2, 1.0, 0.01, (4.5,))
+    assert err.value.field == "k_list"
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +858,44 @@ def test_cli_subcommand_and_run_write_the_same_table(tmp_path, monkeypatch, caps
     cli_bytes = (tmp_path / "cli" / f"{stem}.{fmt}").read_bytes()
     assert cli_bytes.count(b"\n") > 2
     assert cli_bytes == (tmp_path / "run" / f"from_run.{fmt}").read_bytes()
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["fem", "--domain", "rect.json", "--h", "0.1"], {"kind": "custom", "domain": "rect.json", "h": 0.1}),
+        (["peters", "--alpha", "0.7"], {"kind": "peters_phase", "alpha": 0.7}),
+        (["reproduce", "--example", "2"], {"kind": "reproduce_example_2"}),
+        # residual's --h, --k and --grading and convergence's --k keep defaults of their own
+        (["residual"], {"kind": "quasimode_residual", "h": 0.002, "k_list": [4, 6, 8], "grading_factor": 1.0}),
+        (
+            ["convergence", "--domain", "rect.json", "--h", "0.1,0.05"],
+            {"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.05], "k_list": [1, 2, 3]},
+        ),
+    ],
+    ids=["fem", "peters", "reproduce", "residual", "convergence"],
+)
+def test_a_subcommand_with_only_its_required_flags_builds_the_config_run_builds(tmp_path, monkeypatch, argv, doc):
+    from sloshspec import cli, harness
+
+    def capture(config):
+        raise _Captured(config)
+
+    monkeypatch.chdir(tmp_path)
+    write_rectangle_json(tmp_path / "rect.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "compute_experiment", capture)
+    monkeypatch.setattr(harness, "compute_experiment", capture)
+    built = []
+    for args in (argv, ["run", "--config", "cfg.json"]):
+        with pytest.raises(_Captured) as exc:
+            cli.main(args)
+        built.append(exc.value.args[0])
+    assert built[0] == built[1]
 
 
 def test_fem_and_reproduce_artifacts_leave_out_the_eigensolve_diagnostics(tmp_path, monkeypatch, capsys):
