@@ -7,13 +7,13 @@ eigensolves stay in scipy.  The kernels' cost inside whole solves is the
 ``perfbench/README.md``.
 
 The point-in-polygon test is a crossing sweep (Haines, "Point in polygon
-strategies", Graphics Gems IV, 1994): points are sorted into rows of
-equal y, each polygon edge spans a contiguous run of rows and crosses
-each of them once, and a point is inside when an odd number of its row's
-crossings lie to its right.  A hex lattice row is one y, so the lattice
-candidates of the mesher cost one crossing per (row, edge) pair and one
-comparison per (point, crossing) pair; scattered centroids and
-circumcenters get one row each.
+strategies", Graphics Gems IV, 1994): `crossings` sorts the heights, each
+polygon edge spans a contiguous run of them and crosses each once, and a
+point is inside when an odd number of the crossings at its height lie to
+its right.  The mesher's hex lattice rows are one height each, so it
+reads each row's inside runs off that row's sorted crossings and makes
+no point outside them; centroids and circumcenters are swept point by
+point.
 """
 
 import numpy as np
@@ -76,10 +76,28 @@ def triangle_quality(xy, tris):
     return signed_areas(xy, tris), ang.min(axis=1)
 
 
-def _runs(lo, hi):
+def runs(lo, hi):
     """The ranges range(lo[k], hi[k]) laid end to end, and their lengths."""
     count = hi - lo
     return np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count), count
+
+
+def crossings(ys, poly):
+    """Where the edges of a closed polygon cross the ascending heights `ys`.
+
+    Returns (row, x), one entry per crossing of height ys[row].  Edge
+    (x0, y0) -> (x1, y1) crosses height y when min(y0, y1) <= y <
+    max(y0, y1), at x0 + t (x1 - x0) with t = (y - y0) / (y1 - y0), so
+    every height crosses the polygon an even number of times.  Each edge
+    spans a contiguous run of heights; NaN heights sort last and, like
+    +-inf, fall in no run.
+    """
+    px, py = poly[:, 0], poly[:, 1]
+    qx, qy = np.roll(px, -1), np.roll(py, -1)
+    row, spanned = runs(np.searchsorted(ys, np.minimum(py, qy)), np.searchsorted(ys, np.maximum(py, qy)))
+    edge = np.repeat(np.arange(len(poly)), spanned)
+    t = (ys[row] - py[edge]) / (qy[edge] - py[edge])
+    return row, px[edge] + t * (qx[edge] - px[edge])
 
 
 def points_in_polygon(pts, poly):
@@ -88,35 +106,12 @@ def points_in_polygon(pts, poly):
     ``poly`` lists the vertices without repeating the first one at the end.
     Points within ~1e-14 of an edge may land on either side; callers that
     care keep a clearance.  Points with a non-finite coordinate are
-    outside.
-
-    Edge (x0, y0) -> (x1, y1) crosses the row at height y when
-    min(y0, y1) <= y < max(y0, y1), at x0 + t (x1 - x0) with
-    t = (y - y0) / (y1 - y0); a point counts the crossings strictly right
-    of it.
+    outside.  A point is inside when an odd number of the crossings at its
+    height lie strictly right of it.
     """
-    x, y = pts[:, 0], pts[:, 1]
-    # a stable sort keeps an already sorted input, such as the raveled
-    # lattice, in place at linear cost
-    order = np.argsort(y, kind="stable")
-    xs, ys = x[order], y[order]
-    new_row = np.ones(len(ys), dtype=np.bool_)
-    new_row[1:] = ys[1:] != ys[:-1]
-    start = np.flatnonzero(new_row)
-    row_y = ys[start]
-    row_end = np.append(start[1:], len(ys))
-    px, py = poly[:, 0], poly[:, 1]
-    qx, qy = np.roll(px, -1), np.roll(py, -1)
-    # each edge spans a run of rows; NaN rows sort last and, like +-inf
-    # rows, fall in no run
-    row, spanned = _runs(
-        np.searchsorted(row_y, np.minimum(py, qy)), np.searchsorted(row_y, np.maximum(py, qy))
-    )
-    edge = np.repeat(np.arange(len(poly)), spanned)
-    t = (row_y[row] - py[edge]) / (qy[edge] - py[edge])
-    xin = px[edge] + t * (qx[edge] - px[edge])
-    point, size = _runs(start[row], row_end[row])
-    right = np.repeat(xin, size) > xs[point]
+    order = np.argsort(pts[:, 1], kind="stable")
+    point, xin = crossings(pts[order, 1], poly)
+    right = xin > pts[order[point], 0]
     inside = np.zeros(len(pts), dtype=np.bool_)
     inside[order] = np.bincount(point[right], minlength=len(pts)) % 2 == 1
     return inside

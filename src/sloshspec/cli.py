@@ -13,15 +13,19 @@ Subcommands map one-to-one onto the computational modules:
 
 Results go to stdout, or to files under --out DIR.  Everything is
 deterministic, also across BLAS thread counts (OPENBLAS_NUM_THREADS and
-OMP_NUM_THREADS in the environment set them).  fem, peters, reproduce,
-residual and convergence build the ExperimentConfig that `run` would
-read and print the `text` of what harness.compute_experiment returns,
-so they and `run` share one computation, one validation and one
-renderer.  Their flags carry the config field names as argparse dests,
-one `_experiment` builds every such config from them, and a config
-error names the flag the user typed.  A flag left out leaves its field
-at ExperimentConfig's default, except residual's --h, --k and --grading
-and convergence's --k, which keep defaults of their own.
+OMP_NUM_THREADS in the environment set them).  sl, fem, peters,
+reproduce, residual and convergence build the ExperimentConfig that
+`run` would read and print the `text` of what
+harness.compute_experiment returns, so they and `run` share one
+computation, one validation and one renderer.  Their flags carry the
+config field names as argparse dests and their text unconverted: the
+config converts it, so a malformed number is a config error.  One
+`_experiment` builds every such config, and a config error names the
+flag the user typed, read off the subcommand's parser.  A flag left
+out leaves its field at ExperimentConfig's default, except sl's --kmax,
+residual's --h, --k and --grading and convergence's --k, which keep
+defaults of their own.  asymptotics, the one subcommand with no
+experiment kind, converts its flags with the config's converter.
 """
 
 import argparse
@@ -43,11 +47,12 @@ from .harness import (
     ExperimentConfig,
     ExperimentTable,
     compute_experiment,
+    converted,
     load_config,
     run_experiment,
     write_atomic,
 )
-from .highord_sl import HighOrderSLProblem, SLSolveError, ode_asymptotic_prediction, solve_spectrum
+from .highord_sl import SLSolveError
 from .model_solutions.contour import QuadratureError
 
 
@@ -84,59 +89,56 @@ def build_parser():
         help="walls at A and B: nn, dd, mixed (Dirichlet at A, Neumann at B); "
         "halfpi-neumann and halfpi-dirichlet are nn and dd with alpha = pi/2",
     )
-    p.add_argument("--alpha", type=float, required=True, help="corner angle at A in radians")
-    p.add_argument("--beta", type=float, required=True, help="corner angle at B in radians")
-    p.add_argument("--length", type=float, default=1.0, help="sloshing surface length")
-    p.add_argument("--kmax", type=int, default=10)
-    _common_flags(p)
-
-    p = sub.add_parser("sl", help="higher-order Sturm-Liouville spectrum")
-    p.add_argument("--q", type=int, required=True, help="half the operator order")
-    p.add_argument("--bc", default="neumann", choices=("neumann", "dirichlet"))
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--alpha", required=True, help="corner angle at A in radians")
+    p.add_argument("--beta", required=True, help="corner angle at B in radians")
+    p.add_argument("--length", default=1.0, help="sloshing surface length")
+    p.add_argument("--kmax", default=10)
     _common_flags(p)
 
     experiment = {"argument_default": argparse.SUPPRESS}
 
-    p = sub.add_parser("peters", help="sector solution sampled along the surface ray", **experiment)
-    p.add_argument("--alpha", type=float, required=True, help="wedge angle in radians, below pi/2")
+    p = sub.add_parser("sl", help="higher-order Sturm-Liouville spectrum", **experiment)
+    p.add_argument("--q", required=True, help="half the operator order")
     p.add_argument("--bc", dest="condition", choices=("neumann", "dirichlet"))
-    p.add_argument("--samples", type=int)
-    p.add_argument("--xmax", type=float)
+    p.add_argument("--length", dest="surface_length", metavar="LENGTH")
+    p.add_argument("--kmax", default=8)
+    _common_flags(p)
+
+    p = sub.add_parser("peters", help="sector solution sampled along the surface ray", **experiment)
+    p.add_argument("--alpha", required=True, help="wedge angle in radians, below pi/2")
+    p.add_argument("--bc", dest="condition", choices=("neumann", "dirichlet"))
+    p.add_argument("--samples")
+    p.add_argument("--xmax")
     _common_flags(p)
 
     p = sub.add_parser("fem", help="Steklov spectrum of a JSON-described domain", **experiment)
     p.add_argument("--domain", required=True, metavar="FILE", help="domain JSON document")
-    p.add_argument("--h", type=float, required=True, help="target mesh size")
+    p.add_argument("--h", required=True, help="target mesh size")
     p.add_argument(
         "--neigs",
         dest="kmax",
         metavar="NEIGS",
-        type=int,
         help="number of lowest eigenvalues; the mesh must put at least 4*neigs nodes on the surface",
     )
-    p.add_argument(
-        "--grading", dest="grading_factor", metavar="GRADING", type=float, help="corner grading factor in (0, 1]"
-    )
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", help="corner grading factor in (0, 1]")
     p.add_argument("--dump-mesh", metavar="FILE", default=None, help="write the mesh as plain text")
     p.add_argument("--dump-dtn", metavar="FILE", default=None, help="write the dense DtN matrix (binary)")
     _common_flags(p)
 
     p = sub.add_parser("reproduce", help="worked example eigenvalue tables", **experiment)
     p.add_argument("--example", type=int, required=True, choices=(1, 2))
-    p.add_argument("--h", type=float)
-    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float)
+    p.add_argument("--h")
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING")
     _common_flags(p)
 
     p = sub.add_parser("residual", help="quasimode residuals against the FEM DtN map", **experiment)
-    p.add_argument("--q", type=int)
-    p.add_argument("--length", dest="surface_length", metavar="LENGTH", type=float)
-    p.add_argument("--h", type=float, default=0.002)
+    p.add_argument("--q")
+    p.add_argument("--length", dest="surface_length", metavar="LENGTH")
+    p.add_argument("--h", default=0.002)
     p.add_argument(
         "--k", dest="k_list", metavar="K", type=_items, default="4,6,8", help="comma-separated lattice indices"
     )
-    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float, default=1.0)
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", default=1.0)
     _common_flags(p)
 
     p = sub.add_parser("convergence", help="mesh refinement study", **experiment)
@@ -147,13 +149,16 @@ def build_parser():
     p.add_argument(
         "--k", dest="k_list", metavar="K", type=_items, default="1,2,3", help="comma-separated eigenvalue indices"
     )
-    p.add_argument("--grading", dest="grading_factor", metavar="GRADING", type=float)
+    p.add_argument("--grading", dest="grading_factor", metavar="GRADING")
     _common_flags(p)
 
     p = sub.add_parser("run", help="execute an experiment configuration")
     p.add_argument("--config", required=True, metavar="FILE", help="experiment config JSON")
     _common_flags(p, formats=False)  # the config's out_format decides
 
+    for p in sub.choices.values():
+        # the flag of each dest, so that a config error names the flag the user typed
+        p.set_defaults(flags={a.dest: a.option_strings[-1].removeprefix("--") for a in p._actions})
     return parser
 
 
@@ -183,55 +188,27 @@ def _emit(args, stem, result):
     return 0
 
 
-def _positive(value, flag):
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(flag, f"must be positive and finite, got {value}")
-    return value
-
-
 def _cmd_asymptotics(args):
-    if args.kmax < 1:
-        raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
-    _positive(args.length, "length")
+    # the one subcommand with no experiment kind converts its flags as the config would
+    alpha, beta, length = (converted(flag, getattr(args, flag), float) for flag in ("alpha", "beta", "length"))
+    kmax = converted("kmax", args.kmax, int)
+    if kmax < 1:
+        raise ConfigError("kmax", f"kmax must be at least 1, got {kmax}")
+    if not (length > 0 and math.isfinite(length)):
+        raise ConfigError("length", f"must be positive and finite, got {length}")
     corners = []
-    for flag, angle, wall in zip(("alpha", "beta"), (args.alpha, args.beta), _REGIMES[args.regime]):
+    for flag, angle, wall in zip(("alpha", "beta"), (alpha, beta), _REGIMES[args.regime]):
         try:
             corners.append(CornerSpec(angle, wall))
         except ValueError as exc:
             raise ConfigError(flag, str(exc)) from None
-    if args.regime.startswith("halfpi") and abs(args.alpha - math.pi / 2) > 1e-15:
+    if args.regime.startswith("halfpi") and abs(alpha - math.pi / 2) > 1e-15:
         raise ConfigError("alpha", "half-pi regimes require alpha = pi/2 exactly")
-    model = QuasiFrequencyModel(*corners, args.length)
-    rows = [(k, quasi_frequency(model, k)) for k in range(1, args.kmax + 1)]
+    model = QuasiFrequencyModel(*corners, length)
+    rows = [(k, quasi_frequency(model, k)) for k in range(1, kmax + 1)]
     return _emit(args, "asymptotics", ExperimentTable(("k", "sigma"), rows))
 
 
-def _cmd_sl(args):
-    if args.kmax < 1:
-        raise ConfigError("kmax", f"kmax must be at least 1, got {args.kmax}")
-    _positive(args.length, "length")
-    try:
-        problem = HighOrderSLProblem(args.q, args.length, args.bc)
-    except ValueError as exc:
-        raise ConfigError("q", str(exc)) from None
-    spectrum = solve_spectrum(problem, args.kmax)
-    # Dirichlet has no zero modes: its row i is the Neumann row i + q
-    shift = args.q if args.bc == "dirichlet" else 0
-    rows = []
-    for i, lam in enumerate(spectrum.eigenvalues, start=1):
-        if i + shift > args.q:
-            pred = ode_asymptotic_prediction(args.q, args.length, i + shift)
-            rows.append((i, float(lam), pred, abs(float(lam) - pred)))
-        else:
-            rows.append((i, float(lam), None, None))
-    return _emit(args, "sl", ExperimentTable(("k", "lambda", "prediction", "residual"), rows))
-
-
-# the flag of each config field whose flag has another name
-_FLAGS = {
-    "kmax": "neigs", "grading_factor": "grading", "surface_length": "length",
-    "condition": "bc", "k_list": "k", "h_list": "h",
-}
 _FIELDS = frozenset(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
@@ -239,15 +216,14 @@ def _experiment(args, kind):
     """Compute experiment `kind` from the config fields the subcommand's flags set.
 
     Those flags take their field's name as dest.  A ConfigError is
-    renamed through _FLAGS, so that it names the flag the user typed.
+    renamed through the parser's `flags`, so that it names the flag the
+    user typed.
     """
     values = {name: value for name, value in vars(args).items() if name in _FIELDS}
     try:
         return compute_experiment(ExperimentConfig(kind=kind, **values))
     except ConfigError as exc:
-        if exc.field not in _FLAGS:
-            raise
-        raise ConfigError(_FLAGS[exc.field], exc.reason) from None
+        raise ConfigError(args.flags.get(exc.field, exc.field), exc.reason) from None
 
 
 def _cmd_fem(args):
@@ -280,7 +256,7 @@ def _cmd_run(args):
 
 _HANDLERS = {
     "asymptotics": _cmd_asymptotics,
-    "sl": _cmd_sl,
+    "sl": lambda args: _emit(args, "sl", _experiment(args, "sl")),
     "peters": lambda args: _emit(args, "peters", _experiment(args, "peters_phase")),
     "fem": _cmd_fem,
     "reproduce": _cmd_reproduce,

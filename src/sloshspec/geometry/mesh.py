@@ -1,7 +1,7 @@
 """Graded triangular meshing of sloshing domains.
 
 Pipeline: sample the boundary loop with spacing that ramps down
-geometrically towards the surface corners A and B, scatter a hexagonal
+geometrically towards the surface corners A and B, lay a hexagonal
 lattice of interior points with a clearance band along the boundary,
 Delaunay-triangulate everything, keep triangles whose centroid lies in
 the domain, and insert circumcenters of poor triangles until every
@@ -18,12 +18,14 @@ boundary and the refinement points, once per triangulation.  Those kept
 lattice triangles are equilateral and cannot fail the 20 degree test, so
 each round tests the quality of the band triangles alone.
 
-The inside tests are one crossing sweep (`_backend.points_in_polygon`).
-The lattice candidates come in hex rows of one y each, and every polygon
-edge crosses a row at most once, so classifying them costs one crossing
-per (row, edge) pair; centroids and circumcenters are swept as points.
-A straight wall cut into many collinear edges thus costs about what one
-edge would, and the polygon needs no thinning first.
+The inside tests share one crossing sweep (`_backend.crossings`).  A hex
+lattice row is one y, and every polygon edge crosses it at most once, so
+the row's sorted crossings give its inside runs directly: the lattice is
+laid only within them, at one crossing per (row, edge) pair and no
+candidate outside the polygon.  Centroids and circumcenters are tested
+point by point (`_backend.points_in_polygon`).  A straight wall cut into
+many collinear edges thus costs about what one edge would, and the
+polygon needs no thinning first.
 The boundary walk keeps its step-by-step recurrence but takes the
 constant steps outside the grading zone in one vectorized guess.
 
@@ -216,19 +218,33 @@ def _sample_boundary(domain, h, g):
     return nodes[:-1], tags
 
 
-def _hex_lattice(center, extent, a):
-    """Hexagonal point lattice covering a box of `extent` around `center`.
+def _hex_lattice(poly, center, a):
+    """The points of a hexagonal lattice inside the closed polygon `poly`.
 
-    Returns (points, ij): point (i, j) sits at
-    center + (a (i + (j mod 2) / 2), j a sqrt(3) / 2).
+    Returns (points, ij) row by row: point (i, j) sits at
+    center + (a (i + (j mod 2) / 2), j a sqrt(3) / 2).  Each lattice row
+    is one height, and its sorted crossings c with the polygon pair up as
+    the even-odd inside runs c[2m] <= x < c[2m + 1], so only points within
+    them are made: the same points, in the same order, as a lattice over
+    the bounding box filtered by `_backend.points_in_polygon`.
     """
     dy = a * math.sqrt(3.0) / 2.0
-    nx = int(math.ceil(extent[0] / (2 * a))) + 1
-    ny = int(math.ceil(extent[1] / (2 * dy))) + 1
-    i, j = np.meshgrid(np.arange(-nx, nx + 1), np.arange(-ny, ny + 1))
-    x = center[0] + np.where(j % 2, 0.5 * a, 0.0) + a * i
-    y = center[1] + j * dy
-    return np.stack([x.ravel(), y.ravel()], axis=1), np.stack([i.ravel(), j.ravel()], axis=1)
+    j = np.arange(
+        math.floor((poly[:, 1].min() - center[1]) / dy), math.ceil((poly[:, 1].max() - center[1]) / dy) + 1
+    )
+    ys = center[1] + j * dy
+    row, xin = _backend.crossings(ys, poly)
+    order = np.lexsort((xin, row))
+    row, lo, hi = row[order[::2]], xin[order[::2]], xin[order[1::2]]
+    base = center[0] + np.where(j[row] % 2, 0.5 * a, 0.0)
+    # each run's indices with one of slack either side, then the exact test
+    first, stop = (np.ceil((c - base) / a).astype(np.int64) for c in (lo, hi))
+    i, count = _backend.runs(first - 1, stop + 1)
+    run = np.repeat(np.arange(len(row)), count)
+    x = base[run] + a * i
+    inside = (lo[run] <= x) & (x < hi[run])
+    run, i, x = run[inside], i[inside], x[inside]
+    return np.stack([x, ys[row[run]]], axis=1), np.stack([i, j[row[run]]], axis=1)
 
 
 class _Lattice(NamedTuple):
@@ -426,7 +442,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         raise MeshError("mesh_size must be positive")
     if not 0 < g <= 1:
         raise MeshError("grading_factor must lie in (0, 1]")
-    # boundary steps are at least g h long, and the lattice covers the
+    # boundary steps are at least g h long, and the lattice lies in the
     # bounding box, of area at most perimeter^2 / 8, at one node per sqrt(3)/2 h^2
     steps = sum(piece.curve.length() for piece, _ in domain.loop_pieces()) / h  # inf for a tiny h
     estimate = steps / g + steps * steps / (4.0 * math.sqrt(3.0))
@@ -439,12 +455,10 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
     nb = len(poly)
     bedges = np.stack([np.arange(nb), np.roll(np.arange(nb), -1)], axis=1)
 
-    lo, hi = poly.min(axis=0), poly.max(axis=0)
-    center = 0.5 * (lo + hi)
-    cand, ij = _hex_lattice(center, hi - lo, h)
-    keep = _backend.points_in_polygon(np.ascontiguousarray(cand), poly)
-    d, _ = cKDTree(poly).query(cand[keep])
-    keep[keep] = d >= _LATTICE_CLEARANCE * h
+    center = 0.5 * (poly.min(axis=0) + poly.max(axis=0))
+    cand, ij = _hex_lattice(poly, center, h)
+    d, _ = cKDTree(poly).query(cand)
+    keep = d >= _LATTICE_CLEARANCE * h
     cand, ij = cand[keep], ij[keep]
     lat = _lattice(center, h, ij, nb)
     nodes = np.concatenate([poly, cand], axis=0)

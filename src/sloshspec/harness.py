@@ -3,16 +3,17 @@
 Bundles the cross-module computations that make up the reproduction
 studies: eigenvalue tables for the two worked examples, the comparison
 of the triangle sloshing spectrum with the higher-order ODE spectrum,
-the Peters far-field phase, quasimode residual measurements,
-mesh-refinement studies and custom domains.  Each experiment is
-described by an ExperimentConfig (a flat JSON document on disk), which
-converts and checks every field, and computed by `compute_experiment`,
-the one place its table is built.  Every result renders its main table
-through `text(fmt)`, so `run_experiment`, which writes it as a
-deterministic CSV or JSON artifact plus two-column plot-ready series,
-and the CLI subcommands fem, peters, residual, convergence and
-reproduce, which build the same config from their flags, print or
-write the same bytes.
+the order-2q ODE spectrum against its lattice, the Peters far-field
+phase, quasimode residual measurements, mesh-refinement studies and
+custom domains.  Each experiment is described by an ExperimentConfig (a
+flat JSON document on disk), which converts and checks every field, and
+computed by `compute_experiment`, the one place its table is built.
+`converted` is that conversion, shared with the CLI flags that set no
+config field.  Every result renders its main table through `text(fmt)`,
+so `run_experiment`, which writes it as a deterministic CSV or JSON
+artifact plus two-column plot-ready series, and the CLI subcommands sl,
+fem, peters, residual, convergence and reproduce, which build the same
+config from their flags, print or write the same bytes.
 
 Runtime is recorded in the in-memory report metadata but never written
 to disk, so repeated runs of the same config produce byte-identical
@@ -79,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.type in _CONVERSIONS:
-                object.__setattr__(self, f.name, _converted(f.name, getattr(self, f.name), *_CONVERSIONS[f.type]))
+                object.__setattr__(self, f.name, converted(f.name, getattr(self, f.name), f.type))
         if not isinstance(self.kind, str) or self.kind not in _EXPERIMENTS:
             raise ConfigError("kind", f"unknown kind {self.kind!r}; expected one of {tuple(_EXPERIMENTS)}")
         if not 0 < self.h < math.inf:
@@ -136,11 +137,13 @@ def _whole(value):
     return number
 
 
-def _converted(name, value, convert, is_list, noun):
-    """Field `name`'s value through `convert`, item by item for a list, or a ConfigError on it.
+def converted(name, value, declared):
+    """`value` converted as ExperimentConfig converts a field of type `declared`, or a ConfigError on `name`.
 
-    Booleans are refused: JSON keeps them apart from numbers.
+    A list converts item by item, and a flag's text as int() or float()
+    reads it.  Booleans are refused: JSON keeps them apart from numbers.
     """
+    convert, is_list, noun = _CONVERSIONS[declared]
     try:
         items = value if is_list else (value,)
         if not isinstance(items, (list, tuple)) or any(isinstance(v, bool) for v in items):
@@ -396,9 +399,8 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
-    k_list = _converted("k_list", k_list, *_CONVERSIONS[tuple[int, ...]])
-    if not k_list:
-        raise ConfigError("k_list", "need at least one lattice index")
+    # the indices as a config converts and checks them: whole, at least one, none repeated
+    k_list = ExperimentConfig(kind="quasimode_residual", k_list=k_list).k_list
     if min(k_list) < q + 1:
         raise ConfigError("k_list", f"lattice indices must be at least q+1 = {q + 1}")
     started = time.perf_counter()
@@ -541,6 +543,21 @@ def _peters_phase(config):
     )
 
 
+def _sl(config):
+    """The order-2q ODE spectrum beside its lattice prediction, where that applies.
+
+    Dirichlet has no zero modes: its row i is the Neumann row i + q.
+    """
+    q, length = config.q, config.surface_length
+    shift = q if config.condition == "dirichlet" else 0
+    spectrum = solve_spectrum(HighOrderSLProblem(q, length, config.condition), config.kmax)
+    rows = []
+    for i, lam in enumerate(map(float, spectrum.eigenvalues), start=1):
+        pred = ode_asymptotic_prediction(q, length, i + shift) if i + shift > q else None
+        rows.append((i, lam, pred, None if pred is None else abs(lam - pred)))
+    return ExperimentTable(("k", "lambda", "prediction", "residual"), rows)
+
+
 def _convergence(config):
     domain = _resolve_domain(config.domain)
     study = convergence_study(domain, config.h_list, config.k_list, grading_factor=config.grading_factor)
@@ -583,6 +600,7 @@ _EXPERIMENTS = {
     ),
     "convergence": _convergence,
     "custom": _custom,
+    "sl": _sl,
 }
 
 

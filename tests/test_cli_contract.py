@@ -43,6 +43,19 @@ CASES = [
     (["convergence", "--domain", "tri.json", "--h", "0.2,0.1", "--k", "1,1"], 2, "config", "k"),
     (["residual", "--h", "0.05", "--k", "4,4"], 2, "config", "k"),
     (["run", "--config", "repeat.json", "--out", "existing"], 2, "config", "k_list"),
+    # a malformed number was an argparse usage text on stderr, with no JSON
+    (["sl", "--q", "x"], 2, "config", "q"),
+    (["sl", "--q", "2", "--kmax", "2.5"], 2, "config", "kmax"),
+    (["fem", "--domain", "tri.json", "--h", "abc"], 2, "config", "h"),
+    (["fem", "--domain", "tri.json", "--h", "0.1", "--neigs", "2.5"], 2, "config", "neigs"),
+    (["fem", "--domain", "tri.json", "--h", "0.1", "--neigs", "0"], 2, "config", "neigs"),
+    (["peters", "--alpha", "0.7", "--samples", "2.5"], 2, "config", "samples"),
+    (["reproduce", "--example", "1", "--h", "x"], 2, "config", "h"),
+    (["residual", "--grading", "y"], 2, "config", "grading"),
+    (["residual", "--length", "1,0"], 2, "config", "length"),
+    (["convergence", "--domain", "tri.json", "--h", "0.2,0.1", "--grading", "1/2"], 2, "config", "grading"),
+    (["asymptotics", "--alpha", "x", "--beta", "1"], 2, "config", "alpha"),
+    (["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", "3.0"], 2, "config", "kmax"),
 ]
 
 

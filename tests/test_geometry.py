@@ -926,7 +926,9 @@ def test_points_in_polygon_matches_the_per_edge_loop():
     rng = np.random.default_rng(1)
     notch = np.array([(0.0, 0.0)] + list(NOTCH_WALL_POINTS)[1:])
     curved, _ = mesh_module._sample_boundary(build_curvilinear_example("-"), 0.02, 0.25)
-    lattice, _ = mesh_module._hex_lattice((0.5, -0.25), (1.2, 0.6), 0.05)
+    # the lattice is a source of points only: every point of the box around the notch
+    box = np.array([(-0.7, -0.85), (1.7, -0.85), (1.7, 0.35), (-0.7, 0.35)])
+    lattice, _ = mesh_module._hex_lattice(box, (0.5, -0.25), 0.05)
     for poly in (notch, curved):
         edge_points = poly + rng.uniform(0.0, 1.0, (len(poly), 1)) * (np.roll(poly, -1, axis=0) - poly)
         pts = np.vstack([
@@ -940,6 +942,34 @@ def test_points_in_polygon_matches_the_per_edge_loop():
         with np.errstate(invalid="ignore"):
             want = _per_edge_crossings(pts, poly)
         np.testing.assert_array_equal(_backend.points_in_polygon(pts, poly), want)
+
+
+def _bounding_box_lattice(poly, a):
+    """The hex lattice as the mesher made it before: the whole bounding box, then the inside test."""
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    center, extent = 0.5 * (lo + hi), hi - lo
+    dy = a * math.sqrt(3.0) / 2.0
+    nx = int(math.ceil(extent[0] / (2 * a))) + 1
+    ny = int(math.ceil(extent[1] / (2 * dy))) + 1
+    i, j = np.meshgrid(np.arange(-nx, nx + 1), np.arange(-ny, ny + 1))
+    x = center[0] + np.where(j % 2, 0.5 * a, 0.0) + a * i
+    y = center[1] + j * dy
+    pts, ij = np.stack([x.ravel(), y.ravel()], axis=1), np.stack([i.ravel(), j.ravel()], axis=1)
+    keep = _backend.points_in_polygon(pts, poly)
+    return pts[keep], ij[keep], center
+
+
+@pytest.mark.parametrize(
+    "domain", [d for _, d in _equivalence_domains()], ids=[n for n, _ in _equivalence_domains()]
+)
+def test_hex_lattice_makes_the_inside_points_of_the_bounding_box_lattice(domain):
+    # the rows' inside runs must give the same points, in the same order, to the bit
+    for h in (0.08, 0.02, 0.005):
+        for g in (0.25, 1.0):
+            poly, _ = mesh_module._sample_boundary(domain, h, g)
+            want, want_ij, center = _bounding_box_lattice(poly, h)
+            got, got_ij = mesh_module._hex_lattice(poly, center, h)
+            assert got.tobytes() == want.tobytes() and got_ij.tobytes() == want_ij.tobytes(), (h, g)
 
 
 def test_points_on_horizontal_edges_take_the_side_above():

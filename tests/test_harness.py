@@ -1,5 +1,6 @@
 """Experiment configs, comparison reports, artifact writing, CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -367,6 +368,10 @@ def test_quasimode_residual_study_validation():
     with pytest.raises(ConfigError) as err:
         quasimode_residual_study(2, 1.0, 0.01, (4.5,))
     assert err.value.field == "k_list"
+    # a repeated index returned its row twice
+    with pytest.raises(ConfigError, match="must not repeat") as err:
+        quasimode_residual_study(2, 1.0, 0.03, (4, 4))
+    assert err.value.field == "k_list"
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +459,64 @@ def test_cli_sl_dirichlet_rows_take_the_neumann_lattice_index(capsys, q):
         assert row["prediction"] == below["prediction"]
         assert row["residual"] == abs(row["lambda"] - row["prediction"])
         assert row["residual"] == pytest.approx(below["residual"], rel=0, abs=1e-12)
+
+
+# sha256 of `sl --q Q --bc BC --kmax 20 --format FMT` stdout, recorded with numpy 2.4
+# and scipy 1.17 on x86-64 Linux while `sl` had a handler of its own, before it
+# became the experiment kind `sl`; another libm or LAPACK may round differently
+SL_STDOUT_DIGESTS = {
+    (2, "neumann", "csv"): "9c974f4ec31143a8e49e2c45c12ce42fd54fb621e00ff9407d565a4278c94e9f",
+    (2, "neumann", "json"): "d0053cc96f7abe8d37e19b72f6e6ce3bbf68a24d2ef1b76070937ee52e9188d6",
+    (2, "dirichlet", "csv"): "7afecb6ef27a4a9f03ff4321f72fd9ab2a831053781bede1ecfa4b42be6719cc",
+    (2, "dirichlet", "json"): "554b2818f8838aedd79bd5673b05c1db9376653fe200a4f028f4f8a05cd4d76d",
+    (3, "neumann", "csv"): "b4c51905874e1c781c42ab49f76aff1cf2670a2978286b643055c69b12fa4a01",
+    (3, "neumann", "json"): "d1c95b092d9ded547e85bcebeaf232a9c8c66c9a7b35a8ffbd181e7b260b7139",
+    (3, "dirichlet", "csv"): "2727c8b05077101baae4629b9dcaf59c44e90e94b3e0cfb70939a6503b142207",
+    (3, "dirichlet", "json"): "4484af308dae634e012b87c713007e7efb7deb77dc2a0fafcb59d132a7ce850b",
+    (4, "neumann", "csv"): "f9f18cff592c52ac277355dc326cd9a35ae89aa34b999edfdd744c3e248d5d31",
+    (4, "neumann", "json"): "41870f9ee8c7a69d873e212094b1c04292001e01700149d7a6bdf57ef5cfd283",
+    (4, "dirichlet", "csv"): "f5566d66db6f32444c224e74a197bec7004f67620072d227393f94195c3bb3bf",
+    (4, "dirichlet", "json"): "2d8acebcd60c8988fe2b970883fed741648604087c98c92465538edf5b064fce",
+    (5, "neumann", "csv"): "dadfa0f74a8633ed278b19ccb2ee894e050a46e276023821a8bad938696f9069",
+    (5, "neumann", "json"): "6823ba9831e8597b839a342b0906d59071c41c6804538906c08767ea196a7be3",
+    (5, "dirichlet", "csv"): "a00ddbe966d90a3d33320998e283d499bba81f61bf2fbdb28b1a131f2b4acfb6",
+    (5, "dirichlet", "json"): "0cccf0ff78702703c5bda124e891e5ceb3c66736cb2df69ee91e5b9c04e7b6bc",
+    (6, "neumann", "csv"): "6a2cf2811c9345ab28d63b582aac0b9888a6285af4880e8bc470b84b377d2e37",
+    (6, "neumann", "json"): "5299fe9216fc1466c46f06d6a4a6d4b8433403e8e35b4c405cd1e3b07a5cc63a",
+    (6, "dirichlet", "csv"): "f72294b312c8b5f9abf391c78a24d1d2e61b850c1c7ef15bbe5348739c512ed2",
+    (6, "dirichlet", "json"): "c8fc960d9ba4b2232df1611127f7f0188ef4022a3676817514d4f9a660a78c99",
+    (7, "neumann", "csv"): "8cf4e40097350e7d98fac03f9bab00829b18c7f73f8a3d51b1593d3b1d2a63ef",
+    (7, "neumann", "json"): "c5639299425a3a31538dd07b704919bb11dbd5cb1c181856b7a605b2132c4eef",
+    (7, "dirichlet", "csv"): "8c9ca509377ddc13e2185e57d015edc249d90974ccc9a5f23fb3d0b62d19fed0",
+    (7, "dirichlet", "json"): "f05e0a8092a953a37e29ea9c92a0b0377971bcd194a6b62d2eb68d62525cdb84",
+    (8, "neumann", "csv"): "15b8f8cf714270ddea04d8d60b39df37e281038f40a82d6e5e79ace86b411a60",
+    (8, "neumann", "json"): "34f566018672a110a96b8f0b6052f9ea906ec01a91cd48b14639d9d20e383d08",
+    (8, "dirichlet", "csv"): "152a714b6a371332114d84575a2b7e45d645be28afb35c91795dbe4f85a7b143",
+    (8, "dirichlet", "json"): "d3842cc94e8a455cc0b553a82ce789b387df2d2c5a5c0ea615ed0d44bd3d90e0",
+}
+
+
+@pytest.mark.parametrize("q, bc, fmt", list(SL_STDOUT_DIGESTS), ids=lambda v: str(v))
+def test_cli_sl_stdout_matches_recorded_digest(capsys, q, bc, fmt):
+    from sloshspec import cli
+
+    assert cli.main(["sl", "--q", str(q), "--bc", bc, "--kmax", "20", "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == SL_STDOUT_DIGESTS[q, bc, fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_run_on_kind_sl_writes_the_sl_stdout(tmp_path, monkeypatch, capsys, fmt):
+    from sloshspec import cli
+
+    monkeypatch.chdir(tmp_path)
+    config = {"kind": "sl", "q": 3, "condition": "dirichlet", "kmax": 12, "out_format": fmt}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cli.main(["sl", "--q", "3", "--bc", "dirichlet", "--kmax", "12", "--format", fmt]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["run", "--config", "cfg.json", "--out", "out"]) == 0
+    assert capsys.readouterr().out.split() == [os.path.join("out", f"sl.{fmt}")]
+    assert (tmp_path / "out" / f"sl.{fmt}").read_text() == printed
 
 
 def test_cli_peters_and_sl_print_the_same_bytes_in_two_processes():
@@ -833,6 +896,12 @@ _SAME_TABLE_CASES = [
         "convergence",
     ),
     (
+        "sl",
+        ["sl", "--q", "3", "--bc", "dirichlet", "--length", "0.8", "--kmax", "12"],
+        {"kind": "sl", "q": 3, "condition": "dirichlet", "surface_length": 0.8, "kmax": 12},
+        "sl",
+    ),
+    (
         "reproduce-reproduce_example_1",
         ["reproduce", "--example", "1", "--h", "0.04"],
         {"kind": "reproduce_example_1", "h": 0.04},
@@ -870,6 +939,8 @@ class _Captured(Exception):
         (["fem", "--domain", "rect.json", "--h", "0.1"], {"kind": "custom", "domain": "rect.json", "h": 0.1}),
         (["peters", "--alpha", "0.7"], {"kind": "peters_phase", "alpha": 0.7}),
         (["reproduce", "--example", "2"], {"kind": "reproduce_example_2"}),
+        # sl's --kmax keeps its default of 8
+        (["sl", "--q", "3"], {"kind": "sl", "q": 3, "kmax": 8}),
         # residual's --h, --k and --grading and convergence's --k keep defaults of their own
         (["residual"], {"kind": "quasimode_residual", "h": 0.002, "k_list": [4, 6, 8], "grading_factor": 1.0}),
         (
@@ -877,7 +948,7 @@ class _Captured(Exception):
             {"kind": "convergence", "domain": "rect.json", "h_list": [0.1, 0.05], "k_list": [1, 2, 3]},
         ),
     ],
-    ids=["fem", "peters", "reproduce", "residual", "convergence"],
+    ids=["fem", "peters", "reproduce", "sl", "residual", "convergence"],
 )
 def test_a_subcommand_with_only_its_required_flags_builds_the_config_run_builds(tmp_path, monkeypatch, argv, doc):
     from sloshspec import cli, harness
