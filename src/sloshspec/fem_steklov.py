@@ -15,6 +15,16 @@ surface traces of the eigenvectors, the trailing rows of u, are the
 eigenvectors of the discrete Dirichlet-to-Neumann (DtN) map, never
 formed on this path.
 
+A mesh that is its own mirror image, under the reflection that swaps
+the ends of the surface (the pi/(2q) triangle and the rectangle, meshed
+with grading 1.0), has only even and odd eigenvectors.  Its pencil
+splits exactly into two pencils of half the size, P^T K P and P^T B P
+for the orthonormal even and odd bases P (`half_system`), in the same
+block layout, so each half goes through the same Lanczos path, and the
+union of the halves' pairs, once certified, is the spectrum, each pair
+with its parity.  The symmetry is read off the mesh, never the domain;
+any other mesh takes the full pencil.
+
 The DtN map is still available as the Schur complement
 D = K_SS - K_SI K_II^{-1} K_IS of the trailing block.  One path slices
 the contiguous blocks and factors K_II once: `dtn_action` returns its
@@ -36,10 +46,14 @@ solve, so nothing else is held across a factorization that the next
 stage does not read.  The spectrum keeps its surface traces as their
 own (ns, k) array rather than a view into all n rows of the
 eigenvectors, and callers that need only the assembled system let the
-mesh go before K_II is factored.
+mesh go before K_II is factored.  A mirrored mesh factors its halves
+one after the other, so only one half factor, about half the full
+one's entries, is alive at a time, and a residual study factors K_II
+of only the halves its traces lie in.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +89,9 @@ class AssembledSystem:
     corner B.  `s_coords` gives those surface rows' arc length from
     corner A, and `surface_mass` the 1D P1 mass matrix among them.
     `surface_length` is the length of the whole surface polyline,
-    eliminated endpoints included.
+    eliminated endpoints included.  `mirror`, set by `solve_steklov`
+    when the mesh is its own mirror image, maps each row to the row of
+    its mirror node (see `half_system`); it is None otherwise.
     """
 
     stiffness: sp.csr_matrix
@@ -83,6 +99,7 @@ class AssembledSystem:
     s_coords: np.ndarray
     surface_mass: sp.csr_matrix
     surface_length: float
+    mirror: np.ndarray = None
 
     @property
     def interior_count(self):
@@ -129,7 +146,9 @@ class SteklovSpectrum:
     their rows follow `system.s_coords`.  `eigen_residual` is the largest
     pair residual |K u - lambda B u| relative to max(1, lambda_max), and
     `pencil_solves` counts the solves with the pencil factor that the
-    eigensolve made.
+    eigensolve made.  `parity` is +1 for an eigenvector that is even
+    under the mesh's mirror reflection, -1 for an odd one, and 0 for
+    every pair of a mesh that does not mirror.
     """
 
     eigenvalues: np.ndarray
@@ -138,6 +157,7 @@ class SteklovSpectrum:
     system: AssembledSystem
     eigen_residual: float
     pencil_solves: int
+    parity: np.ndarray
 
     @property
     def s_coords(self):
@@ -212,6 +232,97 @@ def assemble(mesh):
         surface_mass=mass[keep][:, keep],
         surface_length=float(cum[-1]),
     )
+
+
+def _sorted_cells(cells):
+    """Rows of `cells` with each row's nodes sorted, the rows in lexicographic order."""
+    cells = np.sort(cells, axis=1)
+    return cells[np.lexsort(cells.T[::-1])]
+
+
+def _mirror_rows(mesh, system):
+    """Row permutation of the mesh's mirror image, or None if the mesh does not mirror.
+
+    The reflection is the one that swaps the two ends of the surface
+    path.  Nodes are matched to the reflected nodes by sorting both on
+    coordinates rounded to 1e-7 of the mesh's extent (its largest
+    coordinate distance from that surface end), and each matched pair
+    must agree to 1e-12 of it.  The triangles, and the boundary
+    edges of each tag, must map onto themselves.  In the system's rows,
+    the reflection then permutes the interior rows and reverses the
+    surface rows.
+    """
+    nodes = mesh.nodes
+    ends, uses = np.unique(mesh.edges_with_tag("steklov"), return_counts=True)
+    a, b = nodes[ends[uses == 1]]
+    axis = (b - a) / np.linalg.norm(b - a)
+    image = nodes - np.outer(2.0 * ((nodes - 0.5 * (a + b)) @ axis), axis)
+    extent = np.abs(nodes - a).max()
+
+    def by_position(points):
+        rounded = np.round(points / (1e-7 * extent))
+        return np.lexsort((rounded[:, 1], rounded[:, 0]))
+
+    mirror = np.empty(len(nodes), dtype=np.int64)
+    mirror[by_position(image)] = by_position(nodes)
+    if np.abs(image - nodes[mirror]).max() > 1e-12 * extent:
+        return None
+    cell_sets = [mesh.triangles] + [mesh.edges_with_tag(tag) for tag in ("steklov", "neumann", "dirichlet")]
+    if not all(np.array_equal(_sorted_cells(c), _sorted_cells(mirror[c])) for c in cell_sets):
+        return None
+    row_of = np.full(len(nodes), -1)
+    row_of[system.row_nodes] = np.arange(len(system.row_nodes))
+    rows = row_of[mirror[system.row_nodes]]
+    ni = system.interior_count
+    if not (
+        np.array_equal(np.sort(rows[:ni]), np.arange(ni))
+        and np.array_equal(rows[ni:], np.arange(len(rows) - 1, ni - 1, -1))
+    ):
+        return None
+    return rows
+
+
+def _symmetric(matrix):
+    """(A + A^T) / 2 in CSR: exactly symmetric, as `_factor` requires."""
+    return (0.5 * (matrix + matrix.T)).tocsr()
+
+
+def half_system(system, parity):
+    """The even (`parity` 1) or odd (-1) half of a system whose mesh mirrors.
+
+    The mirror pairs rows i and j = system.mirror[i].  The orthonormal
+    basis P has one column per pair, (e_i + parity e_j) / sqrt(2) with i
+    the smaller row, and for the even half one column e_i per row on the
+    axis.  The columns keep the system's block layout: interior rows
+    first, then the surface rows in path order, so the half surface mass
+    P^T M P stays tridiagonal.  Returns the half system, with stiffness
+    and mass P^T K P and P^T M P made exactly symmetric, and the surface
+    block of P, which maps a half trace back onto the surface rows.
+    """
+    mirror = system.mirror
+    rows = np.arange(len(mirror))
+    keep = rows <= mirror if parity == 1 else rows < mirror
+    first = rows[keep]
+    second = mirror[keep]
+    pairs = np.flatnonzero(first != second)
+    weight = np.where(first == second, 1.0, math.sqrt(0.5))
+    basis = sp.csr_matrix(
+        (
+            np.concatenate([weight, parity * weight[pairs]]),
+            (np.concatenate([first, second[pairs]]), np.concatenate([np.arange(len(first)), pairs])),
+        ),
+        shape=(len(rows), len(first)),
+    )
+    ni, hi = system.interior_count, np.count_nonzero(first < system.interior_count)
+    surface_basis = basis[ni:, hi:]
+    half = AssembledSystem(
+        stiffness=_symmetric(basis.T @ system.stiffness @ basis),
+        row_nodes=system.row_nodes[first],
+        s_coords=system.s_coords[first[hi:] - ni],
+        surface_mass=_symmetric(surface_basis.T @ system.surface_mass @ surface_basis),
+        surface_length=system.surface_length,
+    )
+    return half, surface_basis
 
 
 def _factor(matrix, what):
@@ -337,11 +448,6 @@ def _sloshing_pairs(system, n_eigs):
     largest relative pair residual and the count of solves with A.
     """
     ns = len(system.s_coords)
-    if ns < 4 * n_eigs:
-        raise SteklovSolveError(
-            f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
-            "resolution guard; decrease h"
-        )
     K = system.stiffness
     n = K.shape[0]
     ni = system.interior_count
@@ -387,6 +493,45 @@ def _sloshing_pairs(system, n_eigs):
     return np.clip(w, 0.0, None), u[ni:].copy(), residual / scale, solves
 
 
+def _split_pairs(system, n_eigs):
+    """Lowest n_eigs pairs of a mirrored system, solved as its two halves.
+
+    Each half (see `half_system`) goes through `_sloshing_pairs` in
+    turn, so only one pencil factor is alive at a time; each is asked
+    for ceil(n_eigs/2) + 1 pairs.  The union is
+    certified: every eigenvalue a half did not return lies at or above
+    the largest it did, so the n_eigs-th lowest of the union must lie
+    below the largest of each half.  A half that fails the check is
+    solved again for n_eigs + 1 pairs, which suffices unless eigenvalues
+    tie.  Returns the pairs as `_sloshing_pairs` does, the traces mapped
+    back onto the surface rows (still orthonormal in the surface mass),
+    with the parity of each pair; or None when a half is too small for
+    the pairs asked of it or the union stays uncertified.
+    """
+    ask = dict.fromkeys((1, -1), n_eigs // 2 + n_eigs % 2 + 1)
+    found = {}
+    solves = 0
+    while ask:
+        for parity, count in ask.items():
+            half, surface_basis = half_system(system, parity)
+            if count >= len(half.s_coords):  # beyond what Lanczos can return
+                return None
+            w, traces, residual, used = _sloshing_pairs(half, count)
+            del half  # its pencil factor went with the call; the next half factors its own
+            found[parity] = (w, surface_basis @ traces, residual)
+            solves += used
+        values = np.concatenate([found[1][0], found[-1][0]])
+        nth = np.sort(values)[n_eigs - 1] if len(values) >= n_eigs else math.inf
+        uncertified = [parity for parity, (w, _, _) in found.items() if not nth < w[-1]]
+        if any(len(found[parity][0]) > n_eigs for parity in uncertified):  # a tie
+            return None
+        ask = dict.fromkeys(uncertified, n_eigs + 1)
+    order = np.argsort(values, kind="stable")[:n_eigs]
+    traces = np.hstack([found[1][1], found[-1][1]])[:, order]
+    parity = np.repeat([1, -1], [len(found[1][0]), len(found[-1][0])])[order]
+    return values[order], traces, max(found[1][2], found[-1][2]), solves, parity
+
+
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
 
@@ -394,18 +539,35 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     solves the pencil K u = lambda B u of the stiffness and the embedded
     surface mass by Lanczos on a surface-size operator with one sparse
     factorization of the shifted pencil (see _sloshing_pairs), without
-    forming the dense DtN matrix.  Requires the surface to carry
-    at least 4 * n_eigs nodes so the top requested mode stays resolved;
-    every returned pair passes an a posteriori residual check.  The
-    returned spectrum keeps the mesh and the assembled system, so a DtN
-    dump or a residual study needs no second assembly.
+    forming the dense DtN matrix.  A mesh that is its own mirror image
+    (see _mirror_rows) is solved as its even and odd halves instead,
+    one half pencil after the other (see _split_pairs); its system
+    keeps the mirror.  Any other mesh takes the full pencil.  Requires
+    the surface to carry at least 4 * n_eigs nodes so the top requested
+    mode stays resolved; every returned pair passes an a posteriori
+    residual check.  The returned spectrum keeps the mesh and the full
+    assembled system, so a DtN dump or a residual study needs no second
+    assembly.
     """
     if n_eigs < 1:
         raise SteklovSolveError("n_eigs must be at least 1")
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
     system = assemble(mesh)
-    eigenvalues, traces, eigen_residual, pencil_solves = _sloshing_pairs(system, n_eigs)
+    ns = len(system.s_coords)
+    if ns < 4 * n_eigs:
+        raise SteklovSolveError(
+            f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
+            "resolution guard; decrease h"
+        )
+    mirror = _mirror_rows(mesh, system)
+    split = None
+    if mirror is not None:
+        system = replace(system, mirror=mirror)
+        split = _split_pairs(system, n_eigs)
+    if split is None:
+        split = *_sloshing_pairs(system, n_eigs), np.zeros(n_eigs, dtype=np.int64)
+    eigenvalues, traces, eigen_residual, pencil_solves, parity = split
     return SteklovSpectrum(
         eigenvalues=eigenvalues,
         traces=traces,
@@ -413,6 +575,7 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
         system=system,
         eigen_residual=eigen_residual,
         pencil_solves=pencil_solves,
+        parity=parity,
     )
 
 

@@ -24,6 +24,7 @@ import errno
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -32,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .asymptotics import QuasiFrequencyModel, quasi_frequency
-from .fem_steklov import convergence_study, dtn_action, solve_steklov
+from .fem_steklov import convergence_study, dtn_action, half_system, solve_steklov
 from .geometry import CornerSpec, build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
@@ -130,10 +131,18 @@ class ExperimentConfig:
 
 
 def _whole(value):
-    """int(value), refusing values such as 2.7 that int() would truncate."""
+    """int(value), refusing values such as 2.7 that int() would truncate.
+
+    The test is exact: int() reads integer text exactly, and Python
+    compares an int with a float exactly, so no whole number is refused
+    for being too large for a float to hold.  One beyond sys.maxsize,
+    which no count or index can reach, raises OverflowError.
+    """
     number = int(value)
-    if number != float(value):
+    if not isinstance(value, str) and number != value:
         raise ValueError(value)
+    if abs(number) > sys.maxsize:
+        raise OverflowError(value)
     return number
 
 
@@ -142,6 +151,9 @@ def converted(name, value, declared):
 
     A list converts item by item, and a flag's text as int() or float()
     reads it.  Booleans are refused: JSON keeps them apart from numbers.
+    A value whose conversion overflows (an integer beyond sys.maxsize, an
+    infinite one, a float past the float range) is refused as out of
+    range.
     """
     convert, is_list, noun = _CONVERSIONS[declared]
     try:
@@ -149,8 +161,10 @@ def converted(name, value, declared):
         if not isinstance(items, (list, tuple)) or any(isinstance(v, bool) for v in items):
             raise TypeError(value)
         converted = tuple(convert(v) for v in items)
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError):
         raise ConfigError(name, f"must be {noun}, got {value!r}") from None
+    except OverflowError:
+        raise ConfigError(name, f"out of range, got {value!r}") from None
     return converted if is_list else converted[0]
 
 
@@ -380,6 +394,27 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     return _comparison_report([("fem_vs_ode", domain, ode, None)], h, kmax, grading_factor)
 
 
+def _by_parity(system, traces):
+    """The indices k of `traces` grouped by the half whose range holds trace k: 1, -1, else 0.
+
+    The glued trace of index k is even about the surface midpoint for
+    odd k and odd for even k.  On a mesh that mirrors, a trace that
+    matches parity times its mirror image to 1e-10 lies in that half's
+    range.  Every other trace, and every trace on a mesh that does not
+    mirror, goes with the full system (0).
+    """
+    ni = system.interior_count
+    groups = {}
+    for k, (_, trace) in traces.items():
+        parity = 1 if k % 2 else -1
+        if system.mirror is None or np.linalg.norm(
+            trace - parity * trace[system.mirror[ni:] - ni]
+        ) > 1e-10 * np.linalg.norm(trace):
+            parity = 0
+        groups.setdefault(parity, []).append(k)
+    return groups
+
+
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     """Measure how well explicit corner quasimodes annihilate the FEM DtN map.
 
@@ -395,7 +430,14 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     Of the spectrum only the assembled system, the eigenvalues and the
     node count are kept: the mesh and the eigenvector traces are freed
     before the DtN action factors K_II, the largest allocation of the
-    study on a fine mesh.
+    study on a fine mesh.  On a mesh that mirrors (the default grading
+    1.0 meshes do, at most sizes), trace k is even for odd k and odd for
+    even k, so it is pushed through the DtN action of that half system
+    alone, and its residual norm taken with that half's surface mass:
+    the same numbers to rounding, with K_II factored for one half, one
+    half after the other when k_list mixes parities.  A trace outside
+    either half's range, and every trace on a mesh that does not mirror,
+    uses the full K_II.
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
@@ -409,18 +451,27 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
     system, eigenvalues, num_nodes = spec.system, spec.eigenvalues, spec.num_nodes
     del spec  # frees the mesh and traces before K_II is factored
-    apply_action = dtn_action(system)
     mass = system.surface_mass
-    mass_factor = (system.surface_cholesky, False)
-    rows = []
+    traces = {}
     for k in sorted(k_list):
         sigma = ode_asymptotic_prediction(q, surface_length, k)
         trace = quasimode_trace(q, sigma, system.s_coords, surface_length)
-        trace = trace / math.sqrt(float(trace @ (mass @ trace)))
-        resid = apply_action(trace) - sigma * (mass @ trace)
-        norm = math.sqrt(float(resid @ scipy.linalg.cho_solve_banded(mass_factor, resid)))
-        nearest = float(np.min(np.abs(eigenvalues - sigma)))
-        rows.append((k, sigma, norm / sigma, nearest))
+        traces[k] = sigma, trace / math.sqrt(float(trace @ (mass @ trace)))
+    rows = []
+    for parity, ks in _by_parity(system, traces).items():
+        part, basis = (system, None) if parity == 0 else half_system(system, parity)
+        apply_action = dtn_action(part)
+        mass_factor = (part.surface_cholesky, False)
+        for k in ks:
+            sigma, trace = traces[k]
+            if basis is not None:
+                trace = basis.T @ trace
+            resid = apply_action(trace) - sigma * (part.surface_mass @ trace)
+            norm = math.sqrt(float(resid @ scipy.linalg.cho_solve_banded(mass_factor, resid)))
+            nearest = float(np.min(np.abs(eigenvalues - sigma)))
+            rows.append((k, sigma, norm / sigma, nearest))
+        del part, apply_action  # one K_II factor alive at a time
+    rows.sort()
     meta = {
         "h": h,
         "grading_factor": grading_factor,

@@ -16,6 +16,8 @@ CONFIGS = {
     "kind_object.json": {"kind": {}},
     "kind_number.json": {"kind": 5},
     "repeat.json": {"kind": "convergence", "domain": "tri.json", "h_list": [0.2, 0.1], "k_list": [2, 2]},
+    "q_huge.json": {"kind": "sl", "q": 1e23},
+    "q_fraction.json": {"kind": "sl", "q": 2.7},
 }
 
 # (argv, exit code, error type, field); run in a directory holding tiny.json
@@ -56,7 +58,20 @@ CASES = [
     (["convergence", "--domain", "tri.json", "--h", "0.2,0.1", "--grading", "1/2"], 2, "config", "grading"),
     (["asymptotics", "--alpha", "x", "--beta", "1"], 2, "config", "alpha"),
     (["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", "3.0"], 2, "config", "kmax"),
+    # a whole number too large for a float to hold exactly read "must be an integer"
+    (["sl", "--q", "100000000000000000000000"], 2, "config", "q"),
+    (["run", "--config", "q_huge.json"], 2, "config", "q"),
+    (["sl", "--q", "4.5"], 2, "config", "q"),
+    (["run", "--config", "q_fraction.json"], 2, "config", "q"),
 ]
+
+# the reason each of the last four cases gives
+REASONS = {
+    "sl --q 100000000000000000000000": "out of range",
+    "run --config q_huge.json": "out of range",
+    "sl --q 4.5": "must be an integer",
+    "run --config q_fraction.json": "must be an integer",
+}
 
 
 @pytest.mark.parametrize("argv, code, kind, field_name", CASES, ids=[" ".join(case[0]) for case in CASES])
@@ -75,6 +90,7 @@ def test_hostile_input_exits_with_one_json_error(tmp_path, monkeypatch, capsys, 
     error = json.loads(lines[0])["error"]
     assert error["type"] == kind
     assert error.get("field") == field_name
+    assert REASONS.get(" ".join(argv), "") in error["message"]
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "existing").is_dir() and not list((tmp_path / "existing").iterdir())
 

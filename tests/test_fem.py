@@ -1,22 +1,26 @@
 """P1 Steklov solver: assembly, DtN operators, spectra, convergence."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.spatial
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from sloshspec import harness
+from sloshspec import _backend, fem_steklov, harness
 from sloshspec.fem_steklov import (
     SteklovSolveError,
     _factor,
+    _sloshing_pairs,
     assemble,
     convergence_study,
     dtn_action,
     dtn_matrix,
+    half_system,
     solve_steklov,
 )
 from sloshspec.geometry.domain import (
@@ -322,6 +326,10 @@ def _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, h, mesh=None):
     stiffness = spec.system.stiffness
     assert (stiffness != stiffness.T).nnz == 0
     assert len(calls) == 2  # the pencil, then K_II
+    _assert_each_factor_is_that_of_a_csc_copy(calls)
+
+
+def _assert_each_factor_is_that_of_a_csc_copy(calls):
     for view, lu, kwargs in calls:
         csr = view.T
         assert (csr != view).nnz == 0
@@ -348,15 +356,36 @@ def test_pencil_and_interior_factors_are_those_of_a_csc_copy(build, h, monkeypat
     _assert_factors_are_those_of_a_csc_copy(monkeypatch, build(), h)
 
 
+def test_half_systems_are_exactly_symmetric_and_factor_as_their_csc_copies(monkeypatch):
+    # each half pencil and half K_II goes to SuperLU as the transpose of
+    # its CSR, which is the matrix itself only if it is exactly symmetric
+    mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.04, 1.0)
+    calls = _recorded_factors(monkeypatch)
+    spec = solve_steklov(None, 0.04, 6, mesh=mesh)
+    for parity in (1, -1):
+        half, _ = half_system(spec.system, parity)
+        assert (half.stiffness != half.stiffness.T).nnz == 0
+        assert (half.surface_mass != half.surface_mass.T).nnz == 0
+        dtn_action(half)
+    monkeypatch.undo()
+    assert len(calls) == 4  # the two half pencils, then the two half K_II
+    _assert_each_factor_is_that_of_a_csc_copy(calls)
+
+
 def test_factors_of_a_mesh_read_from_a_dump_are_those_of_a_csc_copy(tmp_path, monkeypatch):
     domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=("neumann", "dirichlet"))
     mesh = _dumped_with_shuffled_surface(generate_mesh(domain, 0.04), tmp_path / "mesh.txt")
     _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, 0.04, mesh)
 
 
-def test_every_factorization_of_the_residual_study_is_spd(monkeypatch):
+@pytest.mark.parametrize("split", [True, False], ids=["split", "full"])
+def test_every_factorization_of_the_residual_study_is_spd(split, monkeypatch):
     # pencil and interior block run in symmetric mode; the M^{-1} norm of
-    # the residuals reuses the eigensolve's banded surface-mass Cholesky
+    # the residuals uses the banded surface-mass Cholesky.  The mesh
+    # mirrors, so the split factors two half pencils and the odd half's
+    # K_II (k = 4 and 6 are odd), and its residuals live in that half
+    if not split:
+        monkeypatch.setattr(fem_steklov, "_mirror_rows", lambda mesh, system: None)
     calls = _recorded_factors(monkeypatch)
     spectra = []
     solve = harness.solve_steklov
@@ -375,16 +404,45 @@ def test_every_factorization_of_the_residual_study_is_spd(monkeypatch):
     monkeypatch.setattr(harness, "solve_steklov", keep)
     monkeypatch.setattr(scipy.linalg, "cho_solve_banded", recording)
     table = quasimode_residual_study(2, 1.0, 0.02, (4, 6))
-    assert len(calls) == 2
+    assert len(calls) == (3 if split else 2)
     for _, lu, kwargs in calls:
         assert kwargs["diag_pivot_thresh"] == 0.0
         assert kwargs["options"] == {"SymmetricMode": True}
         assert np.array_equal(lu.perm_r, lu.perm_c)
     assert len(spectra) == 1 and len(residuals) == len(table.rows) == 2
-    mass = spectra[0].system.surface_mass.toarray()
+    system = spectra[0].system
+    mass = (half_system(system, -1)[0] if split else system).surface_mass.toarray()
     for (_, sigma, relative, _), r in zip(table.rows, residuals):
         dense = float(r @ scipy.linalg.solve(mass, r))
         assert (relative * sigma) ** 2 == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("k_list", [(5,), (4, 5), (3, 4, 6)], ids=["odd-k", "mixed", "mixed-three"])
+def test_the_residual_study_factors_only_the_halves_its_traces_need(k_list, monkeypatch):
+    # trace k is even for odd k and odd for even k: an odd k factors only
+    # the even half's K_II, and a mixed list builds both halves, each
+    # factor gone before the next is made.  The rows match the full
+    # path's to 1e-9, the rtol the recorded residuals are held to
+    actions = []
+    action = harness.dtn_action
+
+    def recording(system):
+        assert all(alive() is None for _, alive in actions)
+        apply = action(system)
+        actions.append((len(system.s_coords), weakref.ref(apply)))
+        return apply
+
+    monkeypatch.setattr(harness, "dtn_action", recording)
+    table = quasimode_residual_study(2, 1.0, 0.02, k_list)
+    system = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.02, 3, grading_factor=1.0).system
+    size = {parity: len(half_system(system, parity)[0].s_coords) for parity in (1, -1)}
+    parities = dict.fromkeys(1 if k % 2 else -1 for k in k_list)
+    assert [n for n, _ in actions] == [size[parity] for parity in parities]
+    monkeypatch.setattr(fem_steklov, "_mirror_rows", lambda mesh, system: None)
+    full = quasimode_residual_study(2, 1.0, 0.02, k_list)
+    assert [n for n, _ in actions[len(parities):]] == [len(system.s_coords)]
+    assert [row[:2] for row in table.rows] == [row[:2] for row in full.rows]
+    np.testing.assert_allclose([row[2:] for row in table.rows], [row[2:] for row in full.rows], rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -612,6 +670,134 @@ def test_surface_reduction_matches_dense_dtn_oracle(walls, dump, tmp_path):
     assert rel.max() <= 1e-10
     overlap = np.abs(np.sum(spec.traces * (mass @ v[:, :10]), axis=0))
     np.testing.assert_allclose(overlap, 1.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# mirror-symmetric meshes
+# ---------------------------------------------------------------------------
+
+def _sector_triangle(q, walls):
+    angle = math.pi / (2 * q)
+    return build_triangle_domain(angle, angle, 1.0, wall_conditions=walls)
+
+
+MIRRORED = [
+    ("q2-h0.02", lambda w: _sector_triangle(2, (w, w)), 0.02),
+    ("q2-h0.005", lambda w: _sector_triangle(2, (w, w)), 0.005),
+    ("q3-h0.02", lambda w: _sector_triangle(3, (w, w)), 0.02),
+    ("q4-h0.02", lambda w: _sector_triangle(4, (w, w)), 0.02),
+    ("rectangle-h0.02", lambda w: build_rectangle_domain(1.0, 0.5, (w, w, w)), 0.02),
+]
+
+
+@pytest.mark.parametrize("wall", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("build, h", [case[1:] for case in MIRRORED], ids=[case[0] for case in MIRRORED])
+def test_a_mirrored_mesh_splits_into_halves_with_the_full_spectrum(build, h, wall):
+    # with grading 1.0 these meshes are their own mirror images; the two
+    # half pencils give the full pencil's eigenvalues to 1e-10 and, up to
+    # sign, its traces, each even or odd under the reflection
+    mesh = generate_mesh(build(wall), h, 1.0)
+    spec = solve_steklov(None, h, 10, mesh=mesh)
+    assert spec.system.mirror is not None
+    w, traces, _, _ = _sloshing_pairs(assemble(mesh), 10)  # the full path
+    rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
+    assert rel.max() <= 1e-10
+    mass = spec.system.surface_mass
+    np.testing.assert_allclose(spec.traces.T @ (mass @ spec.traces), np.eye(10), atol=1e-10)
+    np.testing.assert_allclose(np.abs(np.sum(spec.traces * (mass @ traces), axis=0)), 1.0, atol=1e-8)
+    assert set(spec.parity.tolist()) == {1, -1}
+    np.testing.assert_allclose(spec.traces[::-1] * spec.parity, spec.traces, atol=1e-12)
+    assert 0.0 < spec.eigen_residual <= 1e-8
+
+
+def _nodes_mirror(mesh):
+    """Whether every node's reflection about the surface's midpoint normal lies on a node."""
+    x = mesh.nodes[:, 0]
+    reflected = np.column_stack([x.min() + x.max() - x, mesh.nodes[:, 1]])
+    distance, _ = scipy.spatial.cKDTree(mesh.nodes).query(reflected)
+    return distance.max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "domain, h, grading",
+    [(_sector_triangle(3, ("neumann", "neumann")), 0.005, 1.0), (_sector_triangle(2, ("neumann", "neumann")), 0.02, 0.25)],
+    ids=["q3-h0.005-triangles-do-not-mirror", "q2-grading-0.25"],
+)
+def test_a_mesh_that_does_not_mirror_takes_the_full_pencil_bit_for_bit(domain, h, grading):
+    mesh = generate_mesh(domain, h, grading)
+    # the q = 3 mesh mirrors its nodes, but not its triangles
+    assert _nodes_mirror(mesh) == (grading == 1.0)
+    spec = solve_steklov(domain, h, 10, mesh=mesh)
+    assert spec.system.mirror is None
+    w, traces, residual, solves = _sloshing_pairs(assemble(mesh), 10)
+    assert spec.eigenvalues.tobytes() == w.tobytes()
+    assert spec.traces.tobytes() == traces.tobytes()
+    assert (spec.eigen_residual, spec.pencil_solves) == (residual, solves)
+    assert spec.parity.tolist() == [0] * 10
+
+
+def test_a_mesh_with_one_edge_flipped_does_not_mirror():
+    # flipping the shared edge of two triangles left of the axis keeps
+    # every node's mirror image but not the triangles'
+    mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
+    assert fem_steklov._mirror_rows(mesh, assemble(mesh)) is not None
+    triangles = mesh.triangles.copy()
+    left = np.flatnonzero((mesh.nodes[triangles, 0] < 0.4).all(axis=1))
+    t = left[0]
+    s = next(s for s in left[1:] if len(set(triangles[t]) & set(triangles[s])) == 2)
+    c, d = set(triangles[t]) & set(triangles[s])
+    (a,), (b,) = set(triangles[t]) - {c, d}, set(triangles[s]) - {c, d}
+    flipped = np.array([[a, b, c], [a, b, d]])
+    counterclockwise = _backend.signed_areas(mesh.nodes, flipped)[:, None] > 0
+    triangles[[t, s]] = np.where(counterclockwise, flipped, flipped[:, ::-1])
+    flipped_mesh = TriangleMesh(mesh.nodes, triangles, mesh.boundary_edges, mesh.mesh_size, mesh.grading_factor)
+    assert _nodes_mirror(flipped_mesh)
+    assert fem_steklov._mirror_rows(flipped_mesh, assemble(flipped_mesh)) is None
+
+
+def test_a_half_that_fails_the_union_certificate_is_solved_again(monkeypatch):
+    # each half's first solve returns only five pairs: the tenth lowest of
+    # the ten is no lower than either half's largest, so each half may
+    # hide a lower value and is solved again for eleven pairs, even half
+    # first; the union then matches the full pencil
+    mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
+    calls = []
+    solve = fem_steklov._sloshing_pairs
+
+    def short_first(system, n_eigs):
+        calls.append((len(system.s_coords), n_eigs))
+        return solve(system, 5 if len(calls) <= 2 else n_eigs)
+
+    monkeypatch.setattr(fem_steklov, "_sloshing_pairs", short_first)
+    spec = solve_steklov(None, 0.02, 10, mesh=mesh)
+    even, odd = (len(half_system(spec.system, parity)[0].s_coords) for parity in (1, -1))
+    assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11)]
+    w, _, _, _ = solve(assemble(mesh), 10)
+    assert (np.abs(spec.eigenvalues - w) / np.maximum(w, 1.0)).max() <= 1e-10
+    assert set(spec.parity.tolist()) == {1, -1}
+
+
+def test_a_split_too_small_for_its_pairs_takes_the_full_pencil():
+    # four surface nodes allow one pair, but each half has only two
+    # surface rows, too few for the two pairs asked of it: the spectrum
+    # is the full pencil's, bit for bit, though the mesh mirrors
+    mesh = generate_mesh(build_rectangle_domain(1.0, 0.5), 0.4, 1.0)
+    spec = solve_steklov(None, 0.4, 1, mesh=mesh)
+    assert spec.system.mirror is not None and len(spec.s_coords) == 4
+    w, traces, _, _ = _sloshing_pairs(assemble(mesh), 1)
+    assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
+    assert spec.parity.tolist() == [0]
+
+
+def test_the_spectrum_reports_each_pair_parity(record_property, capsys):
+    # k = 1 is the constant, which is even.  The alternation after it is
+    # reported here, not gated: no proof that it must hold is cited
+    spec = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.005, 10, grading_factor=1.0)
+    assert spec.parity[0] == 1 and set(spec.parity.tolist()) == {1, -1}
+    pattern = " ".join("even" if p == 1 else "odd" for p in spec.parity)
+    record_property("parity_k1_to_k10", pattern)
+    with capsys.disabled():
+        print(f"\nparity of k = 1..10 on the q = 2 triangle, h = 0.005: {pattern}")
 
 
 # ---------------------------------------------------------------------------

@@ -71,8 +71,10 @@ STDOUT_DIGESTS = {
         "be87aecb904b5725141b9e403b11a398a60664361d38d78d75d53fcbc598bb19",
     ("convergence", "--domain", "tri.json", "--h", "0.08,0.04,0.02", "--format", "json"):
         "395b069776ee867787d8e26bfcb84f22db8cb8e0a5cfbb60adcbc1e596527315",
+    # this mesh mirrors, so the study solves and factors its halves: re-recorded when
+    # that split landed, every column within 7e-13 relative of the full-pencil bytes
     ("residual", "--q", "2", "--h", "0.02", "--k", "4,6"):
-        "c5b91898aac2a49291a76a9e30a5bf6c71e73e7e23c20614a4ddcb6244fcbd4b",
+        "9f55e2fe5efe0cfdc396dd7962b99d732271fd7792e41b014cbe391968e7c827",
 }
 
 DUMP_DIGESTS = {
