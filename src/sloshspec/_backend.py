@@ -24,7 +24,17 @@ def stiffness_triplets(xy, tris):
 
     For a triangle with vertices p0, p1, p2 the local matrix is
     (outer(b, b) + outer(c, c)) / (4 A) with b_i, c_i the usual gradient
-    coefficients and A the (positive) area.
+    coefficients and A the (positive) area.  Returns int32 `rows` and
+    `cols` (node ids below 2**31) and float64 `vals`, nine per triangle,
+    triangle by triangle, row-major within each local matrix.
+
+    The products are formed in place, one local row of outer(c, c) at a
+    time, so the transient beyond the 9-per-triangle `vals` is a third
+    of it.  Each entry is still (b_i b_j + c_i c_j) / (2 * 2A), the same
+    operations in the same order, so the values are bit for bit those of
+    the whole-array expression.  The int32 indices are the width scipy
+    gives the CSR sum anyway; int64 triplets would only double their
+    bytes.
     """
     p0 = xy[tris[:, 0]]
     p1 = xy[tris[:, 1]]
@@ -32,7 +42,12 @@ def stiffness_triplets(xy, tris):
     b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
     c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
     area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
-    vals = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (2.0 * area2)[:, None, None]
+    del p0, p1, p2
+    vals = np.multiply(b[:, :, None], b[:, None, :])
+    for i in range(3):
+        vals[:, i] += c[:, i, None] * c
+    vals /= (2.0 * area2)[:, None, None]
+    tris = tris.astype(np.int32)
     rows = np.repeat(tris, 3, axis=1).reshape(-1)
     cols = np.tile(tris, (1, 3)).reshape(-1)
     return rows, cols, vals.reshape(-1)

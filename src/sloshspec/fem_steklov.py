@@ -49,12 +49,22 @@ eigenvectors, and callers that need only the assembled system let the
 mesh go before K_II is factored.  A mirrored mesh factors its halves
 one after the other, so only one half factor, about half the full
 one's entries, is alive at a time, and a residual study factors K_II
-of only the halves its traces lie in.
+of only the halves its traces lie in.  Freed memory is not gone:
+glibc keeps freed heap resident, and after one fine solve its
+threshold for handing heap back has risen, so the temporaries of the
+next assembly and mesh would stay resident under the next factor.
+`_factor` therefore first hands glibc's free heap back to the OS
+(malloc_trim) once glibc reports 8 MiB or more of it, and the
+stiffness assembly keeps its own transient small (int32 triplets,
+element products formed in place).  What binds a fine run is then the
+factor itself: on the pi/4 triangle at h = 0.002 each half pencil's
+factor, on top of the full system and its mesh.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg
@@ -65,6 +75,12 @@ from . import _backend
 from .geometry import generate_mesh
 
 _SCHUR_BLOCK_BYTES = 2 * 10**8
+
+# Free heap that `_factor` hands back to the OS before it factors.  Freed
+# memory that glibc keeps stays resident while SuperLU allocates the
+# factor, so on a fine mesh it adds to the peak; below this, handing it
+# back saves no peak worth the page faults that take it back again.
+_TRIM_FREE_BYTES = 8 << 20
 
 # ARPACK's relative accuracy target for the Ritz values of the surface
 # operator.  Against tol=0 (machine precision) it saves about 8 of the
@@ -325,6 +341,43 @@ def half_system(system, parity):
     return half, surface_basis
 
 
+class _MallInfo2(ctypes.Structure):
+    """glibc's struct mallinfo2 (glibc 2.33 and later)."""
+
+    _fields_ = [
+        (name, ctypes.c_size_t)
+        for name in (
+            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost"
+        )
+    ]
+
+
+@cache
+def _glibc_heap():
+    """glibc's (mallinfo2, malloc_trim) in the running process, or None where either is missing."""
+    try:
+        libc = ctypes.CDLL(None)
+        info, trim = libc.mallinfo2, libc.malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    info.argtypes = []
+    info.restype = _MallInfo2
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return info, trim
+
+
+def _release_free_heap():
+    """Hand glibc's free heap back to the OS once it holds _TRIM_FREE_BYTES or more.
+
+    The gate reads only glibc's own count of free heap bytes (mallinfo2's
+    fordblks).  Where glibc lacks either call this does nothing.
+    """
+    heap = _glibc_heap()
+    if heap is not None and heap[0]().fordblks >= _TRIM_FREE_BYTES:
+        heap[1](0)
+
+
 def _factor(matrix, what):
     """Sparse factorization of a symmetric positive definite `matrix`.
 
@@ -338,7 +391,10 @@ def _factor(matrix, what):
     diagonal, and is rejected.  `what` names the matrix in the error.
 
     SuperLU reads CSC and copies nothing it gets in that form, so a CSC
-    `matrix` goes to it unchanged.  A CSR `matrix` has its indices sorted
+    `matrix` goes to it unchanged.  Before SuperLU allocates anything,
+    free heap that glibc kept is handed back (`_release_free_heap`), so
+    the factor does not stack on memory the process no longer uses.
+    A CSR `matrix` has its indices sorted
     in place and goes as its transpose, a CSC view of the same three
     arrays, with no copy.  That view is entry for entry what tocsc()
     would build, because every matrix factored here is exactly
@@ -352,6 +408,7 @@ def _factor(matrix, what):
     stored stiffness would move the bits of every sparse product that
     sums in its storage order.
     """
+    _release_free_heap()
     if matrix.format == "csr":
         matrix.sort_indices()
         matrix = matrix.T
@@ -603,9 +660,10 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25, meshes=None):
     """Rerun solve_steklov on a ladder of mesh sizes, finest level first.
 
     Every FEM table reads its eigenvalues and error bar from here, the
-    single-size ones on (2h, h).  `meshes`, if given, holds one mesh per
-    size.  Going finest first, a failure names the size asked for, and
-    that level's spectrum (not its factor) is kept for the coarser ones.
+    single-size ones on (2h, h).  `meshes`, if given, holds exactly one
+    mesh per size, in the order of `h_list`.  Going finest first, a
+    failure names the size asked for, and that level's spectrum (not its
+    factor) is kept for the coarser ones.
     """
     h_list = [float(h) for h in h_list]
     if any(b >= a for a, b in zip(h_list[:-1], h_list[1:])):
@@ -614,7 +672,10 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25, meshes=None):
     if min(k_list) < 1:
         raise SteklovSolveError("eigenvalue indices are 1-based")
     n_eigs = max(k_list)
-    meshes = meshes or [None] * len(h_list)
+    if meshes is None:
+        meshes = [None] * len(h_list)
+    elif len(meshes) != len(h_list):
+        raise SteklovSolveError(f"need one mesh per mesh size: {len(meshes)} meshes for {len(h_list)} sizes")
     index = np.array(k_list) - 1
     values = np.empty((len(h_list), len(k_list)))
     finest = solve_steklov(domain, h_list[-1], n_eigs, grading_factor, mesh=meshes[-1])

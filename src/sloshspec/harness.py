@@ -20,6 +20,7 @@ to disk, so repeated runs of the same config produce byte-identical
 files.
 """
 
+import contextlib
 import errno
 import json
 import math
@@ -678,16 +679,31 @@ def _artifacts(config, result):
 def run_experiment(config, out_dir="."):
     """Run one configured experiment and write its artifacts.
 
-    Returns the list of file paths written.  All writes are atomic and
-    the bytes depend only on the config and package version.  A target
-    that is a directory refuses the set (IsADirectoryError naming it)
-    before any file is written.
+    Returns the list of file paths written.  The bytes depend only on
+    the config and package version.  A target that is a directory
+    refuses the set (IsADirectoryError naming it) before any file is
+    written.  The set is written all or nothing: each artifact goes
+    first to its temp file `<path>.tmp` (through `write_atomic`), and
+    only once all are written are they renamed into place.  A failed
+    write removes every temp file and re-raises, leaving `out_dir` as
+    it was; only a rename failing part way would leave the files
+    renamed before it.
     """
     os.makedirs(out_dir, exist_ok=True)
     files = [(os.path.join(out_dir, name), text) for name, text in _artifacts(config, compute_experiment(config))]
     for path, _ in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    for path, text in files:
-        write_atomic(path, text)
+    staged = []
+    try:
+        for path, text in files:
+            write_atomic(path + ".tmp", text)
+            staged.append(path + ".tmp")
+        for path, _ in files:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):  # renamed already
+                os.remove(tmp)
+        raise
     return [path for path, _ in files]

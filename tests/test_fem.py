@@ -1,6 +1,8 @@
 """P1 Steklov solver: assembly, DtN operators, spectra, convergence."""
 
 import math
+import platform
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -249,6 +251,127 @@ def test_failed_interior_factorization_raises_steklov_solve_error(iso_system, mo
     for build in (dtn_action, dtn_matrix):
         with pytest.raises(SteklovSolveError, match="interior factorization failed"):
             build(iso_system)
+
+
+def _reference_stiffness_csr(nodes, triangles):
+    """The whole-array int64 COO build that `_stiffness_csr` must match byte for byte."""
+    p0, p1, p2 = (nodes[triangles[:, i]] for i in range(3))
+    b = np.stack([p1[:, 1] - p2[:, 1], p2[:, 1] - p0[:, 1], p0[:, 1] - p1[:, 1]], axis=1)
+    c = np.stack([p2[:, 0] - p1[:, 0], p0[:, 0] - p2[:, 0], p1[:, 0] - p0[:, 0]], axis=1)
+    area2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (p1[:, 1] - p0[:, 1])
+    vals = (b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]) / (2.0 * area2)[:, None, None]
+    tris = triangles.astype(np.int64)
+    rows = np.repeat(tris, 3, axis=1).reshape(-1)
+    cols = np.tile(tris, (1, 3)).reshape(-1)
+    return sp.coo_matrix((vals.reshape(-1), (rows, cols)), shape=(len(nodes), len(nodes))).tocsr()
+
+
+@pytest.mark.parametrize(
+    "build, h, grading",
+    [
+        (lambda: build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.01, 1.0),
+        (lambda: build_triangle_domain(*EX1_ANGLES), 0.02, 0.25),
+        (lambda: build_curvilinear_example("+"), 0.03, 0.25),
+        (lambda: build_rectangle_domain(math.pi, 1.0), 0.05, 1.0),
+    ],
+    ids=["q2", "ex1", "ex2-plus", "rectangle"],
+)
+def test_stiffness_matches_the_int64_whole_array_build_byte_for_byte(build, h, grading):
+    mesh = generate_mesh(build(), h, grading)
+    rows, cols, _ = _backend.stiffness_triplets(mesh.nodes, mesh.triangles)
+    assert rows.dtype == cols.dtype == np.int32
+    got = fem_steklov._stiffness_csr(mesh.nodes, mesh.triangles)
+    want = _reference_stiffness_csr(mesh.nodes, mesh.triangles)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_stiffness_assembly_allocates_at_most_320_bytes_per_triangle():
+    # the whole-array products with int64 triplets peaked at about 440
+    mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.01, 1.0)
+    tracemalloc.start()
+    try:
+        fem_steklov._stiffness_csr(mesh.nodes, mesh.triangles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * mesh.num_triangles
+
+
+# ---------------------------------------------------------------------------
+# free heap handed back before each factorization
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def glibc_lookup():
+    """Clears the cached libc lookup around a test that patches it."""
+    fem_steklov._glibc_heap.cache_clear()
+    yield
+    fem_steklov._glibc_heap.cache_clear()
+
+
+class _NoHeapCalls:
+    """A C library with neither mallinfo2 nor malloc_trim."""
+
+    def __init__(self, name):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _fake_heap(monkeypatch, free_bytes):
+    """Route the libc lookup to a heap reporting `free_bytes` free; returns the trim calls."""
+    trims = []
+
+    def info():
+        return fem_steklov._MallInfo2(fordblks=free_bytes)
+
+    monkeypatch.setattr(fem_steklov, "_glibc_heap", lambda: (info, trims.append))
+    return trims
+
+
+def test_the_lookup_finds_no_heap_calls_where_libc_lacks_them(glibc_lookup, monkeypatch):
+    monkeypatch.setattr(fem_steklov.ctypes, "CDLL", _NoHeapCalls)
+    assert fem_steklov._glibc_heap() is None
+    fem_steklov._release_free_heap()  # a no-op
+
+
+def test_the_lookup_finds_both_heap_calls_under_glibc():
+    if platform.libc_ver()[0] == "glibc":
+        assert fem_steklov._glibc_heap() is not None
+
+
+@pytest.mark.parametrize("n", [3, 400])
+def test_the_trim_gate_reads_only_the_free_heap_glibc_reports(n, monkeypatch):
+    # the same gate for a tiny and a larger matrix: trim once glibc
+    # reports _TRIM_FREE_BYTES free, never below
+    matrix = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
+    for free, trimmed in ((fem_steklov._TRIM_FREE_BYTES - 1, []), (fem_steklov._TRIM_FREE_BYTES, [0])):
+        trims = _fake_heap(monkeypatch, free)
+        _factor(matrix, "pencil")
+        assert trims == trimmed
+
+
+def test_handing_back_free_heap_leaves_every_bit_of_a_solve(glibc_lookup, monkeypatch):
+    domain = build_triangle_domain(*EX1_ANGLES)
+
+    def solve():
+        spec = solve_steklov(domain, 0.02, 8)
+        return spec.eigenvalues.tobytes(), spec.traces.tobytes()
+
+    default = solve()
+    monkeypatch.setattr(fem_steklov, "_TRIM_FREE_BYTES", 0)  # trim before every factorization
+    info, trim = fem_steklov._glibc_heap()
+    trims = []
+    monkeypatch.setattr(fem_steklov, "_glibc_heap", lambda: (info, lambda pad: trims.append(trim(pad))))
+    assert solve() == default
+    assert len(trims) == 1
+    monkeypatch.undo()
+    fem_steklov._glibc_heap.cache_clear()
+    monkeypatch.setattr(fem_steklov.ctypes, "CDLL", _NoHeapCalls)
+    assert solve() == default
 
 
 # ---------------------------------------------------------------------------
@@ -822,6 +945,20 @@ def test_convergence_study_validates_inputs():
         convergence_study(domain, (0.05, 0.05), (1,))
     with pytest.raises(SteklovSolveError, match="1-based"):
         convergence_study(domain, (0.1, 0.05), (0, 1))
+
+
+def test_convergence_study_needs_exactly_one_mesh_per_size():
+    # a short mesh list once reused the last mesh for the missing sizes,
+    # giving equal rows and a zero error bar
+    domain = build_rectangle_domain(math.pi, 1.0)
+    coarse, fine = (generate_mesh(domain, h) for h in (0.04, 0.02))
+    for meshes in ([coarse], [coarse, fine, fine], []):
+        with pytest.raises(SteklovSolveError, match=f"{len(meshes)} meshes for 2 sizes"):
+            convergence_study(domain, (0.04, 0.02), (1, 2, 3), meshes=meshes)
+    given = convergence_study(domain, (0.04, 0.02), (2, 3, 4), meshes=[coarse, fine])
+    meshed = convergence_study(domain, (0.04, 0.02), (2, 3, 4))
+    assert given.values.tobytes() == meshed.values.tobytes()
+    assert (given.errbar > 0).all()
 
 
 def test_two_level_study_uses_order_two_fallback():

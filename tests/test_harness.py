@@ -1,5 +1,6 @@
 """Experiment configs, comparison reports, artifact writing, CLI."""
 
+import errno
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from sloshspec import harness
 from sloshspec.geometry.domain import build_rectangle_domain, build_triangle_domain
 from sloshspec.geometry.io import domain_to_json, read_mesh_text
 from sloshspec.harness import (
@@ -395,6 +397,35 @@ def test_run_experiment_custom_artifacts(tmp_path):
     # reruns are byte-identical
     again = run_experiment(config, str(tmp_path / "b"))
     assert open(again[0], "rb").read() == open(paths[0], "rb").read()
+
+
+def test_run_experiment_that_fails_its_second_write_leaves_the_directory_as_it_was(tmp_path, monkeypatch):
+    config = ExperimentConfig(
+        kind="custom",
+        domain=domain_to_json(build_rectangle_domain(math.pi, 1.0)),
+        h=0.08,
+        kmax=3,
+        label="tank",
+    )
+    (tmp_path / "tank.csv").write_text("stale\n")
+    writes = []
+
+    def second_fails(path, text):
+        writes.append(path)
+        if len(writes) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device", path)
+        write_atomic(path, text)
+
+    monkeypatch.setattr(harness, "write_atomic", second_fails)
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(config, str(tmp_path))
+    assert [os.path.basename(p) for p in writes] == ["tank.csv.tmp", "tank_lambda.csv.tmp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tank.csv"]
+    assert (tmp_path / "tank.csv").read_text() == "stale\n"
+    monkeypatch.undo()
+    paths = run_experiment(config, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tank.csv", "tank_lambda.csv"]
+    assert open(paths[0]).read().startswith("k,lambda,errbar\n")
 
 
 def test_run_experiment_report_artifacts(tmp_path):
