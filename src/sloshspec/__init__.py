@@ -5,10 +5,10 @@ free fluid oscillation in a two-dimensional container, together with
 the closed-form objects that describe their asymptotics: quasi-frequency
 lattices, higher-order Sturm-Liouville spectra, and explicit corner
 model solutions.  A P1 finite element solver checks those asymptotics:
-`solve_steklov` takes a domain or mesh to eigenpairs and the assembled
-system, whose Schur-complement Dirichlet-to-Neumann map serves the
-residual checks and dumps.  A configuration-driven harness reproduces
-the worked eigenvalue tables.
+`solve_steklov` takes a domain or mesh to eigenpairs, and on demand to
+the assembled system, whose Schur-complement Dirichlet-to-Neumann map
+serves the residual checks and dumps.  A configuration-driven harness
+reproduces the worked eigenvalue tables.
 """
 
 from .asymptotics import (

@@ -193,7 +193,7 @@ def _cmd_asymptotics(args):
     alpha, beta, length = (converted(flag, getattr(args, flag), float) for flag in ("alpha", "beta", "length"))
     kmax = converted("kmax", args.kmax, int)
     if kmax < 1:
-        raise ConfigError("kmax", f"kmax must be at least 1, got {kmax}")
+        raise ConfigError("kmax", f"must be at least 1, got {kmax}")
     if not (length > 0 and math.isfinite(length)):
         raise ConfigError("length", f"must be positive and finite, got {length}")
     corners = []

@@ -10,10 +10,10 @@ tridiagonal in path order, and its banded Cholesky factor M = R^T R is
 made once per system.  The sparse pencil K u = lambda B u,
 B = diag(0, M), is solved for its lowest pairs by standard Lanczos on
 an operator of surface size, which costs one sparse factorization of
-the shifted pencil; the spectrum keeps its mesh and system.  The
-surface traces of the eigenvectors, the trailing rows of u, are the
-eigenvectors of the discrete Dirichlet-to-Neumann (DtN) map, never
-formed on this path.
+the shifted pencil; the spectrum keeps its mesh and assembles its
+system again when it is first read.  The surface traces of the
+eigenvectors, the trailing rows of u, are the eigenvectors of the
+discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
 
 A mesh that is its own mirror image, under the reflection that swaps
 the ends of the surface (the pi/(2q) triangle and the rectangle, meshed
@@ -42,23 +42,27 @@ transpose, a CSC view, not a CSC copy.  All steps are deterministic for
 a fixed mesh.
 
 Memory: the factor and SuperLU's working arrays set the peak of a fine
-solve, so nothing else is held across a factorization that the next
-stage does not read.  The spectrum keeps its surface traces as their
-own (ns, k) array rather than a view into all n rows of the
-eigenvectors, and callers that need only the assembled system let the
-mesh go before K_II is factored.  A mirrored mesh factors its halves
-one after the other, so only one half factor, about half the full
-one's entries, is alive at a time, and a residual study factors K_II
-of only the halves its traces lie in.  Freed memory is not gone:
-glibc keeps freed heap resident, and after one fine solve its
-threshold for handing heap back has risen, so the temporaries of the
-next assembly and mesh would stay resident under the next factor.
-`_factor` therefore first hands glibc's free heap back to the OS
-(malloc_trim) once glibc reports 8 MiB or more of it, and the
-stiffness assembly keeps its own transient small (int32 triplets,
-element products formed in place).  What binds a fine run is then the
-factor itself: on the pi/4 triangle at h = 0.002 each half pencil's
-factor, on top of the full system and its mesh.
+solve, so each factorization of a solve starts with its pencil
+A = K - sigma B the only matrix of its size alive.  The stiffness is
+assembled only where a pencil is built and goes once A is formed:
+pairs are checked against A, the spectrum keeps its mesh rather than
+its system, and a mirrored mesh is assembled again for each half
+pencil, just before that half is factored, so only one half factor,
+about half the full one's entries, is alive at a time.  The spectrum
+keeps its surface traces as their own (ns, k) array rather than a view
+into all n rows of the eigenvectors.  A residual study lets the mesh
+and the full system go before K_II is factored, and factors K_II of
+only the halves its traces lie in.  Freed memory is not gone: glibc
+keeps freed heap resident, and after one fine solve its threshold for
+handing heap back has risen.  `_factor` therefore hands glibc's free
+heap back to the OS (malloc_trim) before SuperLU allocates, so the
+temporaries of the last assembly and mesh do not stay under the
+factor, and again once SuperLU returns, so its freed working arrays do
+not stay under the eigensolve.  The stiffness assembly keeps its own
+transient small (int32 triplets, element products formed in place).
+What binds a fine run is then the factor itself; of the fine runs
+measured, example 1's full Neumann pencil at h = 0.005 (3.5M stored
+factor entries) sets the peak.
 """
 
 import ctypes
@@ -76,11 +80,13 @@ from .geometry import generate_mesh
 
 _SCHUR_BLOCK_BYTES = 2 * 10**8
 
-# Free heap that `_factor` hands back to the OS before it factors.  Freed
-# memory that glibc keeps stays resident while SuperLU allocates the
-# factor, so on a fine mesh it adds to the peak; below this, handing it
-# back saves no peak worth the page faults that take it back again.
-_TRIM_FREE_BYTES = 8 << 20
+# `_factor` hands free heap back only around a matrix with at least this
+# many stored entries.  The pencils of a fine solve hold 2.5e5 to 3.2e5
+# and factor into 3M or more, more than the heap glibc keeps free, which
+# would otherwise stay resident under the factor.  The matrices of coarse
+# meshes (under 1.2e4 entries) factor inside that heap, and a trim around
+# each only costs the page faults that take the memory back.
+_TRIM_NNZ = 1 << 17
 
 # ARPACK's relative accuracy target for the Ritz values of the surface
 # operator.  Against tol=0 (machine precision) it saves about 8 of the
@@ -105,9 +111,9 @@ class AssembledSystem:
     corner B.  `s_coords` gives those surface rows' arc length from
     corner A, and `surface_mass` the 1D P1 mass matrix among them.
     `surface_length` is the length of the whole surface polyline,
-    eliminated endpoints included.  `mirror`, set by `solve_steklov`
-    when the mesh is its own mirror image, maps each row to the row of
-    its mirror node (see `half_system`); it is None otherwise.
+    eliminated endpoints included.  `mirror`, set on the systems of a
+    mesh that is its own mirror image, maps each row to the row of its
+    mirror node (see `half_system`); it is None otherwise.
     """
 
     stiffness: sp.csr_matrix
@@ -159,21 +165,33 @@ class SteklovSpectrum:
     """Lowest eigenvalues with surface traces, and what produced them.
 
     Traces are columns, orthonormal in the surface mass inner product;
-    their rows follow `system.s_coords`.  `eigen_residual` is the largest
-    pair residual |K u - lambda B u| relative to max(1, lambda_max), and
+    their rows follow `s_coords`.  `eigen_residual` is the largest pair
+    residual |K u - lambda B u| relative to max(1, lambda_max), and
     `pencil_solves` counts the solves with the pencil factor that the
     eigensolve made.  `parity` is +1 for an eigenvector that is even
     under the mesh's mirror reflection, -1 for an odd one, and 0 for
-    every pair of a mesh that does not mirror.
+    every pair of a mesh that does not mirror.  `mirror` holds the
+    mirror rows of a mesh that is its own mirror image (see
+    `_mirror_rows`), else None.
+
+    The spectrum keeps its mesh, not the assembled system: `system`
+    assembles the mesh again on first use, with the same `mirror`.
+    Assembly is deterministic, so the stiffness has the bytes the solve
+    factored, and no stiffness stays alive under a later factorization
+    of a caller that never reads it.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
     mesh: object
-    system: AssembledSystem
     eigen_residual: float
     pencil_solves: int
     parity: np.ndarray
+    mirror: np.ndarray = None
+
+    @cached_property
+    def system(self):
+        return replace(assemble(self.mesh), mirror=self.mirror)
 
     @property
     def s_coords(self):
@@ -215,15 +233,19 @@ def _stiffness_csr(nodes, triangles):
     return sp.coo_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes))).tocsr()
 
 
-def assemble(mesh):
-    """Assemble stiffness and surface mass matrices for a mesh."""
+def _layout(mesh):
+    """Everything `assemble` returns but the stiffness, which stays None.
+
+    The free-node rows, the surface coordinates and the surface mass
+    cost a small part of an assembly, so `solve_steklov` reads the
+    surface size and the mirror from this and assembles the stiffness
+    only where it builds a pencil.
+    """
     nodes = mesh.nodes
     n = len(nodes)
     s_edges = mesh.edges_with_tag("steklov")
     if len(s_edges) == 0:
         raise SteklovSolveError("mesh carries no steklov-tagged edges")
-    stiffness = _stiffness_csr(nodes, mesh.triangles)
-
     free_mask = np.ones(n, dtype=bool)
     free_mask[mesh.edges_with_tag("dirichlet")] = False
     path = _chain_surface_path(s_edges)
@@ -240,14 +262,20 @@ def assemble(mesh):
 
     interior_mask = free_mask.copy()
     interior_mask[path] = False
-    row_nodes = np.concatenate([np.where(interior_mask)[0], path[keep]])
     return AssembledSystem(
-        stiffness=stiffness[row_nodes][:, row_nodes],
-        row_nodes=row_nodes,
+        stiffness=None,
+        row_nodes=np.concatenate([np.where(interior_mask)[0], path[keep]]),
         s_coords=s_arclength[keep],
         surface_mass=mass[keep][:, keep],
         surface_length=float(cum[-1]),
     )
+
+
+def assemble(mesh):
+    """Assemble stiffness and surface mass matrices for a mesh."""
+    system = _layout(mesh)
+    rows = system.row_nodes
+    return replace(system, stiffness=_stiffness_csr(mesh.nodes, mesh.triangles)[rows][:, rows])
 
 
 def _sorted_cells(cells):
@@ -341,41 +369,23 @@ def half_system(system, parity):
     return half, surface_basis
 
 
-class _MallInfo2(ctypes.Structure):
-    """glibc's struct mallinfo2 (glibc 2.33 and later)."""
-
-    _fields_ = [
-        (name, ctypes.c_size_t)
-        for name in (
-            "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost"
-        )
-    ]
-
-
 @cache
-def _glibc_heap():
-    """glibc's (mallinfo2, malloc_trim) in the running process, or None where either is missing."""
+def _malloc_trim():
+    """glibc's malloc_trim in the running process, or None where it is missing."""
     try:
-        libc = ctypes.CDLL(None)
-        info, trim = libc.mallinfo2, libc.malloc_trim
+        trim = ctypes.CDLL(None).malloc_trim
     except (AttributeError, OSError, TypeError):
         return None
-    info.argtypes = []
-    info.restype = _MallInfo2
     trim.argtypes = [ctypes.c_size_t]
     trim.restype = ctypes.c_int
-    return info, trim
+    return trim
 
 
 def _release_free_heap():
-    """Hand glibc's free heap back to the OS once it holds _TRIM_FREE_BYTES or more.
-
-    The gate reads only glibc's own count of free heap bytes (mallinfo2's
-    fordblks).  Where glibc lacks either call this does nothing.
-    """
-    heap = _glibc_heap()
-    if heap is not None and heap[0]().fordblks >= _TRIM_FREE_BYTES:
-        heap[1](0)
+    """Hand glibc's free heap back to the OS; where libc lacks malloc_trim this does nothing."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
 
 
 def _factor(matrix, what):
@@ -390,11 +400,14 @@ def _factor(matrix, what):
     permutation differs from its column permutation pivoted off the
     diagonal, and is rejected.  `what` names the matrix in the error.
 
+    For a matrix of _TRIM_NNZ or more entries, free heap that glibc
+    kept is handed back (`_release_free_heap`) before SuperLU allocates
+    anything, so the factor does not stack on memory the process no
+    longer uses, and again once it returns, so its freed working arrays
+    do not stay under the eigensolve.
+
     SuperLU reads CSC and copies nothing it gets in that form, so a CSC
-    `matrix` goes to it unchanged.  Before SuperLU allocates anything,
-    free heap that glibc kept is handed back (`_release_free_heap`), so
-    the factor does not stack on memory the process no longer uses.
-    A CSR `matrix` has its indices sorted
+    `matrix` goes to it unchanged.  A CSR `matrix` has its indices sorted
     in place and goes as its transpose, a CSC view of the same three
     arrays, with no copy.  That view is entry for entry what tocsc()
     would build, because every matrix factored here is exactly
@@ -408,7 +421,9 @@ def _factor(matrix, what):
     stored stiffness would move the bits of every sparse product that
     sums in its storage order.
     """
-    _release_free_heap()
+    large = matrix.nnz >= _TRIM_NNZ
+    if large:
+        _release_free_heap()
     if matrix.format == "csr":
         matrix.sort_indices()
         matrix = matrix.T
@@ -421,6 +436,8 @@ def _factor(matrix, what):
         )
     except RuntimeError as exc:
         raise SteklovSolveError(f"{what} factorization failed: {exc}") from exc
+    if large:
+        _release_free_heap()
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SteklovSolveError(f"{what} factorization pivoted off the diagonal")
     return lu
@@ -484,14 +501,47 @@ def dtn_matrix(system):
     )
 
 
-def _sloshing_pairs(system, n_eigs):
+@dataclass
+class _Pencil:
+    """The shifted pencil of one system, and what its eigensolve reads besides.
+
+    `matrix` is A = K - sigma B, with B = diag(0, M) for the surface
+    mass M and sigma = -1/l below the spectrum (l the surface length),
+    so A is SPD for every wall condition.  The stiffness K is not kept:
+    pairs are checked against A, since K u - lambda B u =
+    A u - (lambda - sigma) B u, so A is the only matrix of its size alive
+    while A is factored.  `surface_basis` maps the surface rows of a half
+    back onto the full system's; it is None for a full system.
+    """
+
+    matrix: sp.csr_matrix
+    interior_count: int
+    surface_mass: sp.csr_matrix
+    surface_cholesky: np.ndarray
+    sigma: float
+    surface_basis: sp.csr_matrix = None
+
+
+def _pencil(system, parity=0):
+    """The pencil of `system`, or of its even (`parity` 1) or odd (-1) half."""
+    surface_basis = None
+    if parity:
+        system, surface_basis = half_system(system, parity)
+    ni = system.interior_count
+    sigma = -1.0 / system.surface_length
+    B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
+    return _Pencil(
+        system.stiffness - sigma * B, ni, system.surface_mass, system.surface_cholesky, sigma, surface_basis
+    )
+
+
+def _sloshing_pairs(pencil, n_eigs):
     """Lowest n_eigs eigenpairs of the sparse pencil K u = lambda B u.
 
     K is the free-node stiffness and B = diag(0, M), the surface mass M
-    in the trailing block, so B is only semidefinite.  A shift
-    sigma = -1/l below the spectrum (l the surface length) makes
-    A = K - sigma B SPD for every wall condition, and A is factored once.
-    With the surface Cholesky factor M = R^T R, the surface operator
+    in the trailing block, so B is only semidefinite.  The shifted
+    pencil A = K - sigma B (see `_Pencil`) is factored once.  With the
+    surface Cholesky factor M = R^T R, the surface operator
     T y = R (A^{-1} [0; R^T y])_S is symmetric positive definite, and its
     eigenvalues theta = 1/(lambda - sigma) are those of the pencil's
     finite spectrum, the largest for the lowest lambda.  Standard
@@ -504,17 +554,16 @@ def _sloshing_pairs(system, n_eigs):
     in the surface mass inner product because Y is orthonormal), the
     largest relative pair residual and the count of solves with A.
     """
-    ns = len(system.s_coords)
-    K = system.stiffness
-    n = K.shape[0]
-    ni = system.interior_count
-    mass = system.surface_mass
-    cb = system.surface_cholesky
+    A = pencil.matrix
+    n = A.shape[0]
+    ni = pencil.interior_count
+    ns = n - ni
+    mass = pencil.surface_mass
+    cb = pencil.surface_cholesky
     R = sp.diags([cb[1], cb[0, 1:]], [0, 1], format="csr")
     Rt = R.T.tocsr()
-    sigma = -1.0 / system.surface_length
-    B = sp.block_diag((sp.csr_matrix((ni, ni)), mass), format="csr")
-    lu = _factor(K - sigma * B, "pencil")
+    sigma = pencil.sigma
+    lu = _factor(A, "pencil")
     solves = 0
 
     def lift_solve(Y):
@@ -537,8 +586,8 @@ def _sloshing_pairs(system, n_eigs):
     w = w[order]
     u = lift_solve(Y[:, order]) / theta[order]
     scale = max(1.0, abs(w[-1]))
-    resid = K @ u
-    resid[ni:] -= (mass @ u[ni:]) * w
+    resid = A @ u
+    resid[ni:] -= (mass @ u[ni:]) * (w - sigma)
     residual = np.linalg.norm(resid, axis=0).max()
     if not residual <= 1e-8 * scale:
         raise SteklovSolveError(
@@ -550,32 +599,34 @@ def _sloshing_pairs(system, n_eigs):
     return np.clip(w, 0.0, None), u[ni:].copy(), residual / scale, solves
 
 
-def _split_pairs(system, n_eigs):
-    """Lowest n_eigs pairs of a mirrored system, solved as its two halves.
+def _split_pairs(mesh, mirror, n_eigs):
+    """Lowest n_eigs pairs of a mesh that mirrors, solved as its two halves.
 
-    Each half (see `half_system`) goes through `_sloshing_pairs` in
-    turn, so only one pencil factor is alive at a time; each is asked
-    for ceil(n_eigs/2) + 1 pairs.  The union is
-    certified: every eigenvalue a half did not return lies at or above
-    the largest it did, so the n_eigs-th lowest of the union must lie
-    below the largest of each half.  A half that fails the check is
-    solved again for n_eigs + 1 pairs, which suffices unless eigenvalues
-    tie.  Returns the pairs as `_sloshing_pairs` does, the traces mapped
-    back onto the surface rows (still orthonormal in the surface mass),
-    with the parity of each pair; or None when a half is too small for
-    the pairs asked of it or the union stays uncertified.
+    `mirror` holds the mesh's mirror rows (see `_mirror_rows`).  Each
+    half (see `half_system`) goes through `_sloshing_pairs` in turn,
+    its pencil made from an assembly of the mesh just before it is
+    factored, so no stiffness and no other pencil is alive under a
+    factorization; each is asked for ceil(n_eigs/2) + 1 pairs.  The
+    union is certified: every eigenvalue a half did not return lies at
+    or above the largest it did, so the n_eigs-th lowest of the union
+    must lie below the largest of each half.  A half that fails the
+    check is solved again for n_eigs + 1 pairs, which suffices unless
+    eigenvalues tie.  Returns the pairs as `_sloshing_pairs` does, the
+    traces mapped back onto the surface rows (still orthonormal in the
+    surface mass), with the parity of each pair; or None when a half is
+    too small for the pairs asked of it or the union stays uncertified.
     """
     ask = dict.fromkeys((1, -1), n_eigs // 2 + n_eigs % 2 + 1)
     found = {}
     solves = 0
     while ask:
         for parity, count in ask.items():
-            half, surface_basis = half_system(system, parity)
-            if count >= len(half.s_coords):  # beyond what Lanczos can return
+            pencil = _pencil(replace(assemble(mesh), mirror=mirror), parity)
+            if count >= pencil.surface_mass.shape[0]:  # beyond what Lanczos can return
                 return None
-            w, traces, residual, used = _sloshing_pairs(half, count)
-            del half  # its pencil factor went with the call; the next half factors its own
-            found[parity] = (w, surface_basis @ traces, residual)
+            w, traces, residual, used = _sloshing_pairs(pencil, count)
+            found[parity] = (w, pencil.surface_basis @ traces, residual)
+            del pencil  # its factor went with the call; the next half factors its own
             solves += used
         values = np.concatenate([found[1][0], found[-1][0]])
         nth = np.sort(values)[n_eigs - 1] if len(values) >= n_eigs else math.inf
@@ -592,47 +643,47 @@ def _split_pairs(system, n_eigs):
 def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
 
-    Meshes the domain unless `mesh` is given, assembles it once, and
-    solves the pencil K u = lambda B u of the stiffness and the embedded
-    surface mass by Lanczos on a surface-size operator with one sparse
-    factorization of the shifted pencil (see _sloshing_pairs), without
-    forming the dense DtN matrix.  A mesh that is its own mirror image
-    (see _mirror_rows) is solved as its even and odd halves instead,
-    one half pencil after the other (see _split_pairs); its system
-    keeps the mirror.  Any other mesh takes the full pencil.  Requires
-    the surface to carry at least 4 * n_eigs nodes so the top requested
-    mode stays resolved; every returned pair passes an a posteriori
-    residual check.  The returned spectrum keeps the mesh and the full
-    assembled system, so a DtN dump or a residual study needs no second
+    Meshes the domain unless `mesh` is given and solves the pencil
+    K u = lambda B u of the stiffness and the embedded surface mass by
+    Lanczos on a surface-size operator with one sparse factorization of
+    the shifted pencil (see _sloshing_pairs), without forming the dense
+    DtN matrix.  A mesh that is its own mirror image (see _mirror_rows)
+    is solved as its even and odd halves instead, one half pencil after
+    the other (see _split_pairs); any other mesh takes the full pencil.
+    The surface size and the mirror are read off the mesh's layout
+    (`_layout`), and the stiffness is assembled only where a pencil is
+    built, so each factorization starts with its pencil the only matrix
+    of its size alive.  Requires the surface to carry at least
+    4 * n_eigs nodes so the top requested mode stays resolved; every
+    returned pair passes an a posteriori residual check.  The returned
+    spectrum keeps the mesh and the mirror; its `system` is assembled
+    again on first use, so a DtN dump or a residual study pays one more
     assembly.
     """
     if n_eigs < 1:
         raise SteklovSolveError("n_eigs must be at least 1")
     if mesh is None:
         mesh = generate_mesh(domain, h, grading_factor)
-    system = assemble(mesh)
-    ns = len(system.s_coords)
+    layout = _layout(mesh)
+    ns = len(layout.s_coords)
     if ns < 4 * n_eigs:
         raise SteklovSolveError(
             f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
             "resolution guard; decrease h"
         )
-    mirror = _mirror_rows(mesh, system)
-    split = None
-    if mirror is not None:
-        system = replace(system, mirror=mirror)
-        split = _split_pairs(system, n_eigs)
+    mirror = _mirror_rows(mesh, layout)
+    split = None if mirror is None else _split_pairs(mesh, mirror, n_eigs)
     if split is None:
-        split = *_sloshing_pairs(system, n_eigs), np.zeros(n_eigs, dtype=np.int64)
+        split = *_sloshing_pairs(_pencil(assemble(mesh)), n_eigs), np.zeros(n_eigs, dtype=np.int64)
     eigenvalues, traces, eigen_residual, pencil_solves, parity = split
     return SteklovSpectrum(
         eigenvalues=eigenvalues,
         traces=traces,
         mesh=mesh,
-        system=system,
         eigen_residual=eigen_residual,
         pencil_solves=pencil_solves,
         parity=parity,
+        mirror=mirror,
     )
 
 
@@ -644,7 +695,8 @@ class ConvergenceStudy:
     limits extrapolate the two finest meshes with the observed order
     (default 2 when fewer than three meshes are available), and `errbar`
     is twice the last eigenvalue increment, per k.  `finest` is the
-    finest level's spectrum, with its mesh and assembled system.
+    finest level's spectrum, with its mesh; its `system` is assembled
+    again on first use.
     """
 
     h_values: tuple

@@ -88,9 +88,9 @@ class ExperimentConfig:
         if not 0 < self.h < math.inf:
             raise ConfigError("h", f"mesh size must be positive and finite, got {self.h}")
         if self.kmax < 1:
-            raise ConfigError("kmax", f"kmax must be at least 1, got {self.kmax}")
+            raise ConfigError("kmax", f"must be at least 1, got {self.kmax}")
         if self.q < 1:
-            raise ConfigError("q", f"q must be a positive integer, got {self.q}")
+            raise ConfigError("q", f"must be a positive integer, got {self.q}")
         if not 0 < self.surface_length < math.inf:
             raise ConfigError("surface_length", f"must be positive and finite, got {self.surface_length}")
         if not 0 < self.grading_factor <= 1:
@@ -385,7 +385,7 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
             "with no interior; use q >= 2",
         )
     if q < 1:
-        raise ConfigError("q", f"q must be a positive integer, got {q}")
+        raise ConfigError("q", f"must be a positive integer, got {q}")
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
 
@@ -428,17 +428,19 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     last being the distance from sigma_k to the nearest computed
     eigenvalue.
 
-    Of the spectrum only the assembled system, the eigenvalues and the
-    node count are kept: the mesh and the eigenvector traces are freed
-    before the DtN action factors K_II, the largest allocation of the
-    study on a fine mesh.  On a mesh that mirrors (the default grading
-    1.0 meshes do, at most sizes), trace k is even for odd k and odd for
-    even k, so it is pushed through the DtN action of that half system
-    alone, and its residual norm taken with that half's surface mass:
-    the same numbers to rounding, with K_II factored for one half, one
-    half after the other when k_list mixes parities.  A trace outside
-    either half's range, and every trace on a mesh that does not mirror,
-    uses the full K_II.
+    Of the spectrum only the assembled system (assembled again from the
+    mesh, see `SteklovSpectrum`), the eigenvalues and the node count are
+    kept: the mesh and the eigenvector traces are freed before the DtN
+    action factors K_II, the largest allocation of the study on a fine
+    mesh.  On a mesh that mirrors (the default grading 1.0 meshes do,
+    at most sizes), trace k is even for odd k and odd for even k, so it
+    is pushed through the DtN action of that half system alone, and its
+    residual norm taken with that half's surface mass: the same numbers
+    to rounding, with K_II factored for one half, one half after the
+    other when k_list mixes parities.  The halves are built first and
+    the full system then goes, so no full stiffness is alive under a
+    half's K_II factor.  A trace outside either half's range, and every
+    trace on a mesh that does not mirror, uses the full K_II.
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
@@ -458,9 +460,14 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
         sigma = ode_asymptotic_prediction(q, surface_length, k)
         trace = quasimode_trace(q, sigma, system.s_coords, surface_length)
         traces[k] = sigma, trace / math.sqrt(float(trace @ (mass @ trace)))
+    parts = [
+        (ks, *((system, None) if parity == 0 else half_system(system, parity)))
+        for parity, ks in _by_parity(system, traces).items()
+    ]
+    del system  # a half's K_II is factored without the full stiffness alive
     rows = []
-    for parity, ks in _by_parity(system, traces).items():
-        part, basis = (system, None) if parity == 0 else half_system(system, parity)
+    while parts:
+        ks, part, basis = parts.pop(0)
         apply_action = dtn_action(part)
         mass_factor = (part.surface_cholesky, False)
         for k in ks:
@@ -527,8 +534,9 @@ class ExperimentTable:
 
     `metadata`, when set, becomes `<stem>_meta.json`; each series entry
     (name, xs, ys) becomes the two-column `<stem>_<name>.csv`.  A custom
-    run also keeps its fine-level `spectrum`, whose mesh and assembled
-    system the CLI dumps on request; it is not part of an artifact.
+    run also keeps its fine-level `spectrum`, whose mesh, and DtN map of
+    its system (assembled again on first use), the CLI dumps on request;
+    it is not part of an artifact.
     """
 
     header: tuple

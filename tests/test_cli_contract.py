@@ -95,6 +95,26 @@ def test_hostile_input_exits_with_one_json_error(tmp_path, monkeypatch, capsys, 
     assert (tmp_path / "existing").is_dir() and not list((tmp_path / "existing").iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fem", "--domain", "tri.json", "--h", "0.1", "--neigs", "0"], "neigs: must be at least 1, got 0"),
+        (["sl", "--q", "2", "--kmax", "0"], "kmax: must be at least 1, got 0"),
+        (["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", "0"], "kmax: must be at least 1, got 0"),
+        (["sl", "--q", "0"], "q: must be a positive integer, got 0"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_a_config_error_names_the_flag_typed_once(tmp_path, monkeypatch, capsys, argv, message):
+    # fem --neigs sets field kmax: the reason must not repeat the field's own name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.json").write_text(json.dumps(domain_to_json(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0))))
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"field": argv[-2].lstrip("-"), "message": message, "type": "config"}
+
+
 def test_a_run_refused_by_one_target_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):
     # the main table used to be written before the metadata's target was found to be a directory
     monkeypatch.chdir(tmp_path)

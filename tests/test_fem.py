@@ -1,5 +1,6 @@
 """P1 Steklov solver: assembly, DtN operators, spectra, convergence."""
 
+import gc
 import math
 import platform
 import tracemalloc
@@ -17,6 +18,7 @@ from sloshspec import _backend, fem_steklov, harness
 from sloshspec.fem_steklov import (
     SteklovSolveError,
     _factor,
+    _pencil,
     _sloshing_pairs,
     assemble,
     convergence_study,
@@ -300,19 +302,19 @@ def test_stiffness_assembly_allocates_at_most_320_bytes_per_triangle():
 
 
 # ---------------------------------------------------------------------------
-# free heap handed back before each factorization
+# free heap handed back around each factorization
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
 def glibc_lookup():
     """Clears the cached libc lookup around a test that patches it."""
-    fem_steklov._glibc_heap.cache_clear()
+    fem_steklov._malloc_trim.cache_clear()
     yield
-    fem_steklov._glibc_heap.cache_clear()
+    fem_steklov._malloc_trim.cache_clear()
 
 
 class _NoHeapCalls:
-    """A C library with neither mallinfo2 nor malloc_trim."""
+    """A C library without malloc_trim."""
 
     def __init__(self, name):
         pass
@@ -321,40 +323,31 @@ class _NoHeapCalls:
         raise AttributeError(name)
 
 
-def _fake_heap(monkeypatch, free_bytes):
-    """Route the libc lookup to a heap reporting `free_bytes` free; returns the trim calls."""
-    trims = []
-
-    def info():
-        return fem_steklov._MallInfo2(fordblks=free_bytes)
-
-    monkeypatch.setattr(fem_steklov, "_glibc_heap", lambda: (info, trims.append))
-    return trims
-
-
 def test_the_lookup_finds_no_heap_calls_where_libc_lacks_them(glibc_lookup, monkeypatch):
     monkeypatch.setattr(fem_steklov.ctypes, "CDLL", _NoHeapCalls)
-    assert fem_steklov._glibc_heap() is None
+    assert fem_steklov._malloc_trim() is None
     fem_steklov._release_free_heap()  # a no-op
 
 
-def test_the_lookup_finds_both_heap_calls_under_glibc():
+def test_the_lookup_finds_malloc_trim_under_glibc():
     if platform.libc_ver()[0] == "glibc":
-        assert fem_steklov._glibc_heap() is not None
+        assert fem_steklov._malloc_trim() is not None
 
 
-@pytest.mark.parametrize("n", [3, 400])
-def test_the_trim_gate_reads_only_the_free_heap_glibc_reports(n, monkeypatch):
-    # the same gate for a tiny and a larger matrix: trim once glibc
-    # reports _TRIM_FREE_BYTES free, never below
-    matrix = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csc")
-    for free, trimmed in ((fem_steklov._TRIM_FREE_BYTES - 1, []), (fem_steklov._TRIM_FREE_BYTES, [0])):
-        trims = _fake_heap(monkeypatch, free)
-        _factor(matrix, "pencil")
-        assert trims == trimmed
+@pytest.mark.parametrize("n", [fem_steklov._TRIM_NNZ - 1, fem_steklov._TRIM_NNZ])
+def test_the_trim_gate_reads_only_the_matrix_being_factored(n, monkeypatch):
+    # the heap goes back before and after the factorization of a matrix
+    # of _TRIM_NNZ entries or more, never around a smaller one
+    trims = []
+    monkeypatch.setattr(fem_steklov, "_malloc_trim", lambda: trims.append)
+    _factor(sp.diags(np.full(n, 4.0), format="csc"), "pencil")
+    assert trims == ([0, 0] if n >= fem_steklov._TRIM_NNZ else [])
 
 
 def test_handing_back_free_heap_leaves_every_bit_of_a_solve(glibc_lookup, monkeypatch):
+    # with the gate at 0 the free heap goes back before and after the one
+    # pencil factorization; the solve has the bytes it has with the gate
+    # closed and without malloc_trim
     domain = build_triangle_domain(*EX1_ANGLES)
 
     def solve():
@@ -362,14 +355,14 @@ def test_handing_back_free_heap_leaves_every_bit_of_a_solve(glibc_lookup, monkey
         return spec.eigenvalues.tobytes(), spec.traces.tobytes()
 
     default = solve()
-    monkeypatch.setattr(fem_steklov, "_TRIM_FREE_BYTES", 0)  # trim before every factorization
-    info, trim = fem_steklov._glibc_heap()
+    monkeypatch.setattr(fem_steklov, "_TRIM_NNZ", 0)
+    trim = fem_steklov._malloc_trim()
     trims = []
-    monkeypatch.setattr(fem_steklov, "_glibc_heap", lambda: (info, lambda pad: trims.append(trim(pad))))
+    monkeypatch.setattr(fem_steklov, "_malloc_trim", lambda: lambda pad: trims.append(trim(pad)))
     assert solve() == default
-    assert len(trims) == 1
+    assert len(trims) == 2
     monkeypatch.undo()
-    fem_steklov._glibc_heap.cache_clear()
+    fem_steklov._malloc_trim.cache_clear()
     monkeypatch.setattr(fem_steklov.ctypes, "CDLL", _NoHeapCalls)
     assert solve() == default
 
@@ -822,7 +815,7 @@ def test_a_mirrored_mesh_splits_into_halves_with_the_full_spectrum(build, h, wal
     mesh = generate_mesh(build(wall), h, 1.0)
     spec = solve_steklov(None, h, 10, mesh=mesh)
     assert spec.system.mirror is not None
-    w, traces, _, _ = _sloshing_pairs(assemble(mesh), 10)  # the full path
+    w, traces, _, _ = _sloshing_pairs(_pencil(assemble(mesh)), 10)  # the full path
     rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
     assert rel.max() <= 1e-10
     mass = spec.system.surface_mass
@@ -852,7 +845,7 @@ def test_a_mesh_that_does_not_mirror_takes_the_full_pencil_bit_for_bit(domain, h
     assert _nodes_mirror(mesh) == (grading == 1.0)
     spec = solve_steklov(domain, h, 10, mesh=mesh)
     assert spec.system.mirror is None
-    w, traces, residual, solves = _sloshing_pairs(assemble(mesh), 10)
+    w, traces, residual, solves = _sloshing_pairs(_pencil(assemble(mesh)), 10)
     assert spec.eigenvalues.tobytes() == w.tobytes()
     assert spec.traces.tobytes() == traces.tobytes()
     assert (spec.eigen_residual, spec.pencil_solves) == (residual, solves)
@@ -887,15 +880,15 @@ def test_a_half_that_fails_the_union_certificate_is_solved_again(monkeypatch):
     calls = []
     solve = fem_steklov._sloshing_pairs
 
-    def short_first(system, n_eigs):
-        calls.append((len(system.s_coords), n_eigs))
-        return solve(system, 5 if len(calls) <= 2 else n_eigs)
+    def short_first(pencil, n_eigs):
+        calls.append((pencil.surface_mass.shape[0], n_eigs))
+        return solve(pencil, 5 if len(calls) <= 2 else n_eigs)
 
     monkeypatch.setattr(fem_steklov, "_sloshing_pairs", short_first)
     spec = solve_steklov(None, 0.02, 10, mesh=mesh)
     even, odd = (len(half_system(spec.system, parity)[0].s_coords) for parity in (1, -1))
     assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11)]
-    w, _, _, _ = solve(assemble(mesh), 10)
+    w, _, _, _ = solve(_pencil(assemble(mesh)), 10)
     assert (np.abs(spec.eigenvalues - w) / np.maximum(w, 1.0)).max() <= 1e-10
     assert set(spec.parity.tolist()) == {1, -1}
 
@@ -907,7 +900,7 @@ def test_a_split_too_small_for_its_pairs_takes_the_full_pencil():
     mesh = generate_mesh(build_rectangle_domain(1.0, 0.5), 0.4, 1.0)
     spec = solve_steklov(None, 0.4, 1, mesh=mesh)
     assert spec.system.mirror is not None and len(spec.s_coords) == 4
-    w, traces, _, _ = _sloshing_pairs(assemble(mesh), 1)
+    w, traces, _, _ = _sloshing_pairs(_pencil(assemble(mesh)), 1)
     assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
     assert spec.parity.tolist() == [0]
 
@@ -921,6 +914,73 @@ def test_the_spectrum_reports_each_pair_parity(record_property, capsys):
     record_property("parity_k1_to_k10", pattern)
     with capsys.disabled():
         print(f"\nparity of k = 1..10 on the q = 2 triangle, h = 0.005: {pattern}")
+
+
+# ---------------------------------------------------------------------------
+# what a factorization holds
+# ---------------------------------------------------------------------------
+
+def _large_matrices_alive_at_each_factor(monkeypatch, solve):
+    """Run `solve()`; at each `_factor` call, list the nonzero counts of
+    the sparse matrices made during `solve` that hold at least half as
+    many nonzeros as the matrix factored, views sharing its memory aside."""
+    before = [obj for obj in gc.get_objects() if sp.issparse(obj)]  # kept, so no id is reused
+    ids = {id(obj) for obj in before}
+    factor = fem_steklov._factor
+    alive = []
+
+    def checking(matrix, what):
+        alive.append([
+            obj.nnz
+            for obj in gc.get_objects()
+            if sp.issparse(obj)
+            and id(obj) not in ids
+            and obj.nnz >= matrix.nnz / 2
+            and not np.shares_memory(obj.data, matrix.data)
+        ])
+        return factor(matrix, what)
+
+    monkeypatch.setattr(fem_steklov, "_factor", checking)
+    solve()
+    return alive
+
+
+@pytest.mark.parametrize(
+    "domain, grading, factors",
+    [(build_triangle_domain(*EX1_ANGLES), 0.25, 1), (_sector_triangle(2, ("neumann", "neumann")), 1.0, 2)],
+    ids=["ex1-full-pencil", "q2-half-pencils"],
+)
+def test_each_factorization_of_a_solve_holds_only_its_pencil(domain, grading, factors, monkeypatch):
+    # no stiffness, full or half, and no other pencil is alive while a
+    # pencil is factored
+    alive = _large_matrices_alive_at_each_factor(
+        monkeypatch, lambda: solve_steklov(domain, 0.02, 10, grading_factor=grading)
+    )
+    assert alive == [[]] * factors
+
+
+@pytest.mark.parametrize(
+    "domain, grading",
+    [(build_triangle_domain(*EX1_ANGLES), 0.25), (_sector_triangle(2, ("neumann", "neumann")), 1.0)],
+    ids=["ex1", "q2-mirrored"],
+)
+def test_the_spectrum_assembles_its_system_on_first_use_byte_for_byte(domain, grading):
+    mesh = generate_mesh(domain, 0.02, grading)
+    spec = solve_steklov(None, 0.02, 6, mesh=mesh)
+    assert "system" not in vars(spec)  # the solve keeps no assembled system
+    want = assemble(mesh)
+    system = spec.system
+    for got, ref in ((system.stiffness, want.stiffness), (system.surface_mass, want.surface_mass)):
+        for name in ("data", "indices", "indptr"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    for name in ("row_nodes", "s_coords"):
+        assert getattr(system, name).tobytes() == getattr(want, name).tobytes()
+    assert system.surface_length == want.surface_length
+    mirror = fem_steklov._mirror_rows(mesh, want)
+    assert (system.mirror is None) == (mirror is None) == (grading != 1.0)
+    if mirror is not None:
+        assert system.mirror.tobytes() == mirror.tobytes()
+    assert spec.system is system
 
 
 # ---------------------------------------------------------------------------
