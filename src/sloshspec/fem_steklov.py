@@ -23,7 +23,8 @@ for the orthonormal even and odd bases P (`half_system`), in the same
 block layout, so each half goes through the same Lanczos path, and the
 union of the halves' pairs, once certified, is the spectrum, each pair
 with its parity.  The symmetry is read off the mesh, never the domain;
-any other mesh takes the full pencil.
+any other mesh takes the full pencil.  The spectrum holds the mirror
+rows (`SteklovSpectrum.mirror`); nothing else stores them.
 
 The DtN map is still available as the Schur complement
 D = K_SS - K_SI K_II^{-1} K_IS of the trailing block.  One path slices
@@ -45,11 +46,13 @@ Memory: the factor and SuperLU's working arrays set the peak of a fine
 solve, so each factorization of a solve starts with its pencil
 A = K - sigma B the only matrix of its size alive.  The stiffness is
 assembled only where a pencil is built and goes once A is formed:
-pairs are checked against A, the spectrum keeps its mesh rather than
-its system, and a mirrored mesh is assembled again for each half
-pencil, just before that half is factored, so only one half factor,
-about half the full one's entries, is alive at a time.  The spectrum
-keeps its surface traces as their own (ns, k) array rather than a view
+`_pencil` returns A and the system without its stiffness, pairs are
+checked against A, the spectrum keeps its mesh rather than its system,
+and a mirrored mesh is assembled again for each half pencil, just
+before that half is factored, and the pencil goes once its eigensolve
+returns, so only one half factor, about half the full one's entries,
+is alive at a time.  The spectrum keeps its surface traces as their
+own (ns, k) array rather than a view
 into all n rows of the eigenvectors.  A residual study lets the mesh
 and the full system go before K_II is factored, and factors K_II of
 only the halves its traces lie in.  Freed memory is not gone: glibc
@@ -111,9 +114,8 @@ class AssembledSystem:
     corner B.  `s_coords` gives those surface rows' arc length from
     corner A, and `surface_mass` the 1D P1 mass matrix among them.
     `surface_length` is the length of the whole surface polyline,
-    eliminated endpoints included.  `mirror`, set on the systems of a
-    mesh that is its own mirror image, maps each row to the row of its
-    mirror node (see `half_system`); it is None otherwise.
+    eliminated endpoints included.  `stiffness` is None on the system
+    that `_pencil` returns beside its pencil.
     """
 
     stiffness: sp.csr_matrix
@@ -121,11 +123,15 @@ class AssembledSystem:
     s_coords: np.ndarray
     surface_mass: sp.csr_matrix
     surface_length: float
-    mirror: np.ndarray = None
 
     @property
     def interior_count(self):
         return len(self.row_nodes) - len(self.s_coords)
+
+    @property
+    def sigma(self):
+        """The pencil shift -1/l, below the spectrum (l the surface length)."""
+        return -1.0 / self.surface_length
 
     @cached_property
     def surface_cholesky(self):
@@ -172,13 +178,14 @@ class SteklovSpectrum:
     under the mesh's mirror reflection, -1 for an odd one, and 0 for
     every pair of a mesh that does not mirror.  `mirror` holds the
     mirror rows of a mesh that is its own mirror image (see
-    `_mirror_rows`), else None.
+    `_mirror_rows`), else None: `half_system(spectrum.system,
+    spectrum.mirror, parity)` rebuilds a half as the solve factored it.
 
     The spectrum keeps its mesh, not the assembled system: `system`
-    assembles the mesh again on first use, with the same `mirror`.
-    Assembly is deterministic, so the stiffness has the bytes the solve
-    factored, and no stiffness stays alive under a later factorization
-    of a caller that never reads it.
+    assembles the mesh again on first use.  Assembly is deterministic,
+    so the stiffness has the bytes the solve factored, and no stiffness
+    stays alive under a later factorization of a caller that never
+    reads it.
     """
 
     eigenvalues: np.ndarray
@@ -191,7 +198,7 @@ class SteklovSpectrum:
 
     @cached_property
     def system(self):
-        return replace(assemble(self.mesh), mirror=self.mirror)
+        return assemble(self.mesh)
 
     @property
     def s_coords(self):
@@ -331,19 +338,19 @@ def _symmetric(matrix):
     return (0.5 * (matrix + matrix.T)).tocsr()
 
 
-def half_system(system, parity):
+def half_system(system, mirror, parity):
     """The even (`parity` 1) or odd (-1) half of a system whose mesh mirrors.
 
-    The mirror pairs rows i and j = system.mirror[i].  The orthonormal
-    basis P has one column per pair, (e_i + parity e_j) / sqrt(2) with i
-    the smaller row, and for the even half one column e_i per row on the
-    axis.  The columns keep the system's block layout: interior rows
-    first, then the surface rows in path order, so the half surface mass
-    P^T M P stays tridiagonal.  Returns the half system, with stiffness
-    and mass P^T K P and P^T M P made exactly symmetric, and the surface
-    block of P, which maps a half trace back onto the surface rows.
+    The mesh's mirror rows `mirror` (see `_mirror_rows`) pair rows i and
+    j = mirror[i].  The orthonormal basis P has one column per pair,
+    (e_i + parity e_j) / sqrt(2) with i the smaller row, and for the
+    even half one column e_i per row on the axis.  The columns keep the
+    system's block layout: interior rows first, then the surface rows in
+    path order, so the half surface mass P^T M P stays tridiagonal.
+    Returns the half system, with stiffness and mass P^T K P and P^T M P
+    made exactly symmetric, and the surface block of P, which maps a
+    half trace back onto the surface rows.
     """
-    mirror = system.mirror
     rows = np.arange(len(mirror))
     keep = rows <= mirror if parity == 1 else rows < mirror
     first = rows[keep]
@@ -501,47 +508,28 @@ def dtn_matrix(system):
     )
 
 
-@dataclass
-class _Pencil:
-    """The shifted pencil of one system, and what its eigensolve reads besides.
+def _pencil(system):
+    """The shifted pencil A = K - sigma B of `system`, and the system without its stiffness.
 
-    `matrix` is A = K - sigma B, with B = diag(0, M) for the surface
-    mass M and sigma = -1/l below the spectrum (l the surface length),
-    so A is SPD for every wall condition.  The stiffness K is not kept:
-    pairs are checked against A, since K u - lambda B u =
-    A u - (lambda - sigma) B u, so A is the only matrix of its size alive
-    while A is factored.  `surface_basis` maps the surface rows of a half
-    back onto the full system's; it is None for a full system.
+    B = diag(0, M) for the surface mass M, and sigma (`system.sigma`)
+    lies below the spectrum, so A is SPD for every wall condition.  K is
+    not returned: pairs are checked against A, as K u - lambda B u =
+    A u - (lambda - sigma) B u, so A is the only matrix of its size
+    alive while it is factored.
     """
-
-    matrix: sp.csr_matrix
-    interior_count: int
-    surface_mass: sp.csr_matrix
-    surface_cholesky: np.ndarray
-    sigma: float
-    surface_basis: sp.csr_matrix = None
-
-
-def _pencil(system, parity=0):
-    """The pencil of `system`, or of its even (`parity` 1) or odd (-1) half."""
-    surface_basis = None
-    if parity:
-        system, surface_basis = half_system(system, parity)
     ni = system.interior_count
-    sigma = -1.0 / system.surface_length
     B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
-    return _Pencil(
-        system.stiffness - sigma * B, ni, system.surface_mass, system.surface_cholesky, sigma, surface_basis
-    )
+    return system.stiffness - system.sigma * B, replace(system, stiffness=None)
 
 
-def _sloshing_pairs(pencil, n_eigs):
+def _sloshing_pairs(A, system, n_eigs):
     """Lowest n_eigs eigenpairs of the sparse pencil K u = lambda B u.
 
     K is the free-node stiffness and B = diag(0, M), the surface mass M
-    in the trailing block, so B is only semidefinite.  The shifted
-    pencil A = K - sigma B (see `_Pencil`) is factored once.  With the
-    surface Cholesky factor M = R^T R, the surface operator
+    in the trailing block, so B is only semidefinite.  A = K - sigma B
+    and the stiffness-free `system` are what `_pencil` returns; the
+    system gives the interior size, M, its banded Cholesky factor and
+    sigma.  A is factored once.  With the surface Cholesky factor M = R^T R, the surface operator
     T y = R (A^{-1} [0; R^T y])_S is symmetric positive definite, and its
     eigenvalues theta = 1/(lambda - sigma) are those of the pencil's
     finite spectrum, the largest for the lowest lambda.  Standard
@@ -554,15 +542,14 @@ def _sloshing_pairs(pencil, n_eigs):
     in the surface mass inner product because Y is orthonormal), the
     largest relative pair residual and the count of solves with A.
     """
-    A = pencil.matrix
     n = A.shape[0]
-    ni = pencil.interior_count
+    ni = system.interior_count
     ns = n - ni
-    mass = pencil.surface_mass
-    cb = pencil.surface_cholesky
+    mass = system.surface_mass
+    cb = system.surface_cholesky
     R = sp.diags([cb[1], cb[0, 1:]], [0, 1], format="csr")
     Rt = R.T.tocsr()
-    sigma = pencil.sigma
+    sigma = system.sigma
     lu = _factor(A, "pencil")
     solves = 0
 
@@ -603,30 +590,33 @@ def _split_pairs(mesh, mirror, n_eigs):
     """Lowest n_eigs pairs of a mesh that mirrors, solved as its two halves.
 
     `mirror` holds the mesh's mirror rows (see `_mirror_rows`).  Each
-    half (see `half_system`) goes through `_sloshing_pairs` in turn,
-    its pencil made from an assembly of the mesh just before it is
-    factored, so no stiffness and no other pencil is alive under a
-    factorization; each is asked for ceil(n_eigs/2) + 1 pairs.  The
-    union is certified: every eigenvalue a half did not return lies at
-    or above the largest it did, so the n_eigs-th lowest of the union
+    half (see `half_system`) goes through `_pencil` and `_sloshing_pairs`
+    in turn, as the full system does, its pencil made from an assembly
+    of the mesh just before it is factored and dropped once its
+    eigensolve returns, so no stiffness and no other pencil is alive
+    under a factorization; each is asked for ceil(n_eigs/2) + 1 pairs.
+    The union is certified: every eigenvalue a half did not return lies
+    at or above the largest it did, so the n_eigs-th lowest of the union
     must lie below the largest of each half.  A half that fails the
     check is solved again for n_eigs + 1 pairs, which suffices unless
     eigenvalues tie.  Returns the pairs as `_sloshing_pairs` does, the
-    traces mapped back onto the surface rows (still orthonormal in the
-    surface mass), with the parity of each pair; or None when a half is
-    too small for the pairs asked of it or the union stays uncertified.
+    traces mapped back onto the surface rows by the half's surface basis
+    (still orthonormal in the surface mass), with the parity of each
+    pair; or None when a half is too small for the pairs asked of it or
+    the union stays uncertified (a tie).
     """
     ask = dict.fromkeys((1, -1), n_eigs // 2 + n_eigs % 2 + 1)
     found = {}
     solves = 0
     while ask:
         for parity, count in ask.items():
-            pencil = _pencil(replace(assemble(mesh), mirror=mirror), parity)
-            if count >= pencil.surface_mass.shape[0]:  # beyond what Lanczos can return
+            half, basis = half_system(assemble(mesh), mirror, parity)
+            if count >= len(half.s_coords):  # beyond what Lanczos can return
                 return None
-            w, traces, residual, used = _sloshing_pairs(pencil, count)
-            found[parity] = (w, pencil.surface_basis @ traces, residual)
-            del pencil  # its factor went with the call; the next half factors its own
+            A, half = _pencil(half)
+            w, traces, residual, used = _sloshing_pairs(A, half, count)
+            del A  # its factor went with the call; the next half factors its own
+            found[parity] = (w, basis @ traces, residual)
             solves += used
         values = np.concatenate([found[1][0], found[-1][0]])
         nth = np.sort(values)[n_eigs - 1] if len(values) >= n_eigs else math.inf
@@ -672,9 +662,10 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
             "resolution guard; decrease h"
         )
     mirror = _mirror_rows(mesh, layout)
+    del layout  # the pencil's system keeps its own copy of these rows under the factor
     split = None if mirror is None else _split_pairs(mesh, mirror, n_eigs)
     if split is None:
-        split = *_sloshing_pairs(_pencil(assemble(mesh)), n_eigs), np.zeros(n_eigs, dtype=np.int64)
+        split = *_sloshing_pairs(*_pencil(assemble(mesh)), n_eigs), np.zeros(n_eigs, dtype=np.int64)
     eigenvalues, traces, eigen_residual, pencil_solves, parity = split
     return SteklovSpectrum(
         eigenvalues=eigenvalues,

@@ -395,27 +395,6 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     return _comparison_report([("fem_vs_ode", domain, ode, None)], h, kmax, grading_factor)
 
 
-def _by_parity(system, traces):
-    """The indices k of `traces` grouped by the half whose range holds trace k: 1, -1, else 0.
-
-    The glued trace of index k is even about the surface midpoint for
-    odd k and odd for even k.  On a mesh that mirrors, a trace that
-    matches parity times its mirror image to 1e-10 lies in that half's
-    range.  Every other trace, and every trace on a mesh that does not
-    mirror, goes with the full system (0).
-    """
-    ni = system.interior_count
-    groups = {}
-    for k, (_, trace) in traces.items():
-        parity = 1 if k % 2 else -1
-        if system.mirror is None or np.linalg.norm(
-            trace - parity * trace[system.mirror[ni:] - ni]
-        ) > 1e-10 * np.linalg.norm(trace):
-            parity = 0
-        groups.setdefault(parity, []).append(k)
-    return groups
-
-
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     """Measure how well explicit corner quasimodes annihilate the FEM DtN map.
 
@@ -429,18 +408,20 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     eigenvalue.
 
     Of the spectrum only the assembled system (assembled again from the
-    mesh, see `SteklovSpectrum`), the eigenvalues and the node count are
-    kept: the mesh and the eigenvector traces are freed before the DtN
-    action factors K_II, the largest allocation of the study on a fine
-    mesh.  On a mesh that mirrors (the default grading 1.0 meshes do,
-    at most sizes), trace k is even for odd k and odd for even k, so it
-    is pushed through the DtN action of that half system alone, and its
-    residual norm taken with that half's surface mass: the same numbers
-    to rounding, with K_II factored for one half, one half after the
-    other when k_list mixes parities.  The halves are built first and
-    the full system then goes, so no full stiffness is alive under a
-    half's K_II factor.  A trace outside either half's range, and every
-    trace on a mesh that does not mirror, uses the full K_II.
+    mesh, see `SteklovSpectrum`), its mirror rows, the eigenvalues and
+    the node count are kept: the mesh and the eigenvector traces are
+    freed before the DtN action factors K_II, the largest allocation of
+    the study on a fine mesh.  On a mesh that mirrors (the default
+    grading 1.0 meshes do, at most sizes), trace k is even for odd k and
+    odd for even k, so it is pushed through the DtN action of that half
+    system alone, and its residual norm taken with that half's surface
+    mass: the same numbers to rounding, with K_II factored for one
+    half, one half after the other when k_list mixes parities.  The
+    traces are grouped by half as they are sampled, the halves built
+    next, and the full system then goes, so no full stiffness is alive
+    under a half's K_II factor.  A trace that does not match its parity
+    times its mirror image to 1e-10, and every trace on a mesh that does
+    not mirror, uses the full K_II.
     """
     if q < 2:
         raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
@@ -452,26 +433,29 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
     spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
-    system, eigenvalues, num_nodes = spec.system, spec.eigenvalues, spec.num_nodes
+    system, mirror, eigenvalues, num_nodes = spec.system, spec.mirror, spec.eigenvalues, spec.num_nodes
     del spec  # frees the mesh and traces before K_II is factored
-    mass = system.surface_mass
-    traces = {}
+    mass, ni = system.surface_mass, system.interior_count
+    groups = {}
     for k in sorted(k_list):
         sigma = ode_asymptotic_prediction(q, surface_length, k)
         trace = quasimode_trace(q, sigma, system.s_coords, surface_length)
-        traces[k] = sigma, trace / math.sqrt(float(trace @ (mass @ trace)))
+        trace = trace / math.sqrt(float(trace @ (mass @ trace)))
+        parity = 1 if k % 2 else -1
+        if mirror is None or np.linalg.norm(trace - parity * trace[mirror[ni:] - ni]) > 1e-10 * np.linalg.norm(trace):
+            parity = 0
+        groups.setdefault(parity, []).append((k, sigma, trace))
     parts = [
-        (ks, *((system, None) if parity == 0 else half_system(system, parity)))
-        for parity, ks in _by_parity(system, traces).items()
+        (group, *((system, None) if parity == 0 else half_system(system, mirror, parity)))
+        for parity, group in groups.items()
     ]
     del system  # a half's K_II is factored without the full stiffness alive
     rows = []
     while parts:
-        ks, part, basis = parts.pop(0)
+        group, part, basis = parts.pop(0)
         apply_action = dtn_action(part)
         mass_factor = (part.surface_cholesky, False)
-        for k in ks:
-            sigma, trace = traces[k]
+        for k, sigma, trace in group:
             if basis is not None:
                 trace = basis.T @ trace
             resid = apply_action(trace) - sigma * (part.surface_mass @ trace)

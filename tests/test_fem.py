@@ -475,13 +475,19 @@ def test_pencil_and_interior_factors_are_those_of_a_csc_copy(build, h, monkeypat
 def test_half_systems_are_exactly_symmetric_and_factor_as_their_csc_copies(monkeypatch):
     # each half pencil and half K_II goes to SuperLU as the transpose of
     # its CSR, which is the matrix itself only if it is exactly symmetric
+    # and each half pencil factored is, byte for byte, the pencil of the
+    # half that the spectrum's system and mirror rebuild
     mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.04, 1.0)
     calls = _recorded_factors(monkeypatch)
     spec = solve_steklov(None, 0.04, 6, mesh=mesh)
-    for parity in (1, -1):
-        half, _ = half_system(spec.system, parity)
+    for (view, _, _), parity in zip(calls[:2], (1, -1)):
+        half, _ = half_system(spec.system, spec.mirror, parity)
         assert (half.stiffness != half.stiffness.T).nnz == 0
         assert (half.surface_mass != half.surface_mass.T).nnz == 0
+        rebuilt = _pencil(half)[0]
+        rebuilt.sort_indices()  # as `_factor` sorts the pencil it factors
+        for name in ("data", "indices", "indptr"):
+            assert getattr(view.T, name).tobytes() == getattr(rebuilt, name).tobytes()
         dtn_action(half)
     monkeypatch.undo()
     assert len(calls) == 4  # the two half pencils, then the two half K_II
@@ -527,7 +533,7 @@ def test_every_factorization_of_the_residual_study_is_spd(split, monkeypatch):
         assert np.array_equal(lu.perm_r, lu.perm_c)
     assert len(spectra) == 1 and len(residuals) == len(table.rows) == 2
     system = spectra[0].system
-    mass = (half_system(system, -1)[0] if split else system).surface_mass.toarray()
+    mass = (half_system(system, spectra[0].mirror, -1)[0] if split else system).surface_mass.toarray()
     for (_, sigma, relative, _), r in zip(table.rows, residuals):
         dense = float(r @ scipy.linalg.solve(mass, r))
         assert (relative * sigma) ** 2 == pytest.approx(dense, rel=1e-12)
@@ -550,8 +556,9 @@ def test_the_residual_study_factors_only_the_halves_its_traces_need(k_list, monk
 
     monkeypatch.setattr(harness, "dtn_action", recording)
     table = quasimode_residual_study(2, 1.0, 0.02, k_list)
-    system = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.02, 3, grading_factor=1.0).system
-    size = {parity: len(half_system(system, parity)[0].s_coords) for parity in (1, -1)}
+    spec = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.02, 3, grading_factor=1.0)
+    system = spec.system
+    size = {parity: len(half_system(system, spec.mirror, parity)[0].s_coords) for parity in (1, -1)}
     parities = dict.fromkeys(1 if k % 2 else -1 for k in k_list)
     assert [n for n, _ in actions] == [size[parity] for parity in parities]
     monkeypatch.setattr(fem_steklov, "_mirror_rows", lambda mesh, system: None)
@@ -814,8 +821,8 @@ def test_a_mirrored_mesh_splits_into_halves_with_the_full_spectrum(build, h, wal
     # sign, its traces, each even or odd under the reflection
     mesh = generate_mesh(build(wall), h, 1.0)
     spec = solve_steklov(None, h, 10, mesh=mesh)
-    assert spec.system.mirror is not None
-    w, traces, _, _ = _sloshing_pairs(_pencil(assemble(mesh)), 10)  # the full path
+    assert spec.mirror is not None
+    w, traces, _, _ = _sloshing_pairs(*_pencil(assemble(mesh)), 10)  # the full path
     rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
     assert rel.max() <= 1e-10
     mass = spec.system.surface_mass
@@ -844,8 +851,8 @@ def test_a_mesh_that_does_not_mirror_takes_the_full_pencil_bit_for_bit(domain, h
     # the q = 3 mesh mirrors its nodes, but not its triangles
     assert _nodes_mirror(mesh) == (grading == 1.0)
     spec = solve_steklov(domain, h, 10, mesh=mesh)
-    assert spec.system.mirror is None
-    w, traces, residual, solves = _sloshing_pairs(_pencil(assemble(mesh)), 10)
+    assert spec.mirror is None
+    w, traces, residual, solves = _sloshing_pairs(*_pencil(assemble(mesh)), 10)
     assert spec.eigenvalues.tobytes() == w.tobytes()
     assert spec.traces.tobytes() == traces.tobytes()
     assert (spec.eigen_residual, spec.pencil_solves) == (residual, solves)
@@ -880,15 +887,15 @@ def test_a_half_that_fails_the_union_certificate_is_solved_again(monkeypatch):
     calls = []
     solve = fem_steklov._sloshing_pairs
 
-    def short_first(pencil, n_eigs):
-        calls.append((pencil.surface_mass.shape[0], n_eigs))
-        return solve(pencil, 5 if len(calls) <= 2 else n_eigs)
+    def short_first(A, system, n_eigs):
+        calls.append((system.surface_mass.shape[0], n_eigs))
+        return solve(A, system, 5 if len(calls) <= 2 else n_eigs)
 
     monkeypatch.setattr(fem_steklov, "_sloshing_pairs", short_first)
     spec = solve_steklov(None, 0.02, 10, mesh=mesh)
-    even, odd = (len(half_system(spec.system, parity)[0].s_coords) for parity in (1, -1))
+    even, odd = (len(half_system(spec.system, spec.mirror, parity)[0].s_coords) for parity in (1, -1))
     assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11)]
-    w, _, _, _ = solve(_pencil(assemble(mesh)), 10)
+    w, _, _, _ = solve(*_pencil(assemble(mesh)), 10)
     assert (np.abs(spec.eigenvalues - w) / np.maximum(w, 1.0)).max() <= 1e-10
     assert set(spec.parity.tolist()) == {1, -1}
 
@@ -899,10 +906,37 @@ def test_a_split_too_small_for_its_pairs_takes_the_full_pencil():
     # is the full pencil's, bit for bit, though the mesh mirrors
     mesh = generate_mesh(build_rectangle_domain(1.0, 0.5), 0.4, 1.0)
     spec = solve_steklov(None, 0.4, 1, mesh=mesh)
-    assert spec.system.mirror is not None and len(spec.s_coords) == 4
-    w, traces, _, _ = _sloshing_pairs(_pencil(assemble(mesh)), 1)
+    assert spec.mirror is not None and len(spec.s_coords) == 4
+    w, traces, _, _ = _sloshing_pairs(*_pencil(assemble(mesh)), 1)
     assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
     assert spec.parity.tolist() == [0]
+
+
+def test_a_half_still_uncertified_after_its_resolve_takes_the_full_pencil(monkeypatch):
+    # as above, each half's first solve returns five pairs; on the
+    # re-solve the even half's eleven values all tie at its lowest, so
+    # the tenth lowest of the union is no lower than the even half's
+    # largest, though it returned more than ten pairs: the split gives up
+    # and the spectrum is the full pencil's, bit for bit
+    mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
+    calls = []
+    solve = fem_steklov._sloshing_pairs
+
+    def tied_on_resolve(A, system, n_eigs):
+        calls.append((system.surface_mass.shape[0], n_eigs))
+        w, traces, residual, solves = solve(A, system, 5 if len(calls) <= 2 else n_eigs)
+        if len(calls) == 3:
+            w = np.full_like(w, w[0])
+        return w, traces, residual, solves
+
+    monkeypatch.setattr(fem_steklov, "_sloshing_pairs", tied_on_resolve)
+    spec = solve_steklov(None, 0.02, 10, mesh=mesh)
+    even, odd = (len(half_system(spec.system, spec.mirror, parity)[0].s_coords) for parity in (1, -1))
+    assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11), (len(spec.s_coords), 10)]
+    w, traces, residual, solves = solve(*_pencil(assemble(mesh)), 10)
+    assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
+    assert (spec.eigen_residual, spec.pencil_solves) == (residual, solves)
+    assert spec.parity.tolist() == [0] * 10
 
 
 def test_the_spectrum_reports_each_pair_parity(record_property, capsys):
@@ -977,9 +1011,9 @@ def test_the_spectrum_assembles_its_system_on_first_use_byte_for_byte(domain, gr
         assert getattr(system, name).tobytes() == getattr(want, name).tobytes()
     assert system.surface_length == want.surface_length
     mirror = fem_steklov._mirror_rows(mesh, want)
-    assert (system.mirror is None) == (mirror is None) == (grading != 1.0)
+    assert (spec.mirror is None) == (mirror is None) == (grading != 1.0)
     if mirror is not None:
-        assert system.mirror.tobytes() == mirror.tobytes()
+        assert spec.mirror.tobytes() == mirror.tobytes()
     assert spec.system is system
 
 
