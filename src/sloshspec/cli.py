@@ -40,7 +40,7 @@ import sys
 import numpy as np
 
 from .asymptotics import QuasiFrequencyModel, quasi_frequency
-from .fem_steklov import SteklovSolveError, dtn_matrix
+from .fem_steklov import SteklovSolveError, assemble, dtn_matrix
 from .geometry import CornerSpec, MeshError, write_mesh_text
 from .harness import (
     ConfigError,
@@ -230,9 +230,9 @@ def _cmd_fem(args):
     result = _experiment(args, "custom")
     if args.dump_mesh:
         with _writing("dump-mesh", args.dump_mesh):
-            write_mesh_text(result.spectrum.mesh, args.dump_mesh)
+            write_mesh_text(result.mesh, args.dump_mesh)
     if args.dump_dtn:
-        dtn = dtn_matrix(result.spectrum.system).matrix
+        dtn = dtn_matrix(assemble(result.mesh)).matrix
         size = np.asarray([dtn.shape[0]], dtype="<u8").tobytes()
         with _writing("dump-dtn", args.dump_dtn):
             write_atomic(args.dump_dtn, size + np.ascontiguousarray(dtn, dtype="<f8").tobytes())

@@ -1,19 +1,20 @@
 """P1 finite elements for the mixed Steklov (sloshing) eigenproblem.
 
-Pipeline: `solve_steklov` is the one entry from a domain or mesh to a
-spectrum.  `assemble` builds the P1 stiffness matrix of the Laplacian,
-eliminates Dirichlet-tagged boundary nodes symmetrically, and orders
-the remaining (free) nodes in one block layout: interior nodes first,
-by node id, then the surviving surface nodes in path order.  It builds
-the 1D P1 mass matrix of the surface block once.  That mass is
-tridiagonal in path order, and its banded Cholesky factor M = R^T R is
-made once per system.  The sparse pencil K u = lambda B u,
-B = diag(0, M), is solved for its lowest pairs by standard Lanczos on
-an operator of surface size, which costs one sparse factorization of
-the shifted pencil; the spectrum keeps its mesh and assembles its
-system again when it is first read.  The surface traces of the
-eigenvectors, the trailing rows of u, are the eigenvectors of the
-discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
+Pipeline: `solve_steklov` is the one entry from a mesh to a spectrum.
+This layer meshes nothing, so a mesh from any source (the harness's
+meshes, a dump read back) takes the same path.  `assemble` builds the
+P1 stiffness matrix of the Laplacian, eliminates Dirichlet-tagged
+boundary nodes symmetrically, and orders the remaining (free) nodes in
+one block layout: interior nodes first, by node id, then the surviving
+surface nodes in path order.  It builds the 1D P1 mass matrix of the
+surface block once.  That mass is tridiagonal in path order, and its
+banded Cholesky factor M = R^T R is made once per system.  The sparse
+pencil K u = lambda B u, B = diag(0, M), is solved for its lowest pairs
+by standard Lanczos on an operator of surface size, which costs one
+sparse factorization of the shifted pencil; the spectrum keeps what the
+solve computed and nothing it was computed from.  The surface traces
+of the eigenvectors, the trailing rows of u, are the eigenvectors of
+the discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
 
 A mesh that is its own mirror image, under the reflection that swaps
 the ends of the surface (the pi/(2q) triangle and the rectangle, meshed
@@ -47,18 +48,19 @@ solve, so each factorization of a solve starts with its pencil
 A = K - sigma B the only matrix of its size alive.  The stiffness is
 assembled only where a pencil is built and goes once A is formed:
 `_pencil` returns A and the system without its stiffness, pairs are
-checked against A, the spectrum keeps its mesh rather than its system,
-and a mirrored mesh is assembled again for each half pencil, just
-before that half is factored, and the pencil goes once its eigensolve
+checked against A, the spectrum keeps neither mesh nor system, and a
+mirrored mesh is assembled again for each half pencil, just before
+that half is factored, and the pencil goes once its eigensolve
 returns, so only one half factor, about half the full one's entries,
 is alive at a time.  The spectrum keeps its surface traces as their
-own (ns, k) array rather than a view
-into all n rows of the eigenvectors.  A residual study lets the mesh
-and the full system go before K_II is factored, and factors K_II of
-only the halves its traces lie in.  Freed memory is not gone: glibc
-keeps freed heap resident, and after one fine solve its threshold for
-handing heap back has risen.  `_factor` therefore hands glibc's free
-heap back to the OS (malloc_trim) before SuperLU allocates, so the
+own (ns, k) array rather than a view into all n rows of the
+eigenvectors.  A residual study assembles its mesh once more itself,
+lets the mesh and the full system go before K_II is factored, and
+factors K_II of only the halves its traces lie in.  Freed memory is
+not gone: glibc keeps freed heap resident, and after one fine solve
+its threshold for handing heap back has risen.  `_factor` therefore
+hands glibc's free heap back to the OS (malloc_trim) before SuperLU
+allocates, so the
 temporaries of the last assembly and mesh do not stay under the
 factor, and again once SuperLU returns, so its freed working arrays do
 not stay under the eigensolve.  The stiffness assembly keeps its own
@@ -79,7 +81,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _backend
-from .geometry import generate_mesh
+# generate_mesh stays bound here: perfbench's self-test expects its
+# tracer to find the name in this module
+from .geometry import generate_mesh  # noqa: F401
 
 _SCHUR_BLOCK_BYTES = 2 * 10**8
 
@@ -168,45 +172,30 @@ class DtNOperatorMatrix:
 
 @dataclass
 class SteklovSpectrum:
-    """Lowest eigenvalues with surface traces, and what produced them.
+    """Lowest eigenvalues with surface traces, and what the solve measured.
 
     Traces are columns, orthonormal in the surface mass inner product;
-    their rows follow `s_coords`.  `eigen_residual` is the largest pair
-    residual |K u - lambda B u| relative to max(1, lambda_max), and
+    their rows are the surface rows of `assemble(mesh)`, in path order
+    (see `AssembledSystem.s_coords`).  `eigen_residual` is the largest
+    pair residual |K u - lambda B u| relative to max(1, lambda_max), and
     `pencil_solves` counts the solves with the pencil factor that the
     eigensolve made.  `parity` is +1 for an eigenvector that is even
     under the mesh's mirror reflection, -1 for an odd one, and 0 for
     every pair of a mesh that does not mirror.  `mirror` holds the
     mirror rows of a mesh that is its own mirror image (see
-    `_mirror_rows`), else None: `half_system(spectrum.system,
+    `_mirror_rows`), else None: `half_system(assemble(mesh),
     spectrum.mirror, parity)` rebuilds a half as the solve factored it.
-
-    The spectrum keeps its mesh, not the assembled system: `system`
-    assembles the mesh again on first use.  Assembly is deterministic,
-    so the stiffness has the bytes the solve factored, and no stiffness
-    stays alive under a later factorization of a caller that never
-    reads it.
+    The spectrum keeps neither the mesh nor a system: a caller that
+    needs them holds the mesh it solved and assembles it, which is
+    deterministic, so the stiffness has the bytes the solve factored.
     """
 
     eigenvalues: np.ndarray
     traces: np.ndarray
-    mesh: object
     eigen_residual: float
     pencil_solves: int
     parity: np.ndarray
     mirror: np.ndarray = None
-
-    @cached_property
-    def system(self):
-        return assemble(self.mesh)
-
-    @property
-    def s_coords(self):
-        return self.system.s_coords
-
-    @property
-    def num_nodes(self):
-        return self.mesh.num_nodes
 
 
 def _chain_surface_path(s_edges):
@@ -630,30 +619,26 @@ def _split_pairs(mesh, mirror, n_eigs):
     return values[order], traces, max(found[1][2], found[-1][2]), solves, parity
 
 
-def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
-    """Lowest n_eigs sloshing eigenvalues of a domain at mesh size h.
+def solve_steklov(mesh, n_eigs):
+    """Lowest n_eigs sloshing eigenvalues of a mesh.
 
-    Meshes the domain unless `mesh` is given and solves the pencil
-    K u = lambda B u of the stiffness and the embedded surface mass by
-    Lanczos on a surface-size operator with one sparse factorization of
-    the shifted pencil (see _sloshing_pairs), without forming the dense
-    DtN matrix.  A mesh that is its own mirror image (see _mirror_rows)
-    is solved as its even and odd halves instead, one half pencil after
-    the other (see _split_pairs); any other mesh takes the full pencil.
-    The surface size and the mirror are read off the mesh's layout
-    (`_layout`), and the stiffness is assembled only where a pencil is
-    built, so each factorization starts with its pencil the only matrix
-    of its size alive.  Requires the surface to carry at least
-    4 * n_eigs nodes so the top requested mode stays resolved; every
-    returned pair passes an a posteriori residual check.  The returned
-    spectrum keeps the mesh and the mirror; its `system` is assembled
-    again on first use, so a DtN dump or a residual study pays one more
-    assembly.
+    Solves the pencil K u = lambda B u of the stiffness and the embedded
+    surface mass by Lanczos on a surface-size operator with one sparse
+    factorization of the shifted pencil (see _sloshing_pairs), without
+    forming the dense DtN matrix.  A mesh that is its own mirror image
+    (see _mirror_rows) is solved as its even and odd halves instead, one
+    half pencil after the other (see _split_pairs); any other mesh takes
+    the full pencil.  The surface size and the mirror are read off the
+    mesh's layout (`_layout`), and the stiffness is assembled only where
+    a pencil is built, so each factorization starts with its pencil the
+    only matrix of its size alive.  Requires the surface to carry at
+    least 4 * n_eigs nodes so the top requested mode stays resolved;
+    every returned pair passes an a posteriori residual check.  The
+    returned spectrum keeps the mirror rows but not the mesh, so a DtN
+    dump or a residual study assembles the mesh once more.
     """
     if n_eigs < 1:
         raise SteklovSolveError("n_eigs must be at least 1")
-    if mesh is None:
-        mesh = generate_mesh(domain, h, grading_factor)
     layout = _layout(mesh)
     ns = len(layout.s_coords)
     if ns < 4 * n_eigs:
@@ -670,7 +655,6 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
     return SteklovSpectrum(
         eigenvalues=eigenvalues,
         traces=traces,
-        mesh=mesh,
         eigen_residual=eigen_residual,
         pencil_solves=pencil_solves,
         parity=parity,
@@ -682,12 +666,11 @@ def solve_steklov(domain, h, n_eigs, grading_factor=0.25, mesh=None):
 class ConvergenceStudy:
     """Eigenvalues across a decreasing mesh-size ladder.
 
-    `values[i, j]` is eigenvalue k_values[j] at h_values[i].  Richardson
-    limits extrapolate the two finest meshes with the observed order
-    (default 2 when fewer than three meshes are available), and `errbar`
-    is twice the last eigenvalue increment, per k.  `finest` is the
-    finest level's spectrum, with its mesh; its `system` is assembled
-    again on first use.
+    `values[i, j]` is eigenvalue k_values[j] at h_values[i], the size of
+    the i-th mesh.  Richardson limits extrapolate the two finest meshes
+    with the observed order (default 2 when fewer than three meshes are
+    available), and `errbar` is twice the last eigenvalue increment, per
+    k.
     """
 
     h_values: tuple
@@ -696,35 +679,31 @@ class ConvergenceStudy:
     observed_order: np.ndarray
     richardson: np.ndarray
     errbar: np.ndarray
-    finest: SteklovSpectrum
 
 
-def convergence_study(domain, h_list, k_list, grading_factor=0.25, meshes=None):
-    """Rerun solve_steklov on a ladder of mesh sizes, finest level first.
+def convergence_study(meshes, k_list):
+    """Rerun solve_steklov on a ladder of meshes, finest level first.
 
     Every FEM table reads its eigenvalues and error bar from here, the
-    single-size ones on (2h, h).  `meshes`, if given, holds exactly one
-    mesh per size, in the order of `h_list`.  Going finest first, a
-    failure names the size asked for, and that level's spectrum (not its
-    factor) is kept for the coarser ones.
+    single-size ones on (2h, h).  Each level's size is its mesh's
+    `mesh_size`, and the sizes must strictly decrease along `meshes`;
+    a mesh read back from a dump has no size (nan) and is refused.
+    Going finest first, a failure at the finest level is raised before
+    any coarser level is solved.
     """
-    h_list = [float(h) for h in h_list]
-    if any(b >= a for a, b in zip(h_list[:-1], h_list[1:])):
-        raise SteklovSolveError("h_list must be strictly decreasing")
+    h_list = [float(mesh.mesh_size) for mesh in meshes]
+    if not h_list:
+        raise SteklovSolveError("need at least one mesh")
+    if not all(a > b for a, b in zip(h_list, h_list[1:] + [0.0])):
+        raise SteklovSolveError(f"mesh sizes must be positive and strictly decreasing, got {h_list}")
     k_list = [int(k) for k in k_list]
     if min(k_list) < 1:
         raise SteklovSolveError("eigenvalue indices are 1-based")
     n_eigs = max(k_list)
-    if meshes is None:
-        meshes = [None] * len(h_list)
-    elif len(meshes) != len(h_list):
-        raise SteklovSolveError(f"need one mesh per mesh size: {len(meshes)} meshes for {len(h_list)} sizes")
     index = np.array(k_list) - 1
     values = np.empty((len(h_list), len(k_list)))
-    finest = solve_steklov(domain, h_list[-1], n_eigs, grading_factor, mesh=meshes[-1])
-    values[-1] = finest.eigenvalues[index]
-    for i in range(len(h_list) - 2, -1, -1):
-        values[i] = solve_steklov(domain, h_list[i], n_eigs, grading_factor, mesh=meshes[i]).eigenvalues[index]
+    for i in reversed(range(len(meshes))):
+        values[i] = solve_steklov(meshes[i], n_eigs).eigenvalues[index]
 
     nk = len(k_list)
     order = np.full(nk, np.nan)
@@ -751,5 +730,4 @@ def convergence_study(domain, h_list, k_list, grading_factor=0.25, meshes=None):
         observed_order=order,
         richardson=richardson,
         errbar=errbar,
-        finest=finest,
     )

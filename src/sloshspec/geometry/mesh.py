@@ -64,7 +64,9 @@ class TriangleMesh:
 
     `boundary_edges` is a tuple of (i, j, tag) triples in boundary loop
     order; tags are the piece conditions ('steklov', 'neumann',
-    'dirichlet').  Triangles are counterclockwise.
+    'dirichlet').  Triangles are counterclockwise.  `mesh_size` is the
+    size the mesh was made at; `fem_steklov.convergence_study` reads each
+    level's size from it, and refuses the nan a dump read back carries.
 
     `generate_mesh` also records how it got there: the number of
     refinement rounds that inserted circumcenters, the circumcenters it
@@ -475,12 +477,13 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         if rounds == _MAX_REFINE_ROUNDS:
             raise MeshError("minimum interior angle below 20 degrees after refinement")
         order = np.argsort(minang[bad])
-        cc, radius = _circumcenters(nodes, band[bad])
+        with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate triangle's centre; `ok` masks it
+            cc, radius = _circumcenters(nodes, band[bad])
         cc, radius = cc[order], radius[order]
         ok = np.isfinite(cc).all(axis=1) & np.isfinite(radius) & (radius > 0)
         ok &= _backend.points_in_polygon(np.ascontiguousarray(cc), poly)
-        tree = cKDTree(nodes)
-        d_any, _ = tree.query(cc)
+        d_any = np.zeros(len(cc))
+        d_any[ok] = cKDTree(nodes).query(cc[ok])[0]
         ok &= d_any >= _INSERT_CLEARANCE * radius
         accepted = []
         for k in np.where(ok)[0]:

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .asymptotics import QuasiFrequencyModel, quasi_frequency
-from .fem_steklov import convergence_study, dtn_action, half_system, solve_steklov
+from .fem_steklov import assemble, convergence_study, dtn_action, half_system, solve_steklov
 from .geometry import CornerSpec, build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
@@ -297,21 +297,30 @@ def _domain_description(domain):
     )
 
 
+def _ladder(domain, h_list, grading_factor):
+    """One mesh of `domain` per size in `h_list`, in that order, meshed finest first.
+
+    Meshing the finest size first makes a meshing error name it, as the
+    ladder solves it first too.
+    """
+    return [generate_mesh(domain, h, grading_factor) for h in reversed(h_list)][::-1]
+
+
 def _comparison_report(cases, h, kmax, grading_factor):
     """FEM spectra against predictions, one report block per case.
 
     `cases` yields (label, domain, predict, meshes), where predict(ks)
-    gives the predicted values at the indices ks and meshes is None or
-    the meshes at 2h and h.  Each case solves through convergence_study
-    on the ladder (2h, h): the block's computed column is the level h,
-    and the metadata's error bar is 2 |lambda(h) - lambda(2h)| per k.
+    gives the predicted values at the indices ks and meshes are the
+    meshes at 2h and h.  Each case solves through convergence_study on
+    that ladder: the block's computed column is the level h, and the
+    metadata's error bar is 2 |lambda(h) - lambda(2h)| per k.
     """
     started = time.perf_counter()
     ks = tuple(range(1, kmax + 1))
     blocks = []
     meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
     for label, domain, predict, meshes in cases:
-        study = convergence_study(domain, (2.0 * h, h), ks, grading_factor, meshes)
+        study = convergence_study(meshes, ks)
         blocks.append(
             ReportBlock(
                 label=label,
@@ -320,10 +329,9 @@ def _comparison_report(cases, h, kmax, grading_factor):
                 predicted=tuple(float(v) for v in predict(ks)),
             )
         )
-        meta["num_nodes"][label] = study.finest.num_nodes
+        meta["num_nodes"][label] = meshes[-1].num_nodes
         meta["errbar"][label] = [float(e) for e in study.errbar]
         meta["domain"][label] = _domain_description(domain)
-        del study  # free this case's finest spectrum before the next case solves
     meta["runtime_seconds"] = time.perf_counter() - started
     return ComparisonReport(blocks=tuple(blocks), metadata=meta)
 
@@ -343,16 +351,15 @@ def _with_walls(mesh, condition):
 def _example_cases(example, h, grading_factor):
     if example == 1:
         angles = (2 * math.pi / 5, math.pi / 6, 2.0)
-        # the wall conditions only tag the walls, so both cases solve on one mesh per level;
-        # h is meshed first, so a meshing error names it
-        meshes = [generate_mesh(build_triangle_domain(*angles), size, grading_factor) for size in (h, 2.0 * h)]
+        # the wall conditions only tag the walls, so both cases solve on one mesh per level
+        meshes = _ladder(build_triangle_domain(*angles), (2.0 * h, h), grading_factor)
         for label in ("neumann", "dirichlet"):
             domain = build_triangle_domain(*angles, wall_conditions=(label, label))
-            yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in reversed(meshes)]
+            yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in meshes]
     else:
         for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
             domain = build_curvilinear_example(sign)
-            yield label, domain, _lattice(domain), None
+            yield label, domain, _lattice(domain), _ladder(domain, (2.0 * h, h), grading_factor)
 
 
 def reproduce_table(example, h, grading_factor=0.25):
@@ -392,7 +399,8 @@ def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
     def ode(ks):
         return solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), len(ks)).eigenvalues
 
-    return _comparison_report([("fem_vs_ode", domain, ode, None)], h, kmax, grading_factor)
+    meshes = _ladder(domain, (2.0 * h, h), grading_factor)
+    return _comparison_report([("fem_vs_ode", domain, ode, meshes)], h, kmax, grading_factor)
 
 
 def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
@@ -407,11 +415,12 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     last being the distance from sigma_k to the nearest computed
     eigenvalue.
 
-    Of the spectrum only the assembled system (assembled again from the
-    mesh, see `SteklovSpectrum`), its mirror rows, the eigenvalues and
-    the node count are kept: the mesh and the eigenvector traces are
-    freed before the DtN action factors K_II, the largest allocation of
-    the study on a fine mesh.  On a mesh that mirrors (the default
+    The study meshes the triangle, solves the mesh and assembles it once
+    more for the DtN action (the spectrum keeps no system).  Of the
+    spectrum only its mirror rows and eigenvalues are kept, and of the
+    mesh its node count: the mesh and the eigenvector traces are freed
+    before the DtN action factors K_II, the largest allocation of the
+    study on a fine mesh.  On a mesh that mirrors (the default
     grading 1.0 meshes do, at most sizes), trace k is even for odd k and
     odd for even k, so it is pushed through the DtN action of that half
     system alone, and its residual norm taken with that half's surface
@@ -432,9 +441,11 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     started = time.perf_counter()
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
-    spec = solve_steklov(domain, h, max(k_list) + 2, grading_factor)
-    system, mirror, eigenvalues, num_nodes = spec.system, spec.mirror, spec.eigenvalues, spec.num_nodes
-    del spec  # frees the mesh and traces before K_II is factored
+    mesh = generate_mesh(domain, h, grading_factor)
+    spec = solve_steklov(mesh, max(k_list) + 2)
+    system = assemble(mesh)
+    mirror, eigenvalues, num_nodes = spec.mirror, spec.eigenvalues, mesh.num_nodes
+    del spec, mesh  # frees the mesh and traces before K_II is factored
     mass, ni = system.surface_mass, system.interior_count
     groups = {}
     for k in sorted(k_list):
@@ -518,16 +529,15 @@ class ExperimentTable:
 
     `metadata`, when set, becomes `<stem>_meta.json`; each series entry
     (name, xs, ys) becomes the two-column `<stem>_<name>.csv`.  A custom
-    run also keeps its fine-level `spectrum`, whose mesh, and DtN map of
-    its system (assembled again on first use), the CLI dumps on request;
-    it is not part of an artifact.
+    run also keeps its fine-level `mesh` for the CLI's mesh and DtN
+    dumps; it is not part of an artifact.
     """
 
     header: tuple
     rows: list
     metadata: dict = None
     series: tuple = ()
-    spectrum: object = None
+    mesh: object = None
 
     def text(self, fmt):
         """The table as CSV, or as JSON: a list of row objects keyed by the header."""
@@ -604,7 +614,7 @@ def _sl(config):
 
 def _convergence(config):
     domain = _resolve_domain(config.domain)
-    study = convergence_study(domain, config.h_list, config.k_list, grading_factor=config.grading_factor)
+    study = convergence_study(_ladder(domain, config.h_list, config.grading_factor), config.k_list)
     levels = range(len(study.h_values))
     rows = [
         (k, study.h_values[i], study.values[i][j], study.observed_order[j], study.richardson[j], study.errbar[j])
@@ -623,12 +633,13 @@ def _convergence(config):
 def _custom(config):
     domain = _resolve_domain(config.domain)
     ks = list(range(1, config.kmax + 1))
-    study = convergence_study(domain, (2.0 * config.h, config.h), ks, config.grading_factor)
+    meshes = _ladder(domain, (2.0 * config.h, config.h), config.grading_factor)
+    study = convergence_study(meshes, ks)
     return ExperimentTable(
         header=("k", "lambda", "errbar"),
         rows=list(zip(ks, study.values[-1], study.errbar)),
         series=(("lambda", ks, study.values[-1]),),
-        spectrum=study.finest,
+        mesh=meshes[-1],
     )
 
 

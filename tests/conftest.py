@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 
 import sloshspec
 from sloshspec.fem_steklov import convergence_study
-from sloshspec.geometry import CornerSpec, build_triangle_domain
+from sloshspec.geometry import CornerSpec, build_triangle_domain, generate_mesh
 from sloshspec.harness import reproduce_table
 from sloshspec.highord_sl import HighOrderSLProblem, solve_spectrum
 from sloshspec.model_solutions.peters import eval_peters, far_field_fit
@@ -59,7 +59,8 @@ def iso_domain():
 @pytest.fixture(scope="session")
 def iso_study(iso_domain):
     """Two-level convergence study on the right isosceles container."""
-    return convergence_study(iso_domain, (0.005, 0.0025), tuple(range(1, 11)), grading_factor=0.25)
+    meshes = [generate_mesh(iso_domain, h, 0.25) for h in (0.005, 0.0025)]
+    return convergence_study(meshes, tuple(range(1, 11)))
 
 
 @pytest.fixture(scope="session")

@@ -228,8 +228,8 @@ def test_criterion_7_phase(peters_fits, condition, denominator):
 def test_criterion_8_apex_deepening_monotonicity():
     shallow = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0)
     deep = build_triangle_domain(2 * math.pi / 5, math.pi / 4, 2.0)
-    n_shallow = solve_steklov(shallow, 0.02, 8).eigenvalues
-    n_deep = solve_steklov(deep, 0.02, 8).eigenvalues
+    n_shallow = solve_steklov(generate_mesh(shallow, 0.02), 8).eigenvalues
+    n_deep = solve_steklov(generate_mesh(deep, 0.02), 8).eigenvalues
     assert (n_deep >= n_shallow - 1e-10).all()
 
     shallow_d = build_triangle_domain(
@@ -238,8 +238,8 @@ def test_criterion_8_apex_deepening_monotonicity():
     deep_d = build_triangle_domain(
         2 * math.pi / 5, math.pi / 4, 2.0, wall_conditions=("dirichlet", "dirichlet")
     )
-    d_shallow = solve_steklov(shallow_d, 0.02, 8).eigenvalues
-    d_deep = solve_steklov(deep_d, 0.02, 8).eigenvalues
+    d_shallow = solve_steklov(generate_mesh(shallow_d, 0.02), 8).eigenvalues
+    d_deep = solve_steklov(generate_mesh(deep_d, 0.02), 8).eigenvalues
     assert (d_deep <= d_shallow + 1e-10).all()
 
 
@@ -286,8 +286,8 @@ def test_criterion_8_reruns_are_byte_identical(iso_domain):
     mesh_b = generate_mesh(iso_domain, 0.05)
     assert mesh_a.nodes.tobytes() == mesh_b.nodes.tobytes()
     assert mesh_a.triangles.tobytes() == mesh_b.triangles.tobytes()
-    spec_a = solve_steklov(iso_domain, 0.05, 5)
-    spec_b = solve_steklov(iso_domain, 0.05, 5)
+    spec_a = solve_steklov(mesh_a, 5)
+    spec_b = solve_steklov(mesh_b, 5)
     assert spec_a.eigenvalues.tobytes() == spec_b.eigenvalues.tobytes()
     assert spec_a.traces.tobytes() == spec_b.traces.tobytes()
 

@@ -86,12 +86,12 @@ def test_every_factorization_and_assembly_runs_inside_a_fem_entry_span(capsys):
     inner = [span for span in tracer.spans if span[3] in ("fem_steklov.splu", "fem_steklov.assemble")]
     # example 1: four assemblies and four pencils; the residual mesh mirrors,
     # so one assembly per half pencil, the two half pencils, the system the
-    # study reads off its spectrum and the odd half's K_II
+    # study assembles from its mesh and the odd half's K_II
     assert len(inner) == 14
     # the residual study's dual norm uses a banded surface-mass factor,
     # so no factorization is left outside them.  The one assembly outside
-    # is the spectrum's system, assembled again when the study first reads
-    # it; its own span books its time to fem_steklov
+    # is the study's own, of the mesh it solved, for the DtN action; its
+    # own span books its time to fem_steklov
     stray = [(span[3], by_id[span[2]][3]) for span in inner if not entries.intersection(ancestors(span))]
     assert stray == [("fem_steklov.assemble", "harness.quasimode_residual_study")]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -113,6 +114,26 @@ def test_a_config_error_names_the_flag_typed_once(tmp_path, monkeypatch, capsys,
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == {"field": argv[-2].lstrip("-"), "message": message, "type": "config"}
+
+
+def test_a_triangle_the_mesher_cannot_refine_exits_one_without_a_warning(tmp_path, capsys):
+    # refining this sharp triangle meets a degenerate band triangle whose
+    # circumcentre is not finite; the clearance query once raised a raw
+    # ValueError on it.  It is now rejected like any centre outside the
+    # polygon, and no floating-point warning reaches stderr on the way
+    domain = build_triangle_domain(
+        0.43670467849510486, 1.1946927988160798, 2.2447339267077036, wall_conditions=("dirichlet", "neumann")
+    )
+    path = tmp_path / "sharp.json"
+    path.write_text(json.dumps(domain_to_json(domain)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fem", "--domain", str(path), "--h", "0.0561183", "--neigs", "6"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "numerical"
+    assert "20 degree" in error["message"]
 
 
 def test_a_run_refused_by_one_target_leaves_out_as_it_was(tmp_path, monkeypatch, capsys):

@@ -84,10 +84,10 @@ def test_shuffled_boundary_edges_give_identical_eigenvalues():
     mesh = generate_mesh(domain, 0.04)
     order = np.random.default_rng(3).permutation(len(mesh.boundary_edges))
     shuffled = _retagged(mesh, tuple(mesh.boundary_edges[i] for i in order))
-    want = solve_steklov(domain, 0.04, 6, mesh=mesh)
-    got = solve_steklov(domain, 0.04, 6, mesh=shuffled)
+    want = solve_steklov(mesh, 6)
+    got = solve_steklov(shuffled, 6)
     assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
-    assert got.s_coords.tobytes() == want.s_coords.tobytes()
+    assert assemble(shuffled).s_coords.tobytes() == assemble(mesh).s_coords.tobytes()
 
 
 def test_surface_edges_off_a_single_open_path_are_rejected():
@@ -133,8 +133,8 @@ def test_dirichlet_walls_eliminate_surface_endpoints():
         math.pi / 4, math.pi / 4, 1.0, wall_conditions=("dirichlet", "dirichlet")
     )
     mesh = generate_mesh(domain, 0.05)
-    spec = solve_steklov(domain, 0.05, 3, mesh=mesh)
-    system = spec.system
+    spec = solve_steklov(mesh, 3)
+    system = assemble(mesh)
     dirichlet = np.unique(mesh.edges_with_tag("dirichlet"))
     assert len(dirichlet) > 0
     assert not np.isin(dirichlet, system.row_nodes).any()
@@ -351,7 +351,7 @@ def test_handing_back_free_heap_leaves_every_bit_of_a_solve(glibc_lookup, monkey
     domain = build_triangle_domain(*EX1_ANGLES)
 
     def solve():
-        spec = solve_steklov(domain, 0.02, 8)
+        spec = solve_steklov(generate_mesh(domain, 0.02), 8)
         return spec.eigenvalues.tobytes(), spec.traces.tobytes()
 
     default = solve()
@@ -404,8 +404,9 @@ def test_factorization_that_pivots_off_the_diagonal_is_rejected():
 )
 def test_pencil_and_interior_factors_keep_their_pivots_on_the_diagonal(build, monkeypatch):
     calls = _recorded_factors(monkeypatch)
-    spec = solve_steklov(build(), 0.02, 10)
-    dtn_action(spec.system)
+    mesh = generate_mesh(build(), 0.02)
+    solve_steklov(mesh, 10)
+    dtn_action(assemble(mesh))
     assert len(calls) == 2
     for _, lu, _ in calls:
         assert np.array_equal(lu.perm_r, lu.perm_c)
@@ -413,7 +414,7 @@ def test_pencil_and_interior_factors_keep_their_pivots_on_the_diagonal(build, mo
 
 def test_symmetric_mode_fills_less_than_partial_pivoting(monkeypatch):
     calls = _recorded_factors(monkeypatch)
-    solve_steklov(build_curvilinear_example("-"), 0.02, 10)
+    solve_steklov(generate_mesh(build_curvilinear_example("-"), 0.02), 10)
     pencil = calls[0][0]
     monkeypatch.undo()
     partial = spla.splu(pencil.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -431,15 +432,16 @@ def test_factor_hands_splu_its_matrix_without_a_copy(iso_system, monkeypatch):
         assert np.shares_memory(calls[-1][0].data, matrix.data)
 
 
-def _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, h, mesh=None):
+def _assert_factors_are_those_of_a_csc_copy(monkeypatch, mesh):
     """Solve and factor K_II; each matrix factored is exactly symmetric,
     its CSC view is entry for entry the tocsc() copy of its CSR, and the
     factors of the two solve a fixed right-hand side bit for bit."""
     calls = _recorded_factors(monkeypatch)
-    spec = solve_steklov(domain, h, 6, mesh=mesh)
-    dtn_action(spec.system)
+    solve_steklov(mesh, 6)
+    system = assemble(mesh)
+    dtn_action(system)
     monkeypatch.undo()
-    stiffness = spec.system.stiffness
+    stiffness = system.stiffness
     assert (stiffness != stiffness.T).nnz == 0
     assert len(calls) == 2  # the pencil, then K_II
     _assert_each_factor_is_that_of_a_csc_copy(calls)
@@ -469,19 +471,19 @@ def _assert_each_factor_is_that_of_a_csc_copy(calls):
     ids=["rectangle-ndn", "rectangle-n", "triangle-1.0-0.7", "ex2-minus", "iso"],
 )
 def test_pencil_and_interior_factors_are_those_of_a_csc_copy(build, h, monkeypatch):
-    _assert_factors_are_those_of_a_csc_copy(monkeypatch, build(), h)
+    _assert_factors_are_those_of_a_csc_copy(monkeypatch, generate_mesh(build(), h))
 
 
 def test_half_systems_are_exactly_symmetric_and_factor_as_their_csc_copies(monkeypatch):
     # each half pencil and half K_II goes to SuperLU as the transpose of
     # its CSR, which is the matrix itself only if it is exactly symmetric
     # and each half pencil factored is, byte for byte, the pencil of the
-    # half that the spectrum's system and mirror rebuild
+    # half that the mesh's system and the spectrum's mirror rebuild
     mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.04, 1.0)
     calls = _recorded_factors(monkeypatch)
-    spec = solve_steklov(None, 0.04, 6, mesh=mesh)
+    spec = solve_steklov(mesh, 6)
     for (view, _, _), parity in zip(calls[:2], (1, -1)):
-        half, _ = half_system(spec.system, spec.mirror, parity)
+        half, _ = half_system(assemble(mesh), spec.mirror, parity)
         assert (half.stiffness != half.stiffness.T).nnz == 0
         assert (half.surface_mass != half.surface_mass.T).nnz == 0
         rebuilt = _pencil(half)[0]
@@ -497,7 +499,7 @@ def test_half_systems_are_exactly_symmetric_and_factor_as_their_csc_copies(monke
 def test_factors_of_a_mesh_read_from_a_dump_are_those_of_a_csc_copy(tmp_path, monkeypatch):
     domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=("neumann", "dirichlet"))
     mesh = _dumped_with_shuffled_surface(generate_mesh(domain, 0.04), tmp_path / "mesh.txt")
-    _assert_factors_are_those_of_a_csc_copy(monkeypatch, domain, 0.04, mesh)
+    _assert_factors_are_those_of_a_csc_copy(monkeypatch, mesh)
 
 
 @pytest.mark.parametrize("split", [True, False], ids=["split", "full"])
@@ -512,9 +514,9 @@ def test_every_factorization_of_the_residual_study_is_spd(split, monkeypatch):
     spectra = []
     solve = harness.solve_steklov
 
-    def keep(*args, **kwargs):
-        spectra.append(solve(*args, **kwargs))
-        return spectra[-1]
+    def keep(mesh, n_eigs):
+        spectra.append((mesh, solve(mesh, n_eigs)))
+        return spectra[-1][1]
 
     residuals = []
     cho_solve_banded = scipy.linalg.cho_solve_banded
@@ -532,8 +534,9 @@ def test_every_factorization_of_the_residual_study_is_spd(split, monkeypatch):
         assert kwargs["options"] == {"SymmetricMode": True}
         assert np.array_equal(lu.perm_r, lu.perm_c)
     assert len(spectra) == 1 and len(residuals) == len(table.rows) == 2
-    system = spectra[0].system
-    mass = (half_system(system, spectra[0].mirror, -1)[0] if split else system).surface_mass.toarray()
+    mesh, spec = spectra[0]
+    system = assemble(mesh)
+    mass = (half_system(system, spec.mirror, -1)[0] if split else system).surface_mass.toarray()
     for (_, sigma, relative, _), r in zip(table.rows, residuals):
         dense = float(r @ scipy.linalg.solve(mass, r))
         assert (relative * sigma) ** 2 == pytest.approx(dense, rel=1e-12)
@@ -556,8 +559,9 @@ def test_the_residual_study_factors_only_the_halves_its_traces_need(k_list, monk
 
     monkeypatch.setattr(harness, "dtn_action", recording)
     table = quasimode_residual_study(2, 1.0, 0.02, k_list)
-    spec = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.02, 3, grading_factor=1.0)
-    system = spec.system
+    mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
+    spec = solve_steklov(mesh, 3)
+    system = assemble(mesh)
     size = {parity: len(half_system(system, spec.mirror, parity)[0].s_coords) for parity in (1, -1)}
     parities = dict.fromkeys(1 if k % 2 else -1 for k in k_list)
     assert [n for n, _ in actions] == [size[parity] for parity in parities]
@@ -576,7 +580,7 @@ def test_rectangle_matches_separated_solution():
     # [0, pi] x [-1, 0]: eigenfunctions cos(kx) cosh(k(y+1)) give
     # eigenvalues k tanh(k) below the constant mode at zero
     domain = build_rectangle_domain(math.pi, 1.0)
-    spec = solve_steklov(domain, 0.04, 5)
+    spec = solve_steklov(generate_mesh(domain, 0.04), 5)
     true = np.array([0.0] + [k * math.tanh(k) for k in range(1, 5)])
     assert abs(spec.eigenvalues[0]) < 1e-10
     rel = np.abs(spec.eigenvalues[1:] - true[1:]) / true[1:]
@@ -598,7 +602,7 @@ def test_p1_bounds_the_rectangle_spectrum_from_above_at_order_two(walls, shift):
     n = np.arange(1, 11) - shift
     exact = n * np.tanh(n)
     tol = 1e-12 * np.maximum(1.0, exact)
-    coarse, fine = (solve_steklov(domain, h, 10).eigenvalues - exact for h in (0.04, 0.02))
+    coarse, fine = (solve_steklov(generate_mesh(domain, h), 10).eigenvalues - exact for h in (0.04, 0.02))
     assert (coarse >= -tol).all() and (fine >= -tol).all()
     resolved = fine > tol
     assert 3.0 <= (coarse[resolved] / fine[resolved]).min()
@@ -634,7 +638,7 @@ def test_p1_bounds_the_kirchhoff_v_canal_spectrum_from_above_at_order_two():
     assert exact == pytest.approx([0.0, 2.0, 4.64727551, 7.85930901, 10.99523894, 14.13718599], abs=1e-8)
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     tol = 1e-12 * np.maximum(1.0, exact)
-    coarse, fine = (solve_steklov(domain, h, 6).eigenvalues - exact for h in (0.04, 0.02))
+    coarse, fine = (solve_steklov(generate_mesh(domain, h), 6).eigenvalues - exact for h in (0.04, 0.02))
     assert (coarse >= -tol).all() and (fine >= -tol).all()
     resolved = fine > tol
     assert resolved.sum() == 5
@@ -645,24 +649,22 @@ def test_p1_bounds_the_kirchhoff_v_canal_spectrum_from_above_at_order_two():
 def test_traces_are_mass_orthonormal():
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     mesh = generate_mesh(domain, 0.05)
-    spec = solve_steklov(domain, 0.05, 5, mesh=mesh)
-    mass = spec.system.surface_mass.toarray()
+    spec = solve_steklov(mesh, 5)
+    system = assemble(mesh)
+    mass = system.surface_mass.toarray()
     gram = spec.traces.T @ mass @ spec.traces
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
     # the traces own their rows, so the spectrum does not keep the whole eigenvector block
     assert spec.traces.base is None
-    assert spec.traces.shape == (len(spec.s_coords), 5)
-    assert spec.mesh is mesh
-    assert spec.num_nodes == mesh.num_nodes
-    assert spec.s_coords is spec.system.s_coords
+    assert spec.traces.shape == (len(system.s_coords), 5)
 
 
 def test_resolution_guard_rejects_underresolved_requests():
     domain = build_rectangle_domain(math.pi, 1.0)
     with pytest.raises(SteklovSolveError, match="resolution guard"):
-        solve_steklov(domain, 0.5, 10)
+        solve_steklov(generate_mesh(domain, 0.5), 10)
     with pytest.raises(SteklovSolveError, match="at least 1"):
-        solve_steklov(domain, 0.1, 0)
+        solve_steklov(generate_mesh(domain, 0.1), 0)
 
 
 EX1_ANGLES = (2 * math.pi / 5, math.pi / 6, 2.0)
@@ -682,9 +684,9 @@ def test_sparse_eigensolve_matches_dense_dtn_oracle(walls, h):
     # the sparse pencil and the dense Schur-complement DtN are the same
     # discrete problem, so eigenvalues agree to rounding and each trace
     # is the dense eigenvector up to sign
-    domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
-    spec = solve_steklov(domain, h, 10)
-    system = spec.system
+    mesh = generate_mesh(build_triangle_domain(*EX1_ANGLES, wall_conditions=walls), h)
+    spec = solve_steklov(mesh, 10)
+    system = assemble(mesh)
     mass = system.surface_mass.toarray()
     w, v = scipy.linalg.eigh(dtn_matrix(system).matrix, mass)
     w = w[:10]
@@ -702,7 +704,7 @@ def test_failed_factorization_raises_steklov_solve_error(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", singular)
     with pytest.raises(SteklovSolveError, match="pencil factorization failed"):
-        solve_steklov(domain, 0.1, 3)
+        solve_steklov(generate_mesh(domain, 0.1), 3)
 
 
 def test_eigenpair_residual_check_rejects_inaccurate_pairs(monkeypatch):
@@ -715,7 +717,7 @@ def test_eigenpair_residual_check_rejects_inaccurate_pairs(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", perturbed)
     with pytest.raises(SteklovSolveError, match="eigenpair residual"):
-        solve_steklov(domain, 0.1, 3)
+        solve_steklov(generate_mesh(domain, 0.1), 3)
 
 
 def test_eigensolve_is_standard_lanczos_on_the_surface(monkeypatch):
@@ -737,10 +739,10 @@ def test_eigensolve_is_standard_lanczos_on_the_surface(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", recording)
     for walls in (("neumann", "neumann"), ("dirichlet", "dirichlet")):
-        domain = build_triangle_domain(*EX1_ANGLES, wall_conditions=walls)
-        spec = solve_steklov(domain, 0.04, 6)
+        mesh = generate_mesh(build_triangle_domain(*EX1_ANGLES, wall_conditions=walls), 0.04)
+        spec = solve_steklov(mesh, 6)
         shape, kwargs, products = calls[-1]
-        ns = len(spec.s_coords)
+        ns = len(assemble(mesh).s_coords)
         assert shape == (ns, ns)
         assert kwargs["k"] == 6
         assert kwargs.get("M") is None and kwargs.get("sigma") is None
@@ -780,8 +782,8 @@ def test_surface_reduction_matches_dense_dtn_oracle(walls, dump, tmp_path):
         surface = mesh.edges_with_tag("steklov")
         mesh = _dumped_with_shuffled_surface(mesh, tmp_path / "mesh.txt")
         assert not np.array_equal(mesh.edges_with_tag("steklov"), surface)
-    spec = solve_steklov(domain, 0.02, 10, mesh=mesh)
-    system = spec.system
+    spec = solve_steklov(mesh, 10)
+    system = assemble(mesh)
     surface_nodes = len(np.unique(mesh.edges_with_tag("steklov")))
     assert len(system.s_coords) == surface_nodes - walls.count("dirichlet")
     mass = system.surface_mass
@@ -820,12 +822,12 @@ def test_a_mirrored_mesh_splits_into_halves_with_the_full_spectrum(build, h, wal
     # half pencils give the full pencil's eigenvalues to 1e-10 and, up to
     # sign, its traces, each even or odd under the reflection
     mesh = generate_mesh(build(wall), h, 1.0)
-    spec = solve_steklov(None, h, 10, mesh=mesh)
+    spec = solve_steklov(mesh, 10)
     assert spec.mirror is not None
     w, traces, _, _ = _sloshing_pairs(*_pencil(assemble(mesh)), 10)  # the full path
     rel = np.abs(spec.eigenvalues - w) / np.maximum(np.abs(w), 1.0)
     assert rel.max() <= 1e-10
-    mass = spec.system.surface_mass
+    mass = assemble(mesh).surface_mass
     np.testing.assert_allclose(spec.traces.T @ (mass @ spec.traces), np.eye(10), atol=1e-10)
     np.testing.assert_allclose(np.abs(np.sum(spec.traces * (mass @ traces), axis=0)), 1.0, atol=1e-8)
     assert set(spec.parity.tolist()) == {1, -1}
@@ -850,7 +852,7 @@ def test_a_mesh_that_does_not_mirror_takes_the_full_pencil_bit_for_bit(domain, h
     mesh = generate_mesh(domain, h, grading)
     # the q = 3 mesh mirrors its nodes, but not its triangles
     assert _nodes_mirror(mesh) == (grading == 1.0)
-    spec = solve_steklov(domain, h, 10, mesh=mesh)
+    spec = solve_steklov(mesh, 10)
     assert spec.mirror is None
     w, traces, residual, solves = _sloshing_pairs(*_pencil(assemble(mesh)), 10)
     assert spec.eigenvalues.tobytes() == w.tobytes()
@@ -892,8 +894,8 @@ def test_a_half_that_fails_the_union_certificate_is_solved_again(monkeypatch):
         return solve(A, system, 5 if len(calls) <= 2 else n_eigs)
 
     monkeypatch.setattr(fem_steklov, "_sloshing_pairs", short_first)
-    spec = solve_steklov(None, 0.02, 10, mesh=mesh)
-    even, odd = (len(half_system(spec.system, spec.mirror, parity)[0].s_coords) for parity in (1, -1))
+    spec = solve_steklov(mesh, 10)
+    even, odd = (len(half_system(assemble(mesh), spec.mirror, parity)[0].s_coords) for parity in (1, -1))
     assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11)]
     w, _, _, _ = solve(*_pencil(assemble(mesh)), 10)
     assert (np.abs(spec.eigenvalues - w) / np.maximum(w, 1.0)).max() <= 1e-10
@@ -905,8 +907,8 @@ def test_a_split_too_small_for_its_pairs_takes_the_full_pencil():
     # surface rows, too few for the two pairs asked of it: the spectrum
     # is the full pencil's, bit for bit, though the mesh mirrors
     mesh = generate_mesh(build_rectangle_domain(1.0, 0.5), 0.4, 1.0)
-    spec = solve_steklov(None, 0.4, 1, mesh=mesh)
-    assert spec.mirror is not None and len(spec.s_coords) == 4
+    spec = solve_steklov(mesh, 1)
+    assert spec.mirror is not None and len(assemble(mesh).s_coords) == 4
     w, traces, _, _ = _sloshing_pairs(*_pencil(assemble(mesh)), 1)
     assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
     assert spec.parity.tolist() == [0]
@@ -930,9 +932,9 @@ def test_a_half_still_uncertified_after_its_resolve_takes_the_full_pencil(monkey
         return w, traces, residual, solves
 
     monkeypatch.setattr(fem_steklov, "_sloshing_pairs", tied_on_resolve)
-    spec = solve_steklov(None, 0.02, 10, mesh=mesh)
-    even, odd = (len(half_system(spec.system, spec.mirror, parity)[0].s_coords) for parity in (1, -1))
-    assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11), (len(spec.s_coords), 10)]
+    spec = solve_steklov(mesh, 10)
+    even, odd = (len(half_system(assemble(mesh), spec.mirror, parity)[0].s_coords) for parity in (1, -1))
+    assert calls == [(even, 6), (odd, 6), (even, 11), (odd, 11), (len(assemble(mesh).s_coords), 10)]
     w, traces, residual, solves = solve(*_pencil(assemble(mesh)), 10)
     assert (spec.eigenvalues.tobytes(), spec.traces.tobytes()) == (w.tobytes(), traces.tobytes())
     assert (spec.eigen_residual, spec.pencil_solves) == (residual, solves)
@@ -942,7 +944,7 @@ def test_a_half_still_uncertified_after_its_resolve_takes_the_full_pencil(monkey
 def test_the_spectrum_reports_each_pair_parity(record_property, capsys):
     # k = 1 is the constant, which is even.  The alternation after it is
     # reported here, not gated: no proof that it must hold is cited
-    spec = solve_steklov(_sector_triangle(2, ("neumann", "neumann")), 0.005, 10, grading_factor=1.0)
+    spec = solve_steklov(generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.005, 1.0), 10)
     assert spec.parity[0] == 1 and set(spec.parity.tolist()) == {1, -1}
     pattern = " ".join("even" if p == 1 else "odd" for p in spec.parity)
     record_property("parity_k1_to_k10", pattern)
@@ -988,7 +990,7 @@ def test_each_factorization_of_a_solve_holds_only_its_pencil(domain, grading, fa
     # no stiffness, full or half, and no other pencil is alive while a
     # pencil is factored
     alive = _large_matrices_alive_at_each_factor(
-        monkeypatch, lambda: solve_steklov(domain, 0.02, 10, grading_factor=grading)
+        monkeypatch, lambda: solve_steklov(generate_mesh(domain, 0.02, grading), 10)
     )
     assert alive == [[]] * factors
 
@@ -998,12 +1000,13 @@ def test_each_factorization_of_a_solve_holds_only_its_pencil(domain, grading, fa
     [(build_triangle_domain(*EX1_ANGLES), 0.25), (_sector_triangle(2, ("neumann", "neumann")), 1.0)],
     ids=["ex1", "q2-mirrored"],
 )
-def test_the_spectrum_assembles_its_system_on_first_use_byte_for_byte(domain, grading):
+def test_assembly_repeats_byte_for_byte_and_the_spectrum_keeps_the_mirror_rows(domain, grading):
+    # the spectrum keeps no system: a caller assembles the mesh again and
+    # must get the bytes the solve factored, beside the solve's mirror rows
     mesh = generate_mesh(domain, 0.02, grading)
-    spec = solve_steklov(None, 0.02, 6, mesh=mesh)
-    assert "system" not in vars(spec)  # the solve keeps no assembled system
+    spec = solve_steklov(mesh, 6)
     want = assemble(mesh)
-    system = spec.system
+    system = assemble(mesh)
     for got, ref in ((system.stiffness, want.stiffness), (system.surface_mass, want.surface_mass)):
         for name in ("data", "indices", "indptr"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
@@ -1014,16 +1017,20 @@ def test_the_spectrum_assembles_its_system_on_first_use_byte_for_byte(domain, gr
     assert (spec.mirror is None) == (mirror is None) == (grading != 1.0)
     if mirror is not None:
         assert spec.mirror.tobytes() == mirror.tobytes()
-    assert spec.system is system
 
 
 # ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
 
+def _meshes(domain, h_list, grading_factor=0.25):
+    return [generate_mesh(domain, h, grading_factor) for h in h_list]
+
+
 def test_rectangle_converges_at_second_order():
     domain = build_rectangle_domain(math.pi, 1.0)
-    study = convergence_study(domain, (0.08, 0.04, 0.02), (2, 3, 4))
+    study = convergence_study(_meshes(domain, (0.08, 0.04, 0.02)), (2, 3, 4))
+    assert study.h_values == (0.08, 0.04, 0.02)
     true = np.array([k * math.tanh(k) for k in (1, 2, 3)])
     assert study.values.shape == (3, 3)
     assert ((study.observed_order > 1.8) & (study.observed_order < 2.2)).all()
@@ -1035,29 +1042,30 @@ def test_rectangle_converges_at_second_order():
 
 def test_convergence_study_validates_inputs():
     domain = build_rectangle_domain(math.pi, 1.0)
-    with pytest.raises(SteklovSolveError, match="decreasing"):
-        convergence_study(domain, (0.05, 0.05), (1,))
     with pytest.raises(SteklovSolveError, match="1-based"):
-        convergence_study(domain, (0.1, 0.05), (0, 1))
+        convergence_study(_meshes(domain, (0.1, 0.05)), (0, 1))
 
 
-def test_convergence_study_needs_exactly_one_mesh_per_size():
-    # a short mesh list once reused the last mesh for the missing sizes,
-    # giving equal rows and a zero error bar
+def test_the_ladder_refuses_sizes_that_do_not_strictly_decrease(tmp_path):
+    # each level's size is its mesh's; a mesh read back from a dump
+    # records none (nan), so no ladder can place it, though it solves alone
     domain = build_rectangle_domain(math.pi, 1.0)
-    coarse, fine = (generate_mesh(domain, h) for h in (0.04, 0.02))
-    for meshes in ([coarse], [coarse, fine, fine], []):
-        with pytest.raises(SteklovSolveError, match=f"{len(meshes)} meshes for 2 sizes"):
-            convergence_study(domain, (0.04, 0.02), (1, 2, 3), meshes=meshes)
-    given = convergence_study(domain, (0.04, 0.02), (2, 3, 4), meshes=[coarse, fine])
-    meshed = convergence_study(domain, (0.04, 0.02), (2, 3, 4))
-    assert given.values.tobytes() == meshed.values.tobytes()
-    assert (given.errbar > 0).all()
+    coarse, fine = _meshes(domain, (0.1, 0.05))
+    write_mesh_text(fine, tmp_path / "mesh.txt")
+    read = read_mesh_text(tmp_path / "mesh.txt")
+    assert math.isnan(read.mesh_size)
+    with pytest.raises(SteklovSolveError, match="at least one mesh"):
+        convergence_study([], (1,))
+    for meshes in ([coarse, coarse], [fine, coarse], [read], [coarse, read]):
+        with pytest.raises(SteklovSolveError, match="strictly decreasing"):
+            convergence_study(meshes, (1, 2))
+    assert solve_steklov(read, 2).eigenvalues.tobytes() == solve_steklov(fine, 2).eigenvalues.tobytes()
+    assert convergence_study([coarse, fine], (1, 2)).h_values == (0.1, 0.05)
 
 
 def test_two_level_study_uses_order_two_fallback():
     domain = build_rectangle_domain(math.pi, 1.0)
-    study = convergence_study(domain, (0.08, 0.04), (2,))
+    study = convergence_study(_meshes(domain, (0.08, 0.04)), (2,))
     assert math.isnan(study.observed_order[0])
     v_coarse, v_fine = study.values[:, 0]
     assert study.errbar[0] == pytest.approx(2.0 * abs(v_fine - v_coarse))
@@ -1072,8 +1080,8 @@ def test_corner_grading_keeps_second_order_accuracy():
     domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0)
     ladder = (0.04, 0.02, 0.01)
     ks = (3, 5, 8)
-    graded = convergence_study(domain, ladder, ks, grading_factor=0.25)
-    uniform = convergence_study(domain, ladder, ks, grading_factor=1.0)
+    graded = convergence_study(_meshes(domain, ladder, 0.25), ks)
+    uniform = convergence_study(_meshes(domain, ladder, 1.0), ks)
     for study in (graded, uniform):
         assert ((study.observed_order > 1.8) & (study.observed_order < 2.2)).all()
     true_5 = EX1_TABLE[4][1]

@@ -16,7 +16,7 @@ import pytest
 
 from sloshspec import cli
 from sloshspec.fem_steklov import solve_steklov
-from sloshspec.geometry import build_triangle_domain
+from sloshspec.geometry import build_triangle_domain, generate_mesh
 from sloshspec.geometry.io import domain_to_json
 from sloshspec.harness import ExperimentConfig, compute_experiment, reproduce_table, run_experiment, sl_vs_sloshing
 
@@ -26,7 +26,7 @@ TRIANGLE = (1.0, 0.7, 1.2)
 
 def two_level_errbar(domain, h, kmax):
     """2 |lambda(h) - lambda(2h)| from two direct solves, as raw bytes."""
-    fine, coarse = (solve_steklov(domain, size, kmax).eigenvalues for size in (h, 2.0 * h))
+    fine, coarse = (solve_steklov(generate_mesh(domain, size), kmax).eigenvalues for size in (h, 2.0 * h))
     return (2.0 * np.abs(fine - coarse)).tobytes()
 
 

@@ -303,7 +303,32 @@ def test_example_1_meshes_its_triangle_once_per_level(monkeypatch):
     dirichlet = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("dirichlet",) * 2)
     assert len(solved) == 4
     for h, got in zip((0.04, 0.08), solved[2:]):
-        assert got.tobytes() == solve(dirichlet, h, 10).eigenvalues.tobytes()
+        assert got.tobytes() == solve(generate(dirichlet, h), 10).eigenvalues.tobytes()
+
+
+def test_the_fem_layer_never_meshes(tmp_path, monkeypatch, capsys):
+    # the harness meshes and hands the FEM its meshes; generate_mesh stays
+    # bound in fem_steklov only for the benchmark's tracer, so a stub
+    # there that refuses every call leaves each FEM command running
+    from sloshspec import fem_steklov
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fem_steklov meshed")
+
+    monkeypatch.setattr(fem_steklov, "generate_mesh", refuse)
+    domain_file = write_rectangle_json(tmp_path / "rect.json")
+    mesh_file, dtn_file = tmp_path / "mesh.txt", tmp_path / "dtn.bin"
+    commands = [
+        ["reproduce", "--example", "1", "--h", "0.04"],
+        ["fem", "--domain", domain_file, "--h", "0.1", "--neigs", "3",
+         "--dump-mesh", str(mesh_file), "--dump-dtn", str(dtn_file)],
+        ["convergence", "--domain", domain_file, "--h", "0.2,0.1", "--k", "1,2"],
+        ["residual", "--q", "2", "--h", "0.02", "--k", "4,5"],
+    ]
+    for argv in commands:
+        assert run_main(capsys, *argv)[0] == 0, argv
+    surface = len(read_mesh_text(mesh_file).edges_with_tag("steklov")) + 1
+    assert int(np.frombuffer(dtn_file.read_bytes()[:8], dtype="<u8")[0]) == surface
 
 
 def test_reproduce_table_validates_example_number():

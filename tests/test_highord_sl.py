@@ -267,11 +267,13 @@ def test_only_brackets_whose_roots_are_kept_are_refined(monkeypatch):
 def test_a_spurious_root_sends_for_the_next_bracket(monkeypatch):
     # q = 1 Neumann on [0, 1]: eigenvalues k pi.  The scan chunk holds six
     # brackets, around pi .. 6 pi, and five positive eigenvalues are wanted.
+    # The spoiled root near pi proves spurious, so the sixth bracket is
+    # refined too.  Pi itself is then lost, and the density check refuses
+    # the five found, 2 pi .. 6 pi, as one root short of the count
     sizes = _counting_brackets(monkeypatch, spoil_first_root=True)
-    spectrum = solve_spectrum(HighOrderSLProblem(1, 1.0, "neumann"), 6)
+    with pytest.raises(SLSolveError, match=r"5 eigenvalues located below 18\.8496 .* density predicts 6\.00"):
+        solve_spectrum(HighOrderSLProblem(1, 1.0, "neumann"), 6)
     assert sizes == [5, 1]
-    assert spectrum.eigenvalues[0] == 0.0
-    assert spectrum.eigenvalues[1:] == pytest.approx(math.pi * np.arange(2, 7), rel=1e-13)
 
 
 @pytest.mark.parametrize("length", [0.37, 1.0, 3.0])
@@ -431,3 +433,20 @@ def test_a_subnormal_length_is_a_solve_error():
     with pytest.raises(SLSolveError, match="floating-point range"):
         solve_spectrum(problem, 8)
     assert solve_spectrum(problem, 2).eigenvalues == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
+def test_q21_is_refused_rather_than_returned_one_index_off(condition):
+    # at q = 21 the scan misses one root, so the positive count falls one
+    # short of the one-per-pi/L density (by 0.77 to 1.0 on a grid of
+    # lengths and counts); correct spectra up to q = 20 miss it by at most
+    # 0.38, so the 0.5 band refuses the first and keeps the second
+    zeros = 21 if condition == "neumann" else 0
+    with pytest.raises(SLSolveError, match="density"):
+        solve_spectrum(HighOrderSLProblem(21, 1.0, condition), zeros + 8)
+    for count in (1, 30):
+        spectrum = solve_spectrum(HighOrderSLProblem(20, 1.0, condition), count + (20 if condition == "neumann" else 0))
+        positive = [lam for lam in spectrum.eigenvalues if lam > 0]
+        assert len(positive) == count
+        # the last value lies within half a lattice spacing (pi/2 on [0, 1]) of its own lattice point
+        assert abs(positive[-1] - ode_asymptotic_prediction(20, 1.0, 20 + count)) < math.pi / 2
