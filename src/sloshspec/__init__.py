@@ -7,8 +7,8 @@ lattices, higher-order Sturm-Liouville spectra, and explicit corner
 model solutions.  A P1 finite element solver checks those asymptotics:
 `solve_steklov` takes a mesh to eigenpairs, and `assemble` takes it to
 the assembled system, whose Schur-complement Dirichlet-to-Neumann map
-serves the residual checks and dumps.  A configuration-driven harness
-reproduces the worked eigenvalue tables.
+serves the residual checks and dumps.  A configuration-driven harness,
+`compute_experiment(ExperimentConfig(...))`, reproduces the worked tables.
 """
 
 from .asymptotics import (
@@ -54,11 +54,9 @@ from .harness import (
     ExperimentConfig,
     ExperimentTable,
     ReportBlock,
+    compute_experiment,
     config_from_json,
-    quasimode_residual_study,
-    reproduce_table,
     run_experiment,
-    sl_vs_sloshing,
 )
 from .highord_sl import (
     HighOrderSLProblem,
@@ -110,6 +108,7 @@ __all__ = [
     "build_rectangle_domain",
     "build_triangle_domain",
     "characteristic_smallest_singular_value",
+    "compute_experiment",
     "config_from_json",
     "convergence_study",
     "domain_from_json",
@@ -122,13 +121,10 @@ __all__ = [
     "generate_mesh",
     "ode_asymptotic_prediction",
     "quasi_frequency",
-    "quasimode_residual_study",
     "read_mesh_text",
     "remainder_exponent",
-    "reproduce_table",
     "roots_of_minus_one",
     "run_experiment",
-    "sl_vs_sloshing",
     "solve_steklov",
     "weyl_count_estimate",
     "write_mesh_text",

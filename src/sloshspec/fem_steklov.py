@@ -162,12 +162,11 @@ class DtNOperatorMatrix:
     """Dense discrete Dirichlet-to-Neumann matrix on the free S nodes.
 
     `s_coords` gives each row's arc-length position along the surface,
-    measured from corner A; `s_nodes` the global mesh node ids.
+    measured from corner A.
     """
 
     matrix: np.ndarray
     s_coords: np.ndarray
-    s_nodes: np.ndarray
 
 
 @dataclass
@@ -490,11 +489,7 @@ def dtn_matrix(system):
     if sym_defect > 1e-10 * max(1.0, np.linalg.norm(D)):
         raise SteklovSolveError("DtN symmetry defect exceeds tolerance")
     D = 0.5 * (D + D.T)
-    return DtNOperatorMatrix(
-        matrix=D,
-        s_coords=system.s_coords,
-        s_nodes=system.row_nodes[system.interior_count:],
-    )
+    return DtNOperatorMatrix(matrix=D, s_coords=system.s_coords)
 
 
 def _pencil(system):

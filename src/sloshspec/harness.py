@@ -7,7 +7,7 @@ the order-2q ODE spectrum against its lattice, the Peters far-field
 phase, quasimode residual measurements, mesh-refinement studies and
 custom domains.  Each experiment is described by an ExperimentConfig (a
 flat JSON document on disk), which converts and checks every field, and
-computed by `compute_experiment`, the one place its table is built.
+computed by `compute_experiment`, a function of the config alone.
 `converted` is that conversion, shared with the CLI flags that set no
 config field.  Every result renders its main table through `text(fmt)`,
 so `run_experiment`, which writes it as a deterministic CSV or JSON
@@ -37,8 +37,10 @@ from .asymptotics import QuasiFrequencyModel, quasi_frequency
 from .fem_steklov import assemble, convergence_study, dtn_action, half_system, solve_steklov
 from .geometry import CornerSpec, build_curvilinear_example, build_triangle_domain, domain_from_json, generate_mesh
 from .geometry.io import write_atomic
+from .geometry.mesh import _MAX_NODES
 from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spectrum
 from .model_solutions.hanson_lewy import quasimode_trace
+from .model_solutions.peters import XMAX_LIMIT, eval_peters, far_field_fit
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; remembers the offending field."""
@@ -60,7 +62,8 @@ class ExperimentConfig:
     type here, so a config built in code is checked like one read from
     JSON: booleans, values int() would truncate and floats that
     overflow are refused, a list field stores a tuple, and no `k_list`
-    index may repeat.
+    index may repeat.  Each kind's own limits are checked here too, so
+    its computation checks none.
     """
 
     kind: str
@@ -125,6 +128,34 @@ class ExperimentConfig:
         # the label names every artifact, so it must stay one file name inside the output directory
         if not isinstance(self.label, str) or any(c and c in self.label for c in ("/", os.sep, os.altsep, "\0")):
             raise ConfigError("label", f"must be a string with no path separator or NUL, got {self.label!r}")
+        if self.kind == "sl_vs_sloshing" and self.q == 1:
+            raise ConfigError(
+                "q",
+                "q=1 gives corner angles pi/2 + pi/2 = pi, a degenerate triangle "
+                "with no interior; use q >= 2",
+            )
+        if self.kind == "quasimode_residual":
+            if self.q < 2:
+                raise ConfigError("q", f"quasimode study needs q >= 2, got {self.q}")
+            if min(self.k_list) < self.q + 1:
+                raise ConfigError("k_list", f"lattice indices must be at least q+1 = {self.q + 1}")
+        if self.kind == "peters_phase":
+            # CornerSpec's range, the closed form, the contour's size, then the sector solution's range
+            if not 0 < self.alpha < math.pi:
+                raise ConfigError("alpha", "alpha must lie in (0, pi/2]")
+            if CornerSpec(self.alpha, self.condition).closed_form:
+                raise ConfigError(
+                    "alpha", "at pi/2 the solution is the plane wave itself and leaves no remainder to fit"
+                )
+            if self.xmax > XMAX_LIMIT:
+                raise ConfigError(
+                    "xmax", f"must be at most {XMAX_LIMIT:.1f}; beyond it rounding in the contour exceeds 1e-8"
+                )
+            if self.alpha > math.pi / 2 + 1e-12:
+                raise ConfigError("alpha", "alpha must lie in (0, pi/2]")
+        # the FEM resolution guard wants 4 * kmax surface nodes, more than any mesh may have past this
+        if self.kind in ("custom", "sl_vs_sloshing") and self.kmax > _MAX_NODES // 4:
+            raise ConfigError("kmax", f"must be at most {_MAX_NODES // 4}; no mesh resolves more, got {self.kmax}")
 
     @property
     def stem(self):
@@ -306,8 +337,8 @@ def _ladder(domain, h_list, grading_factor):
     return [generate_mesh(domain, h, grading_factor) for h in reversed(h_list)][::-1]
 
 
-def _comparison_report(cases, h, kmax, grading_factor):
-    """FEM spectra against predictions, one report block per case.
+def _comparison_report(config, cases, kmax):
+    """FEM spectra against predictions at k = 1..kmax, one report block per case.
 
     `cases` yields (label, domain, predict, meshes), where predict(ks)
     gives the predicted values at the indices ks and meshes are the
@@ -318,7 +349,7 @@ def _comparison_report(cases, h, kmax, grading_factor):
     started = time.perf_counter()
     ks = tuple(range(1, kmax + 1))
     blocks = []
-    meta = {"h": h, "grading_factor": grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
+    meta = {"h": config.h, "grading_factor": config.grading_factor, "num_nodes": {}, "errbar": {}, "domain": {}}
     for label, domain, predict, meshes in cases:
         study = convergence_study(meshes, ks)
         blocks.append(
@@ -348,22 +379,23 @@ def _with_walls(mesh, condition):
     return replace(mesh, boundary_edges=edges)
 
 
-def _example_cases(example, h, grading_factor):
-    if example == 1:
+def _example_cases(config):
+    ladder = (2.0 * config.h, config.h)
+    if config.kind == "reproduce_example_1":
         angles = (2 * math.pi / 5, math.pi / 6, 2.0)
         # the wall conditions only tag the walls, so both cases solve on one mesh per level
-        meshes = _ladder(build_triangle_domain(*angles), (2.0 * h, h), grading_factor)
+        meshes = _ladder(build_triangle_domain(*angles), ladder, config.grading_factor)
         for label in ("neumann", "dirichlet"):
             domain = build_triangle_domain(*angles, wall_conditions=(label, label))
             yield label, domain, _lattice(domain), [_with_walls(mesh, label) for mesh in meshes]
     else:
         for label, sign in (("omega_plus", "+"), ("omega_minus", "-")):
             domain = build_curvilinear_example(sign)
-            yield label, domain, _lattice(domain), _ladder(domain, (2.0 * h, h), grading_factor)
+            yield label, domain, _lattice(domain), _ladder(domain, ladder, config.grading_factor)
 
 
-def reproduce_table(example, h, grading_factor=0.25):
-    """Eigenvalue table for worked example 1 or 2.
+def reproduce_table(config):
+    """Eigenvalue table, k = 1..10 whatever its kmax, of the worked example `config.kind` names.
 
     Example 1 is the (2pi/5, pi/6) triangle with surface length 2,
     solved once with Neumann walls and once with Dirichlet walls, each
@@ -372,39 +404,29 @@ def reproduce_table(example, h, grading_factor=0.25):
     plus one Dirichlet circular wall, against the mixed-condition
     lattice pi(k - 1/6)/L and pi(k - 5/6)/L.
     """
-    if example not in (1, 2):
-        raise ConfigError("example", f"expected 1 or 2, got {example!r}")
-    return _comparison_report(_example_cases(example, h, grading_factor), h, 10, grading_factor)
+    return _comparison_report(config, _example_cases(config), 10)
 
 
-def sl_vs_sloshing(q, surface_length, h, kmax, grading_factor=0.25):
-    """FEM sloshing spectrum of the angle pi/2q isosceles triangle next
-    to the order-2q ODE spectrum on the same interval.
+def sl_vs_sloshing(config):
+    """FEM sloshing spectrum of the config's angle pi/2q isosceles
+    triangle next to the order-2q ODE spectrum on the same interval.
 
     The two agree up to an error decaying exponentially in k, which is
     what makes the comparison interesting; the table shows the gap
     closing before FEM discretization error takes over.
     """
-    if q == 1:
-        raise ConfigError(
-            "q",
-            "q=1 gives corner angles pi/2 + pi/2 = pi, a degenerate triangle "
-            "with no interior; use q >= 2",
-        )
-    if q < 1:
-        raise ConfigError("q", f"must be a positive integer, got {q}")
-    angle = math.pi / (2 * q)
-    domain = build_triangle_domain(angle, angle, surface_length)
+    angle = math.pi / (2 * config.q)
+    domain = build_triangle_domain(angle, angle, config.surface_length)
 
     def ode(ks):
-        return solve_spectrum(HighOrderSLProblem(q, surface_length, "neumann"), len(ks)).eigenvalues
+        return solve_spectrum(HighOrderSLProblem(config.q, config.surface_length, "neumann"), len(ks)).eigenvalues
 
-    meshes = _ladder(domain, (2.0 * h, h), grading_factor)
-    return _comparison_report([("fem_vs_ode", domain, ode, meshes)], h, kmax, grading_factor)
+    meshes = _ladder(domain, (2.0 * config.h, config.h), config.grading_factor)
+    return _comparison_report(config, [("fem_vs_ode", domain, ode, meshes)], config.kmax)
 
 
-def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
-    """Measure how well explicit corner quasimodes annihilate the FEM DtN map.
+def quasimode_residual_study(config):
+    """Measure how well explicit corner quasimodes of the config's q annihilate the FEM DtN map.
 
     For each lattice index k the trace of the glued corner solution is
     sampled on the surface nodes, normalized in the surface mass inner
@@ -420,8 +442,8 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     spectrum only its mirror rows and eigenvalues are kept, and of the
     mesh its node count: the mesh and the eigenvector traces are freed
     before the DtN action factors K_II, the largest allocation of the
-    study on a fine mesh.  On a mesh that mirrors (the default
-    grading 1.0 meshes do, at most sizes), trace k is even for odd k and
+    study on a fine mesh.  On a mesh that mirrors (`residual`'s grading
+    1.0 meshes do, at most sizes), trace k is even for odd k and
     odd for even k, so it is pushed through the DtN action of that half
     system alone, and its residual norm taken with that half's surface
     mass: the same numbers to rounding, with K_II factored for one
@@ -432,16 +454,11 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
     times its mirror image to 1e-10, and every trace on a mesh that does
     not mirror, uses the full K_II.
     """
-    if q < 2:
-        raise ConfigError("q", f"quasimode study needs q >= 2, got {q}")
-    # the indices as a config converts and checks them: whole, at least one, none repeated
-    k_list = ExperimentConfig(kind="quasimode_residual", k_list=k_list).k_list
-    if min(k_list) < q + 1:
-        raise ConfigError("k_list", f"lattice indices must be at least q+1 = {q + 1}")
     started = time.perf_counter()
+    q, surface_length, k_list = config.q, config.surface_length, config.k_list
     angle = math.pi / (2 * q)
     domain = build_triangle_domain(angle, angle, surface_length)
-    mesh = generate_mesh(domain, h, grading_factor)
+    mesh = generate_mesh(domain, config.h, config.grading_factor)
     spec = solve_steklov(mesh, max(k_list) + 2)
     system = assemble(mesh)
     mirror, eigenvalues, num_nodes = spec.mirror, spec.eigenvalues, mesh.num_nodes
@@ -476,8 +493,8 @@ def quasimode_residual_study(q, surface_length, h, k_list, grading_factor=1.0):
         del part, apply_action  # one K_II factor alive at a time
     rows.sort()
     meta = {
-        "h": h,
-        "grading_factor": grading_factor,
+        "h": config.h,
+        "grading_factor": config.grading_factor,
         "num_nodes": num_nodes,
         "domain": _domain_description(domain),
         "runtime_seconds": time.perf_counter() - started,
@@ -561,23 +578,9 @@ def _resolve_domain(domain):
 
 
 def _peters_phase(config):
-    from .model_solutions.peters import XMAX_LIMIT, eval_peters, far_field_fit
-
-    # CornerSpec refuses angles outside (0, pi), the sector solution those past pi/2
-    refused = "alpha must lie in (0, pi/2]"
-    try:
-        corner = CornerSpec(config.alpha, config.condition)
-    except ValueError:
-        raise ConfigError("alpha", refused) from None
-    if corner.closed_form:
-        raise ConfigError("alpha", "at pi/2 the solution is the plane wave itself and leaves no remainder to fit")
-    if config.xmax > XMAX_LIMIT:
-        raise ConfigError("xmax", f"must be at most {XMAX_LIMIT:.1f}; beyond it rounding in the contour exceeds 1e-8")
+    corner = CornerSpec(config.alpha, config.condition)
     x = np.linspace(config.xmax / config.samples, config.xmax, config.samples)
-    try:
-        values = eval_peters(corner, x)
-    except ValueError:
-        raise ConfigError("alpha", refused) from None
+    values = eval_peters(corner, x)
     fit = far_field_fit(corner, x, values)
     wave = fit.wave_coefficient * np.exp(-1j * x) + fit.offset
     remainder = np.abs(values - wave)
@@ -644,15 +647,14 @@ def _custom(config):
 
 
 # one entry per experiment kind; ExperimentConfig accepts exactly these
-# kinds and lists them in this order when it rejects one
+# kinds and lists them in this order when it rejects one.  The lambdas look up
+# the public kinds at each call, so a wrapper set on them (perfbench's tracer) runs.
 _EXPERIMENTS = {
-    "reproduce_example_1": lambda c: reproduce_table(1, c.h, c.grading_factor),
-    "reproduce_example_2": lambda c: reproduce_table(2, c.h, c.grading_factor),
-    "sl_vs_sloshing": lambda c: sl_vs_sloshing(c.q, c.surface_length, c.h, c.kmax, c.grading_factor),
+    "reproduce_example_1": lambda c: reproduce_table(c),
+    "reproduce_example_2": lambda c: reproduce_table(c),
+    "sl_vs_sloshing": lambda c: sl_vs_sloshing(c),
     "peters_phase": _peters_phase,
-    "quasimode_residual": lambda c: quasimode_residual_study(
-        c.q, c.surface_length, c.h, c.k_list, c.grading_factor
-    ),
+    "quasimode_residual": lambda c: quasimode_residual_study(c),
     "convergence": _convergence,
     "custom": _custom,
     "sl": _sl,
@@ -662,8 +664,9 @@ _EXPERIMENTS = {
 def compute_experiment(config):
     """Compute one configured experiment without writing anything.
 
-    Returns a ComparisonReport for the reproduce and sl_vs_sloshing
-    kinds and an ExperimentTable for the others.
+    The library's one way to run an experiment.  Returns a
+    ComparisonReport for the reproduce and sl_vs_sloshing kinds and an
+    ExperimentTable for the others.
     """
     return _EXPERIMENTS[config.kind](config)
 

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, settings
 import sloshspec
 from sloshspec.fem_steklov import convergence_study
 from sloshspec.geometry import CornerSpec, build_triangle_domain, generate_mesh
-from sloshspec.harness import reproduce_table
+from sloshspec.harness import ExperimentConfig, compute_experiment
 from sloshspec.highord_sl import HighOrderSLProblem, solve_spectrum
 from sloshspec.model_solutions.peters import eval_peters, far_field_fit
 
@@ -42,13 +42,13 @@ def subprocesses_import_this_package():
 @pytest.fixture(scope="session")
 def ex1_report():
     """Neumann and Dirichlet tables for the 2pi/5 / pi/6 triangle, L = 2."""
-    return reproduce_table(1, 0.01)
+    return compute_experiment(ExperimentConfig(kind="reproduce_example_1", h=0.01))
 
 
 @pytest.fixture(scope="session")
 def ex2_report():
     """Tables for the two curvilinear mixed-condition containers."""
-    return reproduce_table(2, 0.005)
+    return compute_experiment(ExperimentConfig(kind="reproduce_example_2", h=0.005))
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from sloshspec.geometry.domain import (
 )
 from sloshspec.geometry.io import read_mesh_text, write_mesh_text
 from sloshspec.geometry.mesh import TriangleMesh, generate_mesh
-from sloshspec.harness import quasimode_residual_study
+from sloshspec.harness import ExperimentConfig, compute_experiment
 from sloshspec.model_solutions.hanson_lewy import quasimode_trace
 
 from _tables import EX1_TABLE
@@ -527,7 +527,7 @@ def test_every_factorization_of_the_residual_study_is_spd(split, monkeypatch):
 
     monkeypatch.setattr(harness, "solve_steklov", keep)
     monkeypatch.setattr(scipy.linalg, "cho_solve_banded", recording)
-    table = quasimode_residual_study(2, 1.0, 0.02, (4, 6))
+    table = compute_experiment(ExperimentConfig(kind="quasimode_residual", h=0.02, k_list=(4, 6), grading_factor=1.0))
     assert len(calls) == (3 if split else 2)
     for _, lu, kwargs in calls:
         assert kwargs["diag_pivot_thresh"] == 0.0
@@ -558,7 +558,7 @@ def test_the_residual_study_factors_only_the_halves_its_traces_need(k_list, monk
         return apply
 
     monkeypatch.setattr(harness, "dtn_action", recording)
-    table = quasimode_residual_study(2, 1.0, 0.02, k_list)
+    table = compute_experiment(ExperimentConfig(kind="quasimode_residual", h=0.02, k_list=k_list, grading_factor=1.0))
     mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
     spec = solve_steklov(mesh, 3)
     system = assemble(mesh)
@@ -566,7 +566,7 @@ def test_the_residual_study_factors_only_the_halves_its_traces_need(k_list, monk
     parities = dict.fromkeys(1 if k % 2 else -1 for k in k_list)
     assert [n for n, _ in actions] == [size[parity] for parity in parities]
     monkeypatch.setattr(fem_steklov, "_mirror_rows", lambda mesh, system: None)
-    full = quasimode_residual_study(2, 1.0, 0.02, k_list)
+    full = compute_experiment(ExperimentConfig(kind="quasimode_residual", h=0.02, k_list=k_list, grading_factor=1.0))
     assert [n for n, _ in actions[len(parities):]] == [len(system.s_coords)]
     assert [row[:2] for row in table.rows] == [row[:2] for row in full.rows]
     np.testing.assert_allclose([row[2:] for row in table.rows], [row[2:] for row in full.rows], rtol=1e-9)
@@ -1134,7 +1134,8 @@ def test_quasimode_residuals_match_recorded_values():
     # residual column of `residual --q 2 --h 0.01 --k 4,6,8` as recorded
     # with an extended-precision refined interior solve; the plain LU
     # solve must stay within 1e-9 relative of it
-    study = quasimode_residual_study(2, 1.0, 0.01, (4, 6, 8))
+    config = ExperimentConfig(kind="quasimode_residual", h=0.01, k_list=(4, 6, 8), grading_factor=1.0)
+    study = compute_experiment(config)
     got = np.array([row[2] for row in study.rows])
     want = np.array([0.0030849311654817585, 0.0056586690159126365, 0.009779755378982425])
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

@@ -18,7 +18,7 @@ from sloshspec import cli
 from sloshspec.fem_steklov import solve_steklov
 from sloshspec.geometry import build_triangle_domain, generate_mesh
 from sloshspec.geometry.io import domain_to_json
-from sloshspec.harness import ExperimentConfig, compute_experiment, reproduce_table, run_experiment, sl_vs_sloshing
+from sloshspec.harness import ExperimentConfig, compute_experiment, run_experiment
 
 # the generic triangle of the fem checks: corner angles 1.0 and 0.7, surface length 1.2
 TRIANGLE = (1.0, 0.7, 1.2)
@@ -38,14 +38,14 @@ def test_custom_errbar_column_is_the_two_level_rule():
 
 
 def test_example_1_errbar_metadata_is_the_two_level_rule():
-    report = reproduce_table(1, 0.04)
+    report = compute_experiment(ExperimentConfig(kind="reproduce_example_1", h=0.04))
     for label in ("neumann", "dirichlet"):
         domain = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=(label, label))
         assert np.array(report.metadata["errbar"][label]).tobytes() == two_level_errbar(domain, 0.04, 10)
 
 
 def test_sl_vs_sloshing_errbar_metadata_is_the_two_level_rule():
-    report = sl_vs_sloshing(2, 1.0, 0.02, 10)
+    report = compute_experiment(ExperimentConfig(kind="sl_vs_sloshing", q=2, h=0.02, kmax=10))
     domain = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
     assert np.array(report.metadata["errbar"]["fem_vs_ode"]).tobytes() == two_level_errbar(domain, 0.02, 10)
 

@@ -20,12 +20,10 @@ from sloshspec.harness import (
     ConfigError,
     ExperimentConfig,
     ReportBlock,
+    compute_experiment,
     config_from_json,
     load_config,
-    quasimode_residual_study,
-    reproduce_table,
     run_experiment,
-    sl_vs_sloshing,
     write_atomic,
 )
 
@@ -92,11 +90,82 @@ def test_config_field_validation():
         (dict(kind="quasimode_residual", k_list=[4.5]), "k_list"),
         (dict(kind="sl_vs_sloshing", q=True), "q"),
         (dict(kind="quasimode_residual", k_list=[4, 6, 4]), "k_list"),
+        # each kind's own checks, which its computation used to make
+        (dict(kind="sl_vs_sloshing", q=1), "q"),
+        (dict(kind="quasimode_residual", q=1, k_list=[4]), "q"),
+        (dict(kind="quasimode_residual", k_list=[2]), "k_list"),
+        (dict(kind="peters_phase", alpha=0.0), "alpha"),
+        (dict(kind="peters_phase", alpha=math.pi), "alpha"),
+        (dict(kind="peters_phase", alpha=math.pi / 2), "alpha"),
+        (dict(kind="peters_phase", xmax=200.0), "xmax"),
+        (dict(kind="peters_phase", alpha=2.0), "alpha"),
+        # in the order the computation ran them: the contour's size before the angle past pi/2
+        (dict(kind="peters_phase", alpha=2.0, xmax=200.0), "xmax"),
+        (dict(kind="peters_phase", alpha=3.5, xmax=200.0), "alpha"),
+        # a kmax no mesh within the mesher's node bound can resolve
+        (dict(kind="custom", domain={"x": 1}, kmax=500_001), "kmax"),
+        (dict(kind="sl_vs_sloshing", kmax=10**9), "kmax"),
+        (dict(kind="sl_vs_sloshing", q=1, kmax=10**9), "q"),
+        # a field every kind checks comes first
+        (dict(kind="peters_phase", alpha=2.0, label="a/b"), "label"),
     ]
     for kwargs, field_name in cases:
         with pytest.raises(ConfigError) as err:
             ExperimentConfig(**kwargs)
         assert err.value.field == field_name, kwargs
+
+
+def test_kind_specific_checks_keep_their_messages():
+    cases = [
+        (
+            dict(kind="sl_vs_sloshing", q=1),
+            "q: q=1 gives corner angles pi/2 + pi/2 = pi, a degenerate triangle with no interior; use q >= 2",
+        ),
+        (dict(kind="quasimode_residual", q=1, k_list=[4]), "q: quasimode study needs q >= 2, got 1"),
+        (dict(kind="quasimode_residual", q=3, k_list=[5, 3]), "k_list: lattice indices must be at least q+1 = 4"),
+        (dict(kind="quasimode_residual", k_list=[4, 4]), "k_list: indices must not repeat, got (4, 4)"),
+        (dict(kind="peters_phase", alpha=-1.0), "alpha: alpha must lie in (0, pi/2]"),
+        (
+            dict(kind="peters_phase", alpha=math.pi / 2 + 1e-13),
+            "alpha: at pi/2 the solution is the plane wave itself and leaves no remainder to fit",
+        ),
+        (
+            dict(kind="peters_phase", xmax=118.0),
+            "xmax: must be at most 117.5; beyond it rounding in the contour exceeds 1e-8",
+        ),
+        (dict(kind="peters_phase", alpha=math.pi / 2 + 1e-11), "alpha: alpha must lie in (0, pi/2]"),
+        (
+            dict(kind="custom", domain={"x": 1}, kmax=500_001),
+            "kmax: must be at most 500000; no mesh resolves more, got 500001",
+        ),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**kwargs)
+        assert str(err.value) == message, kwargs
+    # the bounds themselves are accepted
+    assert ExperimentConfig(kind="custom", domain={"x": 1}, kmax=500_000).kmax == 500_000
+    assert ExperimentConfig(kind="quasimode_residual", q=3, k_list=[4]).k_list == (4,)
+    assert ExperimentConfig(kind="peters_phase", alpha=math.pi / 2 - 1e-11, xmax=117.0).xmax == 117.0
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        ("reproduce_example_1", "reproduce_table"),
+        ("reproduce_example_2", "reproduce_table"),
+        ("sl_vs_sloshing", "sl_vs_sloshing"),
+        ("quasimode_residual", "quasimode_residual_study"),
+    ],
+)
+def test_compute_experiment_calls_each_kind_by_its_module_name(kind, name, monkeypatch):
+    # a wrapper set on the harness attribute, as the benchmark's tracer
+    # sets one, is what compute_experiment runs
+    config = ExperimentConfig(kind=kind, k_list=(4,) if kind == "quasimode_residual" else ())
+    seen = []
+    monkeypatch.setattr(harness, name, lambda c: seen.append(c) or "patched")
+    assert compute_experiment(config) == "patched"
+    assert seen == [config]
 
 
 def test_a_config_built_in_code_converts_its_fields():
@@ -297,7 +366,7 @@ def test_example_1_meshes_its_triangle_once_per_level(monkeypatch):
     for module in (mesh, fem_steklov, harness):
         monkeypatch.setattr(module, "generate_mesh", counting)
     monkeypatch.setattr(fem_steklov, "solve_steklov", keep)
-    reproduce_table(1, 0.04)
+    compute_experiment(ExperimentConfig(kind="reproduce_example_1", h=0.04))
     assert meshed == [0.04, 0.08]
     monkeypatch.undo()
     dirichlet = build_triangle_domain(2 * math.pi / 5, math.pi / 6, 2.0, wall_conditions=("dirichlet",) * 2)
@@ -331,18 +400,12 @@ def test_the_fem_layer_never_meshes(tmp_path, monkeypatch, capsys):
     assert int(np.frombuffer(dtn_file.read_bytes()[:8], dtype="<u8")[0]) == surface
 
 
-def test_reproduce_table_validates_example_number():
-    with pytest.raises(ConfigError) as err:
-        reproduce_table(3, 0.1)
-    assert err.value.field == "example"
-
-
 # ---------------------------------------------------------------------------
 # ODE versus sloshing comparison
 # ---------------------------------------------------------------------------
 
 def test_sl_vs_sloshing_gap_closes_with_k():
-    report = sl_vs_sloshing(2, 1.0, 0.01, 8)
+    report = compute_experiment(ExperimentConfig(kind="sl_vs_sloshing", q=2, h=0.01, kmax=8))
     block = report.block("fem_vs_ode")
     # the FEM tank has a single zero mode, the order-4 ODE a double one,
     # so the k=2 row disagrees by construction and agreement starts at
@@ -355,17 +418,13 @@ def test_sl_vs_sloshing_gap_closes_with_k():
     assert report.metadata["num_nodes"]["fem_vs_ode"] > 1000
 
 
-def test_sl_vs_sloshing_rejects_degenerate_triangle():
-    with pytest.raises(ConfigError, match="degenerate"):
-        sl_vs_sloshing(1, 1.0, 0.01, 5)
-
-
 # ---------------------------------------------------------------------------
 # quasimode residual study
 # ---------------------------------------------------------------------------
 
 def test_quasimode_residual_study_rows():
-    study = quasimode_residual_study(2, 1.0, 4e-3, (4, 6, 8))
+    config = ExperimentConfig(kind="quasimode_residual", h=4e-3, k_list=(4, 6, 8), grading_factor=1.0)
+    study = compute_experiment(config)
     assert [row[0] for row in study.rows] == [4, 6, 8]
     for k, sigma, residual, gap in study.rows:
         assert sigma == pytest.approx(math.pi * (k - 0.5) - math.pi, abs=1e-12)
@@ -377,28 +436,13 @@ def test_quasimode_residual_study_rows():
 def test_quasimode_residuals_at_gamma_minus_one_bound_the_spectral_gap():
     # q = 3 has gamma = -1; its glued trace is the imaginary part.  The
     # real part held only corner terms and read 5.15, 0.87 and 0.43 here.
-    study = quasimode_residual_study(3, 1.0, 0.01, (4, 6, 9))
+    config = ExperimentConfig(kind="quasimode_residual", q=3, h=0.01, k_list=(4, 6, 9), grading_factor=1.0)
+    study = compute_experiment(config)
     assert [row[0] for row in study.rows] == [4, 6, 9]
     for k, sigma, residual, gap in study.rows:
         assert residual < 0.07
         # a unit quasimode with residual r lies within r of the spectrum
         assert sigma * residual >= gap
-
-
-def test_quasimode_residual_study_validation():
-    with pytest.raises(ConfigError) as err:
-        quasimode_residual_study(1, 1.0, 0.01, (4,))
-    assert err.value.field == "q"
-    with pytest.raises(ConfigError, match="at least q"):
-        quasimode_residual_study(2, 1.0, 0.01, (2,))
-    # int() ran 4.5 as k = 4
-    with pytest.raises(ConfigError) as err:
-        quasimode_residual_study(2, 1.0, 0.01, (4.5,))
-    assert err.value.field == "k_list"
-    # a repeated index returned its row twice
-    with pytest.raises(ConfigError, match="must not repeat") as err:
-        quasimode_residual_study(2, 1.0, 0.03, (4, 4))
-    assert err.value.field == "k_list"
 
 
 # ---------------------------------------------------------------------------
