@@ -7,14 +7,18 @@ P1 stiffness matrix of the Laplacian, eliminates Dirichlet-tagged
 boundary nodes symmetrically, and orders the remaining (free) nodes in
 one block layout: interior nodes first, by node id, then the surviving
 surface nodes in path order.  It builds the 1D P1 mass matrix of the
-surface block once.  That mass is tridiagonal in path order, and its
-banded Cholesky factor M = R^T R is made once per system.  The sparse
-pencil K u = lambda B u, B = diag(0, M), is solved for its lowest pairs
-by standard Lanczos on an operator of surface size, which costs one
-sparse factorization of the shifted pencil; the spectrum keeps what the
-solve computed and nothing it was computed from.  The surface traces
-of the eigenvectors, the trailing rows of u, are the eigenvectors of
-the discrete Dirichlet-to-Neumann (DtN) map, never formed on this path.
+surviving surface nodes once, from their edge triplets alone.  That
+mass is tridiagonal in path order, and its banded Cholesky factor
+M = R^T R is made once per system.  A solve assembles its mesh once
+and reads the surface size and the mirror (below) off that system.
+The sparse pencil K u = lambda B u, B = diag(0, M), is solved for its
+lowest pairs by standard Lanczos on an operator of surface size, which
+costs one sparse factorization of the shifted pencil; B is M's arrays
+shifted past the interior rows, and R and R^T act through their two
+stored diagonals.  The spectrum keeps what the solve computed and
+nothing it was computed from.  The surface traces of the eigenvectors,
+the trailing rows of u, are the eigenvectors of the discrete
+Dirichlet-to-Neumann (DtN) map, never formed on this path.
 
 A mesh that is its own mirror image, under the reflection that swaps
 the ends of the surface (the pi/(2q) triangle and the rectangle, meshed
@@ -45,25 +49,24 @@ a fixed mesh.
 
 Memory: the factor and SuperLU's working arrays set the peak of a fine
 solve, so each factorization of a solve starts with its pencil
-A = K - sigma B the only matrix of its size alive.  The stiffness is
-assembled only where a pencil is built and goes once A is formed:
-`_pencil` returns A and the system without its stiffness, pairs are
-checked against A, the spectrum keeps neither mesh nor system, and a
-mirrored mesh is assembled again for each half pencil, just before
-that half is factored, and the pencil goes once its eigensolve
-returns, so only one half factor, about half the full one's entries,
-is alive at a time.  The spectrum keeps its surface traces as their
-own (ns, k) array rather than a view into all n rows of the
-eigenvectors.  A residual study assembles its mesh once more itself,
-lets the mesh and the full system go before K_II is factored, and
-factors K_II of only the halves its traces lie in.  Freed memory is
-not gone: glibc keeps freed heap resident, and after one fine solve
-its threshold for handing heap back has risen.  `_factor` therefore
-hands glibc's free heap back to the OS (malloc_trim) before SuperLU
-allocates, so the
-temporaries of the last assembly and mesh do not stay under the
-factor, and again once SuperLU returns, so its freed working arrays do
-not stay under the eigensolve.  The stiffness assembly keeps its own
+A = K - sigma B the only matrix of its size alive.  The stiffness
+goes once A is formed: `_pencil` returns A and the system without its
+stiffness, pairs are checked against A, and the spectrum keeps neither
+mesh nor system.  A mirrored mesh makes its first half pencil from the
+solve's one assembly, whose full stiffness then goes, and is assembled
+again for the second half just before that half is factored; each
+half pencil goes once its eigensolve returns, so only one half factor,
+about half the full one's entries, is alive at a time.  The spectrum
+keeps its surface traces as their own (ns, k) array rather than a view
+into all n rows of the eigenvectors.  A residual study assembles its
+mesh once more itself, lets the mesh and the full system go before
+K_II is factored, and factors K_II of only the halves its traces lie
+in.  Freed memory is not gone: glibc keeps freed heap resident, and
+after one fine solve its threshold for handing heap back has risen.
+`_factor` therefore hands glibc's free heap back to the OS
+(malloc_trim) before SuperLU allocates, so the temporaries of the last
+assembly and mesh do not stay under the factor, and again once SuperLU
+returns, so its freed working arrays do not stay under the eigensolve.  The stiffness assembly keeps its own
 transient small (int32 triplets, element products formed in place).
 What binds a fine run is then the factor itself; of the fine runs
 measured, example 1's full Neumann pencil at h = 0.005 (3.5M stored
@@ -231,10 +234,10 @@ def _stiffness_csr(nodes, triangles):
 def _layout(mesh):
     """Everything `assemble` returns but the stiffness, which stays None.
 
-    The free-node rows, the surface coordinates and the surface mass
-    cost a small part of an assembly, so `solve_steklov` reads the
-    surface size and the mirror from this and assembles the stiffness
-    only where it builds a pencil.
+    The surface mass is summed from the edge triplets of the kept
+    surface rows alone, in one COO-to-CSR pass: each entry sums the
+    terms it has in the mass over the whole path, at most two, so it
+    equals that mass sliced to the kept rows.
     """
     nodes = mesh.nodes
     n = len(nodes)
@@ -250,18 +253,20 @@ def _layout(mesh):
 
     local = np.empty(n, dtype=np.int64)
     local[path] = np.arange(len(path))
-    edges_local = local[s_edges]
-    mr, mc, mv = _backend.edge_mass_triplets(np.ascontiguousarray(nodes[path]), edges_local)
-    mass = sp.coo_matrix((mv, (mr, mc)), shape=(len(path), len(path))).tocsr()
-    keep = np.where(free_mask[path])[0]  # a Dirichlet wall drops a surface endpoint
+    mr, mc, mv = _backend.edge_mass_triplets(np.ascontiguousarray(nodes[path]), local[s_edges])
+    kept = free_mask[path]  # a Dirichlet wall drops a surface endpoint
+    row = np.cumsum(kept) - 1  # each kept path position's surface row
+    both = kept[mr] & kept[mc]
+    ns = int(row[-1]) + 1
+    mass = sp.coo_matrix((mv[both], (row[mr[both]], row[mc[both]])), shape=(ns, ns)).tocsr()
 
     interior_mask = free_mask.copy()
     interior_mask[path] = False
     return AssembledSystem(
         stiffness=None,
-        row_nodes=np.concatenate([np.where(interior_mask)[0], path[keep]]),
-        s_coords=s_arclength[keep],
-        surface_mass=mass[keep][:, keep],
+        row_nodes=np.concatenate([np.where(interior_mask)[0], path[kept]]),
+        s_coords=s_arclength[kept],
+        surface_mass=mass,
         surface_length=float(cum[-1]),
     )
 
@@ -499,10 +504,13 @@ def _pencil(system):
     lies below the spectrum, so A is SPD for every wall condition.  K is
     not returned: pairs are checked against A, as K u - lambda B u =
     A u - (lambda - sigma) B u, so A is the only matrix of its size
-    alive while it is factored.
+    alive while it is factored.  B is M's three arrays with its column
+    indices offset by the interior size, the rows above M empty.
     """
     ni = system.interior_count
-    B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
+    mass = system.surface_mass
+    indptr = np.concatenate([np.zeros(ni, dtype=mass.indptr.dtype), mass.indptr])
+    B = sp.csr_matrix((mass.data, mass.indices + ni, indptr), shape=system.stiffness.shape)
     return system.stiffness - system.sigma * B, replace(system, stiffness=None)
 
 
@@ -517,8 +525,11 @@ def _sloshing_pairs(A, system, n_eigs):
     T y = R (A^{-1} [0; R^T y])_S is symmetric positive definite, and its
     eigenvalues theta = 1/(lambda - sigma) are those of the pencil's
     finite spectrum, the largest for the lowest lambda.  Standard
-    Lanczos on T works with surface-length vectors only.  The start
-    vector is fixed, so reruns are byte-identical.
+    Lanczos on T works with surface-length vectors only.  R is upper
+    bidiagonal, so R and R^T act as elementwise products with its two
+    stored diagonals; each entry sums two terms, which a sparse product
+    would sum to the same bits.  The start vector is fixed, so reruns
+    are byte-identical.
 
     The eigenvectors come from one block solve u = A^{-1} [0; R^T Y] / theta;
     each pair is checked against the full pencil.  Returns the ascending
@@ -530,9 +541,7 @@ def _sloshing_pairs(A, system, n_eigs):
     ni = system.interior_count
     ns = n - ni
     mass = system.surface_mass
-    cb = system.surface_cholesky
-    R = sp.diags([cb[1], cb[0, 1:]], [0, 1], format="csr")
-    Rt = R.T.tocsr()
+    diag, upper = system.surface_cholesky[1], system.surface_cholesky[0, 1:]
     sigma = system.sigma
     lu = _factor(A, "pencil")
     solves = 0
@@ -541,13 +550,19 @@ def _sloshing_pairs(A, system, n_eigs):
         """A^{-1} [0; R^T Y], for one surface vector or a block of them."""
         nonlocal solves
         rhs = np.zeros((n,) + Y.shape[1:])
-        rhs[ni:] = Rt @ Y
+        column = (-1,) + (1,) * (Y.ndim - 1)
+        np.multiply(diag.reshape(column), Y, out=rhs[ni:])
+        rhs[ni + 1:] += upper.reshape(column) * Y[:-1]
         solves += 1 if Y.ndim == 1 else Y.shape[1]
         return lu.solve(rhs)
 
-    op = spla.LinearOperator(
-        (ns, ns), matvec=lambda y: R @ lift_solve(y)[ni:], dtype=np.float64
-    )
+    def matvec(y):  # T y
+        x = lift_solve(y)[ni:]
+        Ry = diag * x
+        Ry[:-1] += upper * x[1:]
+        return Ry
+
+    op = spla.LinearOperator((ns, ns), matvec=matvec, dtype=np.float64)
     try:
         theta, Y = spla.eigsh(op, k=n_eigs, which="LA", v0=np.ones(ns), tol=_ARPACK_TOL)
     except spla.ArpackError as exc:  # ArpackNoConvergence included
@@ -570,13 +585,15 @@ def _sloshing_pairs(A, system, n_eigs):
     return np.clip(w, 0.0, None), u[ni:].copy(), residual / scale, solves
 
 
-def _split_pairs(mesh, mirror, n_eigs):
+def _split_pairs(mesh, system, mirror, n_eigs):
     """Lowest n_eigs pairs of a mesh that mirrors, solved as its two halves.
 
-    `mirror` holds the mesh's mirror rows (see `_mirror_rows`).  Each
-    half (see `half_system`) goes through `_pencil` and `_sloshing_pairs`
-    in turn, as the full system does, its pencil made from an assembly
-    of the mesh just before it is factored and dropped once its
+    `system` is `assemble(mesh)` and `mirror` the mesh's mirror rows (see
+    `_mirror_rows`).  Each half (see `half_system`) goes through `_pencil`
+    and `_sloshing_pairs` in turn, as the full system does.  The first
+    half is made from `system`, whose stiffness is then set to None, so
+    the caller's copy goes too; each later half from an assembly of the
+    mesh made just before it.  A half's pencil is dropped once its
     eigensolve returns, so no stiffness and no other pencil is alive
     under a factorization; each is asked for ceil(n_eigs/2) + 1 pairs.
     The union is certified: every eigenvalue a half did not return lies
@@ -594,7 +611,10 @@ def _split_pairs(mesh, mirror, n_eigs):
     solves = 0
     while ask:
         for parity, count in ask.items():
-            half, basis = half_system(assemble(mesh), mirror, parity)
+            if system.stiffness is None:
+                system = assemble(mesh)
+            half, basis = half_system(system, mirror, parity)
+            system.stiffness = None  # the full stiffness goes before the half is factored
             if count >= len(half.s_coords):  # beyond what Lanczos can return
                 return None
             A, half = _pencil(half)
@@ -623,29 +643,32 @@ def solve_steklov(mesh, n_eigs):
     forming the dense DtN matrix.  A mesh that is its own mirror image
     (see _mirror_rows) is solved as its even and odd halves instead, one
     half pencil after the other (see _split_pairs); any other mesh takes
-    the full pencil.  The surface size and the mirror are read off the
-    mesh's layout (`_layout`), and the stiffness is assembled only where
-    a pencil is built, so each factorization starts with its pencil the
-    only matrix of its size alive.  Requires the surface to carry at
-    least 4 * n_eigs nodes so the top requested mode stays resolved;
-    every returned pair passes an a posteriori residual check.  The
+    the full pencil.  The surface size and the mirror are read off one
+    assembly of the mesh, which the full pencil or the first half is
+    made from, and its stiffness goes before that pencil is factored,
+    so each factorization starts with its pencil the only matrix of its
+    size alive.  Requires the surface to carry at least 4 * n_eigs nodes
+    so the top requested mode stays resolved; every returned pair passes
+    an a posteriori residual check.  The
     returned spectrum keeps the mirror rows but not the mesh, so a DtN
     dump or a residual study assembles the mesh once more.
     """
     if n_eigs < 1:
         raise SteklovSolveError("n_eigs must be at least 1")
-    layout = _layout(mesh)
-    ns = len(layout.s_coords)
+    system = assemble(mesh)
+    ns = len(system.s_coords)
     if ns < 4 * n_eigs:
         raise SteklovSolveError(
             f"surface carries {ns} nodes, below the 4*n_eigs={4 * n_eigs} "
             "resolution guard; decrease h"
         )
-    mirror = _mirror_rows(mesh, layout)
-    del layout  # the pencil's system keeps its own copy of these rows under the factor
-    split = None if mirror is None else _split_pairs(mesh, mirror, n_eigs)
+    mirror = _mirror_rows(mesh, system)
+    split = None if mirror is None else _split_pairs(mesh, system, mirror, n_eigs)
     if split is None:
-        split = *_sloshing_pairs(*_pencil(assemble(mesh)), n_eigs), np.zeros(n_eigs, dtype=np.int64)
+        if system.stiffness is None:  # the halves took it
+            system = assemble(mesh)
+        A, system = _pencil(system)
+        split = *_sloshing_pairs(A, system, n_eigs), np.zeros(n_eigs, dtype=np.int64)
     eigenvalues, traces, eigen_residual, pencil_solves, parity = split
     return SteklovSpectrum(
         eigenvalues=eigenvalues,

@@ -133,15 +133,33 @@ def write_atomic(path, data):
         raise
 
 
+_DUMP_ROWS = 512
+
+
+def _dump_rows(rows, fmt):
+    """One line `fmt % row` per row of an array, formatted _DUMP_ROWS rows at a time.
+
+    Each block is formatted from Python numbers (`tolist`) with one
+    template; a float prints as its repr, an integer as its digits.
+    """
+    return [
+        (fmt * len(block)) % tuple(block.ravel().tolist())
+        for block in (rows[lo:lo + _DUMP_ROWS] for lo in range(0, len(rows), _DUMP_ROWS))
+    ]
+
+
 def write_mesh_text(mesh, path):
-    """Write a mesh in the plain text dump format."""
-    lines = [f"nodes {mesh.num_nodes}"]
-    lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.nodes)
-    lines.append(f"triangles {mesh.num_triangles}")
-    lines.extend(f"{i} {j} {k}" for i, j, k in mesh.triangles)
-    lines.append(f"bedges {len(mesh.boundary_edges)}")
-    lines.extend(f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges)
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write a mesh in the plain text dump format.
+
+    Nodes and triangles are formatted in blocks of at most _DUMP_ROWS
+    rows (`_dump_rows`), so no string of the whole array's lines is
+    built beside the text.
+    """
+    parts = [f"nodes {mesh.num_nodes}\n", *_dump_rows(mesh.nodes, "%r %r\n")]
+    parts += [f"triangles {mesh.num_triangles}\n", *_dump_rows(mesh.triangles, "%d %d %d\n")]
+    parts.append(f"bedges {len(mesh.boundary_edges)}\n")
+    parts.extend(f"{i} {j} {tag}\n" for i, j, tag in mesh.boundary_edges)
+    write_atomic(path, "".join(parts))
 
 
 def read_mesh_text(path):

@@ -27,7 +27,10 @@ point by point (`_backend.points_in_polygon`).  A straight wall cut into
 many collinear edges thus costs about what one edge would, and the
 polygon needs no thinning first.
 The boundary walk keeps its step-by-step recurrence but takes the
-constant steps outside the grading zone in one vectorized guess.
+constant steps outside the grading zone in one vectorized guess, and
+its steps in the zone on numpy scalars rather than 0-d arrays.  The
+lattice's clearance from the boundary nodes is one kd-tree query that
+searches no farther than the clearance itself.
 
 Everything is deterministic: identical inputs give identical meshes.
 """
@@ -160,7 +163,8 @@ def _sample_piece(curve, reverse, h, graded_h):
 
         def step(s):
             u_loop = f0 + s / length
-            return np.minimum(cap, graded_h(curve.point(1.0 - u_loop if reverse else u_loop)))
+            # a point's transpose unpacks to two numpy scalars, a block's to x and y
+            return np.minimum(cap, graded_h(*curve.point(1.0 - u_loop if reverse else u_loop).T))
 
         steps = []
         s = 0.0
@@ -199,9 +203,8 @@ def _sample_boundary(domain, h, g):
     (ax, ay), (bx, by) = domain.corner_points
     ramp = (1.0 - g) / (_GRADING_ZONE * h)
 
-    def graded_h(p):
-        """Uncapped spacing at a point p, or at each row of an (n, 2) array."""
-        x, y = p[..., 0], p[..., 1]
+    def graded_h(x, y):
+        """Uncapped spacing at the points (x, y): numpy scalars or arrays."""
         return h * (g + ramp * np.minimum(np.hypot(x - ax, y - ay), np.hypot(x - bx, y - by)))
 
     pieces = domain.loop_pieces()
@@ -247,6 +250,18 @@ def _hex_lattice(poly, center, a):
     inside = (lo[run] <= x) & (x < hi[run])
     run, i, x = run[inside], i[inside], x[inside]
     return np.stack([x, ys[row[run]]], axis=1), np.stack([i, j[row[run]]], axis=1)
+
+
+def _clear_of_boundary(poly, cand, h):
+    """Mask of the candidates at least _LATTICE_CLEARANCE h from every boundary node.
+
+    The nearest-node search stops at the clearance: a candidate with no
+    node within the bound reads inf and is kept, as it would be at its
+    true distance, and the 1e-9 slack keeps the search exact for one at
+    the clearance itself.
+    """
+    d, _ = cKDTree(poly).query(cand, distance_upper_bound=_LATTICE_CLEARANCE * h * (1.0 + 1e-9))
+    return d >= _LATTICE_CLEARANCE * h
 
 
 class _Lattice(NamedTuple):
@@ -459,8 +474,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
 
     center = 0.5 * (poly.min(axis=0) + poly.max(axis=0))
     cand, ij = _hex_lattice(poly, center, h)
-    d, _ = cKDTree(poly).query(cand)
-    keep = d >= _LATTICE_CLEARANCE * h
+    keep = _clear_of_boundary(poly, cand, h)
     cand, ij = cand[keep], ij[keep]
     lat = _lattice(center, h, ij, nb)
     nodes = np.concatenate([poly, cand], axis=0)

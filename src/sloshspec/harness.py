@@ -686,22 +686,29 @@ def run_experiment(config, out_dir="."):
     """Run one configured experiment and write its artifacts.
 
     Returns the list of file paths written.  The bytes depend only on
-    the config and package version.  A target that is a directory
-    refuses the set (IsADirectoryError naming it) before any file is
-    written.  The set is written all or nothing: each artifact goes
-    first to its temp file `<path>.tmp` (through `write_atomic`), and
-    only once all are written are they renamed into place.  A failed
-    write removes every temp file and re-raises, leaving `out_dir` as
-    it was; only a rename failing part way would leave the files
-    renamed before it.
+    the config and package version.  `out_dir` is made first, so a
+    target that cannot be a directory fails before the computation.  A
+    target that is a directory refuses the set (IsADirectoryError naming
+    it) before any file is written.  The set is written all or nothing:
+    each artifact goes first to its temp file `<path>.tmp` (through
+    `write_atomic`), and only once all are written are they renamed into
+    place.  A failed computation or write removes every temp file and
+    every directory made for `out_dir`, deepest first, and re-raises,
+    leaving `out_dir` as it was; only a rename failing part way would
+    leave the files renamed before it.
     """
+    made = []
+    head = os.path.abspath(out_dir)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
-    files = [(os.path.join(out_dir, name), text) for name, text in _artifacts(config, compute_experiment(config))]
-    for path, _ in files:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged = []
     try:
+        files = [(os.path.join(out_dir, name), text) for name, text in _artifacts(config, compute_experiment(config))]
+        for path, _ in files:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for path, text in files:
             write_atomic(path + ".tmp", text)
             staged.append(path + ".tmp")
@@ -711,5 +718,8 @@ def run_experiment(config, out_dir="."):
         for tmp in staged:
             with contextlib.suppress(FileNotFoundError):  # renamed already
                 os.remove(tmp)
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: a rename went through
+                os.rmdir(path)
         raise
     return [path for path, _ in files]

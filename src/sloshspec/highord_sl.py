@@ -26,6 +26,11 @@ from .model_solutions.contour import _panel_nodes
 
 SINGULAR_THRESHOLD = 1e-9
 _TRUST = 16.0  # a scanned sign counts only where |Im det| > _TRUST |Re det|
+# The largest q whose spectra pass the density check in `solve_spectrum`:
+# every q from 21 to 25 measured fails it after the scan, and one scan
+# chunk stacks 2q + 4 needed + 3 matrices of (2q)^2 complex entries, about
+# 1.1 GB at q = 200 with Dirichlet walls and kmax 10.
+_MAX_SCAN_Q = 20
 
 
 class SLSolveError(RuntimeError):
@@ -278,15 +283,21 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     lam = 0, and the computed sign of Im det there means nothing.  A
     density check against the one-per-pi/L eigenvalue spacing guards
     against missed or spurious roots, and a length so small that the scan
-    leaves the floating-point range is refused.
+    leaves the floating-point range is refused.  So is any positive
+    eigenvalue asked of q > _MAX_SCAN_Q, before the scan allocates.
     """
     if kmax < 1:
         raise ValueError("kmax must be at least 1")
     q, L = problem.q, problem.interval_length
-    eigenvalues = [0.0] * q if problem.condition == "neumann" else []
-    needed = kmax - len(eigenvalues)
+    zeros = q if problem.condition == "neumann" else 0
+    needed = kmax - zeros
     if needed <= 0:
-        return SLSpectrum(problem, eigenvalues[:kmax])
+        return SLSpectrum(problem, [0.0] * kmax)
+    if q > _MAX_SCAN_Q:
+        raise SLSolveError(
+            f"q = {q} is past the one-per-pi/L density range the scan is checked on (q <= {_MAX_SCAN_Q})"
+        )
+    eigenvalues = [0.0] * zeros
 
     step = math.pi / (4.0 * L)
     lam_lo = 0.25 * math.pi / L

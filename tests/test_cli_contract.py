@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 
 import pytest
@@ -148,3 +149,26 @@ def test_a_run_refused_by_one_target_leaves_out_as_it_was(tmp_path, monkeypatch,
     assert (error["type"], error["field"]) == ("config", "out")
     assert "peters_phase_meta.json" in error["message"]
     assert [p.name for p in (tmp_path / "out").rglob("*")] == ["peters_phase_meta.json"]
+
+
+@pytest.mark.parametrize(
+    "config, code",
+    [
+        ({"kind": "custom", "domain": {"x": 1}, "kmax": 1000}, 2),  # not a domain document
+        ({"kind": "custom", "domain": "tiny.json", "h": 0.1}, 1),  # MeshError
+        ({"kind": "sl", "q": 2, "kmax": 3}, 0),
+    ],
+    ids=["config-error", "mesh-error", "success"],
+)
+def test_run_into_a_missing_out_makes_it_only_for_a_result(tmp_path, monkeypatch, capsys, config, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tiny.json").write_text(json.dumps(domain_to_json(build_rectangle_domain(1e-200, 1e-200))))
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert cli.main(["run", "--config", "cfg.json", "--out", "new/nested"]) == code
+    lines = capsys.readouterr().out.splitlines()
+    if code:
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+        assert not (tmp_path / "new").exists()
+    else:
+        assert lines == [os.path.join("new", "nested", "sl.csv")]
+        assert (tmp_path / "new" / "nested" / "sl.csv").is_file()

@@ -1020,6 +1020,68 @@ def test_assembly_repeats_byte_for_byte_and_the_spectrum_keeps_the_mirror_rows(d
 
 
 # ---------------------------------------------------------------------------
+# fixed costs of a solve
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "domain, grading, layouts",
+    [(build_triangle_domain(*EX1_ANGLES), 0.25, 1), (_sector_triangle(2, ("neumann", "neumann")), 1.0, 2)],
+    ids=["ex1-full-pencil", "q2-half-pencils"],
+)
+def test_a_solve_lays_out_its_mesh_once_per_assembly_it_needs(domain, grading, layouts, monkeypatch):
+    # the full path reads size and mirror off the assembly it factors; the
+    # split path makes its first half from that assembly and assembles once
+    # more for the second
+    mesh = generate_mesh(domain, 0.02, grading)
+    layout = fem_steklov._layout
+    calls = []
+    monkeypatch.setattr(fem_steklov, "_layout", lambda m: calls.append(m) or layout(m))
+    spec = solve_steklov(mesh, 10)
+    assert (spec.mirror is None) == (grading != 1.0)
+    assert len(calls) == layouts
+
+
+def _block_diag_pencil(system):
+    """K - sigma B with B = diag(0, M) built by sp.block_diag."""
+    ni = system.interior_count
+    B = sp.block_diag((sp.csr_matrix((ni, ni)), system.surface_mass), format="csr")
+    return system.stiffness - system.sigma * B
+
+
+@pytest.mark.parametrize("case", ["neumann", "dirichlet-walls", "half"])
+def test_the_pencil_matches_the_block_diagonal_one_array_for_array(case):
+    if case == "half":
+        mesh = generate_mesh(_sector_triangle(2, ("neumann", "neumann")), 0.02, 1.0)
+        full = assemble(mesh)
+        system = half_system(full, fem_steklov._mirror_rows(mesh, full), -1)[0]
+    else:
+        walls = ("neumann", "neumann") if case == "neumann" else ("dirichlet", "dirichlet")
+        system = _iso_walls_system(walls)[1]
+    got, want = _pencil(system)[0], _block_diag_pencil(system)
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+@pytest.mark.parametrize("walls, dropped", [(("dirichlet", "neumann"), 1), (("dirichlet", "dirichlet"), 2)])
+def test_the_surface_mass_is_the_whole_path_mass_sliced_to_the_kept_rows(walls, dropped):
+    mesh, system = _iso_walls_system(walls)
+    s_edges = mesh.edges_with_tag("steklov")
+    path = fem_steklov._chain_surface_path(s_edges)
+    local = np.empty(mesh.num_nodes, dtype=np.int64)
+    local[path] = np.arange(len(path))
+    mr, mc, mv = _backend.edge_mass_triplets(np.ascontiguousarray(mesh.nodes[path]), local[s_edges])
+    whole = sp.coo_matrix((mv, (mr, mc)), shape=(len(path), len(path))).tocsr()
+    keep = np.flatnonzero(~np.isin(path, mesh.edges_with_tag("dirichlet")))
+    assert len(path) - len(keep) == dropped
+    want = whole[keep][:, keep]
+    for name in ("data", "indices", "indptr"):
+        got = getattr(system.surface_mass, name)
+        assert got.dtype == getattr(want, name).dtype
+        assert got.tobytes() == getattr(want, name).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # convergence
 # ---------------------------------------------------------------------------
 

@@ -797,6 +797,22 @@ def test_mesh_text_round_trip(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+def test_mesh_text_writes_one_line_per_row_across_blocks(tmp_path):
+    # nodes and triangles go out in blocks of rows; the lines must be those
+    # of one row at a time: repr of each coordinate, digits of each index
+    mesh = generate_mesh(build_triangle_domain(math.pi / 4, math.pi / 4, 1.0), 0.01)
+    assert min(mesh.num_nodes, mesh.num_triangles) > 2 * 512
+    lines = [f"nodes {mesh.num_nodes}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.nodes]
+    lines.append(f"triangles {mesh.num_triangles}")
+    lines += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    lines.append(f"bedges {len(mesh.boundary_edges)}")
+    lines += [f"{i} {j} {tag}" for i, j, tag in mesh.boundary_edges]
+    path = tmp_path / "mesh.txt"
+    write_mesh_text(mesh, path)
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_mesh_text_rejects_malformed_dumps(tmp_path):
     good = tmp_path / "good.txt"
     dom = build_triangle_domain(math.pi / 4, math.pi / 4, 1.0)
@@ -970,6 +986,23 @@ def test_hex_lattice_makes_the_inside_points_of_the_bounding_box_lattice(domain)
             want, want_ij, center = _bounding_box_lattice(poly, h)
             got, got_ij = mesh_module._hex_lattice(poly, center, h)
             assert got.tobytes() == want.tobytes() and got_ij.tobytes() == want_ij.tobytes(), (h, g)
+
+
+def test_the_bounded_clearance_query_keeps_the_unbounded_mask():
+    # candidates spread over a polygon's box, with one at exactly the
+    # clearance from a boundary node and two a rounding either side of it
+    h = 0.05
+    poly, _ = mesh_module._sample_boundary(build_curvilinear_example(1), h, 0.25)
+    rng = np.random.default_rng(7)
+    cand = rng.uniform(poly.min(axis=0) - h, poly.max(axis=0) + h, size=(4000, 2))
+    gap = mesh_module._LATTICE_CLEARANCE * h
+    near = poly[5] + np.array([[gap, 0.0], [0.0, np.nextafter(gap, 0.0)], [-np.nextafter(gap, 1.0), 0.0]])
+    cand = np.concatenate([cand, near])
+    want = mesh_module.cKDTree(poly).query(cand)[0] >= gap
+    got = mesh_module._clear_of_boundary(poly, cand, h)
+    assert got.tobytes() == want.tobytes()
+    assert want.any() and not want.all()
+    assert mesh_module.cKDTree(poly).query(near[0])[0] == gap and got[-3]
 
 
 def test_points_on_horizontal_edges_take_the_side_above():

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -450,3 +451,24 @@ def test_q21_is_refused_rather_than_returned_one_index_off(condition):
         assert len(positive) == count
         # the last value lies within half a lattice spacing (pi/2 on [0, 1]) of its own lattice point
         assert abs(positive[-1] - ode_asymptotic_prediction(20, 1.0, 20 + count)) < math.pi / 2
+
+
+def test_a_scan_past_q_20_is_refused_before_it_allocates():
+    # one scan chunk at q = 60 would stack hundreds of (120 x 120) complex matrices
+    tracemalloc.start()
+    try:
+        with pytest.raises(SLSolveError, match="density"):
+            solve_spectrum(HighOrderSLProblem(60, 1.0, "dirichlet"), 1)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_zero_modes_of_a_huge_q_cost_only_the_zeros_asked_for():
+    tracemalloc.start()
+    try:
+        spectrum = solve_spectrum(HighOrderSLProblem(10**7, 1.0, "neumann"), 3)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+    assert spectrum.eigenvalues == [0.0, 0.0, 0.0]
