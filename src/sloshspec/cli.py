@@ -43,6 +43,7 @@ from .asymptotics import QuasiFrequencyModel, quasi_frequency
 from .fem_steklov import SteklovSolveError, assemble, dtn_matrix
 from .geometry import CornerSpec, MeshError, write_mesh_text
 from .harness import (
+    _MAX_ROWS,
     ConfigError,
     ExperimentConfig,
     ExperimentTable,
@@ -194,6 +195,8 @@ def _cmd_asymptotics(args):
     kmax = converted("kmax", args.kmax, int)
     if kmax < 1:
         raise ConfigError("kmax", f"must be at least 1, got {kmax}")
+    if kmax > _MAX_ROWS:
+        raise ConfigError("kmax", f"must be at most {_MAX_ROWS}, the rows a table may have, got {kmax}")
     if not (length > 0 and math.isfinite(length)):
         raise ConfigError("length", f"must be positive and finite, got {length}")
     corners = []

@@ -9,11 +9,14 @@ and its adjacent wall make at each corner.
 
 Curves are parametrized by a fraction u in [0, 1] proportional to arc
 length, which is what boundary sampling for meshing works in.
+Curve lengths, the Peters contour and the Sturm-Liouville normalization
+share the one Gauss-Legendre panel rule here (`_gauss`, `_panel_nodes`).
 """
 
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,16 +157,29 @@ def _leaving(curve, at_end):
     return d / abs(d)
 
 
+@lru_cache(maxsize=8)
+def _gauss(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panel_nodes(breaks, n):
+    """Nodes and weights of the n-point rule on each interval of `breaks`, panel after panel."""
+    x, w = _gauss(n)
+    a = breaks[:-1]
+    b = breaks[1:]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    nodes = (mid[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel()
+    return nodes, weights
+
+
 def _gauss_length(velocity, t0, t1, tol=1e-13):
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_LENGTH_NODES)
     prev = None
     panels = 8
     for _ in range(12):
-        edges = np.linspace(t0, t1, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        t = (mid[:, None] + half[:, None] * x).ravel()
-        ww = (half[:, None] * w).ravel()
+        t, ww = _panel_nodes(np.linspace(t0, t1, panels + 1), _GAUSS_LENGTH_NODES)
         speed = np.linalg.norm(np.asarray(velocity(t)), axis=-1)
         total = float(np.dot(ww, speed))
         if prev is not None and abs(total - prev) <= tol * max(1.0, abs(total)):

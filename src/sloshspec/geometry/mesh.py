@@ -28,9 +28,10 @@ many collinear edges thus costs about what one edge would, and the
 polygon needs no thinning first.
 The boundary walk keeps its step-by-step recurrence but takes the
 constant steps outside the grading zone in one vectorized guess, and
-its steps in the zone on numpy scalars rather than 0-d arrays.  The
-lattice's clearance from the boundary nodes is one kd-tree query that
-searches no farther than the clearance itself.
+its steps in the zone on numpy scalars rather than 0-d arrays.  Both
+clearance tests, of lattice candidates from the boundary nodes and of
+refinement circumcentres from every node, are one kd-tree query
+(`_clear_of`) that searches no farther than the clearance itself.
 
 Everything is deterministic: identical inputs give identical meshes.
 """
@@ -252,16 +253,18 @@ def _hex_lattice(poly, center, a):
     return np.stack([x, ys[row[run]]], axis=1), np.stack([i, j[row[run]]], axis=1)
 
 
-def _clear_of_boundary(poly, cand, h):
-    """Mask of the candidates at least _LATTICE_CLEARANCE h from every boundary node.
+def _clear_of(points, candidates, clearance):
+    """Mask of the candidates at least `clearance` (a scalar, or one per candidate) from all `points`.
 
-    The nearest-node search stops at the clearance: a candidate with no
-    node within the bound reads inf and is kept, as it would be at its
-    true distance, and the 1e-9 slack keeps the search exact for one at
-    the clearance itself.
+    The search stops at the largest clearance: a candidate with no point
+    within it reads inf and is kept, as at its true distance, and the
+    1e-9 slack keeps one at its clearance itself exact.
     """
-    d, _ = cKDTree(poly).query(cand, distance_upper_bound=_LATTICE_CLEARANCE * h * (1.0 + 1e-9))
-    return d >= _LATTICE_CLEARANCE * h
+    if len(candidates) == 0:
+        return np.zeros(0, dtype=bool)
+    bound = np.max(clearance) * (1.0 + 1e-9)
+    d, _ = cKDTree(points).query(candidates, distance_upper_bound=bound)
+    return d >= clearance
 
 
 class _Lattice(NamedTuple):
@@ -474,7 +477,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
 
     center = 0.5 * (poly.min(axis=0) + poly.max(axis=0))
     cand, ij = _hex_lattice(poly, center, h)
-    keep = _clear_of_boundary(poly, cand, h)
+    keep = _clear_of(poly, cand, _LATTICE_CLEARANCE * h)
     cand, ij = cand[keep], ij[keep]
     lat = _lattice(center, h, ij, nb)
     nodes = np.concatenate([poly, cand], axis=0)
@@ -496,9 +499,7 @@ def generate_mesh(domain, mesh_size, grading_factor=0.25):
         cc, radius = cc[order], radius[order]
         ok = np.isfinite(cc).all(axis=1) & np.isfinite(radius) & (radius > 0)
         ok &= _backend.points_in_polygon(np.ascontiguousarray(cc), poly)
-        d_any = np.zeros(len(cc))
-        d_any[ok] = cKDTree(nodes).query(cc[ok])[0]
-        ok &= d_any >= _INSERT_CLEARANCE * radius
+        ok[ok] = _clear_of(nodes, cc[ok], _INSERT_CLEARANCE * radius[ok])
         accepted = []
         for k in np.where(ok)[0]:
             p = cc[k]

@@ -42,6 +42,11 @@ from .highord_sl import HighOrderSLProblem, ode_asymptotic_prediction, solve_spe
 from .model_solutions.hanson_lewy import quasimode_trace
 from .model_solutions.peters import XMAX_LIMIT, eval_peters, far_field_fit
 
+# sl's and asymptotics' kmax and peters' samples count the rows of a table, built
+# whole before it is written at up to 2.5 kB a row (peters as JSON): 250 MB at most
+_MAX_ROWS = 100_000
+
+
 class ConfigError(ValueError):
     """Invalid experiment configuration; remembers the offending field."""
 
@@ -108,6 +113,8 @@ class ExperimentConfig:
             # the far-field fit reads the outer half of the samples and needs 12 there
             if self.samples < 23:
                 raise ConfigError("samples", "need at least 23 samples for a far-field fit")
+            if self.samples > _MAX_ROWS:
+                raise ConfigError("samples", f"must be at most {_MAX_ROWS}, the rows a table may have, got {self.samples}")
             if not 0 < self.xmax < math.inf:
                 raise ConfigError("xmax", f"must be positive and finite, got {self.xmax}")
         if self.kind == "convergence":
@@ -156,6 +163,8 @@ class ExperimentConfig:
         # the FEM resolution guard wants 4 * kmax surface nodes, more than any mesh may have past this
         if self.kind in ("custom", "sl_vs_sloshing") and self.kmax > _MAX_NODES // 4:
             raise ConfigError("kmax", f"must be at most {_MAX_NODES // 4}; no mesh resolves more, got {self.kmax}")
+        if self.kind == "sl" and self.kmax > _MAX_ROWS:
+            raise ConfigError("kmax", f"must be at most {_MAX_ROWS}, the rows a table may have, got {self.kmax}")
 
     @property
     def stem(self):

@@ -22,15 +22,16 @@ from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
-from .model_solutions.contour import _panel_nodes
+from .geometry.domain import _panel_nodes
 
 SINGULAR_THRESHOLD = 1e-9
 _TRUST = 16.0  # a scanned sign counts only where |Im det| > _TRUST |Re det|
 # The largest q whose spectra pass the density check in `solve_spectrum`:
-# every q from 21 to 25 measured fails it after the scan, and one scan
-# chunk stacks 2q + 4 needed + 3 matrices of (2q)^2 complex entries, about
-# 1.1 GB at q = 200 with Dirichlet walls and kmax 10.
+# every q from 21 to 25 measured fails it after the scan.
 _MAX_SCAN_Q = 20
+# Grid points scanned at once, each one (2q)^2 complex matrix (25.6 kB at
+# q = 20): under 7 MB a chunk, whatever kmax asks for
+_SCAN_CHUNK = 256
 
 
 class SLSolveError(RuntimeError):
@@ -265,9 +266,9 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     """First kmax eigenvalues (with multiplicity) by scan plus root finding.
 
     Im det of the scaled boundary matrix is evaluated on a grid of step
-    pi / (4 L), in chunks reaching past the lattice prediction of the
-    last eigenvalue wanted; grid points where it does not exceed
-    16 |Re det| (rounding) are skipped.  The sign changes between
+    pi / (4 L), _SCAN_CHUNK points at a time, up to four times past the
+    lattice prediction of the last eigenvalue wanted; grid points where
+    it does not exceed 16 |Re det| (rounding) are skipped.  The sign changes between
     consecutive trusted points of a chunk are refined together by Illinois
     regula falsi to 4 eps lam, one batched determinant per step, and their
     roots get one stacked SVD; a batch takes only the first brackets, as
@@ -304,8 +305,9 @@ def solve_spectrum(problem: HighOrderSLProblem, kmax: int) -> SLSpectrum:
     ceiling = ode_asymptotic_prediction(q, L, q + needed + 1) + math.pi / (2.0 * L)
     if not (math.isfinite(step) and math.isfinite(ceiling)):
         raise SLSolveError(f"interval length {L:.6g} puts the eigenvalues past the floating-point range")
-    chunk = int(math.ceil((ceiling - lam_lo) / step))
-    limit = 4 * chunk + 8
+    span = int(math.ceil((ceiling - lam_lo) / step))
+    limit = 4 * span + 8
+    chunk = min(span, _SCAN_CHUNK)
     found = []
     prev = None  # last trusted (lam, Im det)
     start = 0

@@ -7,7 +7,6 @@ from .hanson_lewy import (
     hl_derivative_at_origin,
     hl_eval,
     hl_gradient,
-    hl_trace,
     quasimode_trace,
     steklov_defect,
     wall_defect,
@@ -26,7 +25,6 @@ __all__ = [
     "hl_derivative_at_origin",
     "hl_eval",
     "hl_gradient",
-    "hl_trace",
     "quasimode_trace",
     "steklov_defect",
     "wall_defect",

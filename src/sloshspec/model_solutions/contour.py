@@ -28,14 +28,10 @@ X = (t e^{i ray})^(-2 mu), is exactly log X plus the conjugate of the
 inverted leg's log(1 + t^(2 mu) e^(-2 i mu ray)), and that one is taken
 from its real and imaginary parts, a real logarithm and an arctan2, with
 no complex logarithm (see `_i_ray`).
-
-Composite Gauss-Legendre panels (`_panel_nodes`) discretize the smooth
-contours built on these functions.
 """
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -102,23 +98,6 @@ def _tanh_sinh(integrand, tol, what, finish=lambda total: total):
         if np.any(settled):
             live = np.flatnonzero(~settled) if live is ... else live[~settled]
     raise QuadratureError(f"{what} did not stabilize to {tol:g}")
-
-
-@lru_cache(maxsize=8)
-def _gauss(n):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _panel_nodes(breaks, n):
-    """Gauss-Legendre nodes/weights on consecutive intervals of `breaks`."""
-    x, w = _gauss(n)
-    a = breaks[:-1]
-    b = breaks[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
-    return nodes, weights
 
 
 def _log_mu_ratio(mu, u):

@@ -13,9 +13,9 @@ rotation xi^q = -1.  Coefficients are finite products of
 eta(xi^j) = (xi^j + 1)/(xi^j - 1) and the final coefficient equals
 gamma = i^(q-1) exactly.
 
-Traces of these solutions on the surface, glued from both surface
-corners, provide quasimodes whose frequencies live on the lattice
-sigma L = pi (k - 1/2) - pi q / 2.
+Traces of these solutions on the surface (`hl_eval` at real points),
+glued from both surface corners, provide quasimodes whose frequencies
+live on the lattice sigma L = pi (k - 1/2) - pi q / 2.
 """
 
 import cmath
@@ -85,14 +85,16 @@ def build_hanson_lewy(q: int, condition: str = "neumann") -> HansonLewySolution:
     return HansonLewySolution(q=q, condition=condition, xi=xi, terms=tuple(terms))
 
 
-def hl_eval(sol: HansonLewySolution, z):
-    """Value of the solution at complex points z (vectorized)."""
+def _term_values(sol: HansonLewySolution, z):
+    """One row c exp(-i r w) per term, w = conj(z) on conjugated terms; z is a scalar or an array."""
     z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for t in sol.terms:
-        arg = np.conj(z) if t.conjugated else z
-        out = out + t.coefficient * np.exp(-1j * t.rotation * arg)
-    return out
+    return np.array([t.coefficient * np.exp(-1j * t.rotation * (np.conj(z) if t.conjugated else z)) for t in sol.terms])
+
+
+def hl_eval(sol: HansonLewySolution, z):
+    """Value of the solution at complex points z (vectorized); at real z, the surface trace."""
+    z = np.asarray(z, dtype=complex)
+    return sum(_term_values(sol, z), np.zeros_like(z))  # term after term from zero, as a loop adds
 
 
 def hl_gradient(sol: HansonLewySolution, z):
@@ -100,22 +102,11 @@ def hl_gradient(sol: HansonLewySolution, z):
     z = np.asarray(z, dtype=complex)
     dx = np.zeros_like(z)
     dy = np.zeros_like(z)
-    for t in sol.terms:
+    for t, val in zip(sol.terms, _term_values(sol, z)):
         p = -1j * t.rotation
-        arg = np.conj(z) if t.conjugated else z
-        val = t.coefficient * np.exp(p * arg)
         dx = dx + p * val
         dy = dy + (-1j * p * val if t.conjugated else 1j * p * val)
     return dx, dy
-
-
-def hl_trace(sol: HansonLewySolution, x):
-    """Complex trace on the surface y = 0 (analytic and conjugated terms agree there)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape, dtype=complex)
-    for t in sol.terms:
-        out = out + t.coefficient * np.exp(-1j * t.rotation * x)
-    return out
 
 
 def hl_derivative_at_origin(sol: HansonLewySolution, m: int) -> complex:
@@ -134,10 +125,9 @@ def steklov_defect(sol: HansonLewySolution, x):
     """(d/dy - 1) applied on the surface; identically zero by construction."""
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape, dtype=complex)
-    for t in sol.terms:
+    for t, val in zip(sol.terms, _term_values(sol, x)):
         r = t.rotation
-        factor = (-r - 1.0) if t.conjugated else (r - 1.0)
-        out = out + factor * t.coefficient * np.exp(-1j * r * x)
+        out = out + ((-r - 1.0) if t.conjugated else (r - 1.0)) * val
     return out
 
 
@@ -191,7 +181,7 @@ def quasimode_trace(q: int, sigma: float, samples, surface_length: float):
     if k < q + 1:
         raise ValueError(f"lattice index k = {k} must be at least q + 1 = {q + 1}")
     sol = build_hanson_lewy(q, "neumann")
-    vals = hl_trace(sol, sigma * x)
+    vals = hl_eval(sol, sigma * x)
     # The mirrored corner solution at B enters with the phase that makes
     # the oscillatory parts of the two corner traces coincide; on the
     # lattice that phase is exp(-i sigma L) / gamma.

@@ -64,10 +64,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry.domain import CornerSpec
+from ..geometry.domain import CornerSpec, _gauss, _panel_nodes
 # exp_neg_I_continued stays bound here: perfbench's self-test expects its
 # tracer to find the name in this module
-from .contour import _gauss, _panel_nodes, exp_neg_I_continued, g_alpha_continued  # noqa: F401
+from .contour import exp_neg_I_continued, g_alpha_continued  # noqa: F401
 
 # perfbench's workloads build their sector corners under this name
 SectorParams = CornerSpec

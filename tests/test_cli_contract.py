@@ -3,11 +3,12 @@
 import json
 import math
 import os
+import tracemalloc
 import warnings
 
 import pytest
 
-from sloshspec import cli
+from sloshspec import cli, harness
 from sloshspec.geometry.domain import build_rectangle_domain, build_triangle_domain
 from sloshspec.geometry.io import domain_to_json
 
@@ -95,6 +96,54 @@ def test_hostile_input_exits_with_one_json_error(tmp_path, monkeypatch, capsys, 
     assert REASONS.get(" ".join(argv), "") in error["message"]
     assert not list(tmp_path.rglob("*.tmp"))
     assert (tmp_path / "existing").is_dir() and not list((tmp_path / "existing").iterdir())
+
+
+# counts that size a table far past harness._MAX_ROWS rows; run, each
+# would allocate tens of gigabytes
+OVERSIZED = {
+    "sl_kmax.json": {"kind": "sl", "kmax": 10**9},
+    "peters_samples.json": {"kind": "peters_phase", "samples": 10**9},
+}
+OVERSIZED_CASES = [
+    (["sl", "--q", "2", "--kmax", "1000000000"], "kmax"),
+    (["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", "1000000000"], "kmax"),
+    (["peters", "--alpha", "0.7", "--samples", "1000000000"], "samples"),
+    (["run", "--config", "sl_kmax.json"], "kmax"),
+    (["run", "--config", "peters_samples.json"], "samples"),
+]
+
+
+@pytest.mark.parametrize("argv, field_name", OVERSIZED_CASES, ids=[" ".join(case[0]) for case in OVERSIZED_CASES])
+def test_a_count_past_the_row_bound_is_refused_before_it_allocates(tmp_path, monkeypatch, capsys, argv, field_name):
+    monkeypatch.chdir(tmp_path)
+    for name, config in OVERSIZED.items():
+        (tmp_path / name).write_text(json.dumps(config))
+
+    def computed(*args):
+        raise AssertionError("a count past the bound reached its computation")
+
+    # should the bound go, the run stops here rather than allocate
+    for module, name in ((cli, "compute_experiment"), (harness, "compute_experiment"), (cli, "quasi_frequency")):
+        monkeypatch.setattr(module, name, computed)
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 2**20
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "config" and error["field"] == field_name
+    assert f"must be at most {harness._MAX_ROWS}" in error["message"]
+
+
+def test_asymptotics_takes_kmax_up_to_the_row_bound(monkeypatch):
+    # the lattice itself is not computed: only the bound is under test
+    counts = []
+    monkeypatch.setattr(cli, "quasi_frequency", lambda model, k: 0.0)
+    monkeypatch.setattr(cli, "_emit", lambda args, stem, result: counts.append(len(result.rows)) or 0)
+    assert cli.main(["asymptotics", "--alpha", "1", "--beta", "1", "--kmax", str(harness._MAX_ROWS)]) == 0
+    assert counts == [harness._MAX_ROWS]
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,13 @@ def test_wavy_surface_length_matches_dense_quadrature():
     assert minus.surface_length == pytest.approx(plus.surface_length, abs=1e-14)
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_wavy_surface_length_keeps_its_recorded_bits(sign):
+    # the length's Gauss panels are the package's one panel rule; this
+    # repr was recorded before the rule had a single home
+    assert repr(build_curvilinear_example(sign).surface_length) == "1.2160067234249796"
+
+
 # ---------------------------------------------------------------------------
 # domain assembly and validation
 # ---------------------------------------------------------------------------
@@ -998,11 +1005,26 @@ def test_the_bounded_clearance_query_keeps_the_unbounded_mask():
     gap = mesh_module._LATTICE_CLEARANCE * h
     near = poly[5] + np.array([[gap, 0.0], [0.0, np.nextafter(gap, 0.0)], [-np.nextafter(gap, 1.0), 0.0]])
     cand = np.concatenate([cand, near])
-    want = mesh_module.cKDTree(poly).query(cand)[0] >= gap
-    got = mesh_module._clear_of_boundary(poly, cand, h)
+    nearest = mesh_module.cKDTree(poly).query(cand)[0]
+    want = nearest >= gap
+    got = mesh_module._clear_of(poly, cand, gap)
     assert got.tobytes() == want.tobytes()
     assert want.any() and not want.all()
-    assert mesh_module.cKDTree(poly).query(near[0])[0] == gap and got[-3]
+    assert nearest[-3] == gap and got[-3]
+
+    # one clearance per candidate, as refinement circumcentres ask: the
+    # last candidate sits exactly at its own clearance, the one before a
+    # rounding inside it, and the search stops at the largest clearance
+    clearance = rng.uniform(0.1, 1.0, size=len(cand)) * h
+    clearance[-1], clearance[-2] = nearest[-1], np.nextafter(nearest[-2], 1.0)
+    want = nearest >= clearance
+    got = mesh_module._clear_of(poly, cand, clearance)
+    assert got.tobytes() == want.tobytes()
+    assert want.any() and not want.all()
+    assert got[-1] and not got[-2]
+
+    empty = mesh_module._clear_of(poly, np.zeros((0, 2)), np.zeros(0))
+    assert empty.dtype == bool and empty.shape == (0,)
 
 
 def test_points_on_horizontal_edges_take_the_side_above():

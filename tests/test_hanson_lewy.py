@@ -1,6 +1,7 @@
 """Explicit wedge solutions: exactness identities and glued quasimodes."""
 
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from sloshspec.model_solutions.hanson_lewy import (
     hl_derivative_at_origin,
     hl_eval,
     hl_gradient,
-    hl_trace,
     quasimode_trace,
     steklov_defect,
     wall_defect,
@@ -73,9 +73,62 @@ def test_rotations_stay_on_the_unit_circle():
 
 
 def test_trace_agrees_with_plane_values_on_the_surface():
+    # hl_eval on real x is the surface trace: the same bits as at x + 0j
     sol = build_hanson_lewy(3)
     x = np.linspace(0.0, 4.0, 50)
-    assert np.max(np.abs(hl_trace(sol, x) - hl_eval(sol, x + 0j))) < 1e-13
+    assert hl_eval(sol, x).tobytes() == hl_eval(sol, x + 0j).tobytes()
+
+
+def _eval_term_by_term(sol, z):
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for t in sol.terms:
+        arg = np.conj(z) if t.conjugated else z
+        out = out + t.coefficient * np.exp(-1j * t.rotation * arg)
+    return out
+
+
+def _gradient_term_by_term(sol, z):
+    z = np.asarray(z, dtype=complex)
+    dx = np.zeros_like(z)
+    dy = np.zeros_like(z)
+    for t in sol.terms:
+        p = -1j * t.rotation
+        arg = np.conj(z) if t.conjugated else z
+        val = t.coefficient * np.exp(p * arg)
+        dx = dx + p * val
+        dy = dy + (-1j * p * val if t.conjugated else 1j * p * val)
+    return dx, dy
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+@pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
+def test_values_and_gradients_keep_the_bits_of_a_term_by_term_sum(q, condition):
+    sol = build_hanson_lewy(q, condition)
+    rng = np.random.default_rng(q)
+    sector = rng.uniform(0.0, 6.0, 500) * np.exp(-1j * sol.alpha * rng.uniform(0.0, 1.0, 500))
+    surface = np.linspace(0.0, 8.0, 2001) + 0j
+    for z in (sector, surface, sector[7], complex(surface[3])):
+        got, want = hl_eval(sol, z), _eval_term_by_term(sol, z)
+        assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for got, want in zip(hl_gradient(sol, z), _gradient_term_by_term(sol, z)):
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# the quasimode inputs of the benchmark's model workload at seed 1: q, surface length and sha256 of
+# the trace at lattice index k = q + 2 on 2001 samples
+QUASIMODE_DIGESTS = [
+    (2, 1.1828974869817857, "ff2f27d4be484afefd22d1e0addbdbb6fe6504a5fc4affa185b591bbc2034b52"),
+    (3, 0.9477455503667991, "5961fbb1f7eefb2a867ae7ba474538a4f99911056950d822803f7adc21c4cbcc"),
+    (4, 1.0786102634123944, "fd614e8d07f28d4bdf666e8a9d15d30d714dd94050a7c1e19b00018a791a9bb9"),
+]
+
+
+@pytest.mark.parametrize("q, length, digest", QUASIMODE_DIGESTS)
+def test_quasimode_trace_keeps_its_recorded_bytes(q, length, digest):
+    sigma = (math.pi * (q + 1.5) - math.pi * q / 2.0) / length
+    trace = quasimode_trace(q, sigma, np.linspace(0.0, length, 2001), length)
+    assert hashlib.sha256(trace.tobytes()).hexdigest() == digest
 
 
 def test_gradient_matches_finite_differences():

@@ -138,6 +138,11 @@ def test_kind_specific_checks_keep_their_messages():
             dict(kind="custom", domain={"x": 1}, kmax=500_001),
             "kmax: must be at most 500000; no mesh resolves more, got 500001",
         ),
+        (dict(kind="sl", kmax=100_001), "kmax: must be at most 100000, the rows a table may have, got 100001"),
+        (
+            dict(kind="peters_phase", samples=100_001),
+            "samples: must be at most 100000, the rows a table may have, got 100001",
+        ),
     ]
     for kwargs, message in cases:
         with pytest.raises(ConfigError) as err:
@@ -147,6 +152,8 @@ def test_kind_specific_checks_keep_their_messages():
     assert ExperimentConfig(kind="custom", domain={"x": 1}, kmax=500_000).kmax == 500_000
     assert ExperimentConfig(kind="quasimode_residual", q=3, k_list=[4]).k_list == (4,)
     assert ExperimentConfig(kind="peters_phase", alpha=math.pi / 2 - 1e-11, xmax=117.0).xmax == 117.0
+    assert ExperimentConfig(kind="sl", kmax=harness._MAX_ROWS).kmax == 100_000
+    assert ExperimentConfig(kind="peters_phase", samples=harness._MAX_ROWS).samples == 100_000
 
 
 @pytest.mark.parametrize(

@@ -464,6 +464,19 @@ def test_a_scan_past_q_20_is_refused_before_it_allocates():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("condition", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("q", range(2, 9))
+def test_a_scan_cut_into_small_chunks_finds_the_same_bits(monkeypatch, condition, q):
+    # a bracket may straddle two chunks, and a chunk may hold none
+    for length in (0.37, 1.0, 2.9):
+        problem = HighOrderSLProblem(q, length, condition)
+        want = np.array(solve_spectrum(problem, 20).eigenvalues)
+        with monkeypatch.context() as patch:
+            patch.setattr(highord_sl, "_SCAN_CHUNK", 5)
+            got = np.array(solve_spectrum(problem, 20).eigenvalues)
+        assert got.tobytes() == want.tobytes(), length
+
+
 def test_zero_modes_of_a_huge_q_cost_only_the_zeros_asked_for():
     tracemalloc.start()
     try:
